@@ -17,10 +17,11 @@
    than execution.
 
    Not suitable for consumers that must observe sampler or hierarchy
-   state synchronously with the VM (the K>0 bulk-advance check, the
-   PMU collector): those stay on serial sinks. The driver uses this
-   only for the exact-fidelity measure phase, and only when the host
-   has more than one core. *)
+   state synchronously with the VM (the K>0 bulk-advance check): those
+   stay on serial sinks. The driver uses this only for the
+   exact-fidelity measure phase, and only when the host has more than
+   one core. Profile collection could use it too — its PMU samples
+   inside the drain — but measured slower there, so it stays serial. *)
 
 type t = {
   drain : int array -> int array -> int -> unit;

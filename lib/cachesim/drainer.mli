@@ -11,7 +11,7 @@
 
     Only for consumers that never inspect simulation state while the
     VM runs (the exact-fidelity measure phase). Sampled bulk-advance
-    checks and the PMU collector need synchronous sinks. *)
+    checks need synchronous sinks. *)
 
 type t
 

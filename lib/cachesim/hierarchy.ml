@@ -52,6 +52,13 @@ type t = {
      never act on a stale way. *)
   mutable memo_line : int;
   mutable memo_way : int;
+  (* PMU sampling in [drain_quiet]: the first-level miss events it has
+     counted under [Pmu]'s rule, the count at which the next sample
+     fires (max_int: no sampler, never) and the sampler itself *)
+  mutable misses : int;
+  mutable next_sample : int;
+  mutable sample_period : int;
+  mutable on_sample : int -> int -> unit;
 }
 
 let create ?kernel cfg =
@@ -79,7 +86,29 @@ let create ?kernel cfg =
     mem_extra = max 0 (cfg.mem_lat - cfg.l1_lat);
     extra = 0; n_access = 0; by_l1 = 0; by_l2 = 0; by_mem = 0;
     memo_line = -1; memo_way = 0;
+    misses = 0; next_sample = max_int; sample_period = 1;
+    on_sample = (fun _ _ -> ());
   }
+
+let set_sampler t ~period ~first f =
+  if period <= 0 || first <= 0 then
+    invalid_arg "Hierarchy.set_sampler: period and first must be positive";
+  t.sample_period <- period;
+  t.next_sample <- t.misses + first;
+  t.on_sample <- f
+
+let miss_events t = t.misses
+
+(* [drain_quiet]'s PMU step for the event with meta word [m]: count
+   [n] first-level misses (0 or 1) and hand the event to the sampler
+   when the count reaches the next sample *)
+let[@inline] count_miss t m n latency =
+  let c = t.misses + n in
+  t.misses <- c;
+  if c = t.next_sample then begin
+    t.on_sample (m asr 6) latency;
+    t.next_sample <- c + t.sample_period
+  end
 
 (* The L1->L2 descent of one missing L1 line: one L2 request for the
    L2 line containing it (a single probe whenever the L2 line is at
@@ -202,7 +231,13 @@ let correct_skip t ~skipped ~observed =
    would hit at [memo_way]; the memo path replicates that probe's exact
    counter, tick and stamp effects. Counters after the drain are
    byte-equal to feeding every event through [access_quiet] (a QCheck
-   property pins this). *)
+   property pins this).
+
+   The same loop is the PMU: every first-level miss event (an L2 or
+   memory access for an integer event, a memory access for a float one,
+   as [Pmu.record] decides) bumps [misses], and the one whose count
+   reaches [next_sample] goes to the sampler with its latency. Without
+   a sampler that is one increment and one compare per miss. *)
 (* The single-line probes below are the generic kernel's state machine
    (cache.ml) transcribed inline: same tick-first ordering, same
    while-scan, same first-minimal victim, same ins-sketch bump, so the
@@ -297,7 +332,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
             Array.unsafe_set stamps2 !victim tk;
             memo_way := !victim;
             incr by_mem;
-            extra := !extra + mem_extra
+            extra := !extra + mem_extra;
+            count_miss t m 1 t.cfg.mem_lat
           end
         end
       end
@@ -315,7 +351,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
         end
         else begin
           incr by_mem;
-          extra := !extra + mem_extra
+          extra := !extra + mem_extra;
+          count_miss t m 1 t.cfg.mem_lat
         end
       end
     end
@@ -382,7 +419,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
                 Array.unsafe_set stamps2 !j tk;
                 incr hits2;
                 incr by_l2;
-                extra := !extra + l2_extra
+                extra := !extra + l2_extra;
+                count_miss t m (1 - (m land 1)) t.cfg.l2_lat
               end
               else begin
                 incr miss2;
@@ -397,7 +435,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
                 Array.unsafe_set tags2 !victim tag;
                 Array.unsafe_set stamps2 !victim tk;
                 incr by_mem;
-                extra := !extra + mem_extra
+                extra := !extra + mem_extra;
+                count_miss t m 1 t.cfg.mem_lat
               end
             end
             else begin
@@ -406,11 +445,13 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
               reload ();
               if served then begin
                 incr by_l2;
-                extra := !extra + l2_extra
+                extra := !extra + l2_extra;
+                count_miss t m (1 - (m land 1)) t.cfg.l2_lat
               end
               else begin
                 incr by_mem;
-                extra := !extra + mem_extra
+                extra := !extra + mem_extra;
+                count_miss t m 1 t.cfg.mem_lat
               end
             end
           end
@@ -430,11 +471,13 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
         if not !any_miss then incr by_l1
         else if !all2 then begin
           incr by_l2;
-          extra := !extra + l2_extra
+          extra := !extra + l2_extra;
+          count_miss t m (1 - (m land 1)) t.cfg.l2_lat
         end
         else begin
           incr by_mem;
-          extra := !extra + mem_extra
+          extra := !extra + mem_extra;
+          count_miss t m 1 t.cfg.mem_lat
         end
       end
     end

@@ -74,7 +74,24 @@ val drain_quiet : t -> int array -> int array -> int -> int -> unit
     the probe entirely when an event lands on the same line as its
     predecessor (the line is resident and most-recent; the memo
     replicates the probe's exact counter and LRU effects). This is the
-    sink the exact-fidelity measure phase installs on its {!Ring}. *)
+    sink the exact-fidelity measure phase installs on its {!Ring}.
+
+    It is also the PMU of profile collection: it counts first-level
+    miss events under {!Pmu.record}'s rule and hands every sampled one
+    to the sampler installed by {!set_sampler}. *)
+
+val set_sampler : t -> period:int -> first:int -> (int -> int -> unit) -> unit
+(** [set_sampler t ~period ~first f] makes {!drain_quiet} sample
+    first-level miss events — integer accesses that miss L1 and
+    floating-point ones that miss L2, their first level on Itanium (the
+    rule of {!Pmu.record}): counting from now, the [first]-th event and every
+    [period]-th one after it call [f iid latency]. Replaces any earlier
+    sampler. Only {!drain_quiet} counts; the per-access entry points do
+    not. {!Pmu.attach} is the usual caller. Raises [Invalid_argument]
+    unless [period] and [first] are positive. *)
+
+val miss_events : t -> int
+(** First-level miss events {!drain_quiet} has counted so far. *)
 
 val drain_warm : t -> int array -> int array -> int -> int -> unit
 (** Batch counterpart of {!warm} with the sampled warm path's memo

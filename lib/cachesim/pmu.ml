@@ -5,6 +5,9 @@ type t = {
   mutable counter : int;
   mutable events : int;
   table : (int, stats) Hashtbl.t;
+  mutable feed : (Hierarchy.t * int) option;
+    (* the hierarchy whose drain samples for us, and its miss count at
+       [attach] *)
 }
 
 let create ?(period = 251) ?(phase = 0) () =
@@ -13,7 +16,19 @@ let create ?(period = 251) ?(phase = 0) () =
      leave a negative counter and silently stretch the first sampling
      period; normalize into [0, period) for any phase *)
   let counter = ((phase mod period) + period) mod period in
-  { period; counter; events = 0; table = Hashtbl.create 64 }
+  { period; counter; events = 0; table = Hashtbl.create 64; feed = None }
+
+let add_sample t iid latency =
+  let prev =
+    Option.value
+      (Hashtbl.find_opt t.table iid)
+      ~default:{ miss_events = 0; total_latency = 0 }
+  in
+  Hashtbl.replace t.table iid
+    {
+      miss_events = prev.miss_events + 1;
+      total_latency = prev.total_latency + latency;
+    }
 
 let record t ~iid ~level ~latency ~is_float =
   let is_miss =
@@ -28,20 +43,21 @@ let record t ~iid ~level ~latency ~is_float =
     t.counter <- t.counter + 1;
     if t.counter >= t.period then begin
       t.counter <- 0;
-      let prev =
-        Option.value
-          (Hashtbl.find_opt t.table iid)
-          ~default:{ miss_events = 0; total_latency = 0 }
-      in
-      Hashtbl.replace t.table iid
-        {
-          miss_events = prev.miss_events + 1;
-          total_latency = prev.total_latency + latency;
-        }
+      add_sample t iid latency
     end
   end
 
-let events_seen t = t.events
+(* the drain continues this PMU's count: the next sample is
+   [period - counter] events away, as it would be under [record] *)
+let attach t h =
+  Hierarchy.set_sampler h ~period:t.period ~first:(t.period - t.counter)
+    (add_sample t);
+  t.feed <- Some (h, Hierarchy.miss_events h)
+
+let events_seen t =
+  match t.feed with
+  | Some (h, base) -> t.events + Hierarchy.miss_events h - base
+  | None -> t.events
 
 let by_instr t =
   Hashtbl.fold (fun iid s acc -> (iid, s) :: acc) t.table []

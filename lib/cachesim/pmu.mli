@@ -32,6 +32,15 @@ val record :
 (** Feed one memory access. Non-miss accesses only advance internal
     counters. *)
 
+val attach : t -> Hierarchy.t -> unit
+(** Let the hierarchy's batch drain ({!Hierarchy.drain_quiet}) feed
+    this PMU: the drain applies {!record}'s miss rule, continues this
+    PMU's period and phase, and hands over only the sampled events.
+    Draining a stream through an attached PMU gives the same stats and
+    {!events_seen} as {!record} after {!Hierarchy.access} on every event
+    (a QCheck property pins this). Once attached, feed events through
+    the drain only: {!record} does not advance the drain's count. *)
+
 val events_seen : t -> int
 (** Total (unsampled) first-level miss events. *)
 

@@ -168,7 +168,13 @@ let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?threshold ?pool
   in
   let (before, after), t_me =
     timed (fun () ->
-        if jobs > 1 then begin
+        if plans = [] then begin
+          (* no plan: [transformed] is an unmodified copy and simulation
+             is deterministic, so its measurement is [prog]'s *)
+          let m = measure ~args ~config ~backend ~fidelity prog in
+          (m, m)
+        end
+        else if jobs > 1 then begin
           (* the two measurement runs are independent; overlap them *)
           let pool = Pool.create ~jobs:2 in
           let fb =

@@ -102,7 +102,9 @@ val evaluate :
     measurement runs (default the closure-compiled one) and [fidelity]
     their simulation fidelity (default exact — see {!measure}; sampled
     fidelity affects only the measurement numbers, never the analysis
-    or the transformation). Raises [Invalid_argument] if a
+    or the transformation). When no decision carries a plan the
+    transformed program is an unmodified copy, so it is not measured
+    again: [e_after] is [e_before]. Raises [Invalid_argument] if a
     profile-based scheme is given no feedback, and {!Verify.Ill_formed}
     if [~verify:true] and the transformed IR is malformed. *)
 

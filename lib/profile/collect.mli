@@ -7,10 +7,12 @@
     data from the PMU, resulting in a feedback file that contains both edge
     counts and sampling results for data cache events."
 
-    The VM's edge hook is the instrumentation; the cache hierarchy plus
-    {!Slo_cachesim.Pmu} is the PMU. When [instrument] is false, only PMU
-    samples are collected (that is the DMISS.NO configuration) and a
-    different sampling phase models the skid difference. *)
+    The VM's edge-counter table ({!Slo_vm.Edges}) is the
+    instrumentation; the cache hierarchy's batch drain with an attached
+    {!Slo_cachesim.Pmu} is the PMU — the exact measure phase's event
+    path. When [instrument] is false, only PMU samples are collected
+    (that is the DMISS.NO configuration) and a different sampling phase
+    models the skid difference. *)
 
 type run_stats = {
   result : Slo_vm.Interp.result;
@@ -27,6 +29,7 @@ val collect :
   Ir.program ->
   Feedback.t * run_stats
 (** Defaults: [instrument = true], Itanium-like hierarchy, period 251,
-    the closure-compiled VM backend. Both backends drive identical
-    edge/PMU event streams, so the collected feedback is backend
-    independent (pinned by tests). *)
+    the closure-compiled VM backend. The three backends count the same
+    edges and drive the same memory-event stream, so the feedback, the
+    PMU event count and the hierarchy counters are backend independent
+    (pinned per roster program by [test_profile]). *)

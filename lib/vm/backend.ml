@@ -35,7 +35,7 @@ let of_string = function
    the run ends *)
 type vm = Vwalk of Interp.t * (unit -> unit) | Vclosure of Compile.t
 
-let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog =
+let create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog =
   match backend with
   | Walk ->
     (* the walker has no bulk fast path; ignoring the hook is sound
@@ -55,13 +55,13 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog =
           fun () -> Ring.flush rg )
       | (Some _ | None), None -> (mem_hook, fun () -> ())
     in
-    Vwalk (Interp.create ?mem_hook ?edge_hook ?max_steps prog, flush)
+    Vwalk (Interp.create ?mem_hook ?edges ?max_steps prog, flush)
   | Closure ->
     Vclosure
-      (Compile.create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps prog)
+      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps prog)
   | Superblock ->
     Vclosure
-      (Compile.create ?mem_hook ?edge_hook ?bulk_hook ?ring ~superblock:true
+      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ~superblock:true
          ?max_steps prog)
 
 let run ?args = function
@@ -69,6 +69,6 @@ let run ?args = function
     Fun.protect ~finally:flush (fun () -> Interp.run ?args vm)
   | Vclosure vm -> Compile.run ?args vm
 
-let run_program ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps ?args backend
+let run_program ?mem_hook ?edges ?bulk_hook ?ring ?max_steps ?args backend
     prog =
-  run ?args (create ?mem_hook ?edge_hook ?bulk_hook ?ring ?max_steps backend prog)
+  run ?args (create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog)

@@ -34,7 +34,7 @@ type vm
 
 val create :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->
@@ -47,6 +47,10 @@ val create :
     hook. Either way {!run} flushes the tail, so the ring sink sees the
     complete, identical event stream on every backend.
 
+    [edges] (see {!Edges}) turns on edge profiling: every backend
+    counts the same taken edges and function entries into the table,
+    superblock fusion included.
+
     [bulk_hook] (see {!Compile.create}) lets a sampled-measurement
     consumer retire a whole block's accesses in O(1); the [Walk]
     backend ignores it (always per-access), which is sound because a
@@ -57,7 +61,7 @@ val run : ?args:int list -> vm -> result
 
 val run_program :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->

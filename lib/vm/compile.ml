@@ -12,10 +12,11 @@
      constant offsets (no [Hashtbl] lookups on the hot path);
    - [Layout.sizeof] results and bit-field (unit size, shift, mask)
      triples computed once per instruction;
-   - the [mem_hook]/[edge_hook] option branches specialized away: a
-     hook-free [run] compiles to closures with no event plumbing at
-     all, the profile/measure path to closures that call the hook
-     directly;
+   - the [mem_hook] option branch specialized away: a hook-free [run]
+     compiles to closures with no event plumbing at all, the measure
+     path to closures that push to the ring or call the hook directly;
+   - edge profiling ([edges]) compiled into the terminators: a counted
+     edge is one increment of a counter slot computed at compile time;
    - direct calls bind arguments through per-call-site closures that
      already know the callee's parameter offsets, types and sizes.
 
@@ -83,7 +84,9 @@ type fcode = {
   mutable fc_frame_size : int;
   mutable fc_blocks : bcode array;
   mutable fc_bind : argval list -> int -> unit;  (* generic binder *)
-  mutable fc_entry_hook : unit -> unit;
+  mutable fc_edges : int array option;
+    (* the function's {!Edges} counters when profiling; its entries
+       count in row 0, at slot [fc_entry] *)
 }
 
 (* where a compiled load/store sends its access event: nowhere, a
@@ -107,7 +110,7 @@ type t = {
   mutable steps : int;
   max_steps : int;
   sink : sink;
-  edge_hook : (string -> int -> int -> unit) option;
+  edges : Edges.t option;
   bulk : int -> bool;
     (* [bulk n]: consume [n] upcoming accesses cheaply (true) or fall
        back to per-access hook calls (false); constantly false unless a
@@ -143,6 +146,14 @@ let exec_fcode t (fc : fcode) (frame : frame) : retval =
   in
   go fc.fc_entry
 
+(* the call prologue's entry count *)
+let count_entry (fc : fcode) =
+  match fc.fc_edges with
+  | Some c ->
+    let e = fc.fc_entry in
+    c.(e) <- c.(e) + 1
+  | None -> ()
+
 (* the argval-list calling path: [main] and indirect calls *)
 let call_generic t (fc : fcode) (args : argval list) : retval =
   let frame_base = t.sp - fc.fc_frame_size in
@@ -151,7 +162,7 @@ let call_generic t (fc : fcode) (args : argval list) : retval =
   let saved_sp = t.sp in
   t.sp <- frame_base;
   fc.fc_bind args frame_base;
-  fc.fc_entry_hook ();
+  count_entry fc;
   let frame =
     { fb = frame_base; ir = Array.make fc.fc_ni 0;
       fr = Array.make fc.fc_nf 0.0 }
@@ -231,8 +242,12 @@ let with_event ~sink ~(ga : frame -> int) ~size ~write ~is_float ~iid :
    program are unchanged because a chain, once entered, always runs to
    its end. A pure-Tjmp cycle is not fused past one lap (the visited
    check below), so an infinite empty loop still re-enters the
-   execution loop and hits the step limit. *)
-let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
+   execution loop and hits the step limit. Under edge profiling the
+   chain's terminator also counts the interior jump edges it no longer
+   takes, each once per run of the chain, so the profile is the
+   unfused one. *)
+let fuse_superblocks (func : Ir.func) (row : Edges.row option)
+    (blocks : bcode array) =
   let n = Array.length blocks in
   if n > 1 then begin
     let preds = Array.make n 0 in
@@ -282,11 +297,32 @@ let fuse_superblocks (func : Ir.func) (blocks : bcode array) =
                 if a < 0 || bc.bc_events < 0 then -1 else a + bc.bc_events)
               0 bcs
           in
+          let term =
+            match row with
+            | None -> last.bc_term
+            | Some r -> (
+              let rec interior = function
+                | src :: (dst :: _ as rest) ->
+                  Edges.slot r ~src ~dst :: interior rest
+                | [ _ ] | [] -> []
+              in
+              let c = r.Edges.counts and term = last.bc_term in
+              match interior seq with
+              | [ s ] ->
+                fun f ->
+                  c.(s) <- c.(s) + 1;
+                  term f
+              | slots ->
+                let slots = Array.of_list slots in
+                fun f ->
+                  Array.iter (fun s -> c.(s) <- c.(s) + 1) slots;
+                  term f)
+          in
           blocks.(h) <-
             {
               bc_steps = List.fold_left (fun a bc -> a + bc.bc_steps) 0 bcs;
               bc_body = Array.concat (List.map (fun bc -> bc.bc_body) bcs);
-              bc_term = last.bc_term;
+              bc_term = term;
               bc_ret = last.bc_ret;
               bc_events = events;
               bc_fast =
@@ -323,12 +359,9 @@ let compile_signature t layout (p : pre) =
   let locals, frame_size = Prep.locals_layout layout func in
   p.p_locals <- locals;
   fc.fc_frame_size <- frame_size;
-  fc.fc_entry_hook <-
-    (match t.edge_hook with
-    | Some h ->
-      let name = fc.fc_name and entry = fc.fc_entry in
-      fun () -> h name (-1) entry
-    | None -> fun () -> ());
+  fc.fc_edges <-
+    Option.bind t.edges (fun e ->
+        Option.map (fun r -> r.Edges.counts) (Edges.row e fc.fc_name));
   (* the generic binder: one pre-resolved slot writer per parameter *)
   let fname = fc.fc_name in
   let slot_writers =
@@ -482,7 +515,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         for k = 0 to Array.length binders - 1 do
           (Array.unsafe_get binders k) f frame_base
         done;
-        callee.fc_entry_hook ();
+        count_entry callee;
         let nf =
           { fb = frame_base; ir = Array.make callee.fc_ni 0;
             fr = Array.make callee.fc_nf 0.0 }
@@ -799,6 +832,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       | Snone -> fun f -> Memory.blit mem ~dst:(gd f) ~src:(gs f) ~len:(gn f))
   in
   let never_ret : frame -> retval = fun _ -> RVoid in
+  let row = Option.bind t.edges (fun e -> Edges.row e func.fname) in
   let compile_term (b : Ir.block) : (frame -> int) * (frame -> retval) =
     match b.btermin with
     | Ir.Tret None -> ((fun _ -> -1), fun _ -> RVoid)
@@ -813,20 +847,30 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       in
       ((fun _ -> -1), retc)
     | Ir.Tjmp dst -> (
-      match t.edge_hook with
-      | Some h ->
-        let name = func.fname and src = b.bid in
-        ((fun _ -> h name src dst; dst), never_ret)
-      | None -> ((fun _ -> dst), never_ret))
-    | Ir.Tbr (c, x, y) -> (
-      let g = geti c in
-      match t.edge_hook with
-      | Some h ->
-        let name = func.fname and src = b.bid in
-        ( (fun f ->
-            let dst = if g f <> 0 then x else y in
-            h name src dst;
+      match row with
+      | Some r ->
+        let c = r.Edges.counts and s = Edges.slot r ~src:b.bid ~dst in
+        ( (fun _ ->
+            c.(s) <- c.(s) + 1;
             dst),
+          never_ret )
+      | None -> ((fun _ -> dst), never_ret))
+    | Ir.Tbr (cond, x, y) -> (
+      let g = geti cond in
+      match row with
+      | Some r ->
+        let c = r.Edges.counts in
+        let sx = Edges.slot r ~src:b.bid ~dst:x
+        and sy = Edges.slot r ~src:b.bid ~dst:y in
+        ( (fun f ->
+            if g f <> 0 then begin
+              c.(sx) <- c.(sx) + 1;
+              x
+            end
+            else begin
+              c.(sy) <- c.(sy) + 1;
+              y
+            end),
           never_ret )
       | None -> ((fun f -> if g f <> 0 then x else y), never_ret))
   in
@@ -984,7 +1028,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         { bc_steps = List.length b.instrs + 1; bc_body = body; bc_term = term;
           bc_ret = ret; bc_events = events; bc_fast = fast })
     func.fblocks;
-  if t.sb && Option.is_none t.edge_hook then fuse_superblocks func blocks;
+  if t.sb then fuse_superblocks func row blocks;
   if t.sb then
     Array.iteri (fun k bc -> blocks.(k) <- fold_tail bc) blocks;
   fc.fc_blocks <- blocks
@@ -993,7 +1037,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
 (* Setup and entry points                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
+let create ?mem_hook ?edges ?bulk_hook ?ring ?(superblock = false)
     ?(max_steps = Rt.default_max_steps) (prog : Ir.program) : t =
   let sink =
     match (mem_hook, ring) with
@@ -1015,7 +1059,7 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
            {
              fc_name = f.fname; fc_entry = 0; fc_ni = 0; fc_nf = 0;
              fc_frame_size = 0; fc_blocks = [||]; fc_bind = (fun _ _ -> ());
-             fc_entry_hook = (fun () -> ());
+             fc_edges = None;
            })
          prog.funcs)
   in
@@ -1030,7 +1074,7 @@ let create ?mem_hook ?edge_hook ?bulk_hook ?ring ?(superblock = false)
   let t =
     {
       mem; dispatch; fcode_tbl; benv; out = benv.Builtins.out;
-      sp = Memory.stack_top; steps = 0; max_steps; sink; edge_hook;
+      sp = Memory.stack_top; steps = 0; max_steps; sink; edges;
       bulk = (match bulk_hook with Some b -> b | None -> fun _ -> false);
       bulk_on =
         (Option.is_some bulk_hook

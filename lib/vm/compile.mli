@@ -21,7 +21,7 @@ type t
 
 val create :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?superblock:bool ->
@@ -56,13 +56,16 @@ val create :
     been charged up to one block's trailing accesses that never
     executed (same granularity caveat as the step limit below).
 
+    [edges] turns on edge profiling: each terminator and call prologue
+    increments a counter slot of the table, resolved at compile time.
+
     [superblock] additionally fuses each straight-line chain of blocks
     linked by unconditional jumps into one superblock: one array sweep,
     one step-limit check and one [bulk_hook] consultation per chain.
-    Fusion is skipped when an [edge_hook] is present (interior jump
-    edges would no longer be reported). Step totals and step-limit
-    failures are unchanged on all programs; the limit check becomes
-    chain-wise (see the caveat on {!run}). *)
+    Under [edges] a fused chain counts its interior jump edges once per
+    run, so the edge counts equal the unfused ones. Step totals and
+    step-limit failures are unchanged on all programs; the limit check
+    becomes chain-wise (see the caveat on {!run}). *)
 
 val run : ?args:int list -> t -> result
 (** Execute [main]. Raises {!Runtime_error} exactly where {!Interp.run}

@@ -15,6 +15,7 @@ type code = {
   clocals : (string, int * Irty.t) Hashtbl.t;  (* frame offset, type *)
   cframe_size : int;
   cfloat_reg : bool array;  (* register bank assignment *)
+  cedges : Edges.row option;  (* this function's edge counters, if profiling *)
 }
 
 type t = {
@@ -31,7 +32,6 @@ type t = {
   mutable sp : int;
   mutable steps : int;
   mem_hook : (int -> int -> bool -> bool -> int -> unit) option;
-  edge_hook : (string -> int -> int -> unit) option;
   max_steps : int;
 }
 
@@ -41,7 +41,7 @@ let func_addr_base = Rt.func_addr_base
 (* Pre-compilation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compile_func (prog : Ir.program) layout (f : Ir.func) : code =
+let compile_func (prog : Ir.program) layout edges (f : Ir.func) : code =
   let nb = f.next_block in
   let cblocks = Array.make nb [||] in
   let cterms = Array.make nb (Ir.Tret None) in
@@ -70,13 +70,14 @@ let compile_func (prog : Ir.program) layout (f : Ir.func) : code =
     cfunc = f; cblocks; cterms;
     centry = Prep.entry_block f;
     clocals; cframe_size; cfloat_reg = Prep.float_banks prog f;
+    cedges = Option.bind edges (fun e -> Edges.row e f.fname);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edge_hook ?(max_steps = Rt.default_max_steps)
+let create ?mem_hook ?edges ?(max_steps = Rt.default_max_steps)
     (prog : Ir.program) : t =
   let layout = Layout.create prog.structs in
   let mem = Memory.create () in
@@ -84,7 +85,7 @@ let create ?mem_hook ?edge_hook ?(max_steps = Rt.default_max_steps)
   let strings = Prep.intern_strings mem prog in
   let codes = Hashtbl.create 16 in
   List.iter
-    (fun f -> Hashtbl.replace codes f.Ir.fname (compile_func prog layout f))
+    (fun f -> Hashtbl.replace codes f.Ir.fname (compile_func prog layout edges f))
     prog.funcs;
   let func_by_index = Array.of_list (List.map (fun f -> f.Ir.fname) prog.funcs) in
   let func_addr = Hashtbl.create 16 in
@@ -95,7 +96,7 @@ let create ?mem_hook ?edge_hook ?(max_steps = Rt.default_max_steps)
   {
     prog; layout; mem; codes; func_by_index; func_addr; globals_addr;
     strings; benv; out = benv.Builtins.out; sp = Memory.stack_top; steps = 0;
-    mem_hook; edge_hook; max_steps;
+    mem_hook; max_steps;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -143,8 +144,8 @@ let rec call t fname (args : argval list) : retval =
       | _ :: _, [] -> error "too few arguments to '%s'" fname
     in
     bind f.fparams args;
-    (match t.edge_hook with
-    | Some h -> h fname (-1) code.centry
+    (match code.cedges with
+    | Some r -> Edges.bump r ~src:(-1) ~dst:code.centry
     | None -> ());
     let result = exec_blocks t code frame_base iregs fregs code.centry in
     t.sp <- saved_sp;
@@ -209,9 +210,7 @@ and exec_blocks t code frame_base iregs fregs entry : retval =
       edge bid dst;
       run_block dst)
   and edge src dst =
-    match t.edge_hook with
-    | Some h -> h code.cfunc.fname src dst
-    | None -> ()
+    match code.cedges with Some r -> Edges.bump r ~src ~dst | None -> ()
   and exec_instr (i : Ir.instr) =
     match i.idesc with
     | Ir.Imov (r, o) -> if fl.(r) then fregs.(r) <- get_f o else iregs.(r) <- get_i o

@@ -6,10 +6,10 @@
     - [mem_hook addr size is_write is_float iid] fires on every data memory
       access — this is the address trace the cache simulator consumes (and
       through which the "PMU" attributes misses to instructions);
-    - [edge_hook fname src dst] fires on every taken CFG edge when set —
-      this is the paper's PBO instrumentation ([src = -1] marks function
-      entry). Setting it models compiling with instrumentation: the run
-      collects an edge profile.
+    - [edges], when given, counts every taken CFG edge and every function
+      entry into an {!Edges} table — this is the paper's PBO
+      instrumentation. Passing it models compiling with instrumentation:
+      the run collects an edge profile.
 
     The interpreter is deterministic, including [rand] (a fixed-seed LCG),
     so profiles, cache statistics and benchmark outputs are reproducible. *)
@@ -26,7 +26,7 @@ type t
 
 val create :
   ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
-  ?edge_hook:(string -> int -> int -> unit) ->
+  ?edges:Edges.t ->
   ?max_steps:int ->
   Ir.program ->
   t

@@ -422,6 +422,48 @@ let prop_drain_matches_per_access =
       (* the generic-kernel drain pins specialized ≡ generic too *)
       hier_state_eq per dra && hier_state_eq per dgn)
 
+(* The drain as PMU: an attached [Pmu] fed by [drain_quiet] (random
+   batch boundaries) ends with the same samples, the same event count
+   and the same hierarchy as [Hierarchy.access] then [Pmu.record] on
+   every event, for any period and phase *)
+let prop_sampling_drain_matches_record =
+  QCheck.Test.make ~count:200
+    ~name:"sampling drain = access + Pmu.record"
+    QCheck.(
+      quad
+        (make gen_hier_config ~print:print_hier_config)
+        (make gen_events ~print:print_events)
+        (pair (int_range 1 13) (int_range (-20) 20))
+        (int_range 1 17))
+    (fun (cfg, events, (period, phase), chunk0) ->
+      let per = Hierarchy.create cfg and dra = Hierarchy.create cfg in
+      let p_per = Pmu.create ~period ~phase ()
+      and p_dra = Pmu.create ~period ~phase () in
+      Pmu.attach p_dra dra;
+      List.iteri
+        (fun i (addr, size, write, is_float) ->
+          let latency, level = Hierarchy.access per ~addr ~size ~write ~is_float in
+          (* a few iids, so samples accumulate per instruction *)
+          Pmu.record p_per ~iid:(i mod 5) ~level ~latency ~is_float)
+        events;
+      let n = List.length events in
+      let addrs = Array.make n 0 and metas = Array.make n 0 in
+      List.iteri
+        (fun i (addr, size, write, is_float) ->
+          addrs.(i) <- addr;
+          metas.(i) <- Ring.meta ~size ~write ~is_float ~iid:(i mod 5))
+        events;
+      let lo = ref 0 and k = ref 0 in
+      while !lo < n do
+        let c = min (n - !lo) (1 + ((chunk0 + !k) mod 17)) in
+        Hierarchy.drain_quiet dra addrs metas !lo (!lo + c);
+        lo := !lo + c;
+        incr k
+      done;
+      Pmu.by_instr p_per = Pmu.by_instr p_dra
+      && Pmu.events_seen p_per = Pmu.events_seen p_dra
+      && hier_state_eq per dra)
+
 module Drainer = Slo_cachesim.Drainer
 
 (* the worker-domain drainer: same events through a small ring with
@@ -626,6 +668,7 @@ let () =
           Alcotest.test_case "correct_skip caps and carries" `Quick
             correct_skip_caps_and_carries;
           QCheck_alcotest.to_alcotest prop_drain_matches_per_access;
+          QCheck_alcotest.to_alcotest prop_sampling_drain_matches_record;
           Alcotest.test_case "drainer matches serial" `Quick
             drainer_matches_serial;
           Alcotest.test_case "drainer join re-raises" `Quick

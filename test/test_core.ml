@@ -501,6 +501,20 @@ let split_improves_mcf_like () =
     (List.exists (fun (d : H.decision) -> d.d_plan <> None) ev.e_decisions);
   Alcotest.(check bool) "not slower" true (ev.e_speedup_pct > -2.0)
 
+(* h264avc has no plan under PBO: evaluate measures it once and reuses
+   the measurement for the transformed copy, which must be exactly what
+   measuring that copy gives *)
+let no_plan_measured_once () =
+  let e = Slo_suite.Suite.find "h264avc" in
+  let args = List.map (fun a -> max 1 (a / 8)) e.train_args in
+  let prog = D.compile e.source in
+  let fb, _ = Slo_profile.Collect.collect ~args prog in
+  let ev = D.evaluate ~args ~scheme:W.PBO ~feedback:(Some fb) prog in
+  Alcotest.(check int) "no plan" 0 (List.length (H.plans ev.e_decisions));
+  Alcotest.(check bool) "after is before" true (ev.e_after == ev.e_before);
+  Alcotest.(check bool) "= a fresh measurement of the copy" true
+    (ev.e_after = D.measure ~args ev.e_transformed)
+
 (* ------------------------- GVL ------------------------- *)
 
 let gvl_reorders_globals () =
@@ -786,6 +800,8 @@ let () =
             peel_infeasible_escapes;
           Alcotest.test_case "rebuild" `Quick rebuild_reorders;
           Alcotest.test_case "driver end-to-end" `Quick split_improves_mcf_like;
+          Alcotest.test_case "no plan measured once" `Quick
+            no_plan_measured_once;
         ] );
       ( "gvl",
         [ Alcotest.test_case "reorder" `Quick gvl_reorders_globals ] );

@@ -95,24 +95,97 @@ let pbo_matches_truth () =
   let prog = lower loop10 in
   let fb, _ = Collect.collect prog in
   let bw = Weights.block_weights prog Weights.PBO ~feedback:(Some fb) in
-  let counts = Hashtbl.create 16 in
-  let vm =
-    Slo_vm.Interp.create
-      ~edge_hook:(fun f _src dst ->
-        let k = (f, dst) in
-        Hashtbl.replace counts k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-      prog
-  in
-  ignore (Slo_vm.Interp.run vm);
+  (* the truth: block execution counts of a walker run, each the sum
+     of the block's incoming edge counters (function entry included) *)
+  let edges = Slo_vm.Edges.create prog in
+  ignore (Slo_vm.Interp.run (Slo_vm.Interp.create ~edges prog));
   let work = Hashtbl.find bw "work" in
-  Hashtbl.iter
-    (fun (f, bid) n ->
-      if String.equal f "work" then
-        Alcotest.check feq
-          (Printf.sprintf "block %d" bid)
-          (float_of_int n) work.(bid))
-    counts
+  let r = Option.get (Slo_vm.Edges.row edges "work") in
+  for dst = 0 to r.nblocks - 1 do
+    let n = ref 0 in
+    for src = -1 to r.nblocks - 1 do
+      n := !n + r.counts.(Slo_vm.Edges.slot r ~src ~dst)
+    done;
+    if !n > 0 then
+      Alcotest.check feq (Printf.sprintf "block %d" dst) (float_of_int !n)
+        work.(dst)
+  done
+
+(* ------------------------- feedback identity ------------------------- *)
+
+(* A collection run as one string: the feedback file, the PMU event
+   count, every hierarchy counter, the steps and the output. *)
+let collect_canon ~instrument backend (e : Slo_suite.Suite.entry) =
+  let prog = Slo_core.Driver.compile e.source in
+  let args = List.map (fun a -> max 1 (a / 8)) e.train_args in
+  let fb, (rs : Collect.run_stats) =
+    Collect.collect ~args ~instrument ~backend prog
+  in
+  let module H = Slo_cachesim.Hierarchy in
+  let module C = Slo_cachesim.Cache in
+  let h = rs.hierarchy in
+  let a, b, c = H.level_counts h in
+  Printf.sprintf
+    "%s\npmu=%d l1=%d/%d l2=%d/%d acc=%d lv=%d,%d,%d extra=%d steps=%d out=%s"
+    (Feedback.to_string fb) rs.pmu_events (C.hits (H.l1 h)) (C.misses (H.l1 h))
+    (C.hits (H.l2 h)) (C.misses (H.l2 h)) (H.accesses h) a b c
+    (H.extra_cycles h) rs.result.steps
+    (Digest.to_hex (Digest.string rs.result.output))
+
+(* MD5 of [collect_canon] per roster entry at tiny sizes (instrumented,
+   then not), as the per-access collector produced them before edge
+   counting and PMU sampling moved into the VM and the drain *)
+let seed_digests =
+  [
+    ("181.mcf", "065a13f3856cbaf5802aadc1af436ab4",
+     "776e8bd219711475c579c8ef3f3dc55d");
+    ("179.art", "2cccf6cfcf6b8b8bc6e908cb30dc8c5e",
+     "3b5ae4632633175c5cec2c4e6cc80b66");
+    ("milc", "653fec73c1a237eecea8651b63a87a20",
+     "480cabb11c5124762e7376fe8e3bb772");
+    ("cactusADM", "b19138459f94c84bf4a7d67936619899",
+     "5e4124d080a8b18b9bb1efaa3d0c3ef5");
+    ("gobmk", "780e4295373868c4a114820042b72e70",
+     "35412f707b2a683bef9b19889f272d3c");
+    ("povray", "df30160cd2d9952e8068c12b4aab8ec9",
+     "ff4419d21edf98b482a53d3479a10ade");
+    ("calculix", "70a1ecd75cf10dad1f955e07b3b421b2",
+     "5935f4a9e6e1c497e5fbbdbde5eb5f7f");
+    ("h264avc", "c2871da41eb3a5285936c52e2d97cc36",
+     "9c2b0bb2bd07a7349e6cf026406331df");
+    ("moldyn", "15a514b4553c69ae6a29cd0acfbe162a",
+     "e51d56e72f4c42a9eb4ffb8979f65f46");
+    ("lucille", "0f3201d4244e23387b0605f6f35a9ccf",
+     "f15c73b925f14a009ecfbf348b51cd97");
+    ("sphinx", "3276100a219a06179d6269da7f0fc11c",
+     "474619c6b98009dca66bc3dda171b998");
+    ("ssearch", "2c4653353457e28a10332bd5c24463fa",
+     "7c639a4f4f1cca519bb46080fb296888");
+    ("spec2006.hotgroup", "babb5088fec98a07fc7398a5218d02f1",
+     "63532422fc31dda9eb9fca00b3aa4e85");
+    ("spec2006.peel2", "6d5dbe56e6493466699b1047c2906fb5",
+     "5837a93a53cb92797f9f8645585fb706");
+  ]
+
+(* every backend collects the same run, superblock fusion on, and it
+   is the run the per-access collector collected *)
+let feedback_identity (name, instrumented, plain) () =
+  let e = Slo_suite.Suite.find name in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let runs =
+    List.map
+      (fun b -> (b, collect_canon ~instrument:true b e))
+      Slo_vm.Backend.all
+  in
+  let _, walk = List.hd runs in
+  List.iter
+    (fun (b, s) ->
+      let b = Slo_vm.Backend.to_string b in
+      Alcotest.(check string) (b ^ " = walk") walk s;
+      Alcotest.(check string) (b ^ " = old collector") instrumented (digest s))
+    runs;
+  Alcotest.(check string) "uninstrumented = old collector" plain
+    (digest (collect_canon ~instrument:false Slo_vm.Backend.Superblock e))
 
 (* ------------------------- SPBO ------------------------- *)
 
@@ -301,6 +374,11 @@ let () =
           Alcotest.test_case "perturbation" `Quick match_robust_to_perturbation;
           Alcotest.test_case "PBO = truth" `Quick pbo_matches_truth;
         ] );
+      ( "feedback identity",
+        List.map
+          (fun ((name, _, _) as row) ->
+            Alcotest.test_case name `Quick (feedback_identity row))
+          seed_digests );
       ( "spbo",
         [
           Alcotest.test_case "loop freq" `Quick spbo_loop_freq;

@@ -9,6 +9,7 @@
 
 module Memory = Slo_vm.Memory
 module Backend = Slo_vm.Backend
+module Edges = Slo_vm.Edges
 
 let run ?args b src = Backend.run_program ?args b (Lower.lower_source src)
 
@@ -241,24 +242,34 @@ let mem_hook_sees_accesses b () =
   Alcotest.(check int) "one float store" 1 !float_writes;
   Alcotest.(check bool) "int field traffic seen" true (!int_ops >= 2)
 
-let edge_hook_counts b () =
+(* the compiled edge counters: every backend counts the same taken
+   edges, slot for slot — superblock fusion included, whose chains count
+   the interior jumps they no longer take *)
+let edge_counters b () =
   let prog =
     Lower.lower_source
       "int main() { int i; int s = 0;\n\
        for (i = 0; i < 10; i++) { s = s + i; } return s; }"
   in
-  let entries = ref 0 and edges = ref 0 in
-  let vm =
-    Backend.create
-      ~edge_hook:(fun _f src _dst -> if src = -1 then incr entries else incr edges)
-      b prog
+  let run b =
+    let edges = Edges.create prog in
+    let r = Backend.run (Backend.create ~edges b prog) in
+    (r, Option.get (Edges.row edges "main"))
   in
-  let r = Backend.run vm in
+  let r, row = run b in
   Alcotest.(check int) "result" 45 r.Backend.exit_code;
+  let entries = ref 0 and taken = ref 0 in
+  Array.iteri
+    (fun i n -> if i < row.Edges.nblocks then entries := !entries + n
+      else taken := !taken + n)
+    row.Edges.counts;
   Alcotest.(check int) "one entry" 1 !entries;
   (* loop executes 10 times: header->body 10, body->step 10, step->header 10,
      header->exit 1, entry->header 1 => 32 *)
-  Alcotest.(check int) "taken edges" 32 !edges
+  Alcotest.(check int) "taken edges" 32 !taken;
+  let _, walk = run Backend.Walk in
+  Alcotest.(check (array int)) "the walker's counts" walk.Edges.counts
+    row.Edges.counts
 
 (* ------------------------- suites ------------------------- *)
 
@@ -282,7 +293,7 @@ let hooks_cases b =
   [
     Alcotest.test_case "step counting" `Quick (step_counting b);
     Alcotest.test_case "mem hook" `Quick (mem_hook_sees_accesses b);
-    Alcotest.test_case "edge hook" `Quick (edge_hook_counts b);
+    Alcotest.test_case "edge counters" `Quick (edge_counters b);
   ]
 
 let () =
