@@ -20,31 +20,27 @@ bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)
 
 # a fast slice for CI: Table 1 plus one Table 3 row under each VM
-# backend and each fidelity. The compare steps fail if the walk,
-# closure and superblock artifacts disagree on anything but wall-clock
-# (strict mode, equal fidelities), or if the sampled artifact strays
-# outside the accuracy bounds against the exact one (accuracy mode)
+# backend and each fidelity. The compare steps fail if the walk and
+# superblock artifacts disagree on anything but wall-clock (strict
+# mode, equal fidelities), or if the sampled artifact strays outside
+# the accuracy bounds against the exact one (accuracy mode)
 bench-smoke:
 	dune exec bench/main.exe -- table1 --jobs 2 \
 	  --out _artifacts/BENCH-table1.json
 	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
 	  --backend walk --out _artifacts/BENCH-table3-walk.json
 	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
-	  --backend closure --out _artifacts/BENCH-table3-smoke.json
-	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
-	  --backend superblock --out _artifacts/BENCH-table3-superblock.json
+	  --backend superblock --out _artifacts/BENCH-table3-smoke.json
 	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
 	  --backend superblock --fidelity sampled \
 	  --out _artifacts/BENCH-table3-sampled.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-table3-walk.json \
 	  _artifacts/BENCH-table3-smoke.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-table3-smoke.json \
-	  _artifacts/BENCH-table3-superblock.json
-	dune exec bench/compare.exe -- _artifacts/BENCH-table3-smoke.json \
 	  _artifacts/BENCH-table3-sampled.json
 
-# the full-size roster accuracy gate: exact (closure) vs sampled
-# (superblock) across every Table 3 benchmark; per-row miss-rate
+# the full-size roster accuracy gate: exact vs sampled on the compiled
+# engine across every Table 3 benchmark; per-row miss-rate
 # deltas, speedup signs and the ACCURACY.json artifact
 # ACCURACY_FLAGS overrides fidelity/output, e.g.
 #   make accuracy ACCURACY_FLAGS="--fidelity sampled:4096,32768,4096 \
@@ -111,8 +107,8 @@ serve-load:
 	  --high-watermark 2 --low-watermark 1 --expect-shed \
 	  --out _artifacts/SERVE-shed.json
 
-# autotuner smoke: one roster entry (sphinx, whose closure the tuner
-# searches in ~30s and strictly improves over the heuristic) through
+# autotuner smoke: one roster entry (sphinx, whose candidate space the
+# tuner searches in ~30s and strictly improves over the heuristic) through
 # the full candidate space under a generous anytime budget, at two
 # worker counts. Gates: found never worse than the heuristic, at least
 # one strict improvement, and byte-identical winners at --jobs 2 vs
@@ -134,19 +130,19 @@ lint:
 	  --golden ci/lint-golden.txt --sarif _artifacts/LINT.sarif
 
 # measure-phase speedup ladder: the full Table 3 under the walk,
-# closure-exact and superblock-sampled configurations, then the
-# walk/closure (strict) and closure/sampled (accuracy) ratios
+# superblock-exact and superblock-sampled configurations, then the
+# walk/exact (strict) and exact/sampled (accuracy) ratios
 perf:
 	dune exec bench/main.exe -- table3 --jobs 1 \
 	  --backend walk --out _artifacts/BENCH-walk.json
 	dune exec bench/main.exe -- table3 --jobs 1 \
-	  --backend closure --out _artifacts/BENCH-closure.json
+	  --backend superblock --out _artifacts/BENCH-superblock.json
 	dune exec bench/main.exe -- table3 --jobs 1 \
 	  --backend superblock --fidelity sampled \
 	  --out _artifacts/BENCH-sampled.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-walk.json \
-	  _artifacts/BENCH-closure.json
-	dune exec bench/compare.exe -- _artifacts/BENCH-closure.json \
+	  _artifacts/BENCH-superblock.json
+	dune exec bench/compare.exe -- _artifacts/BENCH-superblock.json \
 	  _artifacts/BENCH-sampled.json
 
 clean:

@@ -4,9 +4,9 @@
      dune exec bench/accuracy.exe -- [--jobs N] [--only NAME]
        [--fidelity sampled[:W,S]] [--out FILE]
 
-   Runs the roster's table3 measurements twice — exact fidelity on the
-   closure backend, then the production fast path (sampled fidelity on
-   the superblock backend) — pairs up the rows and enforces the bounds
+   Runs the roster's table3 measurements twice on the compiled engine —
+   exact fidelity, then the production fast path (sampled fidelity) —
+   pairs up the rows and enforces the bounds
    the sampled estimators are sold with:
 
    - execution is exact in every fidelity: steps, accesses and error
@@ -168,8 +168,8 @@ let write_artifact ~path ~fidelity ~reports ~ms_exact ~ms_sampled ~ok =
       [
         ("schema_version", Json.Int 1);
         ("fidelity", Json.String (Sampled.fidelity_name fidelity));
-        ("backend_exact", Json.String (Backend.to_string Backend.Closure));
-        ("backend_sampled", Json.String (Backend.to_string Backend.Superblock));
+        ("backend_exact", Json.String (Backend.to_string Backend.default));
+        ("backend_sampled", Json.String (Backend.to_string Backend.default));
         ( "bounds",
           Json.Obj
             [
@@ -233,10 +233,9 @@ let () =
     Engine.finish run;
     records
   in
-  say "== accuracy gate: exact (closure) vs %s (superblock) =="
-    (Sampled.fidelity_name !fidelity);
-  let exact = table3 ~backend:Backend.Closure ~fidelity:Sampled.Exact in
-  let sampled = table3 ~backend:Backend.Superblock ~fidelity:!fidelity in
+  say "== accuracy gate: exact vs %s ==" (Sampled.fidelity_name !fidelity);
+  let exact = table3 ~backend:Backend.default ~fidelity:Sampled.Exact in
+  let sampled = table3 ~backend:Backend.default ~fidelity:!fidelity in
   if List.length exact <> List.length sampled then
     die "row count differs: %d exact vs %d sampled" (List.length exact)
       (List.length sampled);

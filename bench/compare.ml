@@ -10,9 +10,8 @@
    rows once every timing-derived field (the [timings_ms] block and the
    [measure_msteps_per_s] throughput) is stripped — cycles, steps, miss
    counters and speedups are all deterministic, so any difference is a
-   real behavioural divergence, not noise. This is how CI pins the walk,
-   closure and superblock VM backends to each other at the artifact
-   level.
+   real behavioural divergence, not noise. This is how CI pins the walk
+   and superblock VM backends to each other at the artifact level.
 
    Accuracy (different fidelities, e.g. exact vs sampled): counters are
    estimates on the sampled side, so rows are compared as a report

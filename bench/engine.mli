@@ -73,7 +73,7 @@ val create_run :
   run
 (** Start a run backed by a fresh pool of [jobs] worker domains.
     [backend] selects the VM engine for every measurement run (default
-    {!Slo_vm.Backend.default}, the closure-compiled one); all backends
+    {!Slo_vm.Backend.default}, the compiled one); all backends
     produce identical counters, so the choice only affects wall-clock
     speed — which the per-row [measure_msteps_per_s] and the table3
     throughput summary make visible. [fidelity] (default exact) selects

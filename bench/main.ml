@@ -10,10 +10,10 @@
                        (table1, table3); default 1
      --only NAME       restrict table1/table3 to this roster entry
                        (repeatable)
-     --backend B       VM engine for the measurement runs: walk (the
-                       tree-walking reference), closure (the
-                       closure-compiled engine; default) or superblock
-                       (closure compilation + fused jump chains)
+     --backend B       VM engine for the measurement runs: superblock
+                       (the compiled engine; default; closure is
+                       another name for it) or walk (the tree-walking
+                       reference)
      --fidelity F      cache-simulation fidelity: exact (default),
                        sampled, sampled:WINDOW,STRIDE or
                        sampled:WINDOW,STRIDE,SKIP — sampled runs simulate
@@ -470,7 +470,7 @@ let timings () =
 let usage () =
   prerr_endline
     "usage: main.exe [TARGET...] [--jobs N|-j N] [--only NAME]\n\
-     \       [--backend walk|closure|superblock]\n\
+     \       [--backend superblock|walk]\n\
      \       [--fidelity exact|sampled|sampled:W,S[,K]] [--out FILE]\n\
      targets: table1 table2 table3 pool figure1 figure2 ablation overhead\n\
      \         casestudies timings";
@@ -498,7 +498,7 @@ let () =
       match Slo_vm.Backend.of_string v with
       | Some b -> backend := b; parse rest
       | None ->
-        Printf.eprintf "bad --backend value %S (walk|closure|superblock)\n" v;
+        Printf.eprintf "bad --backend value %S (superblock|walk)\n" v;
         exit 2)
     | "--fidelity" :: v :: rest -> (
       match Slo_cachesim.Sampled.fidelity_of_string v with

@@ -96,19 +96,22 @@ let feedback_of = function
   | Some path -> Some (Slo_profile.Feedback.of_string (read_file path))
 
 let backend_conv =
-  Arg.enum
-    (List.map
-       (fun b -> (Slo_vm.Backend.to_string b, b))
-       Slo_vm.Backend.all)
+  let parse s =
+    match Slo_vm.Backend.of_string s with
+    | Some b -> Ok b
+    | None -> Error (`Msg (Printf.sprintf "unknown VM engine %S" s))
+  in
+  let print ppf b = Format.pp_print_string ppf (Slo_vm.Backend.to_string b) in
+  Arg.conv (parse, print)
 
 let backend_arg =
   Arg.(value & opt backend_conv Slo_vm.Backend.default
        & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"VM execution engine: $(b,walk) (the tree-walking reference \
-                 interpreter), $(b,closure) (the closure-compiled engine, \
-                 default) or $(b,superblock) (closure compilation with \
-                 unconditional-jump chains fused). All produce identical \
-                 output and counters; only wall-clock speed differs.")
+           ~doc:"VM execution engine: $(b,superblock) (the compiled engine, \
+                 default; $(b,closure) is accepted as another name for it) \
+                 or $(b,walk) (the tree-walking reference interpreter). \
+                 Both produce identical output and counters; only \
+                 wall-clock speed differs.")
 
 let fidelity_conv =
   let parse s =
@@ -740,7 +743,9 @@ let client_bench_cmd =
   let backend_name_arg =
     Arg.(value & opt (some string) None
          & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"VM engine for the measurement runs (walk or closure).")
+             ~doc:"VM engine for the measurement runs: superblock (the \
+                   compiled engine; closure is another name for it) or \
+                   walk.")
   in
   let run socket wait file name scheme backend args deadline =
     let src, args = or_die (resolve_src file name args) in
@@ -825,7 +830,9 @@ let client_tune_cmd =
   let backend_name_arg =
     Arg.(value & opt (some string) None
          & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"VM engine for the measurement runs (walk or closure).")
+             ~doc:"VM engine for the measurement runs: superblock (the \
+                   compiled engine; closure is another name for it) or \
+                   walk.")
   in
   let client_beam_arg =
     Arg.(value & opt (some int) None

@@ -9,7 +9,7 @@
     check, with the metadata word a compile-time constant for each
     load/store instruction.
 
-    The record is exposed so the closure-compiled VM can inline the
+    The record is exposed so the compiled VM engine can inline the
     push sequence (cross-module calls are not inlined without
     flambda) and so drain loops can walk [addrs]/[metas] directly.
     Treat the fields as read-only outside [Slo_vm.Compile] and the

@@ -53,13 +53,7 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
     let pipeline =
       match pipeline with
       | Some b -> b
-      | None -> (
-        (* SLO_MEASURE_PIPELINE=1/0 overrides the core-count default —
-           for perf triage and for pinning CI behaviour *)
-        match Sys.getenv_opt "SLO_MEASURE_PIPELINE" with
-        | Some ("0" | "no" | "off") -> false
-        | Some _ -> true
-        | None -> Domain.recommended_domain_count () > 1)
+      | None -> Domain.recommended_domain_count () > 1
     in
     let hier = Hierarchy.create config in
     let ring = Ring.create () in

@@ -49,8 +49,8 @@ val measure :
   measurement
 (** Run under the cache hierarchy and report cycles/miss counters.
     [backend] selects the VM engine (default {!Slo_vm.Backend.default},
-    the closure-compiled one); all backends yield identical
-    measurements, the choice only affects wall-clock speed.
+    the compiled one); all backends yield identical measurements, the
+    choice only affects wall-clock speed.
 
     [pipeline] (default: on when the host has more than one core)
     drains exact-fidelity ring batches on a worker domain overlapped
@@ -99,7 +99,7 @@ val evaluate :
     types are planned as index-linked pools. With [~jobs] > 1
     (default 1) the before/after measurement runs execute on two worker
     domains in parallel; [backend] selects the VM engine used for both
-    measurement runs (default the closure-compiled one) and [fidelity]
+    measurement runs (default the compiled one) and [fidelity]
     their simulation fidelity (default exact — see {!measure}; sampled
     fidelity affects only the measurement numbers, never the analysis
     or the transformation). When no decision carries a plan the

@@ -29,7 +29,7 @@ val collect :
   Ir.program ->
   Feedback.t * run_stats
 (** Defaults: [instrument = true], Itanium-like hierarchy, period 251,
-    the closure-compiled VM backend. The three backends count the same
-    edges and drive the same memory-event stream, so the feedback, the
+    the compiled VM engine ({!Slo_vm.Backend.default}). Both backends
+    count the same edges and drive the same memory-event stream, so the feedback, the
     PMU event count and the hierarchy counters are backend independent
     (pinned per roster program by [test_profile]). *)

@@ -36,8 +36,9 @@
 
     [src] carries Mini-C source inline — the daemon is content-addressed,
     there are no file paths in the protocol. [scheme] and [backend] are
-    spelled like the CLI flags; the server validates them and answers
-    [bad_request] for unknown spellings.
+    spelled like the CLI flags ([backend] ["closure"] is another name
+    for ["superblock"], the compiled engine); the server validates them
+    and answers [bad_request] for unknown spellings.
 
     {2 Replies}
 

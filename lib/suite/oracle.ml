@@ -20,6 +20,7 @@ module Interp = Slo_vm.Interp
 module Backend = Slo_vm.Backend
 module Hierarchy = Slo_cachesim.Hierarchy
 module Cache = Slo_cachesim.Cache
+module Ring = Slo_cachesim.Ring
 module D = Slo_core.Driver
 module H = Slo_core.Heuristics
 module T = Slo_core.Transform
@@ -164,12 +165,12 @@ let run_source ?args ?check_accesses source plans : report =
 (* Backend equivalence                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The same differential idea turned on the VM itself: each fast engine
-   (plain closure compilation, superblock fusion) is only trusted
-   because every program run under it and under the tree-walking
-   reference produces byte-identical output, identical step counts and
-   an identical cache-event stream (same L1/L2 hit+miss counters, same
-   level distribution, same extra cycles). *)
+(* The same differential idea turned on the VM itself: the compiled
+   engine is only trusted because every program run under it and under
+   the tree-walking reference produces byte-identical output, identical
+   step counts, an identical event stream and an identical cache-event
+   outcome (same L1/L2 hit+miss counters, same level distribution, same
+   extra cycles). *)
 
 type backend_mismatch =
   | B_exit of Backend.t * int * int
@@ -186,46 +187,64 @@ let string_of_backend_mismatch =
   | B_counter (b, name, w, c) ->
     Printf.sprintf "%s differs: walk %d, %s %d" name w (n b) c
 
-(* The walker reference measures through the per-access hook; the fast
-   candidates measure through the batched ring, the way the driver's
-   measure phase actually runs them. The counter comparison below
-   therefore pins two things at once: engine equivalence AND the
-   ring-drain path's byte-equality with per-access simulation, across
-   the whole roster and the fuzzer's random programs. *)
+(* every (addr, meta) pair a run pushed, folded in order: a wrong iid,
+   size, direction or float bit changes the digest even where the
+   hierarchy counters happen to agree (and PMU attribution would not) *)
+type stream = { mutable events : int; mutable digest : int }
+
+let fold_events st (r : Ring.t) =
+  let h = ref st.digest in
+  for k = 0 to r.Ring.len - 1 do
+    h := (!h lxor r.Ring.addrs.(k)) * 0x100000001b3;
+    h := (!h lxor r.Ring.metas.(k)) * 0x100000001b3
+  done;
+  st.digest <- !h;
+  st.events <- st.events + r.Ring.len
+
+(* Both engines measure through the ring and digest its stream. The
+   walker's ring is drained one access at a time through
+   [Hierarchy.access_quiet], the compiled engine's through the batched
+   [Hierarchy.drain_quiet] the driver's measure phase runs, so the
+   counter comparison below pins two things at once: engine
+   equivalence AND the batched drain's byte-equality with per-access
+   simulation, across the whole roster and the fuzzer's random
+   programs. *)
 let measured_run backend ~args ~config (prog : Ir.program) =
   let hier = Hierarchy.create config in
-  let vm =
-    match backend with
-    | Backend.Walk ->
-      let mem_hook addr size write is_float _iid =
-        Hierarchy.access_quiet hier ~addr ~size ~write ~is_float
-      in
-      Backend.create ~mem_hook backend prog
-    | Backend.Closure | Backend.Superblock ->
-      let module Ring = Slo_cachesim.Ring in
-      let ring = Ring.create () in
-      Ring.set_sink ring (fun r ->
-          Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-      Backend.create ~ring backend prog
-  in
-  (Backend.run ~args vm, hier)
+  let st = { events = 0; digest = 0 } in
+  let ring = Ring.create () in
+  Ring.set_sink ring (fun r ->
+      fold_events st r;
+      match backend with
+      | Backend.Walk ->
+        for k = 0 to r.Ring.len - 1 do
+          let m = r.Ring.metas.(k) in
+          Hierarchy.access_quiet hier ~addr:r.Ring.addrs.(k)
+            ~size:(Ring.meta_size m) ~write:(Ring.meta_write m)
+            ~is_float:(Ring.meta_float m)
+        done
+      | Backend.Superblock ->
+        Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
+  (Backend.run ~args (Backend.create ~ring backend prog), hier, st)
 
 let candidates = List.filter (fun b -> b <> Backend.Walk) Backend.all
 
 let compare_backends ?(args = []) ?(config = Hierarchy.itanium)
     (prog : Ir.program) : backend_mismatch list =
-  let rw, hw = measured_run Backend.Walk ~args ~config prog in
+  let rw, hw, sw = measured_run Backend.Walk ~args ~config prog in
   let ms = ref [] in
   let push m = ms := m :: !ms in
   List.iter
     (fun b ->
-      let rc, hc = measured_run b ~args ~config prog in
+      let rc, hc, sc = measured_run b ~args ~config prog in
       if rw.Interp.exit_code <> rc.Interp.exit_code then
         push (B_exit (b, rw.Interp.exit_code, rc.Interp.exit_code));
       if not (String.equal rw.Interp.output rc.Interp.output) then
         push (B_output (b, rw.Interp.output, rc.Interp.output));
       let counter name w c = if w <> c then push (B_counter (b, name, w, c)) in
       counter "steps" rw.Interp.steps rc.Interp.steps;
+      counter "events" sw.events sc.events;
+      counter "event stream digest" sw.digest sc.digest;
       counter "accesses" (Hierarchy.accesses hw) (Hierarchy.accesses hc);
       counter "L1 hits"
         (Cache.hits (Hierarchy.l1 hw))

@@ -60,12 +60,13 @@ val run_source :
 
 (** {1 Backend equivalence}
 
-    The same differential idea turned on the VM itself: every fast
-    engine ({!Slo_vm.Compile}, plain and superblock-fused) is pinned to
-    the tree-walking reference ({!Slo_vm.Interp}) — byte-identical
-    output, identical step counts, and an identical cache-simulation
-    outcome (L1/L2 hit and miss counters, per-level access counts,
-    extra cycles) under the same hierarchy configuration. *)
+    The same differential idea turned on the VM itself: the compiled
+    engine ({!Slo_vm.Compile}) is pinned to the tree-walking reference
+    ({!Slo_vm.Interp}) — byte-identical output, identical step counts,
+    an identical memory-event stream (every address and meta word, in
+    order) and an identical cache-simulation outcome (L1/L2 hit and
+    miss counters, per-level access counts, extra cycles) under the
+    same hierarchy configuration. *)
 
 type backend_mismatch =
   | B_exit of Slo_vm.Backend.t * int * int  (** candidate, walk, candidate *)
@@ -80,11 +81,14 @@ val compare_backends :
   ?config:Slo_cachesim.Hierarchy.config ->
   Ir.program ->
   backend_mismatch list
-(** Run [prog] once under the walk reference and once under each fast
-    backend ({!Slo_vm.Backend.all} minus [Walk]) with the
-    cache-measurement hook attached, and report every observable
-    difference (empty list = all backends agree). Runtime errors
-    propagate — all backends raise the same
+(** Run [prog] once under the walk reference and once under each
+    compiled backend ({!Slo_vm.Backend.all} minus [Walk]), each pushing
+    its events into a ring, and report every observable difference
+    (empty list = all backends agree). The ring streams are compared
+    through an event count and an order-sensitive digest of every
+    (address, meta) pair; the walker's stream is simulated one access
+    at a time, the compiled engine's through the batched drain. Runtime
+    errors propagate — all backends raise the same
     {!Slo_vm.Interp.Runtime_error} on the same programs. *)
 
 val backends_agree :

@@ -1,39 +1,35 @@
 (* The execution-backend selector.
 
    [Walk] is the tree-walking reference interpreter ({!Interp});
-   [Closure] is the closure-compiled engine ({!Compile}); [Superblock]
-   is the same engine with straight-line jump chains fused into
-   superblocks. All three are observationally identical — same output
-   bytes, step counts, hook event streams and error messages — which
-   the differential tests enforce, so [Closure] is the default
-   everywhere speed matters, [Superblock] is the measure-phase racer,
-   and [Walk] remains the semantic baseline the fast paths are checked
-   against. *)
+   [Superblock] is the compiled engine ({!Compile}): register-direct
+   closures with straight-line jump chains fused into superblocks. The
+   two are observationally identical — same output bytes, step counts,
+   event streams and error messages — which the differential tests
+   enforce, so [Superblock] is the default everywhere and [Walk]
+   remains the semantic baseline the fast paths are checked against.
+   ["closure"], the name of the compiled engine before superblock
+   fusion became unconditional, still parses to it. *)
 
 exception Runtime_error = Rt.Runtime_error
 
 type result = Rt.result = { exit_code : int; output : string; steps : int }
 
-type t = Walk | Closure | Superblock
+type t = Walk | Superblock
 
-let default = Closure
-let all = [ Walk; Closure; Superblock ]
+let default = Superblock
+let all = [ Walk; Superblock ]
 
-let to_string = function
-  | Walk -> "walk"
-  | Closure -> "closure"
-  | Superblock -> "superblock"
+let to_string = function Walk -> "walk" | Superblock -> "superblock"
 
 let of_string = function
   | "walk" -> Some Walk
-  | "closure" -> Some Closure
-  | "superblock" -> Some Superblock
+  | "superblock" | "closure" -> Some Superblock
   | _ -> None
 
 (* the walker carries a flush thunk: its ring support is a synthesized
    per-access hook, and the tail of the ring must still be drained when
    the run ends *)
-type vm = Vwalk of Interp.t * (unit -> unit) | Vclosure of Compile.t
+type vm = Vwalk of Interp.t * (unit -> unit) | Vcompiled of Compile.t
 
 let create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog =
   match backend with
@@ -56,18 +52,13 @@ let create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps backend prog =
       | (Some _ | None), None -> (mem_hook, fun () -> ())
     in
     Vwalk (Interp.create ?mem_hook ?edges ?max_steps prog, flush)
-  | Closure ->
-    Vclosure
-      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps prog)
   | Superblock ->
-    Vclosure
-      (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ~superblock:true
-         ?max_steps prog)
+    Vcompiled (Compile.create ?mem_hook ?edges ?bulk_hook ?ring ?max_steps prog)
 
 let run ?args = function
   | Vwalk (vm, flush) ->
     Fun.protect ~finally:flush (fun () -> Interp.run ?args vm)
-  | Vclosure vm -> Compile.run ?args vm
+  | Vcompiled vm -> Compile.run ?args vm
 
 let run_program ?mem_hook ?edges ?bulk_hook ?ring ?max_steps ?args backend
     prog =

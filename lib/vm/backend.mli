@@ -1,14 +1,13 @@
 (** Execution-backend selector: the tree-walking reference interpreter
-    ({!Interp}) versus the closure-compiled engine ({!Compile}), plain
-    or with superblock fusion.
+    ({!Interp}) versus the compiled engine ({!Compile}).
 
-    All backends are observationally identical — byte-identical output,
-    identical step counts, identical hook event streams (and therefore
-    identical cache-simulation counters) — a property pinned by the
-    differential tests. [Closure] is the default; [Walk] is the
-    semantic baseline; [Superblock] fuses unconditional-jump chains,
-    address-producing instructions into the loads/stores consuming
-    them, and block tails into terminators — the fastest engine. *)
+    Both backends are observationally identical — byte-identical
+    output, identical step counts, identical event streams (and
+    therefore identical cache-simulation counters) — a property pinned
+    by the differential tests. [Superblock] is the default and the only
+    compiled engine: register-direct closures with unconditional-jump
+    chains, address producers and block tails fused. [Walk] is the
+    semantic baseline. *)
 
 exception Runtime_error of string
 
@@ -18,17 +17,21 @@ type result = Rt.result = {
   steps : int;
 }
 
-type t = Walk | Closure | Superblock
+type t = Walk | Superblock
 
 val default : t
-(** [Closure]. *)
+(** [Superblock]. *)
 
 val all : t list
 
 val to_string : t -> string
-(** ["walk"] / ["closure"] / ["superblock"] — the CLI spelling. *)
+(** ["walk"] / ["superblock"] — the CLI spelling. *)
 
 val of_string : string -> t option
+(** The inverse of {!to_string}; ["closure"], the compiled engine's
+    name before superblock fusion became unconditional, also parses to
+    [Superblock], so scripts and daemon clients that spell it keep
+    working. *)
 
 type vm
 
@@ -42,14 +45,13 @@ val create :
   Ir.program ->
   vm
 (** [ring] is the batched alternative to [mem_hook] (mutually
-    exclusive, see {!Compile.create}): the closure engines inline the
+    exclusive, see {!Compile.create}): the compiled engine inlines the
     event push; the [Walk] reference synthesizes a per-access push
     hook. Either way {!run} flushes the tail, so the ring sink sees the
     complete, identical event stream on every backend.
 
     [edges] (see {!Edges}) turns on edge profiling: every backend
-    counts the same taken edges and function entries into the table,
-    superblock fusion included.
+    counts the same taken edges and function entries into the table.
 
     [bulk_hook] (see {!Compile.create}) lets a sampled-measurement
     consumer retire a whole block's accesses in O(1); the [Walk]

@@ -1,4 +1,4 @@
-(* Closure-compiled (threaded-code) VM backend.
+(* The compiled VM engine: closure-threaded code with superblocks.
 
    At [create] time each [Ir.instr] is pre-resolved into an OCaml
    closure over a [frame]; running a block is then just an array sweep
@@ -6,44 +6,53 @@
    compilation step bakes in everything the tree-walker re-derives per
    executed instruction:
 
-   - operand accessors specialized by register bank — no [fl.(r)] test
-     per operand read, the bank is chosen once at compile time;
+   - register-direct forms: the common instruction shapes (int binops
+     and compares on reg/reg and reg/imm, float arithmetic with a
+     register or constant operand, float compares on reg/reg, int/float
+     casts, movs, [Tbr] on an int register, every int/f32/f64 load and
+     store) compile to one closure that reads and writes
+     [f.ir]/[f.fr] itself — no operand-getter or result-setter
+     closures, and no boxed float crossing a closure boundary;
+   - loads and stores reach the VM's byte buffer directly: after one
+     bounds check (above the null page, wholly inside the current
+     buffer) the access is an unchecked native read or write; anything
+     else — growth past the buffer, null-page faults — takes the
+     [Memory] call the access would always have made, so faults,
+     messages and growth are unchanged;
+   - the memory-event sink specialized away: a sink-free run compiles
+     to closures with no event plumbing, the measure path to closures
+     that push to the ring inline (same meta word, same order as
+     [with_event]); the per-access hook sink and rare operand shapes
+     (bit-fields, float-bank addresses, cross-bank movs) keep the
+     generic getter/setter compilation;
    - locals, globals, interned strings and function addresses folded to
-     constant offsets (no [Hashtbl] lookups on the hot path);
-   - [Layout.sizeof] results and bit-field (unit size, shift, mask)
-     triples computed once per instruction;
-   - the [mem_hook] option branch specialized away: a hook-free [run]
-     compiles to closures with no event plumbing at all, the measure
-     path to closures that push to the ring or call the hook directly;
+     constant offsets, [Layout.sizeof] results and bit-field masks
+     computed once per instruction;
    - edge profiling ([edges]) compiled into the terminators: a counted
      edge is one increment of a counter slot computed at compile time;
    - direct calls bind arguments through per-call-site closures that
-     already know the callee's parameter offsets, types and sizes.
+     already know the callee's parameter offsets, types and sizes;
+   - superblocks: straight-line Tjmp chains fuse into single blocks
+     (see [fuse_superblocks]), an address producer
+     (fieldaddr/ptradd/addr-of) fuses into the load or store addressing
+     through it, and each block's last body thunk folds into its
+     terminator.
 
    Semantics are identical to {!Interp} by construction: both engines
    share {!Prep} (register banks, frame layout, memory image) and
    {!Builtins} (output, printf, LCG), raise the same {!Rt.Runtime_error}
    messages, and count steps the same way (one per instruction plus one
-   per terminator — this backend adds them blockwise, which yields the
-   same totals and the same step-limit failures). Compile-time name
+   per terminator — this backend adds them per superblock, which yields
+   the same totals and the same step-limit failures). Compile-time name
    resolution failures are not reported eagerly: an unknown global or
    local compiles to a closure that raises the interpreter's exact
    error if (and only if) the instruction is actually executed.
 
-   Two optional accelerations on top of the closure core:
-
-   - [superblock]: fuse straight-line Tjmp chains into single fused
-     blocks (see [fuse_superblocks]), fuse address-producing
-     instructions (fieldaddr/ptradd/addr-of) into the load or store
-     addressing through them, and fold each block's last body thunk
-     into its terminator — fewer closure dispatches per executed
-     instruction at identical observable semantics (the IR-derived
-     step totals included);
-   - [bulk_hook]: blocks with a statically known mem-hook event count
-     carry a second, hook-free compilation of their body; when the bulk
-     hook accepts the block's event count the fast body runs instead,
-     so a sampler fast-forwarding past a detailed window pays O(1) per
-     (super)block instead of O(accesses). *)
+   [bulk_hook]: blocks with a statically known event count carry a
+   second, sink-free compilation of their body; when the bulk hook
+   accepts the block's event count the fast body runs instead, so a
+   sampler fast-forwarding past a detailed window pays O(1) per
+   superblock instead of O(accesses). *)
 
 exception Runtime_error = Rt.Runtime_error
 
@@ -57,19 +66,18 @@ let error = Rt.error
 (* per-activation state: frame base plus the two register banks *)
 type frame = { fb : int; ir : int array; fr : float array }
 
-(* a compiled basic block — or, under the superblock variant, a fused
-   chain of Tjmp-linked blocks *)
+(* a compiled basic block, or a fused chain of Tjmp-linked blocks *)
 type bcode = {
   bc_steps : int;  (* instruction count + 1 per constituent terminator *)
   bc_body : (frame -> unit) array;
   bc_term : frame -> int;  (* successor block id, or -1 to return *)
   bc_ret : frame -> retval;  (* only consulted when bc_term yields -1 *)
   bc_events : int;
-    (* statically known mem-hook events of the body, or -1 when the
+    (* statically known memory events of the body, or -1 when the
        count is dynamic (calls nest events, memset/memcpy lengths are
        runtime values) or the bulk fast path is disabled *)
   bc_fast : (frame -> unit) array;
-    (* the same body compiled without the mem hook; executed instead of
+    (* the same body compiled without the event sink; executed instead of
        [bc_body] when the bulk hook consumes all [bc_events] accesses *)
 }
 
@@ -115,8 +123,7 @@ type t = {
     (* [bulk n]: consume [n] upcoming accesses cheaply (true) or fall
        back to per-access hook calls (false); constantly false unless a
        [bulk_hook] was supplied at [create] time *)
-  bulk_on : bool;  (* a bulk hook AND a mem hook were supplied *)
-  sb : bool;  (* fuse Tjmp chains into superblocks *)
+  bulk_on : bool;  (* a bulk hook AND an event sink were supplied *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -225,6 +232,297 @@ let with_event ~sink ~(ga : frame -> int) ~size ~write ~is_float ~iid :
       Array.unsafe_set rg.Ring.metas i m;
       rg.Ring.len <- i + 1;
       addr
+
+(* ------------------------------------------------------------------ *)
+(* Register-direct forms                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything below is either a top-level [@inline] helper or a closure
+   built from them: without flambda (and under dune's [-opaque] dev
+   profile) only direct calls to known functions of this module inline,
+   so a helper passed as an argument would be an indirect call again.
+   Each closure is therefore written out once per address form. *)
+
+let[@inline] rd f r = Array.unsafe_get f.ir r
+let[@inline] wr f r v = Array.unsafe_set f.ir r v
+let[@inline] rdf f r = Array.unsafe_get f.fr r
+let[@inline] wrf f r v = Array.unsafe_set f.fr r v
+
+(* native-order unchecked buffer accessors; the fast paths bounds-check
+   once themselves and are only compiled on little-endian hosts, where
+   native order is the VM's byte order *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let null_end = Memory.globals_base
+
+(* The buffer fast-path invariant: an access of [size] bytes at [a] that
+   lies above the null page and wholly inside the current buffer is
+   exactly one that {!Memory.check} passes without growing, so reading
+   or writing the bytes directly is what the [Memory] call would do.
+   Everything else calls [Memory], which grows the image or faults with
+   its usual message. The buffer is re-read on every access because
+   growth replaces it. Written as [a <= len - size] so a wild address
+   near [max_int] cannot overflow into the range. *)
+let[@inline] in_buf b a size = a >= null_end && a <= Bytes.length b - size
+
+let[@inline] load_int (mem : Memory.t) size a =
+  let b = mem.Memory.buf in
+  if in_buf b a size then
+    if size = 8 then Int64.to_int (get64u b a)
+    else if size = 4 then Int32.to_int (get32u b a)
+    else if size = 1 then (Char.code (Bytes.unsafe_get b a) lxor 0x80) - 0x80
+    else (get16u b a lxor 0x8000) - 0x8000
+  else Memory.load_int mem ~addr:a ~size
+
+let[@inline] store_int (mem : Memory.t) size a v =
+  let b = mem.Memory.buf in
+  if in_buf b a size then
+    if size = 8 then set64u b a (Int64.of_int v)
+    else if size = 4 then set32u b a (Int32.of_int v)
+    else if size = 1 then Bytes.unsafe_set b a (Char.unsafe_chr (v land 0xff))
+    else set16u b a (v land 0xffff)
+  else Memory.store_int mem ~addr:a ~size v
+
+(* [size] 8 is a double, 4 a float *)
+let[@inline] load_float (mem : Memory.t) size a =
+  let b = mem.Memory.buf in
+  if in_buf b a size then
+    if size = 8 then Int64.float_of_bits (get64u b a)
+    else Int32.float_of_bits (get32u b a)
+  else if size = 8 then Memory.load_f64 mem ~addr:a
+  else Memory.load_f32 mem ~addr:a
+
+let[@inline] store_float (mem : Memory.t) size a v =
+  let b = mem.Memory.buf in
+  if in_buf b a size then
+    if size = 8 then set64u b a (Int64.bits_of_float v)
+    else set32u b a (Int32.bits_of_float v)
+  else if size = 8 then Memory.store_f64 mem ~addr:a v
+  else Memory.store_f32 mem ~addr:a v
+
+(* the ring push of [with_event], for closures compiled with [ev] set;
+   [rg] is re-read on every push for the reason given there *)
+let[@inline] emit ev rg m a =
+  if ev then begin
+    if rg.Ring.len = rg.Ring.cap then Ring.flush rg;
+    let i = rg.Ring.len in
+    Array.unsafe_set rg.Ring.addrs i a;
+    Array.unsafe_set rg.Ring.metas i m;
+    rg.Ring.len <- i + 1
+  end
+
+(* the ring a sink-free closure carries but never pushes to *)
+let no_ring = Ring.create ~cap:1 ()
+
+(* Where a register-direct load or store takes its address from. Every
+   form also writes the address to register [d], the destination of the
+   address producer fused into the access (the register may be live past
+   it); a plain register operand [a] is [Abase (a, a, 0)], whose write
+   is the identity. *)
+type aform =
+  | Abase of int * int * int  (** [d], base register, offset *)
+  | Aframe of int * int * int
+      (** [d], mask, offset: [(fb land mask) + offset] — mask -1 for a
+          local's frame slot, 0 for a global's constant address *)
+  | Aindex of int * int * int * int
+      (** [d], base register, index register, scale *)
+
+let[@inline] base_addr f d b off =
+  let a = rd f b + off in
+  wr f d a;
+  a
+
+let[@inline] frame_addr f d mask off =
+  let a = (f.fb land mask) + off in
+  wr f d a;
+  a
+
+let[@inline] index_addr f d b i sc =
+  let a = rd f b + (rd f i * sc) in
+  wr f d a;
+  a
+
+(* an unfused address producer *)
+let fast_addr = function
+  | Abase (d, b, off) -> fun f -> ignore (base_addr f d b off)
+  | Aframe (d, k, off) -> fun f -> ignore (frame_addr f d k off)
+  | Aindex (d, b, i, sc) -> fun f -> ignore (index_addr f d b i sc)
+
+(* loads into register [r] of the matching bank; [m] is the event's
+   meta word, pushed before the access exactly like [with_event] *)
+let fast_load_int ~ev rg m mem size r = function
+  | Abase (d, b, off) ->
+    fun f ->
+      let a = base_addr f d b off in
+      emit ev rg m a;
+      wr f r (load_int mem size a)
+  | Aframe (d, k, off) ->
+    fun f ->
+      let a = frame_addr f d k off in
+      emit ev rg m a;
+      wr f r (load_int mem size a)
+  | Aindex (d, b, i, sc) ->
+    fun f ->
+      let a = index_addr f d b i sc in
+      emit ev rg m a;
+      wr f r (load_int mem size a)
+
+let fast_load_float ~ev rg m mem size r = function
+  | Abase (d, b, off) ->
+    fun f ->
+      let a = base_addr f d b off in
+      emit ev rg m a;
+      wrf f r (load_float mem size a)
+  | Aframe (d, k, off) ->
+    fun f ->
+      let a = frame_addr f d k off in
+      emit ev rg m a;
+      wrf f r (load_float mem size a)
+  | Aindex (d, b, i, sc) ->
+    fun f ->
+      let a = index_addr f d b i sc in
+      emit ev rg m a;
+      wrf f r (load_float mem size a)
+
+(* stores of int register [v], or of the constant [k] when [v] < 0; the
+   value is read after the address form's register write, as in the
+   unfused producer-then-store sequence *)
+let[@inline] ival f v k = if v >= 0 then rd f v else k
+let[@inline] fval f v k = if v >= 0 then rdf f v else k
+
+let fast_store_int ~ev rg m mem size v k = function
+  | Abase (d, b, off) ->
+    fun f ->
+      let a = base_addr f d b off in
+      emit ev rg m a;
+      store_int mem size a (ival f v k)
+  | Aframe (d, mk, off) ->
+    fun f ->
+      let a = frame_addr f d mk off in
+      emit ev rg m a;
+      store_int mem size a (ival f v k)
+  | Aindex (d, b, i, sc) ->
+    fun f ->
+      let a = index_addr f d b i sc in
+      emit ev rg m a;
+      store_int mem size a (ival f v k)
+
+let fast_store_float ~ev rg m mem size v (k : float) = function
+  | Abase (d, b, off) ->
+    fun f ->
+      let a = base_addr f d b off in
+      emit ev rg m a;
+      store_float mem size a (fval f v k)
+  | Aframe (d, mk, off) ->
+    fun f ->
+      let a = frame_addr f d mk off in
+      emit ev rg m a;
+      store_float mem size a (fval f v k)
+  | Aindex (d, b, i, sc) ->
+    fun f ->
+      let a = index_addr f d b i sc in
+      emit ev rg m a;
+      store_float mem size a (fval f v k)
+
+(* int binops: register [a] with register [b] *)
+let ibin_rr (op : Ir.binop) r a b : frame -> unit =
+  match op with
+  | Ir.Add -> fun f -> wr f r (rd f a + rd f b)
+  | Ir.Sub -> fun f -> wr f r (rd f a - rd f b)
+  | Ir.Mul -> fun f -> wr f r (rd f a * rd f b)
+  | Ir.Div ->
+    fun f ->
+      let d = rd f b in
+      if d = 0 then error "integer division by zero";
+      wr f r (rd f a / d)
+  | Ir.Mod ->
+    fun f ->
+      let d = rd f b in
+      if d = 0 then error "integer modulo by zero";
+      wr f r (rd f a mod d)
+  | Ir.Band -> fun f -> wr f r (rd f a land rd f b)
+  | Ir.Bor -> fun f -> wr f r (rd f a lor rd f b)
+  | Ir.Bxor -> fun f -> wr f r (rd f a lxor rd f b)
+  | Ir.Shl -> fun f -> wr f r (rd f a lsl (rd f b land 63))
+  | Ir.Shr -> fun f -> wr f r (rd f a asr (rd f b land 63))
+  | Ir.Lt -> fun f -> wr f r (if rd f a < rd f b then 1 else 0)
+  | Ir.Le -> fun f -> wr f r (if rd f a <= rd f b then 1 else 0)
+  | Ir.Gt -> fun f -> wr f r (if rd f a > rd f b then 1 else 0)
+  | Ir.Ge -> fun f -> wr f r (if rd f a >= rd f b then 1 else 0)
+  | Ir.Eq -> fun f -> wr f r (if rd f a = rd f b then 1 else 0)
+  | Ir.Ne -> fun f -> wr f r (if rd f a <> rd f b then 1 else 0)
+
+(* ... and with the constant [n] *)
+let ibin_ri (op : Ir.binop) r a n : frame -> unit =
+  match op with
+  | Ir.Add -> fun f -> wr f r (rd f a + n)
+  | Ir.Sub -> fun f -> wr f r (rd f a - n)
+  | Ir.Mul -> fun f -> wr f r (rd f a * n)
+  | Ir.Div ->
+    if n = 0 then fun _ -> error "integer division by zero"
+    else fun f -> wr f r (rd f a / n)
+  | Ir.Mod ->
+    if n = 0 then fun _ -> error "integer modulo by zero"
+    else fun f -> wr f r (rd f a mod n)
+  | Ir.Band -> fun f -> wr f r (rd f a land n)
+  | Ir.Bor -> fun f -> wr f r (rd f a lor n)
+  | Ir.Bxor -> fun f -> wr f r (rd f a lxor n)
+  | Ir.Shl ->
+    let s = n land 63 in
+    fun f -> wr f r (rd f a lsl s)
+  | Ir.Shr ->
+    let s = n land 63 in
+    fun f -> wr f r (rd f a asr s)
+  | Ir.Lt -> fun f -> wr f r (if rd f a < n then 1 else 0)
+  | Ir.Le -> fun f -> wr f r (if rd f a <= n then 1 else 0)
+  | Ir.Gt -> fun f -> wr f r (if rd f a > n then 1 else 0)
+  | Ir.Ge -> fun f -> wr f r (if rd f a >= n then 1 else 0)
+  | Ir.Eq -> fun f -> wr f r (if rd f a = n then 1 else 0)
+  | Ir.Ne -> fun f -> wr f r (if rd f a <> n then 1 else 0)
+
+(* float arithmetic on two float registers into float register [r], and
+   float compares into int register [r]; [None] for the integer-only
+   operators, whose generic compilation raises the walker's error *)
+let fbin_rr (op : Ir.binop) r a b : (frame -> unit) option =
+  match op with
+  | Ir.Add -> Some (fun f -> wrf f r (rdf f a +. rdf f b))
+  | Ir.Sub -> Some (fun f -> wrf f r (rdf f a -. rdf f b))
+  | Ir.Mul -> Some (fun f -> wrf f r (rdf f a *. rdf f b))
+  | Ir.Div -> Some (fun f -> wrf f r (rdf f a /. rdf f b))
+  | Ir.Lt -> Some (fun f -> wr f r (if rdf f a < rdf f b then 1 else 0))
+  | Ir.Le -> Some (fun f -> wr f r (if rdf f a <= rdf f b then 1 else 0))
+  | Ir.Gt -> Some (fun f -> wr f r (if rdf f a > rdf f b then 1 else 0))
+  | Ir.Ge -> Some (fun f -> wr f r (if rdf f a >= rdf f b then 1 else 0))
+  | Ir.Eq -> Some (fun f -> wr f r (if rdf f a = rdf f b then 1 else 0))
+  | Ir.Ne -> Some (fun f -> wr f r (if rdf f a <> rdf f b then 1 else 0))
+  | Ir.Mod | Ir.Band | Ir.Bor | Ir.Bxor | Ir.Shl | Ir.Shr -> None
+
+(* ... and float arithmetic with a constant on either side *)
+let fbin_ri (op : Ir.binop) r a (k : float) : (frame -> unit) option =
+  match op with
+  | Ir.Add -> Some (fun f -> wrf f r (rdf f a +. k))
+  | Ir.Sub -> Some (fun f -> wrf f r (rdf f a -. k))
+  | Ir.Mul -> Some (fun f -> wrf f r (rdf f a *. k))
+  | Ir.Div -> Some (fun f -> wrf f r (rdf f a /. k))
+  | _ -> None
+
+let fbin_ir (op : Ir.binop) r (k : float) b : (frame -> unit) option =
+  match op with
+  | Ir.Add -> Some (fun f -> wrf f r (k +. rdf f b))
+  | Ir.Sub -> Some (fun f -> wrf f r (k -. rdf f b))
+  | Ir.Mul -> Some (fun f -> wrf f r (k *. rdf f b))
+  | Ir.Div -> Some (fun f -> wrf f r (k /. rdf f b))
+  | _ -> None
+
+let fcompare (op : Ir.binop) =
+  match op with
+  | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne -> true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -409,6 +707,9 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
   let func = p.p_func and fc = p.p_fc in
   let fl = p.p_fl and clocals = p.p_locals in
   let mem = t.mem in
+  (* an int-bank register; the register-direct forms read and write
+     [f.ir]/[f.fr] without the cross-bank conversions of [geti]/[setf] *)
+  let ireg r = not fl.(r) in
   (* operand accessors, bank-resolved at compile time *)
   let geti (o : Ir.operand) : frame -> int =
     match o with
@@ -525,12 +826,12 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         assign f res
     end
   in
-  (* loads and stores are compiled against an arbitrary address accessor
-     [ga] so the superblock peephole below can substitute a fused
-     producer (fieldaddr/ptradd/addr-of computing the address, writing
-     its register and handing the value straight over) for the plain
-     register read — one closure dispatch instead of two *)
-  let compile_load ~sink ~(ga : frame -> int) ~iid r ty acc : frame -> unit =
+  (* the generic load and store, for the shapes the register-direct
+     forms below leave out (bit-fields, the hook sink, cross-bank
+     operands): address accessor, event wrapper, [Memory] call and
+     result setter are separate closures *)
+  let compile_load ~sink ~iid r a ty acc : frame -> unit =
+    let ga = geti a in
     match
       match acc with
       | Some ac -> Prep.bitfield_info prog layout ac
@@ -564,7 +865,8 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         in
         fun f -> st f (Memory.load_int mem ~addr:(ga f) ~size))
   in
-  let compile_store ~sink ~(ga : frame -> int) ~iid v ty acc : frame -> unit =
+  let compile_store ~sink ~iid a v ty acc : frame -> unit =
+    let ga = geti a in
     match
       match acc with
       | Some ac -> Prep.bitfield_info prog layout ac
@@ -706,9 +1008,9 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         | Irty.Short -> fun f -> st f (truncate_int 2 (g f))
         | Irty.Int -> fun f -> st f (truncate_int 4 (g f))
         | _ -> fun f -> st f (g f)))
-    | Ir.Iload (r, a, ty, acc) -> compile_load ~sink ~ga:(geti a) ~iid r ty acc
+    | Ir.Iload (r, a, ty, acc) -> compile_load ~sink ~iid r a ty acc
     | Ir.Istore (a, v, ty, acc) ->
-      compile_store ~sink ~ga:(geti a) ~iid v ty acc
+      compile_store ~sink ~iid a v ty acc
     | Ir.Iaddrglob (r, g) -> (
       match Hashtbl.find_opt globals_addr g with
       | Some (addr, _) ->
@@ -856,10 +1158,26 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
           never_ret )
       | None -> ((fun _ -> dst), never_ret))
     | Ir.Tbr (cond, x, y) -> (
-      let g = geti cond in
-      match row with
-      | Some r ->
+      (* register-direct on an int register, through [geti] otherwise *)
+      match (cond, row) with
+      | Ir.Oreg k, None when ireg k ->
+        ((fun f -> if rd f k <> 0 then x else y), never_ret)
+      | Ir.Oreg k, Some r when ireg k ->
         let c = r.Edges.counts in
+        let sx = Edges.slot r ~src:b.bid ~dst:x
+        and sy = Edges.slot r ~src:b.bid ~dst:y in
+        ( (fun f ->
+            if rd f k <> 0 then begin
+              c.(sx) <- c.(sx) + 1;
+              x
+            end
+            else begin
+              c.(sy) <- c.(sy) + 1;
+              y
+            end),
+          never_ret )
+      | _, Some r ->
+        let g = geti cond and c = r.Edges.counts in
         let sx = Edges.slot r ~src:b.bid ~dst:x
         and sy = Edges.slot r ~src:b.bid ~dst:y in
         ( (fun f ->
@@ -872,9 +1190,11 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
               y
             end),
           never_ret )
-      | None -> ((fun f -> if g f <> 0 then x else y), never_ret))
+      | _, None ->
+        let g = geti cond in
+        ((fun f -> if g f <> 0 then x else y), never_ret))
   in
-  (* static mem-hook events of a block body, or -1 when the count is
+  (* static memory events of a block body, or -1 when the count is
      dynamic: calls may nest events and memset/memcpy lengths are
      runtime values *)
   let count_events (b : Ir.block) =
@@ -888,94 +1208,171 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
           | _ -> acc)
       0 b.instrs
   in
-  (* superblock peephole, part 1: an address producer is an instruction
-     that computes an address into an (integer-bank) register; the fused
-     accessor performs the computation, writes the register — it may be
-     live past the consumer — and returns the address without a
-     round-trip through the register file *)
-  let addr_producer (i : Ir.instr) : (int * (frame -> int)) option =
+  (* a register-direct load or store addressing through [form], or
+     [None] for the shapes the generic compilation keeps: bit-fields,
+     a destination or stored value in the other bank, odd sizes, the
+     hook sink, and big-endian hosts *)
+  let fast_access ~sink form (i : Ir.instr) : (frame -> unit) option =
+    let ev, rg =
+      match sink with Sring rg -> (true, rg) | Snone | Shook _ -> (false, no_ring)
+    in
+    match sink with
+    | Shook _ -> None
+    | (Sring _ | Snone) when Sys.big_endian -> None
+    | Sring _ | Snone -> (
+      let plain = function
+        | Some ac -> Prep.bitfield_info prog layout ac = None
+        | None -> true
+      in
+      let meta size write is_float = Ring.meta ~size ~write ~is_float ~iid:i.iid in
+      let int_size ty =
+        match ty with
+        | Irty.Float | Irty.Double -> None
+        | _ -> (
+          match max 1 (min 8 (Layout.sizeof layout ty)) with
+          | (1 | 2 | 4 | 8) as n -> Some n
+          | _ -> None)
+      in
+      let float_size = function Irty.Float -> 4 | _ -> 8 in
+      match i.idesc with
+      | Ir.Iload (r, _, ty, acc) when plain acc -> (
+        if Irty.is_float_ty ty then
+          if fl.(r) then
+            let size = float_size ty in
+            Some (fast_load_float ~ev rg (meta size false true) mem size r form)
+          else None
+        else
+          match int_size ty with
+          | Some size when ireg r ->
+            Some (fast_load_int ~ev rg (meta size false false) mem size r form)
+          | _ -> None)
+      | Ir.Istore (_, v, ty, acc) when plain acc -> (
+        if Irty.is_float_ty ty then
+          let size = float_size ty in
+          let m = meta size true true in
+          match v with
+          | Ir.Oreg x when fl.(x) ->
+            Some (fast_store_float ~ev rg m mem size x 0.0 form)
+          | Ir.Ofimm k -> Some (fast_store_float ~ev rg m mem size (-1) k form)
+          | _ -> None
+        else
+          match (int_size ty, v) with
+          | Some size, Ir.Oreg x when ireg x ->
+            Some (fast_store_int ~ev rg (meta size true false) mem size x 0 form)
+          | Some size, Ir.Oimm k ->
+            Some
+              (fast_store_int ~ev rg (meta size true false) mem size (-1)
+                 (Int64.to_int k) form)
+          | _ -> None)
+      | _ -> None)
+  in
+  (* an address producer as an address form: it computes an address into
+     an int-bank register from int-bank operands *)
+  let addr_producer (i : Ir.instr) : aform option =
     match i.idesc with
-    | Ir.Ifieldaddr (r, b, s, fi) when not fl.(r) ->
-      let gb = geti b in
-      let off = (Layout.field_layout layout s fi).Layout.byte_off in
-      Some
-        ( r,
-          fun f ->
-            let a = gb f + off in
-            Array.unsafe_set f.ir r a;
-            a )
-    | Ir.Iptradd (r, b, idx, ty) when not fl.(r) ->
-      let gb = geti b and gi = geti idx in
+    | Ir.Ifieldaddr (r, Ir.Oreg b, s, fi) when ireg r && ireg b ->
+      Some (Abase (r, b, (Layout.field_layout layout s fi).Layout.byte_off))
+    | Ir.Iptradd (r, Ir.Oreg b, idx, ty) when ireg r && ireg b -> (
       let sz = Layout.sizeof layout ty in
-      Some
-        ( r,
-          fun f ->
-            let a = gb f + (gi f * sz) in
-            Array.unsafe_set f.ir r a;
-            a )
-    | Ir.Iaddrglob (r, g) when not fl.(r) -> (
+      match idx with
+      | Ir.Oreg x when ireg x -> Some (Aindex (r, b, x, sz))
+      | Ir.Oimm n -> Some (Abase (r, b, Int64.to_int n * sz))
+      | _ -> None)
+    | Ir.Iaddrglob (r, g) when ireg r -> (
       match Hashtbl.find_opt globals_addr g with
-      | Some (addr, _) ->
-        Some
-          ( r,
-            fun f ->
-              Array.unsafe_set f.ir r addr;
-              addr )
+      | Some (addr, _) -> Some (Aframe (r, 0, addr))
       | None -> None)
-    | Ir.Iaddrlocal (r, l) when not fl.(r) -> (
+    | Ir.Iaddrlocal (r, l) when ireg r -> (
       match Hashtbl.find_opt clocals l with
-      | Some (off, _) ->
-        Some
-          ( r,
-            fun f ->
-              let a = f.fb + off in
-              Array.unsafe_set f.ir r a;
-              a )
+      | Some (off, _) -> Some (Aframe (r, -1, off))
       | None -> None)
     | _ -> None
   in
-  (* ... and a consumer is a load or store addressing through exactly
-     that register. Fusing never changes observable state: the producer
-     still writes its register first, the consumer's hook event, memory
-     access and result write are byte-identical, and steps are counted
-     from the IR ([bc_steps] below), not from the body array length. *)
+  (* the register-direct compilation of one instruction, or [None] for
+     the generic one *)
+  let fast_instr ~sink (i : Ir.instr) : (frame -> unit) option =
+    match i.idesc with
+    | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
+      when ireg a ->
+      fast_access ~sink (Abase (a, a, 0)) i
+    | Ir.Imov (r, Ir.Oreg x) when fl.(r) = fl.(x) ->
+      if fl.(r) then Some (fun f -> wrf f r (rdf f x))
+      else Some (fun f -> wr f r (rd f x))
+    | Ir.Imov (r, Ir.Oimm n) when ireg r ->
+      let v = Int64.to_int n in
+      Some (fun f -> wr f r v)
+    | Ir.Imov (r, Ir.Ofimm x) when fl.(r) -> Some (fun f -> wrf f r x)
+    | Ir.Ibin (r, op, ty, a, b) when Irty.is_float_ty ty -> (
+      (* a constant operand is read the way [getf] reads it *)
+      let const = function
+        | Ir.Oimm n -> Some (Int64.to_float n)
+        | Ir.Ofimm x -> Some x
+        | Ir.Oreg _ -> None
+      in
+      match (a, b) with
+      | Ir.Oreg a, Ir.Oreg b when fl.(a) && fl.(b) && fl.(r) = not (fcompare op)
+        ->
+        fbin_rr op r a b
+      | Ir.Oreg a, k when fl.(a) && fl.(r) -> (
+        match const k with Some k -> fbin_ri op r a k | None -> None)
+      | k, Ir.Oreg b when fl.(b) && fl.(r) -> (
+        match const k with Some k -> fbin_ir op r k b | None -> None)
+      | _ -> None)
+    | Ir.Icast (r, from_, to_, Ir.Oreg a, _)
+      when Irty.is_float_ty from_ <> Irty.is_float_ty to_
+           && fl.(a) = Irty.is_float_ty from_
+           && fl.(r) = Irty.is_float_ty to_ ->
+      if fl.(a) then Some (fun f -> wr f r (int_of_float (rdf f a)))
+      else Some (fun f -> wrf f r (float_of_int (rd f a)))
+    | Ir.Ibin (r, op, ty, Ir.Oreg a, b)
+      when (not (Irty.is_float_ty ty)) && ireg r && ireg a -> (
+      match b with
+      | Ir.Oreg b when ireg b -> Some (ibin_rr op r a b)
+      | Ir.Oimm n -> Some (ibin_ri op r a (Int64.to_int n))
+      | _ -> None)
+    | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Iaddrglob _ | Ir.Iaddrlocal _ ->
+      Option.map fast_addr (addr_producer i)
+    | _ -> None
+  in
+  (* superblock peephole, part 1: a producer fused into the load or store
+     addressing through its destination register. Fusing never changes
+     observable state: the producer still writes its register first,
+     the consumer's event, memory access and result write are
+     byte-identical, and steps are counted from the IR ([bc_steps]
+     below), not from the body array length. *)
   let fuse_pair ~sink (i : Ir.instr) (j : Ir.instr) : (frame -> unit) option =
-    match
-      match addr_producer i with
-      | None -> None
-      | Some (r, ga) -> (
-        match j.idesc with
-        | Ir.Iload (r2, Ir.Oreg a, ty, acc) when a = r ->
-          Some (compile_load ~sink ~ga ~iid:j.iid r2 ty acc)
-        | Ir.Istore (Ir.Oreg a, v, ty, acc) when a = r ->
-          Some (compile_store ~sink ~ga ~iid:j.iid v ty acc)
-        | _ -> None)
-    with
-    | fused -> fused
-    (* a compile-time failure in either half falls back to separate
-       compilation, which defers the failure to the right instruction *)
-    | exception _ -> None
+    match addr_producer i with
+    | Some ((Abase (d, _, _) | Aframe (d, _, _) | Aindex (d, _, _, _)) as form)
+      -> (
+      match j.idesc with
+      | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
+        when a = d ->
+        fast_access ~sink form j
+      | _ -> None)
+    | None -> None
   in
   let compile_instrs ~sink instrs =
+    (* any compile-time failure on the register-direct route falls back
+       to the generic compilation, where name-resolution and layout
+       failures compile to raising closures so they surface only if the
+       instruction runs, matching the tree-walker's lazy failure points *)
     let emit i =
-      (* name-resolution and layout failures compile to raising
-         closures so they surface only if the instruction runs,
-         matching the tree-walker's lazy failure points *)
-      match compile_instr ~sink i with
-      | code -> code
-      | exception e -> fun _ -> raise e
+      match fast_instr ~sink i with
+      | Some code -> code
+      | None | (exception _) -> (
+        match compile_instr ~sink i with
+        | code -> code
+        | exception e -> fun _ -> raise e)
     in
-    if not t.sb then Array.of_list (List.map emit instrs)
-    else
-      let rec go acc = function
-        | [] -> List.rev acc
-        | i :: (j :: rest as tl) -> (
-          match fuse_pair ~sink i j with
-          | Some code -> go (code :: acc) rest
-          | None -> go (emit i :: acc) tl)
-        | [ i ] -> List.rev (emit i :: acc)
-      in
-      Array.of_list (go [] instrs)
+    let rec go acc = function
+      | [] -> List.rev acc
+      | i :: (j :: rest as tl) -> (
+        match fuse_pair ~sink i j with
+        | Some code -> go (code :: acc) rest
+        | None | (exception _) -> go (emit i :: acc) tl)
+      | [ i ] -> List.rev (emit i :: acc)
+    in
+    Array.of_list (go [] instrs)
   in
   (* an unreferenced block id executes as an empty body + [Tret None],
      exactly like the tree-walker's defaults *)
@@ -1028,17 +1425,15 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         { bc_steps = List.length b.instrs + 1; bc_body = body; bc_term = term;
           bc_ret = ret; bc_events = events; bc_fast = fast })
     func.fblocks;
-  if t.sb then fuse_superblocks func row blocks;
-  if t.sb then
-    Array.iteri (fun k bc -> blocks.(k) <- fold_tail bc) blocks;
+  fuse_superblocks func row blocks;
+  Array.iteri (fun k bc -> blocks.(k) <- fold_tail bc) blocks;
   fc.fc_blocks <- blocks
 
 (* ------------------------------------------------------------------ *)
 (* Setup and entry points                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edges ?bulk_hook ?ring ?(superblock = false)
-    ?(max_steps = Rt.default_max_steps) (prog : Ir.program) : t =
+let create ?mem_hook ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps) (prog : Ir.program) : t =
   let sink =
     match (mem_hook, ring) with
     | Some _, Some _ ->
@@ -1079,7 +1474,6 @@ let create ?mem_hook ?edges ?bulk_hook ?ring ?(superblock = false)
       bulk_on =
         (Option.is_some bulk_hook
         && match sink with Shook _ | Sring _ -> true | Snone -> false);
-      sb = superblock;
     }
   in
   let pres =

@@ -1,13 +1,19 @@
-(** Closure-compiled (threaded-code) execution backend.
+(** The compiled execution engine: closure-threaded code with
+    superblocks.
 
-    Same observable semantics, hooks and determinism guarantees as
-    {!Interp} (see that module's documentation): each [Ir.instr] is
-    pre-resolved into an OCaml closure at {!create} time — operand
-    accessors specialized by register bank, names folded to constant
-    addresses, layout sizes and bit-field masks baked in, and the hook
-    option-branches compiled away — so the per-instruction execution
-    cost is one indirect call. The differential tests pin its output,
-    step counts and cache-event stream to the tree-walker's. *)
+    Same observable semantics, event streams and determinism
+    guarantees as {!Interp} (see that module's documentation): each
+    [Ir.instr] is pre-resolved into an OCaml closure at {!create} time.
+    Common instruction forms — int and float arithmetic, compares,
+    movs, conditional branches and every int/f32/f64 load and store —
+    compile to one closure that reads and writes the register banks
+    directly, and a load or store touches the memory buffer directly
+    once a bounds check passes (anything outside the buffer or in the
+    null page takes the {!Memory} call, so growth and faults are
+    unchanged). Straight-line jump chains, address producers with the
+    accesses through them, and block tails with their terminators are
+    fused. The differential tests pin its output, step counts and
+    event stream to the tree-walker's. *)
 
 exception Runtime_error of string
 
@@ -24,7 +30,6 @@ val create :
   ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
-  ?superblock:bool ->
   ?max_steps:int ->
   Ir.program ->
   t
@@ -59,21 +64,20 @@ val create :
     [edges] turns on edge profiling: each terminator and call prologue
     increments a counter slot of the table, resolved at compile time.
 
-    [superblock] additionally fuses each straight-line chain of blocks
-    linked by unconditional jumps into one superblock: one array sweep,
-    one step-limit check and one [bulk_hook] consultation per chain.
-    Under [edges] a fused chain counts its interior jump edges once per
-    run, so the edge counts equal the unfused ones. Step totals and
-    step-limit failures are unchanged on all programs; the limit check
-    becomes chain-wise (see the caveat on {!run}). *)
+    Each straight-line chain of blocks linked by unconditional jumps
+    runs as one superblock: one array sweep, one step-limit check and
+    one [bulk_hook] consultation per chain. Under [edges] a fused chain
+    counts its interior jump edges once per run, so the edge counts
+    equal the unfused ones. Step totals and step-limit failures are
+    unchanged on all programs; the limit check is chain-wise (see the
+    caveat on {!run}). *)
 
 val run : ?args:int list -> t -> result
 (** Execute [main]. Raises {!Runtime_error} exactly where {!Interp.run}
     does (same messages), with one caveat: the step limit is enforced
-    per basic block (per superblock when fused) rather than per
-    instruction, which raises on exactly the same programs but may
-    execute up to a block's worth of trailing instructions less before
-    doing so. *)
+    per superblock rather than per instruction, which raises on exactly the same
+    programs but may execute up to a superblock's worth of trailing instructions less
+    before doing so. *)
 
 val run_program : ?args:int list -> Ir.program -> result
 (** [create] + [run] without hooks. *)

@@ -17,7 +17,20 @@
 exception Fault of string
 (** Raised on null-page or out-of-range accesses. *)
 
-type t
+type t = private {
+  mutable buf : Bytes.t;
+      (** the whole address space, byte [a] at index [a]. Exposed so
+          the compiled engine can read and write in-range accesses
+          without a call (see {!Compile}); every bounds failure, growth
+          and fault still goes through the functions below. The buffer
+          is replaced by a larger copy when an access or allocation
+          grows the image, so readers must re-read the field on every
+          access rather than keep the [Bytes.t]. *)
+  mutable globals_next : int;
+  mutable heap_next : int;
+  allocs : (int, int) Hashtbl.t;
+  freed : (int, unit) Hashtbl.t;
+}
 
 val create : unit -> t
 

@@ -4,7 +4,7 @@
    register-bank inference, the frame layout of locals, the bit-field
    classification of tagged accesses, and the memory image (global
    allocation order and string interning). Keeping these in one place is
-   what makes the walk and closure backends produce identical addresses
+   what makes the walk and compiled engines produce identical addresses
    — and therefore identical cache-simulation counters. *)
 
 let builtin_returns_float = function

@@ -1,7 +1,7 @@
 (* Shared runtime vocabulary for the VM backends.
 
    Both execution engines — the tree-walking reference interpreter
-   ({!Interp}) and the closure-compiled engine ({!Compile}) — raise the
+   ({!Interp}) and the compiled engine ({!Compile}) — raise the
    same exception, exchange the same argument/return values and produce
    the same [result] record, so callers can treat them interchangeably
    and the differential harness can compare them field by field. *)

@@ -148,7 +148,7 @@ let engine_jobs_equivalence () =
   Alcotest.(check bool) "rows for every unit" true
     (List.length ra = 2 * List.length mini_roster)
 
-(* the bench-smoke CI check in executable form: the walk and closure
+(* the bench-smoke CI check in executable form: the walk and compiled
    backends must produce identical tables and identical JSON rows once
    the wall-clock-dependent fields (timings, throughput) are stripped *)
 let engine_backend_equivalence () =
@@ -156,7 +156,7 @@ let engine_backend_equivalence () =
     run_tables ~backend:Slo_vm.Backend.Walk ~jobs:1 mini_roster
   in
   let _, t3c, rc =
-    run_tables ~backend:Slo_vm.Backend.Closure ~jobs:1 mini_roster
+    run_tables ~backend:Slo_vm.Backend.Superblock ~jobs:1 mini_roster
   in
   Alcotest.(check string) "table3 identical across backends"
     (strip_throughput t3w) (strip_throughput t3c);
@@ -201,7 +201,8 @@ let engine_json_artifact () =
   Alcotest.(check bool) "fidelity recorded" true
     (Json.member "fidelity" j = Some (Json.String "exact"));
   Alcotest.(check bool) "backend recorded" true
-    (Json.member "backend" j = Some (Json.String "closure"));
+    (Json.member "backend" j
+    = Some (Json.String Slo_vm.Backend.(to_string default)));
   Alcotest.(check bool) "jobs recorded" true
     (Json.member "jobs" j = Some (Json.Int 2));
   (match Json.member "results" j with

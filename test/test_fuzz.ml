@@ -211,8 +211,8 @@ let prop_driver_end_to_end =
 
 (* the differential oracle turned on the VM itself: every generated
    program — and its framework-transformed rewrite — must produce
-   byte-identical output, step counts and cache counters under the
-   tree-walking and the closure-compiled backend *)
+   byte-identical output, step counts, event stream and cache counters
+   under the tree-walking and the compiled engine *)
 let backends_agree_or_report prog =
   match O.compare_backends ~config:Slo_cachesim.Hierarchy.small prog with
   | [] -> true

@@ -167,8 +167,8 @@ let seed_digests =
      "5837a93a53cb92797f9f8645585fb706");
   ]
 
-(* every backend collects the same run, superblock fusion on, and it
-   is the run the per-access collector collected *)
+(* both backends collect the same run, and it is the run the
+   per-access collector collected *)
 let feedback_identity (name, instrumented, plain) () =
   let e = Slo_suite.Suite.find name in
   let digest s = Digest.to_hex (Digest.string s) in

@@ -451,6 +451,38 @@ let e2e_bench () =
       | _ -> Alcotest.fail "bench repeat failed");
       close conn)
 
+(* "closure", the compiled engine's name before superblock fusion became
+   unconditional, is still a valid spelling: a fresh daemon measures a
+   "closure" and a "superblock" request to the same reply, and one cache
+   entry serves both spellings *)
+let e2e_bench_closure_spelling () =
+  let src = hot_cold_src "spell" in
+  let fields = function
+    | P.R_bench b ->
+      (b.b_cycles_before, b.b_cycles_after, b.b_speedup_pct, b.b_plans,
+       b.b_cached)
+    | r -> Alcotest.failf "bench failed: %s" (Json.to_string (P.json_of_reply r))
+  in
+  let fresh backend =
+    with_server (fun ~connect ~close _socket ->
+        let conn = connect () in
+        let first = fields (Client.rpc conn (bench ~scheme:"spbo" ~backend src)) in
+        let other = if backend = "closure" then "superblock" else "closure" in
+        let again = fields (Client.rpc conn (bench ~scheme:"spbo" ~backend:other src)) in
+        close conn;
+        (first, again))
+  in
+  let c, c_then_s = fresh "closure" in
+  let s, s_then_c = fresh "superblock" in
+  let same = Alcotest.(check bool) in
+  same "closure and superblock replies identical" true (c = s);
+  let uncached (b, a, sp, pl, _) = (b, a, sp, pl) in
+  let cached (_, _, _, _, k) = k in
+  same "the other spelling hits the same entry" true
+    (cached c_then_s && cached s_then_c);
+  same "cached replies identical" true
+    (uncached c_then_s = uncached c && uncached s_then_c = uncached s)
+
 let e2e_check () =
   with_server (fun ~connect ~close _socket ->
       let conn = connect () in
@@ -585,9 +617,13 @@ let e2e_overloaded () =
       let c1 = connect () in
       let c2 = connect () in
       (* a round-trip on both guarantees the server has registered them
-         before the third connect races the accept loop *)
-      (match (Client.rpc c1 P.Stats, Client.rpc c2 P.Stats) with
-      | P.R_stats s, P.R_stats _ ->
+         before the third connect races the accept loop. The count is
+         read from the second reply: c2 may still wait in the backlog
+         while c1's reply is computed *)
+      let r1 = Client.rpc c1 P.Stats in
+      let r2 = Client.rpc c2 P.Stats in
+      (match (r1, r2) with
+      | P.R_stats _, P.R_stats s ->
         Alcotest.(check int) "two connections open" 2 s.P.s_conns
       | _ -> Alcotest.fail "stats failed");
       let c3 = connect () in
@@ -828,6 +864,8 @@ let () =
           Alcotest.test_case "advise + cache" `Quick e2e_advise_cached;
           Alcotest.test_case "advise with pooling" `Quick e2e_advise_pool;
           Alcotest.test_case "bench + cache" `Quick e2e_bench;
+          Alcotest.test_case "bench closure spelling" `Quick
+            e2e_bench_closure_spelling;
           Alcotest.test_case "check + cache" `Quick e2e_check;
           Alcotest.test_case "tune anytime + cache" `Quick e2e_tune;
           Alcotest.test_case "structured errors" `Quick e2e_structured_errors;

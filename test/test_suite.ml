@@ -52,9 +52,9 @@ let transform_preserves (e : Suite.entry) () =
   let after = Slo_vm.Interp.run_program ~args transformed in
   Alcotest.(check string) "output preserved" before.output after.output
 
-(* the closure-compiled backend is pinned to the tree-walking reference
-   on every roster program: identical output, steps and cache counters
-   under the same (small) hierarchy *)
+(* the compiled engine is pinned to the tree-walking reference on every
+   roster program: identical output, steps, event stream and cache
+   counters under the same (small) hierarchy *)
 let backends_agree (e : Suite.entry) () =
   let prog = D.compile e.source in
   match

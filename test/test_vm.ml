@@ -1,11 +1,13 @@
 (* VM: memory model, interpreter semantics, builtins, hooks.
 
-   Every semantics/builtin/hook test runs twice — once under the
-   tree-walking reference interpreter and once under the
-   closure-compiled engine — so the whole suite doubles as a
-   per-feature backend-equivalence check (the differential oracle in
-   test_suite/test_fuzz covers whole programs; this pins each language
-   feature individually). *)
+   Every semantics/builtin/hook test runs under the tree-walking
+   reference interpreter and under the compiled engine, so the whole
+   suite doubles as a per-feature backend-equivalence check (the
+   differential oracle in test_suite/test_fuzz covers whole programs;
+   this pins each language feature individually). The compiled engine
+   runs twice: once as [Superblock] and once reached through its
+   legacy spelling ["closure"], which scripts and daemon clients still
+   send. *)
 
 module Memory = Slo_vm.Memory
 module Backend = Slo_vm.Backend
@@ -163,6 +165,111 @@ let memops b () =
         a[4] = 9; s = 0;\n\
         for (i = 0; i < 5; i++) { s = s + a[i]; } return (int)s; }")
 
+(* the compiled engine's register-direct loads and stores: every access
+   kind through every address form, and the fallbacks behind the buffer
+   fast path *)
+
+(* accesses past the initial 8 MB buffer: each of the four far accesses
+   lies beyond the image the previous one grew (p is the first heap
+   block, at 4 MB), so each takes the Memory fallback, which grows the
+   image (a load of fresh memory reads 0); the read-backs then take the
+   fast path. Values that do not fit in 4 bytes catch a fallback that
+   stores short. *)
+let buffer_growth b () =
+  Alcotest.(check string) "4/8-byte accesses past the buffer grow it"
+    "0 0 -1234567 -5 2.5 -7\n"
+    (out_of b
+       "int main() { long *p; int *q; double *d; long s; int t;\n\
+        p = (long*)malloc(8); q = (int*)p; d = (double*)p;\n\
+        s = p[1600000];\n\
+        p[2200000] = -1234567; d[1700000] = 2.5;\n\
+        t = q[8000000];\n\
+        q[17000000] = -5; q[17000001] = -7;\n\
+        printf(\"%ld %d %ld %d %g %d\\n\", s, t, p[2200000], q[17000000],\n\
+        d[1700000], q[17000001]); return 0; }")
+
+(* null-page loads and stores fault with the same message on every
+   engine, whichever address form reached them *)
+let null_page_faults b () =
+  let expect msg src =
+    match run b src with
+    | exception Backend.Runtime_error m ->
+      Alcotest.(check string) "fault message" msg m
+    | _ -> Alcotest.failf "expected a fault for %S" src
+  in
+  expect "memory fault: null-page access at 0x10"
+    "int main() { int *p; p = (int*)16; return *p; }";
+  expect "memory fault: null-page access at 0x18"
+    "int main() { long *p; p = (long*)16; p[1] = 5; return 0; }";
+  expect "memory fault: null-page access at 0x8"
+    "struct s { long a; double d; };\n\
+     int main() { struct s *p; p = (struct s*)0; p->d = 1.5; return 0; }";
+  expect "memory fault: null-page access at 0x8"
+    "struct s { long a; float f; };\n\
+     int main() { struct s *p; p = (struct s*)0; return (int)p->f; }";
+  expect "memory fault: null-page access at 0x2"
+    "int main() { short *p; p = (short*)0; p[1] = 3; return 0; }";
+  expect "memory fault: null-page access at 0x3"
+    "int main() { char *p; p = (char*)0; return p[3]; }"
+
+(* every size and kind through a local slot, a global, a struct field
+   and an array element: sign extension on narrow loads, truncation on
+   narrow stores, f32 rounding *)
+let access_kinds b () =
+  Alcotest.(check string) "sizes 1/2/4/8, f32, f64"
+    "-56 4464 -2 5000000000 1.10000002 1.1000000000000001\n\
+     -56 4464 -2 5000000000 1.10000002 1.1000000000000001\n\
+     -56 4464 -2 5000000000 1.10000002 1.1000000000000001\n\
+     -56 4464 -2 5000000000 1.10000002 1.1000000000000001\n"
+    (out_of b
+       "struct s { char c; short h; int i; long l; float f; double d; };\n\
+        struct s g;\n\
+        long big() { long x = 50000; return x * 100000; }\n\
+        void show(char c, short h, int i, long l, float f, double d) {\n\
+        printf(\"%d %d %d %ld %.9g %.17g\\n\", c, h, i, l, f, d); }\n\
+        int main() { char c; short h; int i; long l; float f; double d;\n\
+        struct s *p; char *ca; short *ha; int *ia; long *la; float *fa;\n\
+        double *da; int k;\n\
+        c = 200; h = 70000; i = 4294967294; l = big(); f = 1.1; d = 1.1;\n\
+        show(c, h, i, l, f, d);\n\
+        g.c = 200; g.h = 70000; g.i = 4294967294; g.l = big();\n\
+        g.f = 1.1; g.d = 1.1;\n\
+        show(g.c, g.h, g.i, g.l, g.f, g.d);\n\
+        p = (struct s*)malloc(sizeof(struct s));\n\
+        p->c = 200; p->h = 70000; p->i = 4294967294; p->l = big();\n\
+        p->f = 1.1; p->d = 1.1;\n\
+        show(p->c, p->h, p->i, p->l, p->f, p->d);\n\
+        ca = (char*)malloc(4); ha = (short*)malloc(8); ia = (int*)malloc(16);\n\
+        la = (long*)malloc(32); fa = (float*)malloc(16);\n\
+        da = (double*)malloc(32); k = 3;\n\
+        ca[k] = 200; ha[k] = 70000; ia[k] = 4294967294; la[k] = big();\n\
+        fa[k] = 1.1; da[k] = 1.1;\n\
+        show(ca[k], ha[k], ia[k], la[k], fa[k], da[k]); return 0; }");
+  (* bit-fields read back unsigned: 13 keeps its low 3 bits *)
+  Alcotest.(check string) "bit-fields in a global and through a pointer"
+    "5 9 5 9\n"
+    (out_of b
+       "struct f { int a : 3; int b : 5; };\n\
+        struct f g; struct f *p;\n\
+        int main() { p = (struct f*)malloc(sizeof(struct f));\n\
+        g.a = 13; g.b = 9; p->a = 13; p->b = 41;\n\
+        printf(\"%d %d %d %d\\n\", g.a, g.b, p->a, p->b); return 0; }")
+
+(* a float compare whose int result feeds the conditional branch,
+   NaN included (every ordered compare is false, != is true) *)
+let float_branch b () =
+  Alcotest.(check string) "float compares into Tbr" "lt le ne nan-ne 1 0\n"
+    (out_of b
+       "int main() { double x; double y; double n; int c; int d;\n\
+        x = 1.5; y = 2.5; n = 0.0 / 0.0;\n\
+        if (x < y) { printf(\"lt \"); }\n\
+        if (x <= x) { printf(\"le \"); }\n\
+        if (x > y) { printf(\"gt \"); }\n\
+        if (x != y) { printf(\"ne \"); }\n\
+        if (n < 1.0) { printf(\"nan-lt \"); }\n\
+        if (n != n) { printf(\"nan-ne \"); }\n\
+        c = x < y; d = n >= n; printf(\"%d %d\\n\", c, d); return 0; }")
+
 let indirect_calls b () =
   Alcotest.(check int) "function pointer" 12
     (exit_of b
@@ -287,6 +394,10 @@ let semantics_cases b =
     Alcotest.test_case "args" `Quick (args_passing b);
     Alcotest.test_case "runtime errors" `Quick (runtime_errors b);
     Alcotest.test_case "missing param slot" `Quick (missing_param_slot b);
+    Alcotest.test_case "buffer growth" `Quick (buffer_growth b);
+    Alcotest.test_case "null-page faults" `Quick (null_page_faults b);
+    Alcotest.test_case "access kinds" `Quick (access_kinds b);
+    Alcotest.test_case "float branch" `Quick (float_branch b);
   ]
 
 let hooks_cases b =
@@ -295,6 +406,9 @@ let hooks_cases b =
     Alcotest.test_case "mem hook" `Quick (mem_hook_sees_accesses b);
     Alcotest.test_case "edge counters" `Quick (edge_counters b);
   ]
+
+(* the compiled engine as a client spelling it "closure" selects it *)
+let legacy = Option.get (Backend.of_string "closure")
 
 let () =
   Alcotest.run "vm"
@@ -306,9 +420,9 @@ let () =
           Alcotest.test_case "strings" `Quick mem_strings;
         ] );
       ("semantics[walk]", semantics_cases Backend.Walk);
-      ("semantics[closure]", semantics_cases Backend.Closure);
+      ("semantics[closure]", semantics_cases legacy);
       ("semantics[superblock]", semantics_cases Backend.Superblock);
       ("hooks[walk]", hooks_cases Backend.Walk);
-      ("hooks[closure]", hooks_cases Backend.Closure);
+      ("hooks[closure]", hooks_cases legacy);
       ("hooks[superblock]", hooks_cases Backend.Superblock);
     ]
