@@ -49,9 +49,10 @@ bench-smoke:
 accuracy:
 	dune exec bench/accuracy.exe -- --jobs $(JOBS) $(ACCURACY_FLAGS)
 
-# measure-phase throughput gate: a fresh full-roster exact superblock
-# run against the committed baseline (ci/PERF-BASELINE.json), failing
-# on a >20% aggregate regression in measure_msteps_per_s. Run serially
+# measure-phase throughput and profile-time gate: a fresh full-roster
+# exact superblock run against the committed baseline
+# (ci/PERF-BASELINE.json), failing on a >20% aggregate regression in
+# measure_msteps_per_s or in total profile time. Run serially
 # (jobs 1) so the throughput numbers are not distorted by overlap.
 perf-gate:
 	dune exec bench/main.exe -- table3 --jobs 1 \

@@ -1,33 +1,37 @@
-(* The measure-phase throughput gate.
+(* The measure-phase throughput and profile-collection gate.
 
    Usage:
      dune exec bench/perfgate.exe -- BASELINE.json FRESH.json [--tolerance PCT]
 
    Reads the committed baseline artifact (ci/PERF-BASELINE.json) and a
    freshly produced BENCH.json, lines their result rows up by
-   (experiment, benchmark, scheme), and compares [measure_msteps_per_s]
-   — the measure-phase throughput in million VM steps per second, the
-   number the batched-ring work is accountable for.
+   (experiment, benchmark, scheme), and compares two numbers:
+   [measure_msteps_per_s] — the measure-phase throughput in million VM
+   steps per second, the number the batched-ring work is accountable
+   for — and [timings_ms.profile], the PBO training run's wall-clock.
 
    The gate fails (exit 1) when the AGGREGATE throughput — total steps
    over total measure time across all matched rows, i.e. the
    time-weighted mean of the per-row numbers — regresses by more than
-   [--tolerance] percent (default 20). Per-row regressions beyond the
-   tolerance are printed as warnings but do not fail the build on
-   their own: the small roster programs finish in milliseconds and
-   their individual numbers are noise-dominated, while the aggregate
-   is dominated by the long-running rows and is stable.
+   [--tolerance] percent (default 20), or when the total profile time
+   over the matched rows grows by more than the same tolerance.
+   Per-row regressions beyond the tolerance are printed as warnings but
+   do not fail the build on their own: the small roster programs finish
+   in milliseconds and their individual numbers are noise-dominated,
+   while the aggregates are dominated by the long-running rows and are
+   stable.
 
    Rows present in the baseline but missing from the fresh artifact
-   (dropped benchmark, renamed scheme) fail the gate: silently losing
-   coverage would let the next regression hide. Exit 2 on usage or
-   parse errors.
+   (dropped benchmark, renamed scheme), and matched rows whose
+   [timings_ms] lacks a [profile] entry on either side, fail the gate:
+   silently losing coverage would let the next regression hide. Exit 2
+   on usage or parse errors.
 
    With --update-baseline the comparison is skipped and FRESH.json is
    copied over BASELINE.json instead (after checking it actually
-   carries throughput rows) — the sanctioned way to regenerate
-   ci/PERF-BASELINE.json in place after an intentional perf change,
-   rather than hand-editing the artifact. *)
+   carries throughput rows, each with a profile time) — the sanctioned
+   way to regenerate ci/PERF-BASELINE.json in place after an
+   intentional perf change, rather than hand-editing the artifact. *)
 
 module Json = Slo_util.Json
 
@@ -61,24 +65,40 @@ let row_key j =
   Printf.sprintf "%s/%s/%s" (str_member "experiment" j)
     (str_member "benchmark" j) (str_member "scheme" j)
 
-let measure_ms j =
+let timing key j =
   match Json.member "timings_ms" j with
-  | Some t -> num_member "measure" t
+  | Some t -> num_member key t
   | None -> None
 
-(* rows that carry a throughput number: (key, msteps/s, measure ms) *)
+type row = {
+  key : string;
+  msteps_per_s : float;
+  measure_ms : float;
+  profile_ms : float option;
+}
+
+(* rows that carry a throughput number *)
 let perf_rows j =
   List.filter_map
     (fun r ->
-      match (num_member "measure_msteps_per_s" r, measure_ms r) with
-      | Some th, Some ms when th > 0.0 && ms > 0.0 -> Some (row_key r, th, ms)
+      match (num_member "measure_msteps_per_s" r, timing "measure" r) with
+      | Some th, Some ms when th > 0.0 && ms > 0.0 ->
+        Some
+          {
+            key = row_key r;
+            msteps_per_s = th;
+            measure_ms = ms;
+            profile_ms = timing "profile" r;
+          }
       | _ -> None)
     (rows j)
 
-let aggregate prs =
+let aggregate rs =
   (* total steps / total time = time-weighted mean throughput *)
-  let steps = List.fold_left (fun a (_, th, ms) -> a +. (th *. ms)) 0.0 prs in
-  let time = List.fold_left (fun a (_, _, ms) -> a +. ms) 0.0 prs in
+  let steps =
+    List.fold_left (fun a r -> a +. (r.msteps_per_s *. r.measure_ms)) 0.0 rs
+  in
+  let time = List.fold_left (fun a r -> a +. r.measure_ms) 0.0 rs in
   if time > 0.0 then steps /. time else 0.0
 
 let copy_file ~src ~dst =
@@ -120,6 +140,11 @@ let () =
     (* refuse to enshrine an artifact the gate itself could not read *)
     let fresh = perf_rows (read_file !fresh_path) in
     if fresh = [] then die "%s carries no throughput rows" !fresh_path;
+    List.iter
+      (fun r ->
+        if r.profile_ms = None then
+          die "%s: row %s has no timings_ms.profile" !fresh_path r.key)
+      fresh;
     copy_file ~src:!fresh_path ~dst:!base_path;
     Printf.printf "baseline %s regenerated from %s (%d throughput rows)\n"
       !base_path !fresh_path (List.length fresh);
@@ -130,26 +155,42 @@ let () =
   if base = [] then die "%s carries no throughput rows" !base_path;
   if fresh = [] then die "%s carries no throughput rows" !fresh_path;
   let failed = ref false in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        print_endline ("FAIL " ^ s);
+        failed := true)
+      fmt
+  in
   (* per-row report; missing coverage fails, slow rows only warn *)
+  let profile_b = ref 0.0 and profile_f = ref 0.0 in
   List.iter
-    (fun (key, bth, _) ->
-      match List.find_opt (fun (k, _, _) -> String.equal k key) fresh with
+    (fun b ->
+      match List.find_opt (fun f -> String.equal f.key b.key) fresh with
       | None ->
-        Printf.printf "FAIL %-40s baseline %8.1f Msteps/s, missing from fresh artifact\n"
-          key bth;
-        failed := true
-      | Some (_, fth, _) ->
-        let delta = (fth /. bth -. 1.0) *. 100.0 in
+        fail "%-40s baseline %8.1f Msteps/s, missing from fresh artifact" b.key
+          b.msteps_per_s
+      | Some f ->
+        let delta = (f.msteps_per_s /. b.msteps_per_s -. 1.0) *. 100.0 in
         let tag = if delta < -. !tol then "warn" else "ok  " in
-        Printf.printf "%s %-40s %8.1f -> %8.1f Msteps/s (%+.1f%%)\n" tag key
-          bth fth delta)
+        Printf.printf "%s %-40s %8.1f -> %8.1f Msteps/s (%+.1f%%)\n" tag b.key
+          b.msteps_per_s f.msteps_per_s delta;
+        (match (b.profile_ms, f.profile_ms) with
+        | Some pb, Some pf ->
+          profile_b := !profile_b +. pb;
+          profile_f := !profile_f +. pf
+        | None, _ -> fail "%-40s baseline row has no timings_ms.profile" b.key
+        | _, None -> fail "%-40s fresh row has no timings_ms.profile" b.key))
     base;
   let agg_b = aggregate base and agg_f = aggregate fresh in
   let delta = (agg_f /. agg_b -. 1.0) *. 100.0 in
   Printf.printf "aggregate measure throughput: %.1f -> %.1f Msteps/s (%+.1f%%, tolerance -%.0f%%)\n"
     agg_b agg_f delta !tol;
-  if delta < -. !tol then begin
-    Printf.printf "FAIL aggregate regression beyond tolerance\n";
-    failed := true
-  end;
+  if delta < -. !tol then fail "aggregate regression beyond tolerance";
+  let pdelta =
+    if !profile_b > 0.0 then (!profile_f /. !profile_b -. 1.0) *. 100.0 else 0.0
+  in
+  Printf.printf "total profile time: %.1f -> %.1f ms (%+.1f%%, tolerance +%.0f%%)\n"
+    !profile_b !profile_f pdelta !tol;
+  if pdelta > !tol then fail "profile time regression beyond tolerance";
   exit (if !failed then 1 else 0)

@@ -1,14 +1,15 @@
-(* A pipelined ring consumer: batches drain on a dedicated domain
-   while the VM keeps executing.
+(* The one way to run a ring consumer: an inline sink, or batches
+   drained on a dedicated domain while the VM keeps executing.
 
-   The serial measure path interleaves execution and simulation on one
-   core; with a second core available the drain can ride shotgun — the
+   The serial path interleaves execution and simulation on one core;
+   with a second core available the drain can ride shotgun — the
    ring's sink hands the filled buffer pair to a worker domain, swaps
    fresh (or recycled) arrays into the ring, and returns immediately.
    The worker drains handed-off batches strictly in FIFO order through
-   the same [drain] callback the serial sink would use, so the
-   simulated cache state and every counter are byte-equal to the
-   serial path — only the wall-clock overlap changes.
+   the same [drain] callback the inline sink would call, so the
+   simulated cache state, every counter and every PMU sample (taken
+   inside the drain) are byte-equal to the serial path — only the
+   wall-clock overlap changes.
 
    Flow control is a bounded buffer pool: at most [depth] buffer pairs
    circulate beyond the one living in the ring. When the pool is dry
@@ -18,10 +19,7 @@
 
    Not suitable for consumers that must observe sampler or hierarchy
    state synchronously with the VM (the K>0 bulk-advance check): those
-   stay on serial sinks. The driver uses this only for the
-   exact-fidelity measure phase, and only when the host has more than
-   one core. Profile collection could use it too — its PMU samples
-   inside the drain — but measured slower there, so it stays serial. *)
+   pass [~pipeline:false]. *)
 
 type t = {
   drain : int array -> int array -> int -> unit;
@@ -33,8 +31,8 @@ type t = {
   mutable spares_made : int;
   depth : int;
   mutable stopping : bool;
-  mutable failed : exn option;  (* first drain exception, re-raised by join *)
-  mutable dom : unit Domain.t option;
+  mutable failed : (exn * Printexc.raw_backtrace) option;
+      (* the first drain exception, re-raised once the body returns *)
 }
 
 let rec worker t =
@@ -45,66 +43,38 @@ let rec worker t =
   if Queue.is_empty t.q then Mutex.unlock t.mu (* stopping and drained *)
   else begin
     let a, m, n = Queue.pop t.q in
+    let live = Option.is_none t.failed in
     Mutex.unlock t.mu;
     (* after a failure keep recycling buffers (so the producer never
        deadlocks) but stop simulating: the run's counters are already
        lost *)
-    (match t.failed with
-    | None -> ( try t.drain a m n with e -> t.failed <- Some e)
-    | Some _ -> ());
+    let err =
+      try if live then t.drain a m n; None
+      with e -> Some (e, Printexc.get_raw_backtrace ())
+    in
     Mutex.lock t.mu;
+    if live then t.failed <- err;
     t.spares <- (a, m) :: t.spares;
     Condition.signal t.nonfull;
     Mutex.unlock t.mu;
     worker t
   end
 
-let create ?(depth = 2) ~drain () =
-  if depth <= 0 then invalid_arg "Drainer.create: depth must be positive";
-  let t =
-    {
-      drain;
-      mu = Mutex.create ();
-      nonempty = Condition.create ();
-      nonfull = Condition.create ();
-      q = Queue.create ();
-      spares = [];
-      spares_made = 0;
-      depth;
-      stopping = false;
-      failed = None;
-      dom = None;
-    }
-  in
-  t.dom <- Some (Domain.spawn (fun () -> worker t));
-  t
-
 let sink t (rg : Ring.t) =
   let n = rg.Ring.len in
   if n > 0 then begin
     Mutex.lock t.mu;
-    let sa, sm =
-      match t.spares with
-      | p :: rest ->
-        t.spares <- rest;
-        p
-      | [] ->
-        if t.spares_made < t.depth then begin
-          t.spares_made <- t.spares_made + 1;
-          (Array.make (Array.length rg.Ring.addrs) 0,
-           Array.make (Array.length rg.Ring.metas) 0)
-        end
-        else begin
-          while t.spares = [] do
-            Condition.wait t.nonfull t.mu
-          done;
-          match t.spares with
-          | p :: rest ->
-            t.spares <- rest;
-            p
-          | [] -> assert false
-        end
-    in
+    if t.spares = [] && t.spares_made < t.depth then begin
+      t.spares_made <- t.spares_made + 1;
+      t.spares <-
+        [ (Array.make (Array.length rg.Ring.addrs) 0,
+           Array.make (Array.length rg.Ring.metas) 0) ]
+    end;
+    while t.spares = [] do
+      Condition.wait t.nonfull t.mu
+    done;
+    let sa, sm = List.hd t.spares in
+    t.spares <- List.tl t.spares;
     Queue.push (rg.Ring.addrs, rg.Ring.metas, n) t.q;
     Condition.signal t.nonempty;
     Mutex.unlock t.mu;
@@ -113,18 +83,55 @@ let sink t (rg : Ring.t) =
     (* Ring.flush resets len after the sink returns *)
   end
 
-let join t =
+(* stop the worker once the queue is empty and wait for it; [abort]
+   (the body raised) drops the batches still queued *)
+let stop t dom ~abort =
   Mutex.lock t.mu;
   t.stopping <- true;
+  if abort then Queue.clear t.q;
   Condition.signal t.nonempty;
   Mutex.unlock t.mu;
-  (match t.dom with
-  | Some d ->
-    Domain.join d;
-    t.dom <- None
-  | None -> ());
-  match t.failed with
-  | Some e ->
-    t.failed <- None;
-    raise e
-  | None -> ()
+  Domain.join dom
+
+let run ?(pipeline = Domain.recommended_domain_count () > 1) ?cap
+    ?(depth = 2) ~drain body =
+  if depth <= 0 then invalid_arg "Drainer.run: depth must be positive";
+  let ring = Ring.create ?cap () in
+  let body () =
+    let x = body ring in
+    Ring.flush ring;
+    x
+  in
+  if not pipeline then begin
+    Ring.set_sink ring (fun r -> drain r.Ring.addrs r.Ring.metas r.Ring.len);
+    body ()
+  end
+  else begin
+    let t =
+      {
+        drain;
+        mu = Mutex.create ();
+        nonempty = Condition.create ();
+        nonfull = Condition.create ();
+        q = Queue.create ();
+        spares = [];
+        spares_made = 0;
+        depth;
+        stopping = false;
+        failed = None;
+      }
+    in
+    let dom = Domain.spawn (fun () -> worker t) in
+    Ring.set_sink ring (sink t);
+    match body () with
+    | x -> (
+      stop t dom ~abort:false;
+      match t.failed with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> x)
+    | exception e ->
+      (* the body's error wins; the drain's, if any, is dropped *)
+      let bt = Printexc.get_raw_backtrace () in
+      stop t dom ~abort:true;
+      Printexc.raise_with_backtrace e bt
+  end

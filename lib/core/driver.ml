@@ -43,42 +43,18 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
   let module Drainer = Slo_cachesim.Drainer in
   match Sampled.of_fidelity config fidelity with
   | None ->
-    (* exact: the VM appends packed events to a ring; the sink drains
+    (* exact: the VM appends packed events to a ring; the drain runs
        whole batches through the hierarchy. Counters are byte-equal to
        the old per-access hook (Hierarchy.drain_quiet's contract) at a
        fraction of the per-event cost. With a second core available
        the drain runs on a worker domain, overlapped with execution
        (identical counters — the drainer preserves batch order); on a
-       single core the serial sink is cheaper than the handoff. *)
-    let pipeline =
-      match pipeline with
-      | Some b -> b
-      | None -> Domain.recommended_domain_count () > 1
-    in
+       single core the inline sink is cheaper than the handoff. *)
     let hier = Hierarchy.create config in
-    let ring = Ring.create () in
-    let drainer =
-      if pipeline then begin
-        let d =
-          Drainer.create
-            ~drain:(fun addrs metas n ->
-              Hierarchy.drain_quiet hier addrs metas 0 n)
-            ()
-        in
-        Ring.set_sink ring (Drainer.sink d);
-        Some d
-      end
-      else begin
-        Ring.set_sink ring (fun r ->
-            Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-        None
-      end
-    in
-    let vm = Backend.create ~ring backend prog in
     let result =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Drainer.join drainer)
-        (fun () -> Backend.run ~args vm)
+      Drainer.run ?pipeline
+        ~drain:(fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n)
+        (fun ring -> Backend.run ~args (Backend.create ~ring backend prog))
     in
     {
       m_result = result;
@@ -95,24 +71,27 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
        skip segment; with the default full-warming layout it could never
        accept, and its mere presence forces dual-body compilation.
        Buffered ring events precede the bulk accesses in stream order,
-       so the bulk hook flushes before advancing *)
-    let ring = Ring.create () in
-    Ring.set_sink ring (fun r ->
-        Sampled.drain smp r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-    let vm =
-      match fidelity with
-      | Sampled.Sampled { skip; _ } when skip > 0 ->
-        let bulk_hook n =
-          if Sampled.bulk_ready smp ~pending:(Ring.length ring) n then begin
-            Ring.flush ring;
-            Sampled.try_advance smp n
-          end
-          else false
-        in
-        Backend.create ~ring ~bulk_hook backend prog
-      | _ -> Backend.create ~ring backend prog
+       so the bulk hook flushes before advancing; it reads sampler
+       state, so the drain stays inline *)
+    let result =
+      Drainer.run ~pipeline:false
+        ~drain:(fun addrs metas n -> Sampled.drain smp addrs metas 0 n)
+        (fun ring ->
+          let vm =
+            match fidelity with
+            | Sampled.Sampled { skip; _ } when skip > 0 ->
+              let bulk_hook n =
+                if Sampled.bulk_ready smp ~pending:(Ring.length ring) n then begin
+                  Ring.flush ring;
+                  Sampled.try_advance smp n
+                end
+                else false
+              in
+              Backend.create ~ring ~bulk_hook backend prog
+            | _ -> Backend.create ~ring backend prog
+          in
+          Backend.run ~args vm)
     in
-    let result = Backend.run ~args vm in
     {
       m_result = result;
       m_cycles = result.steps + Sampled.est_extra_cycles smp;

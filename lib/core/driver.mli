@@ -54,7 +54,7 @@ val measure :
 
     [pipeline] (default: on when the host has more than one core)
     drains exact-fidelity ring batches on a worker domain overlapped
-    with VM execution via {!Slo_cachesim.Drainer}; counters are
+    with VM execution via {!Slo_cachesim.Drainer.run}; counters are
     byte-equal to the serial drain either way. Ignored under sampled
     fidelities, whose bulk fast-forward check must observe sampler
     state synchronously with the VM.

@@ -2,7 +2,7 @@ module Interp = Slo_vm.Interp
 module Backend = Slo_vm.Backend
 module Hierarchy = Slo_cachesim.Hierarchy
 module Pmu = Slo_cachesim.Pmu
-module Ring = Slo_cachesim.Ring
+module Drainer = Slo_cachesim.Drainer
 module Edges = Slo_vm.Edges
 
 type run_stats = {
@@ -13,7 +13,7 @@ type run_stats = {
 
 let collect ?(args = []) ?(instrument = true)
     ?(config = Hierarchy.itanium) ?(sample_period = 251)
-    ?(backend = Backend.default) (prog : Ir.program) =
+    ?(backend = Backend.default) ?pipeline (prog : Ir.program) =
   let hier = Hierarchy.create config in
   (* instrumentation perturbs sampling alignment a little: model it as a
      phase offset (the paper measures the effect as correlation 0.996
@@ -21,14 +21,14 @@ let collect ?(args = []) ?(instrument = true)
   let pmu = Pmu.create ~period:sample_period ~phase:(if instrument then 17 else 0) () in
   Pmu.attach pmu hier;
   let edges = if instrument then Some (Edges.create prog) else None in
-  (* the measure phase's serial sink: memory events arrive batched
-     through a ring and the drain is the PMU. Collection stays serial —
-     on a second core the pipelined drainer made it slower *)
-  let ring = Ring.create () in
-  Ring.set_sink ring (fun r ->
-      Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-  let vm = Backend.create ~ring ?edges backend prog in
-  let result = Backend.run ~args vm in
+  (* the exact measure phase's event path: memory events arrive batched
+     through a ring and the drain is the PMU, so with a second core the
+     sampling runs on the drain's domain, in the same batch order *)
+  let result =
+    Drainer.run ?pipeline
+      ~drain:(fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n)
+      (fun ring -> Backend.run ~args (Backend.create ~ring ?edges backend prog))
+  in
   (* assemble the feedback file *)
   let fb = Feedback.create () in
   List.iter

@@ -26,10 +26,15 @@ val collect :
   ?config:Slo_cachesim.Hierarchy.config ->
   ?sample_period:int ->
   ?backend:Slo_vm.Backend.t ->
+  ?pipeline:bool ->
   Ir.program ->
   Feedback.t * run_stats
 (** Defaults: [instrument = true], Itanium-like hierarchy, period 251,
     the compiled VM engine ({!Slo_vm.Backend.default}). Both backends
     count the same edges and drive the same memory-event stream, so the feedback, the
     PMU event count and the hierarchy counters are backend independent
-    (pinned per roster program by [test_profile]). *)
+    (pinned per roster program by [test_profile]).
+
+    [pipeline] (default: on when the host has more than one core)
+    drains the ring, PMU sampling included, on a worker domain via
+    {!Slo_cachesim.Drainer.run}; the results are byte-equal either way. *)

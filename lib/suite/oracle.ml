@@ -21,6 +21,7 @@ module Backend = Slo_vm.Backend
 module Hierarchy = Slo_cachesim.Hierarchy
 module Cache = Slo_cachesim.Cache
 module Ring = Slo_cachesim.Ring
+module Drainer = Slo_cachesim.Drainer
 module D = Slo_core.Driver
 module H = Slo_core.Heuristics
 module T = Slo_core.Transform
@@ -192,40 +193,41 @@ let string_of_backend_mismatch =
    hierarchy counters happen to agree (and PMU attribution would not) *)
 type stream = { mutable events : int; mutable digest : int }
 
-let fold_events st (r : Ring.t) =
+let fold_events st addrs metas n =
   let h = ref st.digest in
-  for k = 0 to r.Ring.len - 1 do
-    h := (!h lxor r.Ring.addrs.(k)) * 0x100000001b3;
-    h := (!h lxor r.Ring.metas.(k)) * 0x100000001b3
+  for k = 0 to n - 1 do
+    h := (!h lxor addrs.(k)) * 0x100000001b3;
+    h := (!h lxor metas.(k)) * 0x100000001b3
   done;
   st.digest <- !h;
-  st.events <- st.events + r.Ring.len
+  st.events <- st.events + n
 
-(* Both engines measure through the ring and digest its stream. The
-   walker's ring is drained one access at a time through
-   [Hierarchy.access_quiet], the compiled engine's through the batched
-   [Hierarchy.drain_quiet] the driver's measure phase runs, so the
-   counter comparison below pins two things at once: engine
+(* Both engines measure through the exact-run primitive and digest its
+   stream. The walker's events are simulated one access at a time
+   through [Hierarchy.access_quiet], the compiled engine's through the
+   batched [Hierarchy.drain_quiet] the driver's measure phase runs, so
+   the counter comparison below pins two things at once: engine
    equivalence AND the batched drain's byte-equality with per-access
    simulation, across the whole roster and the fuzzer's random
    programs. *)
 let measured_run backend ~args ~config (prog : Ir.program) =
   let hier = Hierarchy.create config in
   let st = { events = 0; digest = 0 } in
-  let ring = Ring.create () in
-  Ring.set_sink ring (fun r ->
-      fold_events st r;
-      match backend with
-      | Backend.Walk ->
-        for k = 0 to r.Ring.len - 1 do
-          let m = r.Ring.metas.(k) in
-          Hierarchy.access_quiet hier ~addr:r.Ring.addrs.(k)
-            ~size:(Ring.meta_size m) ~write:(Ring.meta_write m)
-            ~is_float:(Ring.meta_float m)
-        done
-      | Backend.Superblock ->
-        Hierarchy.drain_quiet hier r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-  (Backend.run ~args (Backend.create ~ring backend prog), hier, st)
+  let drain addrs metas n =
+    fold_events st addrs metas n;
+    match backend with
+    | Backend.Walk ->
+      for k = 0 to n - 1 do
+        let m = metas.(k) in
+        Hierarchy.access_quiet hier ~addr:addrs.(k) ~size:(Ring.meta_size m)
+          ~write:(Ring.meta_write m) ~is_float:(Ring.meta_float m)
+      done
+    | Backend.Superblock -> Hierarchy.drain_quiet hier addrs metas 0 n
+  in
+  ( Drainer.run ~drain (fun ring ->
+        Backend.run ~args (Backend.create ~ring backend prog)),
+    hier,
+    st )
 
 let candidates = List.filter (fun b -> b <> Backend.Walk) Backend.all
 

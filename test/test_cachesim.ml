@@ -466,7 +466,40 @@ let prop_sampling_drain_matches_record =
 
 module Drainer = Slo_cachesim.Drainer
 
-(* the worker-domain drainer: same events through a small ring with
+(* The drain as PMU on the worker domain: the same property through
+   [Drainer.run ~pipeline:true] at random ring capacities, so batch
+   handoffs (and buffer swaps) land anywhere in the stream *)
+let prop_pipelined_sampling_drain_matches_record =
+  QCheck.Test.make ~count:200
+    ~name:"pipelined sampling drain = access + Pmu.record"
+    QCheck.(
+      quad
+        (make gen_hier_config ~print:print_hier_config)
+        (make gen_events ~print:print_events)
+        (pair (int_range 1 13) (int_range (-20) 20))
+        (int_range 1 64))
+    (fun (cfg, events, (period, phase), cap) ->
+      let per = Hierarchy.create cfg and dra = Hierarchy.create cfg in
+      let p_per = Pmu.create ~period ~phase ()
+      and p_dra = Pmu.create ~period ~phase () in
+      Pmu.attach p_dra dra;
+      List.iteri
+        (fun i (addr, size, write, is_float) ->
+          let latency, level = Hierarchy.access per ~addr ~size ~write ~is_float in
+          Pmu.record p_per ~iid:(i mod 5) ~level ~latency ~is_float)
+        events;
+      Drainer.run ~pipeline:true ~cap
+        ~drain:(fun a m n -> Hierarchy.drain_quiet dra a m 0 n)
+        (fun rg ->
+          List.iteri
+            (fun i (addr, size, write, is_float) ->
+              Ring.push rg addr (Ring.meta ~size ~write ~is_float ~iid:(i mod 5)))
+            events);
+      Pmu.by_instr p_per = Pmu.by_instr p_dra
+      && Pmu.events_seen p_per = Pmu.events_seen p_dra
+      && hier_state_eq per dra)
+
+(* the worker-domain drain: same events through a small ring with
    buffer handoff (many swaps, back-pressure) must leave the hierarchy
    byte-equal to one serial drain call *)
 let drainer_matches_serial () =
@@ -487,35 +520,45 @@ let drainer_matches_serial () =
         ~iid:i
   done;
   Hierarchy.drain_quiet serial addrs metas 0 n;
-  let rg = Ring.create ~cap:64 () in
-  let d =
-    Drainer.create
-      ~drain:(fun a m len -> Hierarchy.drain_quiet piped a m 0 len)
-      ()
-  in
-  Ring.set_sink rg (Drainer.sink d);
-  for i = 0 to n - 1 do
-    Ring.push rg addrs.(i) metas.(i)
-  done;
-  Ring.flush rg;
-  Drainer.join d;
+  Drainer.run ~pipeline:true ~cap:64
+    ~drain:(fun a m len -> Hierarchy.drain_quiet piped a m 0 len)
+    (fun rg ->
+      for i = 0 to n - 1 do
+        Ring.push rg addrs.(i) metas.(i)
+      done);
   Alcotest.(check bool) "pipelined drain byte-equal to serial" true
     (hier_state_eq serial piped)
 
-(* join re-raises the first drain failure and never deadlocks the
-   producer even when every batch fails *)
-let drainer_join_reraises () =
-  let d =
-    Drainer.create ~depth:1 ~drain:(fun _ _ _ -> failwith "drain boom") ()
-  in
-  let rg = Ring.create ~cap:8 () in
-  Ring.set_sink rg (Drainer.sink d);
-  for i = 0 to 99 do
+let push_events rg n =
+  for i = 0 to n - 1 do
     Ring.push rg i (Ring.meta ~size:1 ~write:false ~is_float:false ~iid:i)
-  done;
-  Ring.flush rg;
-  Alcotest.check_raises "first failure surfaces at join"
-    (Failure "drain boom") (fun () -> Drainer.join d)
+  done
+
+(* the first drain failure surfaces as itself (not wrapped) once the
+   body returns, inline or pipelined, and never deadlocks the producer
+   even when every batch fails *)
+let drainer_join_reraises () =
+  List.iter
+    (fun pipeline ->
+      Alcotest.check_raises
+        (Printf.sprintf "first failure surfaces (pipeline=%b)" pipeline)
+        (Failure "drain boom")
+        (fun () ->
+          Drainer.run ~pipeline ~cap:8 ~depth:1
+            ~drain:(fun _ _ _ -> failwith "drain boom")
+            (fun rg -> push_events rg 100)))
+    [ true; false ]
+
+(* when the body and the worker's drain both fail, the body's error
+   wins and the worker is still joined *)
+let drainer_body_error_wins () =
+  Alcotest.check_raises "body's failure wins" (Failure "body boom")
+    (fun () ->
+      Drainer.run ~pipeline:true ~cap:8 ~depth:1
+        ~drain:(fun _ _ _ -> failwith "drain boom")
+        (fun rg ->
+          push_events rg 100;
+          failwith "body boom"))
 
 let extra_cycles_accumulate () =
   let h = Hierarchy.create Hierarchy.small in
@@ -671,8 +714,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_sampling_drain_matches_record;
           Alcotest.test_case "drainer matches serial" `Quick
             drainer_matches_serial;
+          QCheck_alcotest.to_alcotest
+            prop_pipelined_sampling_drain_matches_record;
           Alcotest.test_case "drainer join re-raises" `Quick
             drainer_join_reraises;
+          Alcotest.test_case "drainer body error wins" `Quick
+            drainer_body_error_wins;
         ] );
       ( "pmu",
         [

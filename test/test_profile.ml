@@ -115,11 +115,11 @@ let pbo_matches_truth () =
 
 (* A collection run as one string: the feedback file, the PMU event
    count, every hierarchy counter, the steps and the output. *)
-let collect_canon ~instrument backend (e : Slo_suite.Suite.entry) =
+let collect_canon ~instrument ~pipeline backend (e : Slo_suite.Suite.entry) =
   let prog = Slo_core.Driver.compile e.source in
   let args = List.map (fun a -> max 1 (a / 8)) e.train_args in
   let fb, (rs : Collect.run_stats) =
-    Collect.collect ~args ~instrument ~backend prog
+    Collect.collect ~args ~instrument ~backend ~pipeline prog
   in
   let module H = Slo_cachesim.Hierarchy in
   let module C = Slo_cachesim.Cache in
@@ -168,24 +168,84 @@ let seed_digests =
   ]
 
 (* both backends collect the same run, and it is the run the
-   per-access collector collected *)
+   per-access collector collected; the compiled engine's runs drain
+   both inline and on the worker domain, on every host *)
 let feedback_identity (name, instrumented, plain) () =
   let e = Slo_suite.Suite.find name in
   let digest s = Digest.to_hex (Digest.string s) in
-  let runs =
+  let run ~instrument ~pipeline b =
+    ( Printf.sprintf "%s pipeline=%b" (Slo_vm.Backend.to_string b) pipeline,
+      collect_canon ~instrument ~pipeline b e )
+  in
+  let compiled ~instrument =
     List.map
-      (fun b -> (b, collect_canon ~instrument:true b e))
-      Slo_vm.Backend.all
+      (fun pipeline -> run ~instrument ~pipeline Slo_vm.Backend.Superblock)
+      [ false; true ]
+  in
+  let runs =
+    run ~instrument:true ~pipeline:false Slo_vm.Backend.Walk
+    :: compiled ~instrument:true
   in
   let _, walk = List.hd runs in
   List.iter
-    (fun (b, s) ->
-      let b = Slo_vm.Backend.to_string b in
-      Alcotest.(check string) (b ^ " = walk") walk s;
-      Alcotest.(check string) (b ^ " = old collector") instrumented (digest s))
+    (fun (run, s) ->
+      Alcotest.(check string) (run ^ " = walk") walk s;
+      Alcotest.(check string) (run ^ " = old collector") instrumented (digest s))
     runs;
-  Alcotest.(check string) "uninstrumented = old collector" plain
-    (digest (collect_canon ~instrument:false Slo_vm.Backend.Superblock e))
+  List.iter
+    (fun (run, s) ->
+      Alcotest.(check string) ("uninstrumented " ^ run ^ " = old collector")
+        plain (digest s))
+    (compiled ~instrument:false)
+
+(* -------------------- faults through the drain -------------------- *)
+
+(* enough traffic to hand batches to the drain, then a null-page load *)
+let faulting_src =
+  "struct s { long a; long b; };\n\
+   int main(int n) { long *q; struct s *p; int i; long t; t = 0;\n\
+   q = (long*)malloc(512 * sizeof(long));\n\
+   for (i = 0; i < n; i++) { q[i % 512] = i; t = t + q[(i * 7) % 512]; }\n\
+   p = (struct s*)0; return (int)(p->b + t); }"
+
+let fault_of f =
+  match f () with
+  | exception Slo_vm.Backend.Runtime_error m -> m
+  | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected a memory fault"
+
+let faulting_runs =
+  let prog = lazy (Slo_core.Driver.compile faulting_src) in
+  [
+    ( "measure",
+      fun ~pipeline ->
+        ignore
+          (Slo_core.Driver.measure ~args:[ 20000 ] ~pipeline (Lazy.force prog))
+    );
+    ( "collect",
+      fun ~pipeline ->
+        ignore (Collect.collect ~args:[ 20000 ] ~pipeline (Lazy.force prog)) );
+  ]
+
+(* a VM fault surfaces as itself from the pipelined drain, not wrapped
+   in the worker's join *)
+let fault_surfaces_unwrapped () =
+  List.iter
+    (fun (name, run) ->
+      let serial = fault_of (fun () -> run ~pipeline:false) in
+      Alcotest.(check string) (name ^ " fault")
+        "memory fault: null-page access at 0x8" serial;
+      Alcotest.(check string) (name ^ " pipelined = inline") serial
+        (fault_of (fun () -> run ~pipeline:true)))
+    faulting_runs
+
+(* every faulting pipelined run joins its worker domain: more runs than
+   the runtime's cap on live domains (128) still finish *)
+let faulting_runs_join_workers () =
+  for i = 1 to 200 do
+    let _, run = List.nth faulting_runs (i mod 2) in
+    ignore (fault_of (fun () -> run ~pipeline:true))
+  done
 
 (* ------------------------- SPBO ------------------------- *)
 
@@ -379,6 +439,13 @@ let () =
           (fun ((name, _, _) as row) ->
             Alcotest.test_case name `Quick (feedback_identity row))
           seed_digests );
+      ( "faults",
+        [
+          Alcotest.test_case "surface unwrapped" `Quick
+            fault_surfaces_unwrapped;
+          Alcotest.test_case "200 runs join their workers" `Quick
+            faulting_runs_join_workers;
+        ] );
       ( "spbo",
         [
           Alcotest.test_case "loop freq" `Quick spbo_loop_freq;
