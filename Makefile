@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate serve-smoke serve-load tune-smoke lint perf clean
+.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate serve-smoke serve-load tune-smoke lint perf loc clean
 
 # worker domains for the bench harness
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
@@ -145,6 +145,14 @@ perf:
 	  _artifacts/BENCH-superblock.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-superblock.json \
 	  _artifacts/BENCH-sampled.json
+
+# tracked line count per top-level source directory, the net line
+# count a change is measured by; from git ls-files, so build outputs
+# and untracked files never count
+loc:
+	@for d in lib bin bench test; do \
+	  printf '%-6s %7d\n' $$d $$(git ls-files -z $$d | xargs -0 cat | wc -l); \
+	done
 
 clean:
 	dune clean

@@ -128,7 +128,7 @@ let descend_with t (k2 : int -> int) l1_base : bool =
   end
 
 (* The one and only implementation of the service/descent rule, shared
-   by the recorded paths ([access]/[access_quiet], probing through
+   by the recorded path ([access], probing through
    [Cache.k_access]) and the warming path ([warm], probing through
    [Cache.k_touch]) so the two can never drift:
 
@@ -193,22 +193,6 @@ let access t ~addr ~size ~write:_ ~is_float =
     t.extra <- t.extra + t.mem_extra;
     (t.cfg.mem_lat, Mem)
 
-(* the per-access measurement path: no result tuple (an L1 hit adds no
-   extra cycles, so only the counter bump remains) *)
-let access_quiet t ~addr ~size ~write:_ ~is_float =
-  t.memo_line <- -1;
-  t.n_access <- t.n_access + 1;
-  match
-    serve_with t t.c1.Cache.k_access t.c2.Cache.k_access ~addr ~size ~is_float
-  with
-  | L1 -> t.by_l1 <- t.by_l1 + 1
-  | L2 ->
-    t.by_l2 <- t.by_l2 + 1;
-    t.extra <- t.extra + t.l2_extra
-  | Mem ->
-    t.by_mem <- t.by_mem + 1;
-    t.extra <- t.extra + t.mem_extra
-
 let warm t ~addr ~size ~write:_ ~is_float =
   t.memo_line <- -1;
   ignore
@@ -223,14 +207,14 @@ let correct_skip t ~skipped ~observed =
 (* Batch drains                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Drain ring events [lo, hi) with [access_quiet] semantics. One call
-   replaces [hi - lo] hook invocations: the config constants, kernel
+(* Drain ring events [lo, hi) with [access] semantics. One call
+   replaces [hi - lo] [access] calls: the config constants, kernel
    closures and counters live in locals for the whole batch, and an
    event landing on the same line as the previous one skips the probe —
    the line is resident and most-recent in its set, so a full probe
    would hit at [memo_way]; the memo path replicates that probe's exact
    counter, tick and stamp effects. Counters after the drain are
-   byte-equal to feeding every event through [access_quiet] (a QCheck
+   byte-equal to feeding every event through [access] (a QCheck
    property pins this).
 
    The same loop is the PMU: every first-level miss event (an L2 or

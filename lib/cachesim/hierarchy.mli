@@ -54,10 +54,6 @@ val access : t -> addr:int -> size:int -> write:bool -> is_float:bool -> int * l
     L2 traffic nor perturb L2's LRU state. The same rule applies at the
     L2→memory boundary: only L2-missing lines count as memory traffic. *)
 
-val access_quiet : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
-(** {!access} for callers that only want the counters updated (the plain
-    measurement hook) — avoids building the result on the hot path. *)
-
 val warm : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
 (** Update cache state — tags and LRU, in both levels, following the
     exact same line-descent rules as {!access} — without recording
@@ -68,7 +64,7 @@ val warm : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
 val drain_quiet : t -> int array -> int array -> int -> int -> unit
 (** [drain_quiet t addrs metas lo hi] feeds ring events [lo, hi) (see
     {!Ring} for the packing) through the measurement path. Counters and
-    cache state afterwards are byte-equal to calling {!access_quiet}
+    cache state afterwards are byte-equal to calling {!access}
     once per event in order — pinned by a QCheck property — but the
     batch loop hoists the config constants and kernels once and skips
     the probe entirely when an event lands on the same line as its

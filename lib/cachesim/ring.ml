@@ -3,10 +3,10 @@
    The VM backends append one event per executed load/store (and per
    memset/memcpy chunk) into two flat int arrays — no allocation, no
    closure call on the push path — and a consumer drains the whole
-   batch in a single call when the ring fills (or at end of run). This
-   replaces the per-access hook closure that dominated the measure
-   phase's "hook floor" (EXPERIMENTS.md): the push is two unsafe
-   stores plus a bounds check, and the event metadata of a compiled
+   batch in a single call when the ring fills (or at end of run). It
+   is the only way memory events leave the VM, and it is cheap enough
+   for the measure phase's hot path: the push is two unsafe stores
+   plus a bounds check, and the event metadata of a compiled
    load/store is a compile-time constant.
 
    Event format: [addrs.(i)] is the byte address; [metas.(i)] packs
@@ -22,9 +22,10 @@
 
    The record is deliberately transparent: [Compile] inlines the push
    sequence into its load/store closures (without flambda a
-   cross-module [Ring.push] call would cost as much as the hook it
-   replaces), and drain loops read [addrs]/[metas]/[len] directly.
-   Everyone else should treat the fields as private. *)
+   cross-module [Ring.push] call would cost a call per event),
+   [Slo_vm] resets a stale [len] at the start of a run, and drain
+   loops read [addrs]/[metas]/[len] directly. Everyone else should
+   treat the fields as private. *)
 
 type t = {
   mutable addrs : int array;
@@ -61,7 +62,7 @@ let flush t =
   end
 
 (* the out-of-line push, for callers outside the compiled hot path
-   (e.g. the tree-walker's synthesized hook) *)
+   (the tree-walking interpreter, memset/memcpy chunks) *)
 let push t addr meta =
   if t.len = t.cap then flush t;
   let i = t.len in

@@ -1,7 +1,8 @@
 (** A preallocated batch ring of packed memory-access events.
 
     The VM backends append events (address + packed metadata) into two
-    flat int arrays; the consumer — {!Hierarchy.drain_quiet},
+    flat int arrays — the only way memory events leave the VM; the
+    consumer — {!Hierarchy.drain_quiet},
     {!Sampled.drain} or the profile collector — drains the whole batch
     in one call whenever the ring fills or the run finishes. Batching
     kills the per-access closure indirection that the measure phase
@@ -12,8 +13,9 @@
     The record is exposed so the compiled VM engine can inline the
     push sequence (cross-module calls are not inlined without
     flambda) and so drain loops can walk [addrs]/[metas] directly.
-    Treat the fields as read-only outside [Slo_vm.Compile] and the
-    drain implementations. *)
+    Treat the fields as read-only outside [Slo_vm] (which inlines the
+    push and resets a stale [len] at the start of a run) and the drain
+    implementations. *)
 
 type t = {
   mutable addrs : int array;
@@ -49,7 +51,7 @@ val flush : t -> unit
 val push : t -> int -> int -> unit
 (** [push t addr meta] appends one event, flushing first if the ring
     is full. The compiled VM inlines this sequence instead of calling
-    it; interpreter-side hooks use it as is. *)
+    it; the tree-walking interpreter calls it as is. *)
 
 (** {1 Metadata packing}
 

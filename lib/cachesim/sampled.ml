@@ -113,7 +113,7 @@ let access t ~addr ~size ~write ~is_float =
     in
     if p < t.window then begin
       t.last_line <- line;
-      Hierarchy.access_quiet t.h ~addr ~size ~write ~is_float
+      ignore (Hierarchy.access t.h ~addr ~size ~write ~is_float)
     end
     else if (* warm: a repeat of the just-touched line cannot change
                eviction order — it is already resident and most-recent

@@ -24,7 +24,7 @@
     configuration against the roster accuracy gate.
 
     With [stride = window] every access is detailed and the results are
-    exactly those of {!Hierarchy.access_quiet} — a property the unit
+    exactly those of {!Hierarchy.access} — a property the unit
     tests pin. The estimators scale window-recorded counters by
     total/recorded accesses; the roster accuracy gate
     ([test_sampled.ml], [bench/accuracy.exe]) bounds the resulting

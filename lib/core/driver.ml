@@ -45,7 +45,7 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
   | None ->
     (* exact: the VM appends packed events to a ring; the drain runs
        whole batches through the hierarchy. Counters are byte-equal to
-       the old per-access hook (Hierarchy.drain_quiet's contract) at a
+       per-access simulation (Hierarchy.drain_quiet's contract) at a
        fraction of the per-event cost. With a second core available
        the drain runs on a worker domain, overlapped with execution
        (identical counters — the drainer preserves batch order); on a

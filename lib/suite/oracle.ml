@@ -61,8 +61,9 @@ let describe r =
   if ok r then "oracle: ok"
   else String.concat "\n" (List.map string_of_failure r.r_failures)
 
-(* run the program and count dynamically executed tagged accesses per
-   field name; names survive every transformation (split distributes the
+(* run the program on the reference engine and count dynamically
+   executed tagged accesses per field name, by the iid each ring event
+   carries; names survive every transformation (split distributes the
    field records, peel gives each piece its field's name, rebuild keeps
    them), so they are the stable key to compare across the rewrite. The
    synthetic link field never existed before the transform and is
@@ -89,15 +90,18 @@ let counted_run ~args (prog : Ir.program) : Interp.result * (string, int) Hashtb
         f.fblocks)
     prog.funcs;
   let counts = Hashtbl.create 32 in
-  let mem_hook _addr _size _write _is_float iid =
-    match Hashtbl.find_opt tag_of iid with
-    | Some name ->
-      Hashtbl.replace counts name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
-    | None -> ()
+  let drain _addrs metas n =
+    for k = 0 to n - 1 do
+      match Hashtbl.find_opt tag_of (Ring.meta_iid metas.(k)) with
+      | Some name ->
+        Hashtbl.replace counts name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
+      | None -> ()
+    done
   in
-  let vm = Interp.create ~mem_hook prog in
-  (Interp.run ~args vm, counts)
+  ( Drainer.run ~pipeline:false ~drain (fun ring ->
+        Backend.run ~args (Backend.create ~ring Backend.Walk prog)),
+    counts )
 
 (* field names defined by some struct of the program *)
 let field_names (prog : Ir.program) =
@@ -204,7 +208,7 @@ let fold_events st addrs metas n =
 
 (* Both engines measure through the exact-run primitive and digest its
    stream. The walker's events are simulated one access at a time
-   through [Hierarchy.access_quiet], the compiled engine's through the
+   through [Hierarchy.access], the compiled engine's through the
    batched [Hierarchy.drain_quiet] the driver's measure phase runs, so
    the counter comparison below pins two things at once: engine
    equivalence AND the batched drain's byte-equality with per-access
@@ -219,8 +223,9 @@ let measured_run backend ~args ~config (prog : Ir.program) =
     | Backend.Walk ->
       for k = 0 to n - 1 do
         let m = metas.(k) in
-        Hierarchy.access_quiet hier ~addr:addrs.(k) ~size:(Ring.meta_size m)
-          ~write:(Ring.meta_write m) ~is_float:(Ring.meta_float m)
+        ignore
+          (Hierarchy.access hier ~addr:addrs.(k) ~size:(Ring.meta_size m)
+             ~write:(Ring.meta_write m) ~is_float:(Ring.meta_float m))
       done
     | Backend.Superblock -> Hierarchy.drain_quiet hier addrs metas 0 n
   in

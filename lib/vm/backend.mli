@@ -36,7 +36,6 @@ val of_string : string -> t option
 type vm
 
 val create :
-  ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
   ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
@@ -44,11 +43,13 @@ val create :
   t ->
   Ir.program ->
   vm
-(** [ring] is the batched alternative to [mem_hook] (mutually
-    exclusive, see {!Compile.create}): the compiled engine inlines the
-    event push; the [Walk] reference synthesizes a per-access push
-    hook. Either way {!run} flushes the tail, so the ring sink sees the
-    complete, identical event stream on every backend.
+(** [ring] receives the run's memory events, the only way they leave
+    the VM: the compiled engine inlines each push, the [Walk]
+    reference pushes through {!Slo_cachesim.Ring.push}. Both push the
+    same meta words, chunk memset/memcpy the same way, drop a stale
+    tail before a run and flush their tail on every exit, so the
+    ring's sink sees the complete, identical event stream on every
+    backend.
 
     [edges] (see {!Edges}) turns on edge profiling: every backend
     counts the same taken edges and function entries into the table.
@@ -62,7 +63,6 @@ val create :
 val run : ?args:int list -> vm -> result
 
 val run_program :
-  ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
   ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->

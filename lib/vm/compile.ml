@@ -19,12 +19,12 @@
      else — growth past the buffer, null-page faults — takes the
      [Memory] call the access would always have made, so faults,
      messages and growth are unchanged;
-   - the memory-event sink specialized away: a sink-free run compiles
-     to closures with no event plumbing, the measure path to closures
-     that push to the ring inline (same meta word, same order as
-     [with_event]); the per-access hook sink and rare operand shapes
-     (bit-fields, float-bank addresses, cross-bank movs) keep the
-     generic getter/setter compilation;
+   - the event ring specialized away: a ring-free run compiles to
+     closures with no event plumbing, the measure path to closures that
+     push to the ring inline (same meta word, same order as
+     [with_event]); rare operand shapes (bit-fields, float-bank
+     addresses, cross-bank movs) keep the generic getter/setter
+     compilation;
    - locals, globals, interned strings and function addresses folded to
      constant offsets, [Layout.sizeof] results and bit-field masks
      computed once per instruction;
@@ -49,7 +49,7 @@
    error if (and only if) the instruction is actually executed.
 
    [bulk_hook]: blocks with a statically known event count carry a
-   second, sink-free compilation of their body; when the bulk hook
+   second, ring-free compilation of their body; when the bulk hook
    accepts the block's event count the fast body runs instead, so a
    sampler fast-forwarding past a detailed window pays O(1) per
    superblock instead of O(accesses). *)
@@ -77,7 +77,7 @@ type bcode = {
        count is dynamic (calls nest events, memset/memcpy lengths are
        runtime values) or the bulk fast path is disabled *)
   bc_fast : (frame -> unit) array;
-    (* the same body compiled without the event sink; executed instead of
+    (* the same body compiled without the event ring; executed instead of
        [bc_body] when the bulk hook consumes all [bc_events] accesses *)
 }
 
@@ -97,15 +97,6 @@ type fcode = {
        count in row 0, at slot [fc_entry] *)
 }
 
-(* where a compiled load/store sends its access event: nowhere, a
-   per-access hook closure, or an inlined push into a batch ring.
-   Chosen once at [create]; every load/store closure is compiled
-   against exactly one case, so the hot path carries no dispatch. *)
-type sink =
-  | Snone
-  | Shook of (int -> int -> bool -> bool -> int -> unit)
-  | Sring of Ring.t
-
 type t = {
   mem : Memory.t;
   (* indexed like Ir.program.funcs, but resolved through the name table
@@ -117,13 +108,16 @@ type t = {
   mutable sp : int;
   mutable steps : int;
   max_steps : int;
-  sink : sink;
+  ring : Ring.t option;
+    (* where loads and stores push their access events, if anywhere.
+       Chosen once at [create]; every load/store closure is compiled
+       against exactly one case, so the hot path carries no dispatch *)
   edges : Edges.t option;
   bulk : int -> bool;
     (* [bulk n]: consume [n] upcoming accesses cheaply (true) or fall
-       back to per-access hook calls (false); constantly false unless a
+       back to per-access events (false); constantly false unless a
        [bulk_hook] was supplied at [create] time *)
-  bulk_on : bool;  (* a bulk hook AND an event sink were supplied *)
+  bulk_on : bool;  (* a bulk hook AND a ring were supplied *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -140,7 +134,7 @@ let exec_fcode t (fc : fcode) (frame : frame) : retval =
     t.steps <- s;
     if s > max_steps then error "step limit exceeded";
     (* retire the whole block's accesses through the bulk hook when it
-       accepts them (sampled fast-forward), and run the hook-free body;
+       accepts them (sampled fast-forward), and run the ring-free body;
        [bc_events] is -1 whenever that would be unsound *)
     let body =
       if bc.bc_events > 0 && bulk bc.bc_events then bc.bc_fast else bc.bc_body
@@ -177,61 +171,6 @@ let call_generic t (fc : fcode) (args : argval list) : retval =
   let res = exec_fcode t fc frame in
   t.sp <- saved_sp;
   res
-
-let touch_range h addr len write iid =
-  let pos = ref addr in
-  let remaining = ref len in
-  while !remaining > 0 do
-    let chunk = min 8 !remaining in
-    h !pos chunk write false iid;
-    pos := !pos + chunk;
-    remaining := !remaining - chunk
-  done
-
-(* the same chunking with events pushed into the ring — memset/memcpy
-   lengths are runtime values, so unlike a load/store the meta word is
-   not a compile-time constant here *)
-let touch_range_ring rg addr len write iid =
-  let pos = ref addr in
-  let remaining = ref len in
-  while !remaining > 0 do
-    let chunk = min 8 !remaining in
-    Ring.push rg !pos (Ring.meta ~size:chunk ~write ~is_float:false ~iid);
-    pos := !pos + chunk;
-    remaining := !remaining - chunk
-  done
-
-(* Wrap an address accessor so that evaluating it also records the
-   access event. The ring case is the measure phase's hot path: the
-   meta word folds to one immediate per compiled load/store, and the
-   push is two unsafe stores plus a full-check — no closure call, no
-   allocation; the whole simulation cost moves into the batched drain
-   at flush time. [Snone] adds nothing (the accessor is returned as
-   is), which keeps the bulk fast bodies and hook-free runs free of
-   event plumbing. *)
-let with_event ~sink ~(ga : frame -> int) ~size ~write ~is_float ~iid :
-    frame -> int =
-  match sink with
-  | Snone -> ga
-  | Shook h ->
-    fun f ->
-      let addr = ga f in
-      h addr size write is_float iid;
-      addr
-  | Sring rg ->
-    let m = Ring.meta ~size ~write ~is_float ~iid in
-    (* [addrs]/[metas] are re-read through [rg] on every push — a sink
-       is allowed to swap the buffers out (Drainer does), so hoisting
-       them into the closure environment would write into a retired
-       buffer after the first flush *)
-    fun f ->
-      let addr = ga f in
-      if rg.Ring.len = rg.Ring.cap then Ring.flush rg;
-      let i = rg.Ring.len in
-      Array.unsafe_set rg.Ring.addrs i addr;
-      Array.unsafe_set rg.Ring.metas i m;
-      rg.Ring.len <- i + 1;
-      addr
 
 (* ------------------------------------------------------------------ *)
 (* Register-direct forms                                               *)
@@ -305,8 +244,12 @@ let[@inline] store_float (mem : Memory.t) size a v =
   else if size = 8 then Memory.store_f64 mem ~addr:a v
   else Memory.store_f32 mem ~addr:a v
 
-(* the ring push of [with_event], for closures compiled with [ev] set;
-   [rg] is re-read on every push for the reason given there *)
+(* the inlined ring push, for closures compiled with [ev] set: two
+   unsafe stores plus a full-check, no call, no allocation. [addrs] and
+   [metas] are re-read through [rg] on every push — a sink is allowed
+   to swap the buffers out (Drainer does), so hoisting them into the
+   closure environment would write into a retired buffer after the
+   first flush *)
 let[@inline] emit ev rg m a =
   if ev then begin
     if rg.Ring.len = rg.Ring.cap then Ring.flush rg;
@@ -316,8 +259,25 @@ let[@inline] emit ev rg m a =
     rg.Ring.len <- i + 1
   end
 
-(* the ring a sink-free closure carries but never pushes to *)
+(* the ring a ring-free closure carries but never pushes to *)
 let no_ring = Ring.create ~cap:1 ()
+
+(* Wrap an address accessor so that evaluating it also records the
+   access event, for the generic load/store compilation: the meta word
+   folds to one immediate per compiled load/store and the push is
+   [emit]'s. Without a ring nothing is added (the accessor is returned
+   as is), which keeps the bulk fast bodies and ring-free runs free of
+   event plumbing. *)
+let with_event ~ring ~(ga : frame -> int) ~size ~write ~is_float ~iid :
+    frame -> int =
+  match ring with
+  | None -> ga
+  | Some rg ->
+    let m = Ring.meta ~size ~write ~is_float ~iid in
+    fun f ->
+      let addr = ga f in
+      emit true rg m addr;
+      addr
 
 (* Where a register-direct load or store takes its address from. Every
    form also writes the address to register [d], the destination of the
@@ -827,10 +787,10 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
     end
   in
   (* the generic load and store, for the shapes the register-direct
-     forms below leave out (bit-fields, the hook sink, cross-bank
-     operands): address accessor, event wrapper, [Memory] call and
-     result setter are separate closures *)
-  let compile_load ~sink ~iid r a ty acc : frame -> unit =
+     forms below leave out (bit-fields, cross-bank operands): address
+     accessor, event wrapper, [Memory] call and result setter are
+     separate closures *)
+  let compile_load ~ring ~iid r a ty acc : frame -> unit =
     let ga = geti a in
     match
       match acc with
@@ -841,7 +801,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       let mask = (1 lsl width) - 1 in
       let st = seti r in
       let ga =
-        with_event ~sink ~ga ~size:unit_size ~write:false ~is_float:false ~iid
+        with_event ~ring ~ga ~size:unit_size ~write:false ~is_float:false ~iid
       in
       fun f ->
         st f
@@ -851,21 +811,21 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       match ty with
       | Irty.Float ->
         let st = setf r in
-        let ga = with_event ~sink ~ga ~size:4 ~write:false ~is_float:true ~iid in
+        let ga = with_event ~ring ~ga ~size:4 ~write:false ~is_float:true ~iid in
         fun f -> st f (Memory.load_f32 mem ~addr:(ga f))
       | Irty.Double ->
         let st = setf r in
-        let ga = with_event ~sink ~ga ~size:8 ~write:false ~is_float:true ~iid in
+        let ga = with_event ~ring ~ga ~size:8 ~write:false ~is_float:true ~iid in
         fun f -> st f (Memory.load_f64 mem ~addr:(ga f))
       | _ ->
         let size = max 1 (min 8 (Layout.sizeof layout ty)) in
         let st = seti r in
         let ga =
-          with_event ~sink ~ga ~size ~write:false ~is_float:false ~iid
+          with_event ~ring ~ga ~size ~write:false ~is_float:false ~iid
         in
         fun f -> st f (Memory.load_int mem ~addr:(ga f) ~size))
   in
-  let compile_store ~sink ~iid a v ty acc : frame -> unit =
+  let compile_store ~ring ~iid a v ty acc : frame -> unit =
     let ga = geti a in
     match
       match acc with
@@ -876,7 +836,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       let gv = geti v in
       let mask = ((1 lsl width) - 1) lsl bit_off in
       let ga =
-        with_event ~sink ~ga ~size:unit_size ~write:true ~is_float:false ~iid
+        with_event ~ring ~ga ~size:unit_size ~write:true ~is_float:false ~iid
       in
       fun f ->
         let addr = ga f in
@@ -887,13 +847,13 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       match ty with
       | Irty.Float ->
         let gv = getf v in
-        let ga = with_event ~sink ~ga ~size:4 ~write:true ~is_float:true ~iid in
+        let ga = with_event ~ring ~ga ~size:4 ~write:true ~is_float:true ~iid in
         fun f ->
           let addr = ga f in
           Memory.store_f32 mem ~addr (gv f)
       | Irty.Double ->
         let gv = getf v in
-        let ga = with_event ~sink ~ga ~size:8 ~write:true ~is_float:true ~iid in
+        let ga = with_event ~ring ~ga ~size:8 ~write:true ~is_float:true ~iid in
         fun f ->
           let addr = ga f in
           Memory.store_f64 mem ~addr (gv f)
@@ -901,16 +861,16 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         let size = max 1 (min 8 (Layout.sizeof layout ty)) in
         let gv = geti v in
         let ga =
-          with_event ~sink ~ga ~size ~write:true ~is_float:false ~iid
+          with_event ~ring ~ga ~size ~write:true ~is_float:false ~iid
         in
         fun f ->
           let addr = ga f in
           Memory.store_int mem ~addr ~size (gv f))
   in
-  (* [sink] rather than [t.sink]: blocks whose access count is
-     statically known are compiled twice, once with the event sink and
-     once without, so the sampler's fast-forward can run the plain body *)
-  let compile_instr ~sink (i : Ir.instr) : frame -> unit =
+  (* [ring] rather than [t.ring]: blocks whose access count is
+     statically known are compiled twice, once with the ring and once
+     without, so the sampler's fast-forward can run the plain body *)
+  let compile_instr ~ring (i : Ir.instr) : frame -> unit =
     let iid = i.iid in
     match i.idesc with
     | Ir.Imov (r, o) ->
@@ -1008,9 +968,9 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         | Irty.Short -> fun f -> st f (truncate_int 2 (g f))
         | Irty.Int -> fun f -> st f (truncate_int 4 (g f))
         | _ -> fun f -> st f (g f)))
-    | Ir.Iload (r, a, ty, acc) -> compile_load ~sink ~iid r a ty acc
+    | Ir.Iload (r, a, ty, acc) -> compile_load ~ring ~iid r a ty acc
     | Ir.Istore (a, v, ty, acc) ->
-      compile_store ~sink ~iid a v ty acc
+      compile_store ~ring ~iid a v ty acc
     | Ir.Iaddrglob (r, g) -> (
       match Hashtbl.find_opt globals_addr g with
       | Some (addr, _) ->
@@ -1104,34 +1064,23 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       fun f -> Memory.free_heap mem (g f)
     | Ir.Imemset (d, v, n, _) -> (
       let gd = geti d and gv = geti v and gn = geti n in
-      match sink with
-      | Shook h ->
+      match ring with
+      | Some rg ->
         fun f ->
           let dst = gd f and byte = gv f and len = gn f in
-          touch_range h dst len true iid;
+          push_range rg dst len true iid;
           Memory.fill mem ~dst ~byte ~len
-      | Sring rg ->
-        fun f ->
-          let dst = gd f and byte = gv f and len = gn f in
-          touch_range_ring rg dst len true iid;
-          Memory.fill mem ~dst ~byte ~len
-      | Snone -> fun f -> Memory.fill mem ~dst:(gd f) ~byte:(gv f) ~len:(gn f))
+      | None -> fun f -> Memory.fill mem ~dst:(gd f) ~byte:(gv f) ~len:(gn f))
     | Ir.Imemcpy (d, s, n, _) -> (
       let gd = geti d and gs = geti s and gn = geti n in
-      match sink with
-      | Shook h ->
+      match ring with
+      | Some rg ->
         fun f ->
           let dst = gd f and src = gs f and len = gn f in
-          touch_range h src len false iid;
-          touch_range h dst len true iid;
+          push_range rg src len false iid;
+          push_range rg dst len true iid;
           Memory.blit mem ~dst ~src ~len
-      | Sring rg ->
-        fun f ->
-          let dst = gd f and src = gs f and len = gn f in
-          touch_range_ring rg src len false iid;
-          touch_range_ring rg dst len true iid;
-          Memory.blit mem ~dst ~src ~len
-      | Snone -> fun f -> Memory.blit mem ~dst:(gd f) ~src:(gs f) ~len:(gn f))
+      | None -> fun f -> Memory.blit mem ~dst:(gd f) ~src:(gs f) ~len:(gn f))
   in
   let never_ret : frame -> retval = fun _ -> RVoid in
   let row = Option.bind t.edges (fun e -> Edges.row e func.fname) in
@@ -1210,16 +1159,14 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
   in
   (* a register-direct load or store addressing through [form], or
      [None] for the shapes the generic compilation keeps: bit-fields,
-     a destination or stored value in the other bank, odd sizes, the
-     hook sink, and big-endian hosts *)
-  let fast_access ~sink form (i : Ir.instr) : (frame -> unit) option =
+     a destination or stored value in the other bank, odd sizes, and
+     big-endian hosts *)
+  let fast_access ~ring form (i : Ir.instr) : (frame -> unit) option =
     let ev, rg =
-      match sink with Sring rg -> (true, rg) | Snone | Shook _ -> (false, no_ring)
+      match ring with Some rg -> (true, rg) | None -> (false, no_ring)
     in
-    match sink with
-    | Shook _ -> None
-    | (Sring _ | Snone) when Sys.big_endian -> None
-    | Sring _ | Snone -> (
+    if Sys.big_endian then None
+    else (
       let plain = function
         | Some ac -> Prep.bitfield_info prog layout ac = None
         | None -> true
@@ -1290,11 +1237,11 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
   in
   (* the register-direct compilation of one instruction, or [None] for
      the generic one *)
-  let fast_instr ~sink (i : Ir.instr) : (frame -> unit) option =
+  let fast_instr ~ring (i : Ir.instr) : (frame -> unit) option =
     match i.idesc with
     | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
       when ireg a ->
-      fast_access ~sink (Abase (a, a, 0)) i
+      fast_access ~ring (Abase (a, a, 0)) i
     | Ir.Imov (r, Ir.Oreg x) when fl.(r) = fl.(x) ->
       if fl.(r) then Some (fun f -> wrf f r (rdf f x))
       else Some (fun f -> wr f r (rd f x))
@@ -1340,34 +1287,34 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
      the consumer's event, memory access and result write are
      byte-identical, and steps are counted from the IR ([bc_steps]
      below), not from the body array length. *)
-  let fuse_pair ~sink (i : Ir.instr) (j : Ir.instr) : (frame -> unit) option =
+  let fuse_pair ~ring (i : Ir.instr) (j : Ir.instr) : (frame -> unit) option =
     match addr_producer i with
     | Some ((Abase (d, _, _) | Aframe (d, _, _) | Aindex (d, _, _, _)) as form)
       -> (
       match j.idesc with
       | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
         when a = d ->
-        fast_access ~sink form j
+        fast_access ~ring form j
       | _ -> None)
     | None -> None
   in
-  let compile_instrs ~sink instrs =
+  let compile_instrs ~ring instrs =
     (* any compile-time failure on the register-direct route falls back
        to the generic compilation, where name-resolution and layout
        failures compile to raising closures so they surface only if the
        instruction runs, matching the tree-walker's lazy failure points *)
     let emit i =
-      match fast_instr ~sink i with
+      match fast_instr ~ring i with
       | Some code -> code
       | None | (exception _) -> (
-        match compile_instr ~sink i with
+        match compile_instr ~ring i with
         | code -> code
         | exception e -> fun _ -> raise e)
     in
     let rec go acc = function
       | [] -> List.rev acc
       | i :: (j :: rest as tl) -> (
-        match fuse_pair ~sink i j with
+        match fuse_pair ~ring i j with
         | Some code -> go (code :: acc) rest
         | None | (exception _) -> go (emit i :: acc) tl)
       | [ i ] -> List.rev (emit i :: acc)
@@ -1403,13 +1350,13 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       }
     end
   in
-  (* dual bodies only pay off when there is both a hook to skip and a
-     bulk consumer to skip it through *)
+  (* dual bodies only pay off when there are both events to skip and a
+     bulk consumer to skip them through *)
   let dual = t.bulk_on in
   let blocks = Array.make func.next_block empty in
   List.iter
     (fun (b : Ir.block) ->
-      let body = compile_instrs ~sink:t.sink b.instrs in
+      let body = compile_instrs ~ring:t.ring b.instrs in
       let term, ret =
         match compile_term b with
         | r -> r
@@ -1417,7 +1364,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       in
       let events = if dual then count_events b else -1 in
       let fast =
-        if events > 0 then compile_instrs ~sink:Snone b.instrs else body
+        if events > 0 then compile_instrs ~ring:None b.instrs else body
       in
       (* steps are counted from the IR, not the body array: the peephole
          shortens the array without changing the executed step total *)
@@ -1433,15 +1380,8 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
 (* Setup and entry points                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps) (prog : Ir.program) : t =
-  let sink =
-    match (mem_hook, ring) with
-    | Some _, Some _ ->
-      invalid_arg "Compile.create: mem_hook and ring are mutually exclusive"
-    | Some h, None -> Shook h
-    | None, Some r -> Sring r
-    | None, None -> Snone
-  in
+let create ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps)
+    (prog : Ir.program) : t =
   let layout = Layout.create prog.structs in
   let mem = Memory.create () in
   (* identical image to the tree-walker: globals first, strings second *)
@@ -1469,11 +1409,9 @@ let create ?mem_hook ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps)
   let t =
     {
       mem; dispatch; fcode_tbl; benv; out = benv.Builtins.out;
-      sp = Memory.stack_top; steps = 0; max_steps; sink; edges;
+      sp = Memory.stack_top; steps = 0; max_steps; ring; edges;
       bulk = (match bulk_hook with Some b -> b | None -> fun _ -> false);
-      bulk_on =
-        (Option.is_some bulk_hook
-        && match sink with Shook _ | Sring _ -> true | Snone -> false);
+      bulk_on = Option.is_some bulk_hook && Option.is_some ring;
     }
   in
   let pres =
@@ -1497,16 +1435,9 @@ let run ?(args = []) (t : t) : Rt.result =
   Buffer.clear t.out;
   t.steps <- 0;
   t.sp <- Memory.stack_top;
-  (* drop events a previous aborted run may have left buffered *)
-  (match t.sink with Sring r -> r.Ring.len <- 0 | Shook _ | Snone -> ());
   if not (Hashtbl.mem t.fcode_tbl "main") then error "program has no 'main'";
   let res =
-    (* flush the tail of the ring even when the program errors out:
-       consumers see every event that happened before the failure *)
-    Fun.protect
-      ~finally:(fun () ->
-        match t.sink with Sring r -> Ring.flush r | Shook _ | Snone -> ())
-      (fun () ->
+    with_ring t.ring (fun () ->
         try
           call_generic t
             (Hashtbl.find t.fcode_tbl "main")

@@ -26,7 +26,6 @@ type result = Rt.result = {
 type t
 
 val create :
-  ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
   ?edges:Edges.t ->
   ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
@@ -37,26 +36,26 @@ val create :
     pre-resolves every instruction. Default [max_steps] is
     2_000_000_000.
 
-    [ring] is the batched alternative to [mem_hook] (the two are
-    mutually exclusive — [Invalid_argument] if both are given): every
-    load, store and memset/memcpy chunk appends one packed event to the
-    ring instead of calling a closure, and the ring's sink drains whole
-    batches. The event stream a drain sees is identical, event for
-    event, to the [mem_hook] call sequence (the differential oracle
-    pins this). {!run} flushes the tail — also on abnormal
-    termination — so the sink always sees the complete stream.
+    [ring] receives the run's memory events: every load, store and
+    memset/memcpy chunk appends one packed event, the push inlined into
+    the compiled closure, and the ring's sink drains whole batches. The
+    event stream a drain sees is identical, event for event, to the
+    one {!Interp} pushes (the differential oracle pins this). {!run}
+    drops a stale tail before the run and flushes its own tail — also
+    on abnormal termination — so the sink always sees exactly the
+    run's stream.
 
     [bulk_hook n] is consulted before running a block whose event count
     [n] is statically known (no calls, no memset/memcpy): returning
     [true] means the event consumer has accounted for all [n] accesses
     itself and the block runs with no per-access events at all. The
     sampled cache simulator uses this to retire a block's accesses in
-    O(1) while fast-forwarding. Only meaningful together with
-    [mem_hook] or [ring]; the event values the consumer would have
-    received (addresses, instruction ids) are not reconstructed — the
-    consumer must not need them. With a [ring], events already buffered
-    precede the [n] bulk accesses in stream order: the consumer must
-    flush-then-advance (see {!Slo_cachesim.Sampled.bulk_ready}). On a
+    O(1) while fast-forwarding. Only meaningful together with [ring];
+    the event values the consumer would have received (addresses,
+    instruction ids) are not reconstructed — the consumer must not need
+    them. Events already buffered precede the [n] bulk accesses in
+    stream order: the consumer must flush-then-advance (see
+    {!Slo_cachesim.Sampled.bulk_ready}). On a
     run that terminates abnormally mid-block the bulk consumer may have
     been charged up to one block's trailing accesses that never
     executed (same granularity caveat as the step limit below).
@@ -80,4 +79,4 @@ val run : ?args:int list -> t -> result
     before doing so. *)
 
 val run_program : ?args:int list -> Ir.program -> result
-(** [create] + [run] without hooks. *)
+(** [create] + [run] without a ring, edge counters or bulk hook. *)

@@ -31,7 +31,7 @@ type t = {
   out : Buffer.t;
   mutable sp : int;
   mutable steps : int;
-  mem_hook : (int -> int -> bool -> bool -> int -> unit) option;
+  ring : Ring.t option;
   max_steps : int;
 }
 
@@ -77,7 +77,7 @@ let compile_func (prog : Ir.program) layout edges (f : Ir.func) : code =
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let create ?mem_hook ?edges ?(max_steps = Rt.default_max_steps)
+let create ?ring ?edges ?(max_steps = Rt.default_max_steps)
     (prog : Ir.program) : t =
   let layout = Layout.create prog.structs in
   let mem = Memory.create () in
@@ -96,7 +96,7 @@ let create ?mem_hook ?edges ?(max_steps = Rt.default_max_steps)
   {
     prog; layout; mem; codes; func_by_index; func_addr; globals_addr;
     strings; benv; out = benv.Builtins.out; sp = Memory.stack_top; steps = 0;
-    mem_hook; max_steps;
+    ring; max_steps;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -175,7 +175,9 @@ and exec_blocks t code frame_base iregs fregs entry : retval =
   let set r v = if fl.(r) then fregs.(r) <- float_of_int v else iregs.(r) <- v in
   let setf r v = if fl.(r) then fregs.(r) <- v else iregs.(r) <- int_of_float v in
   let mem_event addr size write isf iid =
-    match t.mem_hook with Some h -> h addr size write isf iid | None -> ()
+    match t.ring with
+    | Some rg -> Ring.push rg addr (Ring.meta ~size ~write ~is_float:isf ~iid)
+    | None -> ()
   in
   let field_bits acc =
     (* bit-field handling: returns Some (unit_size, bit_off, width) *)
@@ -389,17 +391,7 @@ and exec_blocks t code frame_base iregs fregs entry : retval =
       touch_range dst len true i.iid;
       Memory.blit mem ~dst ~src ~len
   and touch_range addr len write iid =
-    match t.mem_hook with
-    | None -> ()
-    | Some h ->
-      let pos = ref addr in
-      let remaining = ref len in
-      while !remaining > 0 do
-        let chunk = min 8 !remaining in
-        h !pos chunk write false iid;
-        pos := !pos + chunk;
-        remaining := !remaining - chunk
-      done
+    match t.ring with Some rg -> push_range rg addr len write iid | None -> ()
   in
   run_block entry
 
@@ -409,8 +401,9 @@ let run ?(args = []) (t : t) : result =
   t.sp <- Memory.stack_top;
   if not (Hashtbl.mem t.codes "main") then error "program has no 'main'";
   let res =
-    try call t "main" (List.map (fun v -> AInt v) args)
-    with Memory.Fault msg -> error "memory fault: %s" msg
+    with_ring t.ring (fun () ->
+        try call t "main" (List.map (fun v -> AInt v) args)
+        with Memory.Fault msg -> error "memory fault: %s" msg)
   in
   { exit_code = Rt.exit_code_of_retval res;
     output = Buffer.contents t.out;

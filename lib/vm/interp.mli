@@ -1,11 +1,13 @@
 (** IR interpreter.
 
     Executes an {!Ir.program} over {!Memory}, producing program output and a
-    step (instruction) count, and driving two optional event hooks:
+    step (instruction) count, and optionally sending out two event streams:
 
-    - [mem_hook addr size is_write is_float iid] fires on every data memory
-      access — this is the address trace the cache simulator consumes (and
-      through which the "PMU" attributes misses to instructions);
+    - [ring], when given, receives one {!Slo_cachesim.Ring} event per data
+      memory access (memset/memcpy traffic in 8-byte chunks), with the
+      same meta words as the compiled engine — this is the address trace
+      the cache simulator consumes (and through which the "PMU"
+      attributes misses to instructions);
     - [edges], when given, counts every taken CFG edge and every function
       entry into an {!Edges} table — this is the paper's PBO
       instrumentation. Passing it models compiling with instrumentation:
@@ -25,7 +27,7 @@ type result = Rt.result = {
 type t
 
 val create :
-  ?mem_hook:(int -> int -> bool -> bool -> int -> unit) ->
+  ?ring:Slo_cachesim.Ring.t ->
   ?edges:Edges.t ->
   ?max_steps:int ->
   Ir.program ->
@@ -37,7 +39,8 @@ val run : ?args:int list -> t -> result
 (** Execute [main]. [args] are passed as integer arguments (benchmarks use
     them to select the train vs. reference input scale).
     Raises {!Runtime_error} on faults (null dereference, missing [main],
-    step-limit exceeded, ...). *)
+    step-limit exceeded, ...). A [ring]'s stale tail is dropped before
+    the run and its own tail flushed on every exit, faults included. *)
 
 val run_program : ?args:int list -> Ir.program -> result
-(** [create] + [run] without hooks. *)
+(** [create] + [run] without a ring or edge counters. *)

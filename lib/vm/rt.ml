@@ -38,3 +38,30 @@ let exit_code_of_retval = function
   | RInt v -> v
   | RFloat v -> int_of_float v
   | RVoid -> 0
+
+(* The memory-event side of a run, shared by both engines. Loads and
+   stores push one event each; memset/memcpy traffic goes out as
+   8-byte chunks, the largest access an event describes — the length
+   is a runtime value, so the meta word is built per chunk. *)
+module Ring = Slo_cachesim.Ring
+
+let push_range rg addr len write iid =
+  let pos = ref addr in
+  let remaining = ref len in
+  while !remaining > 0 do
+    let chunk = min 8 !remaining in
+    Ring.push rg !pos (Ring.meta ~size:chunk ~write ~is_float:false ~iid);
+    pos := !pos + chunk;
+    remaining := !remaining - chunk
+  done
+
+(* A run's ring lifecycle: drop the stale tail a previous run left when
+   its drain failed, then flush this run's tail on every exit — faults
+   included — so the consumer sees exactly the events that happened
+   before the run ended. *)
+let with_ring ring f =
+  match ring with
+  | None -> f ()
+  | Some (rg : Ring.t) ->
+    rg.len <- 0;
+    Fun.protect ~finally:(fun () -> Ring.flush rg) f

@@ -315,7 +315,7 @@ let ring_flushes_when_full () =
 (* The tentpole equivalence: draining ring batches through
    [Hierarchy.drain_quiet] must leave counters AND full cache state
    (tags, LRU stamps, tick, sketch) byte-equal to feeding every event
-   through [Hierarchy.access_quiet], on random geometries (power-of-two
+   through [Hierarchy.access], on random geometries (power-of-two
    and odd set counts, specialized and generic probe kernels, FP bypass
    on and off), random event streams and random batch boundaries. *)
 let cache_state_eq (a : Cache.t) (b : Cache.t) =
@@ -397,7 +397,7 @@ let prop_drain_matches_per_access =
       let dgn = Hierarchy.create ~kernel:`Generic cfg in
       List.iter
         (fun (addr, size, write, is_float) ->
-          Hierarchy.access_quiet per ~addr ~size ~write ~is_float)
+          ignore (Hierarchy.access per ~addr ~size ~write ~is_float))
         events;
       let n = List.length events in
       let addrs = Array.make n 0 and metas = Array.make n 0 in

@@ -437,6 +437,42 @@ let oracle_catches_dropped_store () =
   in
   Alcotest.(check bool) "oracle rejects" false (O.ok rep)
 
+let oracle_catches_duplicated_load () =
+  (* an extra load of a live field whose result is never used: output
+     and exit code stay the same, so only the conservation of per-field
+     access counts can catch it. Each of [canary_src]'s two loops runs
+     [trips] times and touches the field once per iteration, and the
+     duplicate sits in the second loop. *)
+  let trips = 40 in
+  let field = ref None in
+  let rep =
+    mutate_transformed (fun tr ->
+        List.iter
+          (fun (f : Ir.func) ->
+            List.iter
+              (fun (b : Ir.block) ->
+                b.instrs <-
+                  List.concat_map
+                    (fun (i : Ir.instr) ->
+                      match i.idesc with
+                      | Ir.Iload (_, a, ty, Some acc) when !field = None ->
+                        let d = Structs.find tr.Ir.structs acc.astruct in
+                        field := Some d.fields.(acc.afield).Structs.name;
+                        let dup = Ir.Iload (Ir.fresh_reg f, a, ty, Some acc) in
+                        [ i; { i with iid = Ir.fresh_iid tr; idesc = dup } ]
+                      | _ -> [ i ])
+                    b.instrs)
+              f.fblocks)
+          tr.Ir.funcs)
+  in
+  let field = Option.get !field in
+  match rep.r_failures with
+  | [ O.Access_count_differs (n, b, a) ] ->
+    Alcotest.(check (triple string int int)) "the duplicated field's counts"
+      (field, 2 * trips, 3 * trips) (n, b, a)
+  | _ ->
+    Alcotest.fail ("expected one Access_count_differs, got: " ^ O.describe rep)
+
 let oracle_catches_dangling_struct () =
   (* a transformation that forgets to retarget a reference to the removed
      struct: the static verifier side of the oracle must reject it *)
@@ -482,5 +518,7 @@ let () =
             oracle_catches_dropped_store;
           Alcotest.test_case "dangling struct caught" `Quick
             oracle_catches_dangling_struct;
+          Alcotest.test_case "duplicated load caught" `Quick
+            oracle_catches_duplicated_load;
         ] );
     ]

@@ -296,7 +296,7 @@ let stride_eq_window_is_exact () =
     and write = i mod 3 = 0
     and is_float = i mod 5 = 0 in
     S.access t ~addr:a ~size:8 ~write ~is_float;
-    Hierarchy.access_quiet exact ~addr:a ~size:8 ~write ~is_float
+    ignore (Hierarchy.access exact ~addr:a ~size:8 ~write ~is_float)
   done;
   Alcotest.(check int) "accesses" (Hierarchy.accesses exact)
     (Hierarchy.accesses h);

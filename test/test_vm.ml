@@ -12,6 +12,7 @@
 module Memory = Slo_vm.Memory
 module Backend = Slo_vm.Backend
 module Edges = Slo_vm.Edges
+module Ring = Slo_cachesim.Ring
 
 let run ?args b src = Backend.run_program ?args b (Lower.lower_source src)
 
@@ -329,7 +330,31 @@ let step_counting b () =
   let r = Backend.run_program b prog in
   Alcotest.(check bool) "counts steps" true (r.Backend.steps > 0 && r.Backend.steps < 10)
 
-let mem_hook_sees_accesses b () =
+(* a ring whose sink records every (addr, meta) event it drains, and
+   [take], which returns the events recorded so far in order and forgets
+   them *)
+let recording_ring ?cap () =
+  let ring = Ring.create ?cap () in
+  let seen = ref [] in
+  Ring.set_sink ring (fun r ->
+      for i = 0 to r.Ring.len - 1 do
+        seen := (r.Ring.addrs.(i), r.Ring.metas.(i)) :: !seen
+      done);
+  let take () =
+    let evs = List.rev !seen in
+    seen := [];
+    evs
+  in
+  (ring, take)
+
+let ring_events b prog =
+  let ring, take = recording_ring () in
+  ignore (Backend.run (Backend.create ~ring b prog));
+  take ()
+
+let count p evs = List.length (List.filter p evs)
+
+let ring_sees_accesses b () =
   let prog =
     Lower.lower_source
       "struct s { double d; int i; };\n\
@@ -337,17 +362,118 @@ let mem_hook_sees_accesses b () =
        int main() { p = (struct s*)malloc(2 * sizeof(struct s));\n\
        p[0].d = 1.5; p[0].i = 2; return p[0].i; }"
   in
-  let float_writes = ref 0 and int_ops = ref 0 in
-  let vm =
-    Backend.create
-      ~mem_hook:(fun _addr size write is_float _iid ->
-        if is_float && write then incr float_writes;
-        if (not is_float) && size = 4 then incr int_ops)
-      b prog
+  let evs = ring_events b prog in
+  Alcotest.(check int) "one float store" 1
+    (count (fun (_, m) -> Ring.meta_float m && Ring.meta_write m) evs);
+  Alcotest.(check bool) "int field traffic seen" true
+    (count (fun (_, m) -> (not (Ring.meta_float m)) && Ring.meta_size m = 4) evs
+     >= 2)
+
+(* memset/memcpy lengths are runtime values; both engines send them out
+   as 8-byte chunks carrying the instruction's iid, a memcpy's source
+   reads before its destination writes *)
+let memops_chunked b () =
+  let prog =
+    Lower.lower_source
+      "char *p; char *q;\n\
+       int main() { p = (char*)malloc(32); q = (char*)malloc(32);\n\
+       memset(p, 7, 20); memcpy(q, p, 12); return q[11]; }"
   in
-  ignore (Backend.run vm);
-  Alcotest.(check int) "one float store" 1 !float_writes;
-  Alcotest.(check bool) "int field traffic seen" true (!int_ops >= 2)
+  let iid_of pick =
+    let found = ref [] in
+    List.iter
+      (fun (f : Ir.func) ->
+        List.iter
+          (fun (bl : Ir.block) ->
+            List.iter
+              (fun (i : Ir.instr) -> if pick i.idesc then found := i.iid :: !found)
+              bl.instrs)
+          f.fblocks)
+      prog.Ir.funcs;
+    match !found with
+    | [ iid ] -> iid
+    | _ -> Alcotest.fail "expected exactly one matching instruction"
+  in
+  let set = iid_of (function Ir.Imemset _ -> true | _ -> false) in
+  let cpy = iid_of (function Ir.Imemcpy _ -> true | _ -> false) in
+  let evs = ring_events b prog in
+  let of_iid iid =
+    List.filter_map
+      (fun (a, m) ->
+        if Ring.meta_iid m = iid then
+          Some (a, Ring.meta_size m, Ring.meta_write m, Ring.meta_float m)
+        else None)
+      evs
+  in
+  let ev = Alcotest.(list (pair int (triple int bool bool))) in
+  let shape = List.map (fun (a, s, w, f) -> (a, (s, w, f))) in
+  let memset = of_iid set in
+  let p = match memset with (a, _, _, _) :: _ -> a | [] -> -1 in
+  Alcotest.check ev "memset: 8, 8, 4-byte writes at p, p+8, p+16"
+    [ (p, (8, true, false)); (p + 8, (8, true, false));
+      (p + 16, (4, true, false)) ]
+    (shape memset);
+  let memcpy = of_iid cpy in
+  let q = match List.rev memcpy with _ :: (a, _, _, _) :: _ -> a | _ -> -1 in
+  Alcotest.check ev "memcpy: source reads, then destination writes"
+    [ (p, (8, false, false)); (p + 8, (4, false, false));
+      (q, (8, true, false)); (q + 8, (4, true, false)) ]
+    (shape memcpy);
+  Alcotest.(check bool) "distinct blocks" true (p <> q)
+
+(* [k] tagged stores into a fresh heap block, then a null-page fault
+   that sends out no event of its own (printf reading a string at
+   address 0): the run's whole event stream is exactly the [k] stores *)
+let stores_then_fault k =
+  let prog =
+    Lower.lower_source "struct s { long a; };\nint main() { return 0; }"
+  in
+  let main = Option.get (Ir.find_func prog "main") in
+  let instr idesc = { Ir.iid = Ir.fresh_iid prog; iloc = main.floc; idesc } in
+  let base = Ir.fresh_reg main and fmt = Ir.fresh_reg main in
+  let store j =
+    let r = Ir.fresh_reg main and j = Int64.of_int j in
+    [ instr (Ir.Iptradd (r, Ir.Oreg base, Ir.Oimm j, Irty.Struct "s"));
+      instr
+        (Ir.Istore
+           (Ir.Oreg r, Ir.Oimm j, Irty.Long,
+            Some { Ir.astruct = "s"; afield = 0 })) ]
+  in
+  let entry = List.hd main.fblocks in
+  entry.instrs <-
+    instr (Ir.Ialloc (base, Ir.Amalloc, Ir.Oimm (Int64.of_int k), Irty.Struct "s"))
+    :: List.concat_map store (List.init k Fun.id)
+    @ [ instr (Ir.Iaddrstr (fmt, "%s"));
+        instr (Ir.Icall (None, Ir.Cbuiltin "printf", [ Ir.Oreg fmt; Ir.Oimm 0L ]))
+      ];
+  main.fblocks <- [ entry ];
+  prog
+
+(* the ring lifecycle every engine shares: a run that faults still
+   flushes its tail, and the next run of the same vm first drops a stale
+   tail (here pushed by hand, as a failed drain would leave it) *)
+let ring_lifecycle b () =
+  let k = 10 in
+  let ring, take = recording_ring ~cap:4 () in
+  let vm = Backend.create ~ring b (stores_then_fault k) in
+  let run_faults () =
+    match Backend.run vm with
+    | exception Backend.Runtime_error m ->
+      Alcotest.(check string) "fault" "memory fault: null-page access at 0x0" m
+    | _ -> Alcotest.fail "expected a null-page fault"
+  in
+  run_faults ();
+  let first = take () in
+  Alcotest.(check int) "every store drained, the tail included" k
+    (List.length first);
+  Alcotest.(check int) "all of them 8-byte writes" k
+    (count (fun (_, m) -> Ring.meta_write m && Ring.meta_size m = 8) first);
+  Ring.push ring 0xdead (Ring.meta ~size:8 ~write:true ~is_float:false ~iid:0);
+  run_faults ();
+  (* the heap persists across runs of a vm, so the rerun's stores land
+     in a new block: compare the meta words *)
+  Alcotest.(check (list int)) "a rerun drains only its own events"
+    (List.map snd first) (List.map snd (take ()))
 
 (* the compiled edge counters: every backend counts the same taken
    edges, slot for slot — superblock fusion included, whose chains count
@@ -403,7 +529,9 @@ let semantics_cases b =
 let hooks_cases b =
   [
     Alcotest.test_case "step counting" `Quick (step_counting b);
-    Alcotest.test_case "mem hook" `Quick (mem_hook_sees_accesses b);
+    Alcotest.test_case "ring events" `Quick (ring_sees_accesses b);
+    Alcotest.test_case "memset/memcpy chunks" `Quick (memops_chunked b);
+    Alcotest.test_case "ring lifecycle" `Quick (ring_lifecycle b);
     Alcotest.test_case "edge counters" `Quick (edge_counters b);
   ]
 
