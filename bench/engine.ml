@@ -37,10 +37,7 @@ type record = {
   r_timings : timings;
 }
 
-let timed f =
-  let t0 = Slo_util.Clock.now_ns () in
-  let r = f () in
-  (r, Slo_util.Clock.elapsed_ms ~since:t0)
+let timed = Slo_util.Clock.timed
 
 (* ------------------------------------------------------------------ *)
 (* Shared caches. The compile cache is hoisted out of the workers:     *)
@@ -294,24 +291,19 @@ let t3_job ~backend ~fidelity (e : Suite.entry) scheme () =
     D.evaluate ~args:e.ref_args ~verify:true ~backend ~fidelity ~scheme
       ~feedback prog
   in
-  let transformed =
-    List.length
-      (List.filter (fun (d : H.decision) -> d.d_plan <> None) ev.e_decisions)
-  in
+  let plans = H.plans ev.e_decisions in
   let split_dead =
     List.fold_left
-      (fun acc (d : H.decision) ->
-        match d.d_plan with
-        | Some (H.Split s) ->
-          acc + List.length s.s_cold + List.length s.s_dead
-        | Some (H.Peel p) -> acc + List.length p.p_dead
-        | Some (H.Rebuild r) -> acc + List.length r.r_dead
-        | Some (H.Pool _) | Some (H.Pad _) | None -> acc)
-      0 ev.e_decisions
+      (fun acc -> function
+        | H.Split s -> acc + List.length s.s_cold + List.length s.s_dead
+        | H.Peel p -> acc + List.length p.p_dead
+        | H.Rebuild r -> acc + List.length r.r_dead
+        | H.Pool _ | H.Pad _ -> acc)
+      0 plans
   in
   {
     t3_total = List.length ev.e_decisions;
-    t3_transformed = transformed;
+    t3_transformed = List.length plans;
     t3_split_dead = split_dead;
     t3_speedup_pct = ev.e_speedup_pct;
     t3_cycles = (ev.e_before.m_cycles, ev.e_after.m_cycles);

@@ -34,7 +34,6 @@ module T = Slo_core.Transform
 module Adv = Slo_core.Advisor
 module W = Slo_profile.Weights
 module Collect = Slo_profile.Collect
-module Matching = Slo_profile.Matching
 module Suite = Slo_suite.Suite
 module Table = Slo_util.Table
 module Stats = Slo_util.Stats
@@ -85,39 +84,16 @@ let field_hotness prog scheme fb =
   | Some g -> A.relative_hotness g
   | None -> [||]
 
-(* d-cache columns: per-field sampled miss counts / latencies *)
+(* d-cache columns: the advise stage's per-field sampled miss counts /
+   latency sums; the static scheme only shapes the advisor's affinity
+   side, which these columns do not read *)
 let field_dcache_metric prog fb ~latency =
-  let matched = Matching.apply prog fb in
-  let acc = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ir.func) ->
-      List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              match i.idesc with
-              | Ir.Iload (_, _, _, Some a) | Ir.Istore (_, _, _, Some a)
-                when String.equal a.astruct "node" -> (
-                match Hashtbl.find_opt matched.instr_dcache i.iid with
-                | Some st ->
-                  let v =
-                    if latency then st.latency else st.misses
-                  in
-                  let prev =
-                    Option.value ~default:0 (Hashtbl.find_opt acc a.afield)
-                  in
-                  Hashtbl.replace acc a.afield (prev + v)
-                | None -> ())
-              | _ -> ())
-            b.instrs)
-        f.fblocks)
-    prog.Ir.funcs;
+  let adv = D.advise prog ~scheme:W.ISPBO ~feedback:(Some fb) in
   let decl = Structs.find prog.Ir.structs "node" in
-  let raw =
-    Array.init (Array.length decl.fields) (fun fi ->
-        float_of_int (Option.value ~default:0 (Hashtbl.find_opt acc fi)))
-  in
-  Stats.relative_percent raw
+  Stats.relative_percent
+    (Array.init (Array.length decl.fields) (fun fi ->
+         let dc = Adv.field_dcache adv "node" fi in
+         float_of_int (if latency then dc.fd_latency else dc.fd_misses)))
 
 let table2 () =
   say "== Table 2: Relative field hotness for mcf node_t under the";
@@ -252,12 +228,7 @@ let figure1 () =
 let figure2 () =
   say "== Figure 2: the advisory tool's output (mcf node_t) ==";
   let prog, fb_train, _, _ = get_mcf_feedbacks () in
-  let leg, aff = D.analyze prog ~scheme:W.PBO ~feedback:(Some fb_train) in
-  let decisions = H.decide prog leg aff ~scheme:W.PBO in
-  let matched = Matching.apply prog fb_train in
-  let adv =
-    Adv.build prog leg aff ~decisions ~dcache:(Some matched.instr_dcache)
-  in
+  let adv = D.advise prog ~scheme:W.PBO ~feedback:(Some fb_train) in
   print_string (Adv.report ~only:[ "node" ] adv);
   (match Adv.vcg adv "node" with
   | Some vcg ->
@@ -280,8 +251,7 @@ let ablation () =
   let e = Suite.find "181.mcf" in
   let prog = compile e in
   let fb, _ = Engine.train_profile e prog in
-  let leg, aff = D.analyze prog ~scheme:W.PBO ~feedback:(Some fb) in
-  let decisions = H.decide prog leg aff ~scheme:W.PBO in
+  let decided = D.decide prog ~scheme:W.PBO ~feedback:(Some fb) in
   let base_plan =
     match
       List.find_map
@@ -289,7 +259,7 @@ let ablation () =
           match d.d_plan with
           | Some (H.Split s) when String.equal s.s_typ "node" -> Some s
           | _ -> None)
-        decisions
+        decided.decisions
     with
     | Some s -> s
     | None -> failwith "expected a split plan for node"
@@ -331,8 +301,8 @@ let casestudies () =
   let e = Suite.find "spec2006.hotgroup" in
   let prog = compile e in
   let fb, _ = Collect.collect ~args:e.train_args prog in
-  let leg, aff = D.analyze prog ~scheme:W.PBO ~feedback:(Some fb) in
-  let g = Option.get (A.graph aff "bigobj") in
+  let decided = D.decide prog ~scheme:W.PBO ~feedback:(Some fb) in
+  let g = Option.get (A.graph decided.affinity "bigobj") in
   let rel = A.relative_hotness g in
   let decl = Structs.find prog.Ir.structs "bigobj" in
   let hot =
@@ -346,7 +316,7 @@ let casestudies () =
     (match
        (List.find
           (fun (d : H.decision) -> String.equal d.d_typ "bigobj")
-          (H.decide prog leg aff ~scheme:W.PBO))
+          decided.decisions)
        .d_plan
      with
     | Some _ -> "planned"
@@ -372,21 +342,14 @@ let casestudies () =
   let ev = D.evaluate ~args:e2.ref_args ~scheme:W.PBO ~feedback:(Some fb2) prog2 in
   say "  two-field record peeling:  %+.1f%% (paper: ~+40%%) [%s]"
     ev.e_speedup_pct
-    (String.concat "; "
-       (List.filter_map
-          (fun (d : H.decision) ->
-            Option.map H.plan_summary d.d_plan)
-          ev.e_decisions));
+    (String.concat "; " (List.map H.plan_summary (H.plans ev.e_decisions)));
   say ""
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time overhead (2.5) and Bechamel phase timings              *)
 (* ------------------------------------------------------------------ *)
 
-let time_it f =
-  let t0 = Slo_util.Clock.now_ns () in
-  let r = f () in
-  (r, Slo_util.Clock.elapsed_ms ~since:t0 /. 1000.0)
+let timed = Slo_util.Clock.timed
 
 let overhead () =
   say "== Compile-time overhead (2.5): layout analysis vs base compile ==";
@@ -399,18 +362,18 @@ let overhead () =
   in
   List.iter
     (fun (e : Suite.entry) ->
-      let (prog : Ir.program), t_compile = time_it (fun () -> D.compile e.source) in
-      let (leg, aff), t_analysis =
-        time_it (fun () -> D.analyze prog ~scheme:W.ISPBO ~feedback:None)
+      let (prog : Ir.program), t_compile = timed (fun () -> D.compile e.source) in
+      let d, t_analysis =
+        timed (fun () -> D.decide prog ~scheme:W.ISPBO ~feedback:None)
       in
-      let decisions = H.decide prog leg aff ~scheme:W.ISPBO in
-      let plans = H.plans decisions in
-      let _, t_be = time_it (fun () -> D.transform_with_plans prog plans) in
+      let _, t_be =
+        timed (fun () -> D.transform_with_plans prog (H.plans d.decisions))
+      in
       Table.add_row t
         [ e.name;
-          Printf.sprintf "%.1f" (t_compile *. 1000.0);
-          Printf.sprintf "%.1f" (t_analysis *. 1000.0);
-          Printf.sprintf "%.1f" (t_be *. 1000.0);
+          Printf.sprintf "%.1f" t_compile;
+          Printf.sprintf "%.1f" t_analysis;
+          Printf.sprintf "%.1f" t_be;
           Printf.sprintf "%.1f%%" (100.0 *. t_analysis /. t_compile);
           Printf.sprintf "%.1f%%" (100.0 *. t_be /. t_compile) ])
     Suite.roster;
@@ -431,8 +394,8 @@ let timings () =
              ignore (A.analyze prog bw)));
       Test.make ~name:"table3:plan+transform"
         (Staged.stage (fun () ->
-             let leg, aff = D.analyze prog ~scheme:W.ISPBO ~feedback:None in
-             let plans = H.plans (H.decide prog leg aff ~scheme:W.ISPBO) in
+             let d = D.decide prog ~scheme:W.ISPBO ~feedback:None in
+             let plans = H.plans d.decisions in
              ignore (D.transform_with_plans prog plans)));
       Test.make ~name:"pointsto"
         (Staged.stage (fun () -> ignore (Slo_pointsto.Pointsto.analyze prog)));

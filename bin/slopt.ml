@@ -7,9 +7,13 @@
      slopt analyze file.mc         legality + attributes per record type
      slopt profile file.mc -o f.fb collect a feedback file (instrumented run)
      slopt advise file.mc -p f.fb  annotated type layouts (the advisor)
+     slopt check file.mc           source-located layout diagnostics
      slopt transform file.mc       plan + apply layout transformations
      slopt run file.mc             execute under the cache simulator
-     slopt bench file.mc           original vs transformed comparison *)
+     slopt bench file.mc           original vs transformed comparison
+     slopt tune file.mc            search the plan space with the simulator
+     slopt serve --socket S        the advice daemon
+     slopt client CMD --socket S   talk to it *)
 
 open Cmdliner
 
@@ -30,39 +34,25 @@ let read_file path =
   close_in ic;
   s
 
-let compile_src ?(verify = false) ~display src =
-  try Ok (D.compile ~verify src) with
-  | Verify.Ill_formed errs ->
-    Error (Printf.sprintf "%s: ill-formed IR:\n%s" display (Verify.report errs))
-  | Slo_minic.Lexer.Error (msg, loc) ->
-    Error (Printf.sprintf "%s:%s: lexical error: %s" display
-             (Slo_minic.Loc.to_string loc) msg)
-  | Slo_minic.Parser.Error (msg, loc) ->
-    Error (Printf.sprintf "%s:%s: syntax error: %s" display
-             (Slo_minic.Loc.to_string loc) msg)
-  | Slo_minic.Typecheck.Error (msg, loc) ->
-    Error (Printf.sprintf "%s:%s: type error: %s" display
-             (Slo_minic.Loc.to_string loc) msg)
-  | Lower.Unsupported (msg, loc) ->
-    Error (Printf.sprintf "%s:%s: unsupported: %s" display
-             (Slo_minic.Loc.to_string loc) msg)
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
 
-let load ?verify path = compile_src ?verify ~display:path (read_file path)
+(* after whatever the command already printed *)
+let die ?(code = 1) msg =
+  flush stdout;
+  prerr_endline msg;
+  exit code
 
-let or_die = function
+(* runs a command's pipeline; a failing stage is reported against [file]
+   and exits 1 *)
+let guarded file f =
+  match D.guard f with
   | Ok v -> v
-  | Error msg ->
-    prerr_endline msg;
-    exit 1
+  | Error e -> die (D.render_error ~file e)
 
-(* surface a verifier failure from a transformation as a diagnostic
-   instead of an uncaught exception *)
-let checked f =
-  try f () with
-  | Verify.Ill_formed errs ->
-    prerr_endline "ERROR: transformation produced ill-formed IR:";
-    prerr_endline (Verify.report errs);
-    exit 1
+let load ?verify path = D.compile ?verify (read_file path)
 
 let verify_arg =
   Arg.(value & flag
@@ -84,16 +74,26 @@ let scheme_conv = Arg.enum Codec.scheme_assoc
 let scheme_arg =
   Arg.(value & opt scheme_conv W.ISPBO
        & info [ "scheme" ] ~docv:"SCHEME"
-           ~doc:"Weighting scheme (pbo, spbo, ispbo, ...). Profile-based \
-                 schemes need --profile.")
+           ~doc:"Weighting scheme (pbo, spbo, ispbo, ...). Without \
+                 --profile, a profile-based scheme collects a training \
+                 profile on --args (no arguments for advise and \
+                 transform).")
 
 let profile_arg =
   Arg.(value & opt (some file) None & info [ "profile"; "p" ] ~docv:"FB"
          ~doc:"Feedback file from 'slopt profile'.")
 
-let feedback_of = function
-  | None -> None
-  | Some path -> Some (Slo_profile.Feedback.of_string (read_file path))
+(* the scheme and feedback a decision runs under, given the run's args
+   and program: --profile selects PBO on that file; without it the
+   Driver's feedback rule applies *)
+let weighting_term =
+  let resolve profile scheme ~args prog =
+    match profile with
+    | Some path ->
+      (W.PBO, Some (Slo_profile.Feedback.of_string (read_file path)))
+    | None -> (scheme, D.feedback_for ~args prog ~scheme)
+  in
+  Term.(const resolve $ profile_arg $ scheme_arg)
 
 let backend_conv =
   let parse s =
@@ -148,15 +148,15 @@ let pool_arg =
 
 let parse_cmd =
   let run file verify =
-    let prog = or_die (load ~verify file) in
-    print_string (Ir.string_of_program prog)
+    guarded file (fun () ->
+        print_string (Ir.string_of_program (load ~verify file)))
   in
   Cmd.v (Cmd.info "parse" ~doc:"Compile and dump the IR")
     Term.(const run $ file_arg $ verify_arg)
 
 let analyze_cmd =
   let run file =
-    let prog = or_die (load file) in
+    let prog = guarded file (fun () -> load file) in
     let leg = L.analyze prog in
     let pts = Slo_pointsto.Pointsto.analyze prog in
     List.iter
@@ -185,11 +185,10 @@ let profile_cmd =
            ~doc:"Output feedback file.")
   in
   let run file args out =
-    let prog = or_die (load file) in
-    let fb, stats = Slo_profile.Collect.collect ~args prog in
-    let oc = open_out out in
-    output_string oc (Slo_profile.Feedback.to_string fb);
-    close_out oc;
+    let fb, stats =
+      guarded file (fun () -> Slo_profile.Collect.collect ~args (load file))
+    in
+    write_file out (Slo_profile.Feedback.to_string fb);
     Printf.printf
       "instrumented run: exit=%d, %d steps, %d PMU miss events -> %s\n"
       stats.result.exit_code stats.result.steps stats.pmu_events out
@@ -200,57 +199,48 @@ let profile_cmd =
     Term.(const run $ file_arg $ args_arg $ out_arg)
 
 let advise_cmd =
-  let run file profile scheme pool =
-    let prog = or_die (load file) in
-    let feedback = feedback_of profile in
-    let scheme = if feedback <> None then W.PBO else scheme in
-    let leg, aff = D.analyze prog ~scheme ~feedback in
-    let decisions = H.decide ~pool prog leg aff ~scheme in
-    let dcache =
-      Option.map
-        (fun fb -> (Slo_profile.Matching.apply prog fb).instr_dcache)
-        feedback
-    in
-    let adv = Adv.build prog leg aff ~decisions ~dcache in
-    print_string (Adv.report adv)
+  let run file weighting pool =
+    guarded file (fun () ->
+        let prog = load file in
+        let scheme, feedback = weighting ~args:[] prog in
+        print_string (Adv.report (D.advise ~pool prog ~scheme ~feedback)))
   in
   Cmd.v
     (Cmd.info "advise"
        ~doc:"Print annotated type layouts (the paper's advisory tool)")
-    Term.(const run $ file_arg $ profile_arg $ scheme_arg $ pool_arg)
+    Term.(const run $ file_arg $ weighting_term $ pool_arg)
 
 let transform_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "dump-ir" ] ~doc:"Dump the transformed IR.")
   in
-  let run file profile scheme pool dump verify =
-    let prog = or_die (load ~verify file) in
-    let feedback = feedback_of profile in
-    let scheme = if feedback <> None then W.PBO else scheme in
-    let leg, aff = D.analyze prog ~scheme ~feedback in
-    let decisions = H.decide ~pool prog leg aff ~scheme in
-    List.iter
-      (fun (d : H.decision) ->
-        Printf.printf "%-20s %s\n" d.d_typ
-          (match d.d_plan with
-          | Some p -> H.plan_summary p
-          | None -> "unchanged (" ^ String.concat "; " d.d_notes ^ ")"))
-      decisions;
-    let transformed =
-      checked (fun () ->
-          D.transform_with_plans ~verify prog (H.plans decisions))
-    in
-    if dump then print_string (Ir.string_of_program transformed)
+  let run file weighting pool dump verify =
+    guarded file (fun () ->
+        let prog = load ~verify file in
+        let scheme, feedback = weighting ~args:[] prog in
+        let { D.decisions; _ } = D.decide ~pool prog ~scheme ~feedback in
+        List.iter
+          (fun (d : H.decision) ->
+            Printf.printf "%-20s %s\n" d.d_typ
+              (match d.d_plan with
+              | Some p -> H.plan_summary p
+              | None -> "unchanged (" ^ String.concat "; " d.d_notes ^ ")"))
+          decisions;
+        let transformed =
+          D.transform_with_plans ~verify prog (H.plans decisions)
+        in
+        if dump then print_string (Ir.string_of_program transformed))
   in
   Cmd.v
     (Cmd.info "transform" ~doc:"Decide and apply layout transformations")
-    Term.(const run $ file_arg $ profile_arg $ scheme_arg $ pool_arg
-          $ dump_arg $ verify_arg)
+    Term.(const run $ file_arg $ weighting_term $ pool_arg $ dump_arg
+          $ verify_arg)
 
 let run_cmd =
   let run file args backend fidelity =
-    let prog = or_die (load file) in
-    let m = D.measure ~args ~backend ~fidelity prog in
+    let m =
+      guarded file (fun () -> D.measure ~args ~backend ~fidelity (load file))
+    in
     print_string m.m_result.output;
     Printf.printf
       "exit=%d steps=%d cycles=%d l1miss=%d l2miss=%d accesses=%d\n"
@@ -268,36 +258,27 @@ let jobs_arg =
                  before/after measurement runs execute in parallel.")
 
 let bench_cmd =
-  let run file args profile scheme pool verify jobs backend fidelity =
-    if jobs < 1 then begin
-      prerr_endline "ERROR: --jobs must be >= 1";
-      exit 2
-    end;
-    let prog = or_die (load ~verify file) in
-    let feedback = feedback_of profile in
-    let scheme = if feedback <> None then W.PBO else scheme in
+  let run file args weighting pool verify jobs backend fidelity =
+    if jobs < 1 then die ~code:2 "ERROR: --jobs must be >= 1";
     let ev =
-      checked (fun () ->
+      guarded file (fun () ->
+          let prog = load ~verify file in
+          let scheme, feedback = weighting ~args prog in
           D.evaluate ~args ~pool ~verify ~jobs ~backend ~fidelity ~scheme
             ~feedback prog)
     in
     List.iter
-      (fun (d : H.decision) ->
-        match d.d_plan with
-        | Some p -> Printf.printf "plan: %s\n" (H.plan_summary p)
-        | None -> ())
-      ev.e_decisions;
+      (fun p -> Printf.printf "plan: %s\n" (H.plan_summary p))
+      (H.plans ev.e_decisions);
     Printf.printf "before: %d cycles\nafter : %d cycles\nspeedup: %+.1f%%\n"
       ev.e_before.m_cycles ev.e_after.m_cycles ev.e_speedup_pct;
-    if ev.e_before.m_result.output <> ev.e_after.m_result.output then begin
-      prerr_endline "ERROR: transformed program output differs!";
-      exit 1
-    end
+    if ev.e_before.m_result.output <> ev.e_after.m_result.output then
+      die "ERROR: transformed program output differs!"
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Measure original vs transformed program")
-    Term.(const run $ file_arg $ args_arg $ profile_arg $ scheme_arg
-          $ pool_arg $ verify_arg $ jobs_arg $ backend_arg $ fidelity_arg)
+    Term.(const run $ file_arg $ args_arg $ weighting_term $ pool_arg
+          $ verify_arg $ jobs_arg $ backend_arg $ fidelity_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune: search the plan space with the cachesim as cost oracle        *)
@@ -329,6 +310,12 @@ let tune_fidelity_arg =
                  is always re-scored at $(b,exact) fidelity before it may \
                  replace the heuristic plan.")
 
+let print_verdict improved ~heuristic ~found =
+  if improved then
+    Printf.printf "improvement over heuristic: %+.1f%%\n"
+      ((float_of_int heuristic /. float_of_int found -. 1.0) *. 100.0)
+  else print_endline "no plan beat the heuristic; keeping it"
+
 let print_plans ~label plans cycles baseline =
   Printf.printf "%s: %d cycles (%+.1f%% vs baseline)\n" label cycles
     (if cycles > 0 then
@@ -343,19 +330,18 @@ let print_plans ~label plans cycles baseline =
       plans
 
 let tune_cmd =
-  let run file args profile scheme jobs backend fidelity budget beam seed =
-    if jobs < 1 || beam < 1 then begin
-      prerr_endline "ERROR: --jobs and --beam must be >= 1";
-      exit 2
-    end;
-    let prog = or_die (load ~verify:true file) in
-    let feedback = feedback_of profile in
-    let scheme = if feedback <> None then W.PBO else scheme in
-    let cfg =
-      { (Tune.default_config ~scheme ~feedback) with
-        Tune.args; jobs; backend; fidelity; budget_ms = budget; beam; seed }
+  let run file args weighting jobs backend fidelity budget beam seed =
+    if jobs < 1 || beam < 1 then
+      die ~code:2 "ERROR: --jobs and --beam must be >= 1";
+    let r =
+      guarded file (fun () ->
+          let prog = load ~verify:true file in
+          let scheme, feedback = weighting ~args prog in
+          Tune.search prog
+            { (Tune.default_config ~scheme ~feedback) with
+              Tune.args; jobs; backend; fidelity; budget_ms = budget; beam;
+              seed })
     in
-    let r = checked (fun () -> Tune.search prog cfg) in
     print_plans ~label:"heuristic" r.Tune.t_heuristic r.t_heuristic_cycles
       r.t_baseline_cycles;
     print_plans ~label:"found    " r.t_found r.t_found_cycles
@@ -364,12 +350,8 @@ let tune_cmd =
       r.t_explored r.t_total r.t_rejected
       (if r.t_complete then "" else " [budget expired]")
       r.t_wall_ms;
-    if r.t_improved then
-      Printf.printf "improvement over heuristic: %+.1f%%\n"
-        ((float_of_int r.t_heuristic_cycles /. float_of_int r.t_found_cycles
-          -. 1.0)
-        *. 100.0)
-    else print_endline "no plan beat the heuristic; keeping it"
+    print_verdict r.t_improved ~heuristic:r.t_heuristic_cycles
+      ~found:r.t_found_cycles
   in
   Cmd.v
     (Cmd.info "tune"
@@ -379,9 +361,9 @@ let tune_cmd =
              the search and the best plan so far wins; the result is \
              never worse than the heuristic plan, which is always scored \
              as the incumbent.")
-    Term.(const run $ file_arg $ args_arg $ profile_arg $ scheme_arg
-          $ jobs_arg $ backend_arg $ tune_fidelity_arg $ budget_arg
-          $ beam_arg $ seed_arg)
+    Term.(const run $ file_arg $ args_arg $ weighting_term $ jobs_arg
+          $ backend_arg $ tune_fidelity_arg $ budget_arg $ beam_arg
+          $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: source-located diagnostics and SARIF export                  *)
@@ -439,10 +421,8 @@ let check_cmd =
             Slo_suite.Suite.roster
       else names
     in
-    if files = [] && names = [] then begin
-      prerr_endline "ERROR: need at least one FILE or --name";
-      exit 2
-    end;
+    if files = [] && names = [] then
+      die ~code:2 "ERROR: need at least one FILE or --name";
     let inputs =
       List.map (fun f -> (f, read_file f)) files
       @ List.map
@@ -450,22 +430,20 @@ let check_cmd =
             match Slo_suite.Suite.find n with
             | e -> (n, e.Slo_suite.Suite.source)
             | exception Not_found ->
-              prerr_endline (Printf.sprintf "ERROR: unknown roster entry %S" n);
-              exit 2)
+              die ~code:2 (Printf.sprintf "ERROR: unknown roster entry %S" n))
           names
     in
     let results =
       List.map
         (fun (display, src) ->
-          let prog = or_die (compile_src ~verify:true ~display src) in
+          let prog = guarded display (fun () -> D.compile ~verify:true src) in
           (* diagnostics must be able to point at sources *)
           (match Verify.program ~require_locs:true prog with
           | [] -> ()
           | errs ->
-            prerr_endline
+            die
               (Printf.sprintf "%s: missing source locations:\n%s" display
-                 (Verify.report errs));
-            exit 1);
+                 (Verify.report errs)));
           (display, src, Advice.check ~relax prog))
         inputs
     in
@@ -476,12 +454,8 @@ let check_cmd =
     (match sarif_out with
     | None -> ()
     | Some out ->
-      let doc =
-        Sarif.to_string (List.map (fun (d, _, ds) -> (d, ds)) results)
-      in
-      let oc = open_out out in
-      output_string oc doc;
-      close_out oc;
+      write_file out
+        (Sarif.to_string (List.map (fun (d, _, ds) -> (d, ds)) results));
       Printf.eprintf "wrote %s\n" out);
     let summary_lines =
       List.concat_map
@@ -515,10 +489,7 @@ let check_cmd =
           (fun acc (_, _, ds) -> acc + Advice.invalidating_count ds)
           0 results
       in
-      if n > 0 then begin
-        Printf.eprintf "%d invalidating finding(s)\n" n;
-        exit 1
-      end
+      if n > 0 then die (Printf.sprintf "%d invalidating finding(s)" n)
   in
   Cmd.v
     (Cmd.info "check"
@@ -616,11 +587,9 @@ let serve_cmd =
   let run socket jobs listen shards window cache_mb cache_dir max_conns
       high_watermark low_watermark quiet =
     let jobs = if jobs = 0 then Slo_exec.Pool.default_jobs () else jobs in
-    if jobs < 1 || cache_mb < 1 || max_conns < 1 || window < 1 then begin
-      prerr_endline
+    if jobs < 1 || cache_mb < 1 || max_conns < 1 || window < 1 then
+      die ~code:2
         "ERROR: --jobs, --cache-mb, --max-conns and --window must be >= 1";
-      exit 2
-    end;
     let listen =
       match listen with
       | None -> None
@@ -628,8 +597,7 @@ let serve_cmd =
         match Cli.endpoint_of_string spec with
         | `Tcp (host, port) -> Some (host, port)
         | `Unix _ ->
-          prerr_endline "ERROR: --listen needs HOST:PORT with a numeric port";
-          exit 2)
+          die ~code:2 "ERROR: --listen needs HOST:PORT with a numeric port")
     in
     let defaults = Srv.default_config ~socket_path:socket in
     let shards = if shards = 0 then defaults.Srv.shards else shards in
@@ -677,16 +645,15 @@ let name_arg =
    --args wins; a --name roster entry falls back to its train args *)
 let resolve_src file name args =
   match (file, name) with
-  | Some f, None -> Ok (read_file f, Option.value ~default:[] args)
+  | Some f, None -> (read_file f, Option.value ~default:[] args)
   | None, Some n -> (
     match Slo_suite.Suite.find n with
     | e ->
-      Ok
-        ( e.Slo_suite.Suite.source,
-          Option.value ~default:e.Slo_suite.Suite.train_args args )
-    | exception Not_found -> Error (Printf.sprintf "unknown roster entry %S" n))
-  | None, None -> Error "need a FILE argument or --name"
-  | Some _, Some _ -> Error "FILE and --name are mutually exclusive"
+      ( e.Slo_suite.Suite.source,
+        Option.value ~default:e.Slo_suite.Suite.train_args args )
+    | exception Not_found -> die (Printf.sprintf "unknown roster entry %S" n))
+  | None, None -> die "need a FILE argument or --name"
+  | Some _, Some _ -> die "FILE and --name are mutually exclusive"
 
 let client_args_arg =
   Arg.(value & opt (some (list int)) None
@@ -694,23 +661,34 @@ let client_args_arg =
            ~doc:"Integer arguments passed to main() server-side (default: \
                  the roster entry's train args with --name, else none).")
 
-let with_conn socket wait f =
+(* one request on a fresh connection; an error reply exits 3 *)
+let rpc socket wait req =
   match
     Cli.connect ~retry_for_s:wait ~endpoint:(Cli.endpoint_of_string socket) ()
   with
   | exception Unix.Unix_error (e, _, _) ->
-    prerr_endline
+    die
       (Printf.sprintf "ERROR: cannot connect to %s: %s" socket
-         (Unix.error_message e));
-    exit 1
+         (Unix.error_message e))
   | conn ->
     Fun.protect ~finally:(fun () -> Cli.close conn) (fun () ->
-        match f conn with
+        match Cli.rpc conn req with
         | Proto.R_error { code; message } ->
           Printf.eprintf "ERROR [%s]: %s\n" (Proto.error_code_name code)
             message;
           exit 3
         | reply -> reply)
+
+let unexpected () =
+  prerr_endline "ERROR: unexpected reply kind";
+  exit 3
+
+let backend_name_arg =
+  Arg.(value & opt (some string) None
+       & info [ "backend" ] ~docv:"BACKEND"
+           ~doc:"VM engine for the measurement runs: superblock (the \
+                 compiled engine; closure is another name for it) or \
+                 walk.")
 
 let scheme_name_arg =
   Arg.(value & opt (some string) None
@@ -721,18 +699,15 @@ let scheme_name_arg =
 
 let client_advise_cmd =
   let run socket wait file name scheme args pool deadline =
-    let src, args = or_die (resolve_src file name args) in
+    let src, args = resolve_src file name args in
     match
-      with_conn socket wait (fun conn ->
-          Cli.rpc conn
-            (Proto.Advise { src; scheme; args; pool; deadline_ms = deadline }))
+      rpc socket wait
+        (Proto.Advise { src; scheme; args; pool; deadline_ms = deadline })
     with
     | Proto.R_advise { a_report; a_cached } ->
       if a_cached then prerr_endline "(served from cache)";
       print_string a_report
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "advise" ~doc:"Request an annotated-layout report")
@@ -740,28 +715,18 @@ let client_advise_cmd =
           $ scheme_name_arg $ client_args_arg $ pool_arg $ deadline_arg)
 
 let client_bench_cmd =
-  let backend_name_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"VM engine for the measurement runs: superblock (the \
-                   compiled engine; closure is another name for it) or \
-                   walk.")
-  in
   let run socket wait file name scheme backend args deadline =
-    let src, args = or_die (resolve_src file name args) in
+    let src, args = resolve_src file name args in
     match
-      with_conn socket wait (fun conn ->
-          Cli.rpc conn
-            (Proto.Bench { src; scheme; backend; args; deadline_ms = deadline }))
+      rpc socket wait
+        (Proto.Bench { src; scheme; backend; args; deadline_ms = deadline })
     with
     | Proto.R_bench b ->
       if b.b_cached then prerr_endline "(served from cache)";
       List.iter (fun p -> Printf.printf "plan: %s\n" p) b.b_plans;
       Printf.printf "before: %d cycles\nafter : %d cycles\nspeedup: %+.1f%%\n"
         b.b_cycles_before b.b_cycles_after b.b_speedup_pct
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Request a before/after measurement")
@@ -789,7 +754,7 @@ let relabel ~display s =
 
 let client_check_cmd =
   let run socket wait file name relax sarif_out deadline =
-    let src, _ = or_die (resolve_src file name None) in
+    let src, _ = resolve_src file name None in
     let display =
       match (file, name) with
       | Some f, _ -> f
@@ -797,8 +762,7 @@ let client_check_cmd =
       | None, None -> assert false (* resolve_src rejected this *)
     in
     match
-      with_conn socket wait (fun conn ->
-          Cli.rpc conn (Proto.Check { src; relax; deadline_ms = deadline }))
+      rpc socket wait (Proto.Check { src; relax; deadline_ms = deadline })
     with
     | Proto.R_check { c_report; c_sarif; c_invalidating; c_cached } ->
       if c_cached then prerr_endline "(served from cache)";
@@ -806,17 +770,11 @@ let client_check_cmd =
       (match sarif_out with
       | None -> ()
       | Some out ->
-        let oc = open_out out in
-        output_string oc (relabel ~display c_sarif);
-        close_out oc;
+        write_file out (relabel ~display c_sarif);
         Printf.eprintf "wrote %s\n" out);
-      if c_invalidating > 0 then begin
-        Printf.eprintf "%d invalidating finding(s)\n" c_invalidating;
-        exit 1
-      end
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+      if c_invalidating > 0 then
+        die (Printf.sprintf "%d invalidating finding(s)" c_invalidating)
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "check"
@@ -827,13 +785,6 @@ let client_check_cmd =
           $ relax_arg $ sarif_arg $ deadline_arg)
 
 let client_tune_cmd =
-  let backend_name_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"VM engine for the measurement runs: superblock (the \
-                   compiled engine; closure is another name for it) or \
-                   walk.")
-  in
   let client_beam_arg =
     Arg.(value & opt (some int) None
          & info [ "beam" ] ~docv:"N"
@@ -847,12 +798,10 @@ let client_tune_cmd =
                    far ($(i,complete: false)), never a $(i,timeout) error.")
   in
   let run socket wait file name scheme backend args beam budget =
-    let src, args = or_die (resolve_src file name args) in
+    let src, args = resolve_src file name args in
     match
-      with_conn socket wait (fun conn ->
-          Cli.rpc conn
-            (Proto.Tune
-               { src; scheme; backend; args; beam; deadline_ms = budget }))
+      rpc socket wait
+        (Proto.Tune { src; scheme; backend; args; beam; deadline_ms = budget })
     with
     | Proto.R_tune t ->
       if t.t_cached then prerr_endline "(served from cache)";
@@ -866,15 +815,9 @@ let client_tune_cmd =
       print_side "found    " t.t_plans t.t_found_cycles;
       Printf.printf "explored %d/%d candidates%s\n" t.t_explored t.t_total
         (if t.t_complete then "" else " [budget expired]");
-      if t.t_improved then
-        Printf.printf "improvement over heuristic: %+.1f%%\n"
-          ((float_of_int t.t_heuristic_cycles /. float_of_int t.t_found_cycles
-            -. 1.0)
-          *. 100.0)
-      else print_endline "no plan beat the heuristic; keeping it"
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+      print_verdict t.t_improved ~heuristic:t.t_heuristic_cycles
+        ~found:t.t_found_cycles
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "tune"
@@ -886,7 +829,7 @@ let client_tune_cmd =
 
 let client_stats_cmd =
   let run socket wait =
-    match with_conn socket wait (fun conn -> Cli.rpc conn Proto.Stats) with
+    match rpc socket wait Proto.Stats with
     | Proto.R_stats s ->
       let counts kvs =
         if kvs = [] then "-"
@@ -921,9 +864,7 @@ let client_stats_cmd =
                      (n=%d)\n"
         s.s_latency.l_p50_ms s.s_latency.l_p95_ms s.s_latency.l_p99_ms
         s.s_latency.l_max_ms s.s_latency.l_count
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "stats"
@@ -933,11 +874,9 @@ let client_stats_cmd =
 
 let client_shutdown_cmd =
   let run socket wait =
-    match with_conn socket wait (fun conn -> Cli.rpc conn Proto.Shutdown) with
+    match rpc socket wait Proto.Shutdown with
     | Proto.R_shutdown -> print_endline "daemon is draining"
-    | _ ->
-      prerr_endline "ERROR: unexpected reply kind";
-      exit 3
+    | _ -> unexpected ()
   in
   Cmd.v
     (Cmd.info "shutdown"

@@ -6,7 +6,6 @@
      dune exec examples/mcf_advisor.exe *)
 
 module D = Slo_core.Driver
-module H = Slo_core.Heuristics
 module Adv = Slo_core.Advisor
 module W = Slo_profile.Weights
 module Suite = Slo_suite.Suite
@@ -17,12 +16,7 @@ let () =
   print_endline "(running instrumented mcf to collect edge + d-cache profile...)";
   let fb, stats = Slo_profile.Collect.collect ~args:e.train_args prog in
   Printf.printf "(collected %d PMU d-cache miss events)\n\n" stats.pmu_events;
-  let leg, aff = D.analyze prog ~scheme:W.PBO ~feedback:(Some fb) in
-  let decisions = H.decide prog leg aff ~scheme:W.PBO in
-  let matched = Slo_profile.Matching.apply prog fb in
-  let adv =
-    Adv.build prog leg aff ~decisions ~dcache:(Some matched.instr_dcache)
-  in
+  let adv = D.advise prog ~scheme:W.PBO ~feedback:(Some fb) in
   (* the full report covers every type, hottest first; print the two the
      paper talks about *)
   print_string (Adv.report ~only:[ "node"; "arc" ] adv);

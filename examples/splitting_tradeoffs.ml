@@ -15,7 +15,6 @@ let () =
   let e = Suite.find "181.mcf" in
   let prog = D.compile e.source in
   let fb, _ = Slo_profile.Collect.collect ~args:e.train_args prog in
-  let leg, aff = D.analyze prog ~scheme:W.PBO ~feedback:(Some fb) in
   let plan =
     match
       List.find_map
@@ -23,7 +22,7 @@ let () =
           match d.d_plan with
           | Some (H.Split s) when s.s_typ = "node" -> Some s
           | _ -> None)
-        (H.decide prog leg aff ~scheme:W.PBO)
+        (D.decide prog ~scheme:W.PBO ~feedback:(Some fb)).decisions
     with
     | Some s -> s
     | None -> failwith "expected the framework to split node"

@@ -1,6 +1,6 @@
 module Feedback = Slo_profile.Feedback
 
-type field_dcache = { fd_misses : int; fd_latency_avg : float }
+type field_dcache = { fd_misses : int; fd_latency : int }
 
 type type_report = {
   tr_graph : Affinity.graph;
@@ -72,10 +72,8 @@ let build (prog : Ir.program) (leg : Legality.t) (aff : Affinity.t) ~decisions
 
 let field_dcache t typ fi =
   match Hashtbl.find_opt t.dcache (typ, fi) with
-  | None -> { fd_misses = 0; fd_latency_avg = 0.0 }
-  | Some (m, l) ->
-    { fd_misses = m;
-      fd_latency_avg = (if m = 0 then 0.0 else float_of_int l /. float_of_int m) }
+  | None -> { fd_misses = 0; fd_latency = 0 }
+  | Some (m, l) -> { fd_misses = m; fd_latency = l }
 
 let attr_codes (info : Legality.info) =
   let a = info.attrs in
@@ -187,8 +185,12 @@ let report_type t buf (tr : type_report) =
           if max_miss = 0 then 0.0
           else 100.0 *. float_of_int dc.fd_misses /. float_of_int max_miss
         in
+        let lat_avg =
+          if dc.fd_misses = 0 then 0.0
+          else float_of_int dc.fd_latency /. float_of_int dc.fd_misses
+        in
         Printf.bprintf buf "  miss : %d, %.1f%%, lat: %.1f [cyc]\n"
-          dc.fd_misses miss_pct dc.fd_latency_avg
+          dc.fd_misses miss_pct lat_avg
       end;
       (* uni-directional affinities, normalised per source field *)
       let edges =

@@ -16,7 +16,9 @@
     for the VCG graph visualisation tool with line thickness scaled by
     affinity weight. *)
 
-type field_dcache = { fd_misses : int; fd_latency_avg : float }
+type field_dcache = { fd_misses : int; fd_latency : int }
+(** Sampled d-cache misses attributed to a field, and their summed
+    latency in cycles. *)
 
 type t
 
@@ -36,8 +38,7 @@ val report : ?only:string list -> t -> string
     named types. *)
 
 val field_dcache : t -> string -> int -> field_dcache
-(** Aggregated d-cache statistics attributed to one field (zeros when no
-    feedback was supplied). *)
+(** Zeros when no feedback was supplied. *)
 
 val vcg : t -> string -> string option
 (** VCG control file for one type's affinity graph; [None] for unknown

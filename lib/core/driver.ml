@@ -4,7 +4,7 @@ module Hierarchy = Slo_cachesim.Hierarchy
 module Sampled = Slo_cachesim.Sampled
 module Weights = Slo_profile.Weights
 module Feedback = Slo_profile.Feedback
-module Pool = Slo_exec.Pool
+module Loc = Slo_minic.Loc
 
 type measurement = {
   m_result : Interp.result;
@@ -28,6 +28,22 @@ type evaluation = {
   e_speedup_pct : float;
   e_phases : phase_ms;
 }
+
+type decided = {
+  legality : Legality.t;
+  affinity : Affinity.t;
+  decisions : Heuristics.decision list;
+}
+
+type error =
+  | Syntax of { lexical : bool; msg : string; loc : Loc.t }
+  | Type of string * Loc.t
+  | Unsupported of string * Loc.t
+  | Ill_formed of Verify.error list
+  | Runtime of string
+  | Dcache_scheme of Weights.scheme
+
+exception Not_block_weights of Weights.scheme
 
 let compile ?(verify = false) source =
   let ast = Slo_minic.Parser.parse source in
@@ -106,6 +122,56 @@ let analyze (prog : Ir.program) ~scheme ~feedback =
   let aff = Affinity.analyze prog bw in
   (leg, aff)
 
+let feedback_for ?(args = []) prog ~scheme =
+  if Weights.is_dcache scheme then raise (Not_block_weights scheme);
+  if Weights.needs_profile scheme then
+    Some (fst (Slo_profile.Collect.collect ~args prog))
+  else None
+
+let decide ?threshold ?pool prog ~scheme ~feedback =
+  let legality, affinity = analyze prog ~scheme ~feedback in
+  let decisions =
+    Heuristics.decide ?threshold ?pool prog legality affinity ~scheme
+  in
+  { legality; affinity; decisions }
+
+let advise ?pool prog ~scheme ~feedback =
+  let d = decide ?pool prog ~scheme ~feedback in
+  let matched fb = (Slo_profile.Matching.apply prog fb).instr_dcache in
+  Advisor.build prog d.legality d.affinity ~decisions:d.decisions
+    ~dcache:(Option.map matched feedback)
+
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Slo_minic.Lexer.Error (msg, loc) ->
+    Error (Syntax { lexical = true; msg; loc })
+  | exception Slo_minic.Parser.Error (msg, loc) ->
+    Error (Syntax { lexical = false; msg; loc })
+  | exception Slo_minic.Typecheck.Error (msg, loc) -> Error (Type (msg, loc))
+  | exception Lower.Unsupported (msg, loc) -> Error (Unsupported (msg, loc))
+  | exception Verify.Ill_formed errs -> Error (Ill_formed errs)
+  | exception Slo_vm.Rt.Runtime_error msg -> Error (Runtime msg)
+  | exception Not_block_weights scheme -> Error (Dcache_scheme scheme)
+
+let render_error ?file e =
+  let prefix = Option.fold ~none:"" ~some:(fun f -> f ^ ":") file in
+  let whole = if file = None then "" else prefix ^ " " in
+  let at loc what msg =
+    Printf.sprintf "%s%s: %s: %s" prefix (Loc.to_string loc) what msg
+  in
+  match e with
+  | Syntax { lexical; msg; loc } ->
+    at loc (if lexical then "lexical error" else "syntax error") msg
+  | Type (msg, loc) -> at loc "type error" msg
+  | Unsupported (msg, loc) -> at loc "unsupported" msg
+  | Ill_formed errs -> whole ^ "ill-formed IR:\n" ^ Verify.report errs
+  | Runtime msg -> whole ^ "runtime error: " ^ msg
+  | Dcache_scheme scheme ->
+    Printf.sprintf
+      "%sd-cache scheme %S attributes PMU samples, not block weights" whole
+      (Codec.scheme_name scheme)
+
 let transform_with_plans ?(verify = false) prog plans =
   let copy = Ircopy.copy_program prog in
   Heuristics.apply copy plans;
@@ -122,57 +188,50 @@ let speedup_pct ~before ~after =
   (float_of_int before.m_cycles /. float_of_int after.m_cycles -. 1.0)
   *. 100.0
 
-let timed f =
-  let t0 = Slo_util.Clock.now_ns () in
-  let r = f () in
-  (r, Slo_util.Clock.elapsed_ms ~since:t0)
+let timed = Slo_util.Clock.timed
 
 let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?threshold ?pool
     ?(verify = false) ?(jobs = 1) ?(backend = Backend.default)
     ?(fidelity = Sampled.Exact) ~scheme ~feedback (prog : Ir.program) :
     evaluation =
-  let (leg, aff), t_an = timed (fun () -> analyze prog ~scheme ~feedback) in
-  let decisions, t_dec =
-    timed (fun () -> Heuristics.decide ?threshold ?pool prog leg aff ~scheme)
+  let d, t_an =
+    timed (fun () -> decide ?threshold ?pool prog ~scheme ~feedback)
   in
-  let plans = Heuristics.plans decisions in
+  let plans = Heuristics.plans d.decisions in
   let transformed, t_tr =
     timed (fun () -> transform_with_plans ~verify prog plans)
   in
+  let measure = measure ~args ~config ~backend ~fidelity in
   let (before, after), t_me =
     timed (fun () ->
         if plans = [] then begin
           (* no plan: [transformed] is an unmodified copy and simulation
              is deterministic, so its measurement is [prog]'s *)
-          let m = measure ~args ~config ~backend ~fidelity prog in
+          let m = measure prog in
           (m, m)
         end
         else if jobs > 1 then begin
-          (* the two measurement runs are independent; overlap them *)
-          let pool = Pool.create ~jobs:2 in
-          let fb =
-            Pool.submit pool (fun () ->
-                measure ~args ~config ~backend ~fidelity prog)
-          in
-          let fa =
-            Pool.submit pool (fun () ->
-                measure ~args ~config ~backend ~fidelity transformed)
-          in
-          let before = Pool.await_exn fb and after = Pool.await_exn fa in
-          Pool.shutdown pool;
-          (before, after)
+          (* the two measurement runs are independent; overlap them. The
+             spawned run is joined on every path, and the original's
+             exception wins, as it does serially *)
+          let after = Domain.spawn (fun () -> measure transformed) in
+          match measure prog with
+          | before -> (before, Domain.join after)
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            (try ignore (Domain.join after) with _ -> ());
+            Printexc.raise_with_backtrace e bt
         end
         else
-          ( measure ~args ~config ~backend ~fidelity prog,
-            measure ~args ~config ~backend ~fidelity transformed ))
+          let before = measure prog in
+          (before, measure transformed))
   in
   {
     e_before = before;
     e_after = after;
-    e_decisions = decisions;
+    e_decisions = d.decisions;
     e_transformed = transformed;
     e_speedup_pct = speedup_pct ~before ~after;
     e_phases =
-      { ph_analyze_ms = t_an +. t_dec; ph_transform_ms = t_tr;
-        ph_measure_ms = t_me };
+      { ph_analyze_ms = t_an; ph_transform_ms = t_tr; ph_measure_ms = t_me };
   }

@@ -1,5 +1,7 @@
 (** End-to-end pipeline: compile → (optional PBO collect) → analyze →
-    decide → transform → measure.
+    decide → transform → measure. The CLI, the daemon, bench, the tuner
+    and the examples all run these stages and report their failures as
+    one {!error}.
 
     This is the reproduction's equivalent of the paper's FE / IPA / BE
     phases glued together by the linker plug-in. The measurement side runs
@@ -33,6 +35,25 @@ type evaluation = {
   e_speedup_pct : float;
   e_phases : phase_ms;
 }
+
+type decided = {
+  legality : Legality.t;
+  affinity : Affinity.t;
+  decisions : Heuristics.decision list;
+}
+
+(** One constructor per failing stage. *)
+type error =
+  | Syntax of { lexical : bool; msg : string; loc : Slo_minic.Loc.t }
+  | Type of string * Slo_minic.Loc.t
+  | Unsupported of string * Slo_minic.Loc.t
+  | Ill_formed of Verify.error list
+  | Runtime of string  (** a VM fault *)
+  | Dcache_scheme of Slo_profile.Weights.scheme
+      (** a d-cache scheme where block weights are needed *)
+
+exception Not_block_weights of Slo_profile.Weights.scheme
+(** Raised by {!feedback_for} for a d-cache scheme. *)
 
 val compile : ?verify:bool -> string -> Ir.program
 (** Parse, type-check and lower a Mini-C source. With [~verify:true]
@@ -74,6 +95,42 @@ val analyze :
   feedback:Slo_profile.Feedback.t option ->
   Legality.t * Affinity.t
 
+val feedback_for :
+  ?args:int list ->
+  Ir.program ->
+  scheme:Slo_profile.Weights.scheme ->
+  Slo_profile.Feedback.t option
+(** The feedback rule for a run given no feedback file: a profile-based
+    scheme collects a profile on [args] (default none), a static one
+    gets [None]. *)
+
+val decide :
+  ?threshold:float ->
+  ?pool:bool ->
+  Ir.program ->
+  scheme:Slo_profile.Weights.scheme ->
+  feedback:Slo_profile.Feedback.t option ->
+  decided
+(** {!analyze}, then {!Heuristics.decide}. Raises [Invalid_argument] if
+    a profile-based scheme is given no feedback. *)
+
+val advise :
+  ?pool:bool ->
+  Ir.program ->
+  scheme:Slo_profile.Weights.scheme ->
+  feedback:Slo_profile.Feedback.t option ->
+  Advisor.t
+(** {!decide}, then the advisor; with feedback, its PMU samples are
+    matched to the program for the report's d-cache lines. *)
+
+val guard : (unit -> 'a) -> ('a, error) result
+(** Run a stage, turning exactly the exceptions behind {!error} into
+    [Error]; anything else propagates. *)
+
+val render_error : ?file:string -> error -> string
+(** [FILE:LINE:COL: ...] or [FILE: ...]; no [FILE] prefix without
+    [file]. *)
+
 val transform_with_plans :
   ?verify:bool -> Ir.program -> Heuristics.plan list -> Ir.program
 (** Apply plans to a fresh copy; the input program is untouched. With
@@ -94,15 +151,16 @@ val evaluate :
   feedback:Slo_profile.Feedback.t option ->
   Ir.program ->
   evaluation
-(** Full pipeline on an already-compiled program. [~pool] (default
-    false) forwards to {!Heuristics.decide}: shape-proven recursive
-    types are planned as index-linked pools. With [~jobs] > 1
-    (default 1) the before/after measurement runs execute on two worker
-    domains in parallel; [backend] selects the VM engine used for both
-    measurement runs (default the compiled one) and [fidelity]
-    their simulation fidelity (default exact — see {!measure}; sampled
-    fidelity affects only the measurement numbers, never the analysis
-    or the transformation). When no decision carries a plan the
+(** Full pipeline on an already-compiled program: {!decide}, transform,
+    measure. [~pool] (default false) forwards to {!Heuristics.decide}:
+    shape-proven recursive types are planned as index-linked pools.
+    With [~jobs] > 1 (default 1) the transformed program runs on a
+    second domain, joined on every path; a fault raises what [~jobs:1]
+    raises (the original's, when both fault). [backend] selects the VM
+    engine used for both measurement runs (default the compiled one)
+    and [fidelity] their simulation fidelity (default exact — see
+    {!measure}; sampled fidelity affects only the measurement numbers,
+    never the analysis or the transformation). When no decision carries a plan the
     transformed program is an unmodified copy, so it is not measured
     again: [e_after] is [e_before]. Raises [Invalid_argument] if a
     profile-based scheme is given no feedback, and {!Verify.Ill_formed}

@@ -3,8 +3,6 @@ type error = {
   err_backtrace : string;
 }
 
-exception Worker_error of error
-
 type 'a state = Pending | Done of 'a | Failed of error
 
 type 'a future = {
@@ -104,9 +102,6 @@ let await fut =
   | Done v -> Ok v
   | Failed e -> Error e
   | Pending -> assert false
-
-let await_exn fut =
-  match await fut with Ok v -> v | Error e -> raise (Worker_error e)
 
 (* Condition.wait has no timed variant in the stdlib, so the deadline
    wait polls the future state at a granularity well below any deadline

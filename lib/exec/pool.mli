@@ -17,9 +17,6 @@ type error = {
 }
 (** What is left of an exception that escaped a job. *)
 
-exception Worker_error of error
-(** Raised by {!await_exn} when the job failed. *)
-
 type t
 (** A pool of worker domains. *)
 
@@ -48,9 +45,6 @@ val submit : t -> (unit -> 'a) -> 'a future
 val await : 'a future -> ('a, error) result
 (** Block until the job has run. May be called from any domain, any
     number of times. *)
-
-val await_exn : 'a future -> 'a
-(** Like {!await} but re-raises the job's failure as {!Worker_error}. *)
 
 val await_timeout : 'a future -> timeout_ms:float -> ('a, error) result option
 (** [await_timeout fut ~timeout_ms] blocks until the job has run, but at

@@ -139,6 +139,7 @@ let wire_uri = "<input>"
 
 let compute t ~kind ~digest ~src ~scheme ~backend ~args =
   let prog = get_ir t ~digest ~src in
+  let feedback () = D.feedback_for ~args prog ~scheme in
   match kind with
   | `Check relax ->
     (* purely static: no profile collection, no execution *)
@@ -150,19 +151,12 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
         c_invalidating = Slo_advice.Advice.invalidating_count diags;
         c_cached = false;
       }
-  | (`Advise _ | `Bench | `Tune _) as kind -> (
-  let feedback =
-    if W.needs_profile scheme then
-      Some (fst (Slo_profile.Collect.collect ~args prog))
-    else None
-  in
-  match kind with
   | `Tune (beam, budget_ms) ->
     (* jobs=1: a busy daemon gets its parallelism from concurrent tune
        requests occupying pool workers, not from one request
        oversubscribing the domains — and the search is deterministic at
        any jobs anyway *)
-    let cfg = Tune.default_config ~scheme ~feedback in
+    let cfg = Tune.default_config ~scheme ~feedback:(feedback ()) in
     let cfg =
       { cfg with
         Tune.args; backend; budget_ms;
@@ -183,29 +177,21 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
         t_cached = false;
       }
   | `Advise pool ->
-    let leg, aff = D.analyze prog ~scheme ~feedback in
-    let decisions = H.decide ~pool prog leg aff ~scheme in
-    let dcache =
-      Option.map
-        (fun fb ->
-          (Slo_profile.Matching.apply prog fb).Slo_profile.Matching.instr_dcache)
-        feedback
-    in
-    let adv = Adv.build prog leg aff ~decisions ~dcache in
+    let adv = D.advise ~pool prog ~scheme ~feedback:(feedback ()) in
     P.R_advise { a_report = Adv.report adv; a_cached = false }
   | `Bench ->
-    let ev = D.evaluate ~args ~verify:true ~jobs:1 ~backend ~scheme ~feedback prog in
+    let ev =
+      D.evaluate ~args ~verify:true ~jobs:1 ~backend ~scheme
+        ~feedback:(feedback ()) prog
+    in
     P.R_bench
       {
         b_cycles_before = ev.D.e_before.D.m_cycles;
         b_cycles_after = ev.D.e_after.D.m_cycles;
         b_speedup_pct = ev.D.e_speedup_pct;
-        b_plans =
-          List.filter_map
-            (fun (d : H.decision) -> Option.map H.plan_summary d.d_plan)
-            ev.D.e_decisions;
+        b_plans = List.map H.plan_summary (H.plans ev.D.e_decisions);
         b_cached = false;
-      })
+      }
 
 (* queued-job bookkeeping: the watermark pair is a hysteresis band so
    the shedding decision does not flap once per job around one
@@ -230,34 +216,28 @@ let note_finished t =
                        admitting bench again" t.queued t.lo_mark)
   end
 
+(* a failing pipeline stage is the request's fault, not the worker's:
+   a VM fault means bad [args] for the program's [main] (wrong arity,
+   divide by zero, OOB access) *)
+let error_code : D.error -> P.error_code = function
+  | D.Syntax _ -> P.Parse_error
+  | D.Type _ -> P.Type_error
+  | D.Unsupported _ | D.Ill_formed _ -> P.Legality_error
+  | D.Runtime _ | D.Dcache_scheme _ -> P.Bad_request
+
 (* Everything a request can legitimately fail with becomes a structured
    error reply; only true surprises surface as [worker_crash]. The job
    always cleans its [pending] slot and caches successful replies (in
    memory, and persistently when a disk cache is configured). *)
 let job t ~key ~kind ~digest ~src ~scheme ~backend ~args () =
-  let reply =
-    match compute t ~kind ~digest ~src ~scheme ~backend ~args with
-    | r -> r
-    | exception Slo_minic.Lexer.Error (msg, loc) ->
-      err P.Parse_error "%s: lexical error: %s" (Slo_minic.Loc.to_string loc) msg
-    | exception Slo_minic.Parser.Error (msg, loc) ->
-      err P.Parse_error "%s: syntax error: %s" (Slo_minic.Loc.to_string loc) msg
-    | exception Slo_minic.Typecheck.Error (msg, loc) ->
-      err P.Type_error "%s: type error: %s" (Slo_minic.Loc.to_string loc) msg
-    | exception Lower.Unsupported (msg, loc) ->
-      err P.Legality_error "%s: unsupported: %s" (Slo_minic.Loc.to_string loc) msg
-    | exception Verify.Ill_formed errs ->
-      err P.Legality_error "ill-formed IR:\n%s" (Verify.report errs)
-    | exception Slo_vm.Rt.Runtime_error msg ->
-      (* bad [args] for the program's [main] (wrong arity, divide by
-         zero, OOB access) — the request is at fault, not the worker *)
-      err P.Bad_request "runtime error: %s" msg
-    | exception e -> err P.Worker_crash "%s" (Printexc.to_string e)
-  in
-  let success =
-    match reply with
-    | P.R_advise _ | P.R_bench _ | P.R_check _ | P.R_tune _ -> true
-    | _ -> false
+  let reply, success =
+    match
+      D.guard (fun () -> compute t ~kind ~digest ~src ~scheme ~backend ~args)
+    with
+    | Ok r -> (r, true)
+    | Error e ->
+      (P.R_error { code = error_code e; message = D.render_error e }, false)
+    | exception e -> (err P.Worker_crash "%s" (Printexc.to_string e), false)
   in
   locked t (fun () ->
       Hashtbl.remove t.pending key;

@@ -159,9 +159,8 @@ let diff ?(args = []) ?(check_accesses = true) ~original ~transformed () :
 
 let run ?args ?check_accesses (prog : Ir.program) (plans : H.plan list) :
     report =
-  let transformed = Ircopy.copy_program prog in
-  H.apply transformed plans;
-  diff ?args ?check_accesses ~original:prog ~transformed ()
+  diff ?args ?check_accesses ~original:prog
+    ~transformed:(D.transform_with_plans prog plans) ()
 
 let run_source ?args ?check_accesses source plans : report =
   run ?args ?check_accesses (D.compile source) plans

@@ -148,8 +148,8 @@ let field_orders (g : Affinity.graph) (rel : float array) ~beam fields =
     |> List.filteri (fun i _ -> i < beam)
 
 (* the per-struct alternatives, each one a plan list for that struct
-   ([] = leave it untouched). Eligibility mirrors [Heuristics.decide]:
-   what the heuristics refuse to touch, the tuner refuses to touch. *)
+   ([] = leave it untouched). Eligibility mirrors the heuristics' own
+   decisions: what they refuse to touch, the tuner refuses to touch. *)
 let struct_alternatives prog leg aff ~static_reads ~beam typ : H.plan list list
     =
   let untouched = [ [] ] in
@@ -336,9 +336,11 @@ let search prog cfg =
   (* the incumbent: budget-exempt, scored at exact fidelity. A heuristic
      plan failing its own transform would be a framework bug — let it
      propagate rather than masking it as a rejection. *)
-  let leg, aff = D.analyze prog ~scheme:cfg.scheme ~feedback:cfg.feedback in
   let heuristic =
-    H.plans (H.decide ?threshold:cfg.threshold prog leg aff ~scheme:cfg.scheme)
+    H.plans
+      (D.decide ?threshold:cfg.threshold prog ~scheme:cfg.scheme
+         ~feedback:cfg.feedback)
+        .D.decisions
   in
   let heuristic_cycles = exact_score heuristic in
   let candidates = Array.of_list (enumerate prog cfg) in

@@ -21,3 +21,6 @@ val elapsed_ms : since:int64 -> float
 
 val span_ms : int64 -> int64 -> float
 (** [span_ms t0 t1] is [t1 - t0] in milliseconds. *)
+
+val timed : (unit -> 'a) -> 'a * float
+(** [f ()] and its duration in milliseconds. *)

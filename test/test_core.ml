@@ -515,6 +515,99 @@ let no_plan_measured_once () =
   Alcotest.(check bool) "= a fresh measurement of the copy" true
     (ev.e_after = D.measure ~args ev.e_transformed)
 
+(* [simple_hot_cold]'s shape with a divisor argument: a plan under
+   ISPBO, and a division by zero on the first statement for [d = 0] *)
+let faulting_hot_cold =
+  "struct rec { long hot1; double cold1; long hot2; double cold2; };\n\
+   struct rec *arr;\n\
+   long n;\n\
+   int main(int d) { long it; long i; long s = 0; double c = 0.0;\n\
+   n = 64 / d;\n\
+   arr = (struct rec*)malloc(n * sizeof(struct rec));\n\
+   for (it = 0; it < n; it++) { arr[it].hot1 = it; arr[it].hot2 = 2 * it;\n\
+   arr[it].cold1 = 0.5; arr[it].cold2 = 0.25; }\n\
+   for (it = 0; it < 20; it++) {\n\
+   for (i = 0; i < n; i++) { s = s + arr[i].hot1 + arr[i].hot2; }\n\
+   if (it % 10 == 0) { c = c + arr[it].cold1 + arr[it].cold2; } }\n\
+   printf(\"%ld %g\\n\", s, c); return 0; }\n"
+
+(* a faulting [~jobs:2] evaluation joins its spawned domain and raises
+   what [~jobs:1] raises: 200 of them would exhaust the runtime's domain
+   limit if each leaked one *)
+let evaluate_parallel_fault () =
+  let prog = lower faulting_hot_cold in
+  let eval ~jobs d =
+    D.evaluate ~jobs ~args:[ d ] ~scheme:W.ISPBO ~feedback:None prog
+  in
+  let raised ~jobs =
+    match eval ~jobs 0 with
+    | _ -> Alcotest.fail "expected a runtime fault"
+    | exception e -> Printexc.to_string e
+  in
+  let serial = raised ~jobs:1 in
+  Alcotest.(check string) "serial fault"
+    (Printexc.to_string
+       (Slo_vm.Rt.Runtime_error "integer division by zero"))
+    serial;
+  for _ = 1 to 200 do
+    Alcotest.(check string) "jobs:2 raises what jobs:1 raises" serial
+      (raised ~jobs:2)
+  done;
+  let ev1 = eval ~jobs:1 1 and ev2 = eval ~jobs:2 1 in
+  Alcotest.(check bool) "a plan is measured" true
+    (H.plans ev1.e_decisions <> []);
+  Alcotest.(check bool) "same counters at jobs:2" true
+    (ev2.e_before = ev1.e_before && ev2.e_after = ev1.e_after)
+
+(* each stage failure maps to its constructor and renders with and
+   without a file prefix; other exceptions propagate *)
+let stage_errors () =
+  let rendered f =
+    match D.guard f with
+    | Ok _ -> Alcotest.fail "expected a stage error"
+    | Error e -> (D.render_error ~file:"f.mc" e, D.render_error e)
+  in
+  let check_pair name (with_file, bare) f =
+    let got_file, got_bare = rendered f in
+    Alcotest.(check string) (name ^ " with file") with_file got_file;
+    Alcotest.(check string) (name ^ " bare") bare got_bare
+  in
+  let compile src () = D.compile ~verify:true src in
+  check_pair "lexical"
+    ( "f.mc:1:24: lexical error: unexpected character '$'",
+      "1:24: lexical error: unexpected character '$'" )
+    (compile "int main() { int x = 1 $ 2; return 0; }");
+  check_pair "syntax"
+    ( "f.mc:1:11: syntax error: expected type, found '{'",
+      "1:11: syntax error: expected type, found '{'" )
+    (compile "int main( { return 0; }");
+  check_pair "type"
+    ( "f.mc:1:21: type error: unknown identifier 'undefined_var'",
+      "1:21: type error: unknown identifier 'undefined_var'" )
+    (compile "int main() { return undefined_var; }");
+  let prog = lower faulting_hot_cold in
+  check_pair "runtime"
+    ( "f.mc: runtime error: integer division by zero",
+      "runtime error: integer division by zero" )
+    (fun () -> D.measure ~args:[ 0 ] prog);
+  check_pair "d-cache scheme"
+    ( "f.mc: d-cache scheme \"dmiss\" attributes PMU samples, not block \
+       weights",
+      "d-cache scheme \"dmiss\" attributes PMU samples, not block weights" )
+    (fun () -> D.feedback_for prog ~scheme:W.DMISS);
+  Alcotest.check_raises "other exceptions propagate" Not_found (fun () ->
+      ignore (D.guard (fun () -> raise Not_found)))
+
+(* the feedback rule: profile-based schemes collect on the run's args,
+   static ones get none *)
+let feedback_rule () =
+  let prog = lower simple_hot_cold in
+  Alcotest.(check bool) "static: none" true
+    (D.feedback_for prog ~scheme:W.ISPBO = None);
+  let collected = fst (Slo_profile.Collect.collect prog) in
+  Alcotest.(check bool) "pbo: the collected profile" true
+    (D.feedback_for prog ~scheme:W.PBO = Some collected)
+
 (* ------------------------- GVL ------------------------- *)
 
 let gvl_reorders_globals () =
@@ -557,6 +650,8 @@ let advisor_report () =
     Adv.build prog leg aff ~decisions ~dcache:(Some matched.instr_dcache)
   in
   let rep = Adv.report adv in
+  Alcotest.(check string) "the advise stage builds the same report" rep
+    (Adv.report (D.advise prog ~scheme:W.PBO ~feedback:(Some fb)));
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "report mentions %s" needle) true
@@ -802,6 +897,13 @@ let () =
           Alcotest.test_case "driver end-to-end" `Quick split_improves_mcf_like;
           Alcotest.test_case "no plan measured once" `Quick
             no_plan_measured_once;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "parallel fault joins" `Quick
+            evaluate_parallel_fault;
+          Alcotest.test_case "stage errors" `Quick stage_errors;
+          Alcotest.test_case "feedback rule" `Quick feedback_rule;
         ] );
       ( "gvl",
         [ Alcotest.test_case "reorder" `Quick gvl_reorders_globals ] );

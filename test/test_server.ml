@@ -600,6 +600,85 @@ let e2e_structured_errors () =
       | _ -> Alcotest.fail "stats failed");
       close conn)
 
+(* the daemon runs the library's pipeline: on roster programs at tiny
+   args, its advise report is the shared advise stage's, its bench
+   numbers are Driver.evaluate's, and its error text is the shared
+   renderer's without a file name *)
+let e2e_daemon_is_library () =
+  let module D = Slo_core.Driver in
+  let module Suite = Slo_suite.Suite in
+  let wire reply = Json.to_string (P.json_of_reply reply) in
+  with_server ~jobs:2 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      List.iter
+        (fun name ->
+          let e = Suite.find name in
+          let args = List.map (fun a -> max 1 (a / 8)) e.train_args in
+          let prog = D.compile ~verify:true e.source in
+          List.iter
+            (fun scheme_name ->
+              let scheme =
+                Result.get_ok (Slo_core.Codec.scheme_of_string scheme_name)
+              in
+              let feedback = D.feedback_for ~args prog ~scheme in
+              let label what = Printf.sprintf "%s %s %s" name scheme_name what in
+              List.iter
+                (fun pool ->
+                  let expected =
+                    Slo_core.Advisor.report
+                      (D.advise ~pool prog ~scheme ~feedback)
+                  in
+                  match
+                    Client.rpc conn
+                      (P.Advise
+                         { src = e.source; scheme = Some scheme_name; args;
+                           pool; deadline_ms = None })
+                  with
+                  | P.R_advise a ->
+                    Alcotest.(check string)
+                      (label (Printf.sprintf "advise pool=%b" pool))
+                      expected a.a_report
+                  | r -> Alcotest.failf "%s: %s" (label "advise") (wire r))
+                [ false; true ];
+              let ev =
+                D.evaluate ~args ~verify:true ~scheme ~feedback prog
+              in
+              let expected =
+                P.R_bench
+                  {
+                    b_cycles_before = ev.e_before.m_cycles;
+                    b_cycles_after = ev.e_after.m_cycles;
+                    b_speedup_pct = ev.e_speedup_pct;
+                    b_plans =
+                      List.map Slo_core.Heuristics.plan_summary
+                        (Slo_core.Heuristics.plans ev.e_decisions);
+                    b_cached = false;
+                  }
+              in
+              Alcotest.(check string) (label "bench") (wire expected)
+                (wire
+                   (Client.rpc conn
+                      (P.Bench
+                         { src = e.source; scheme = Some scheme_name;
+                           backend = None; args; deadline_ms = None }))))
+            [ "ispbo"; "spbo"; "pbo" ])
+        [ "179.art"; "gobmk"; "sphinx" ];
+      List.iter
+        (fun src ->
+          let expected =
+            match D.guard (fun () -> D.compile ~verify:true src) with
+            | Error e -> D.render_error e
+            | Ok _ -> Alcotest.failf "%S compiled" src
+          in
+          match Client.rpc conn (advise src) with
+          | P.R_error { message; _ } ->
+            Alcotest.(check string) "error text is the renderer's" expected
+              message
+          | r -> Alcotest.failf "%S: %s" src (wire r))
+        [ "int main() { int x = 1 $ 2; return 0; }"; "int main( { return 0; }";
+          "int main() { return undefined_var; }" ];
+      close conn)
+
 let e2e_deadline () =
   with_server ~jobs:2 (fun ~connect ~close _socket ->
       let conn = connect () in
@@ -869,6 +948,8 @@ let () =
           Alcotest.test_case "check + cache" `Quick e2e_check;
           Alcotest.test_case "tune anytime + cache" `Quick e2e_tune;
           Alcotest.test_case "structured errors" `Quick e2e_structured_errors;
+          Alcotest.test_case "daemon is the library" `Quick
+            e2e_daemon_is_library;
           Alcotest.test_case "deadline" `Quick e2e_deadline;
           Alcotest.test_case "connection limit" `Quick e2e_overloaded;
           Alcotest.test_case "shutdown drains" `Quick e2e_shutdown_drains;
