@@ -11,9 +11,12 @@ build:
 test:
 	dune runtest
 
-# the QCheck pipeline fuzz suite at 10x iterations
+# the QCheck pipeline fuzz suite and the cache simulator's
+# drain-equivalence properties, at 10x iterations
 fuzz:
 	QCHECK_LONG=1 dune exec test/test_fuzz.exe
+	QCHECK_LONG=1 dune exec test/test_cachesim.exe
+	QCHECK_LONG=1 dune exec test/test_sampled.exe
 
 # the full evaluation: every table and figure, BENCH.json in _artifacts/
 bench:

@@ -31,10 +31,7 @@ module Suite = Slo_suite.Suite
 module Sampled = Slo_cachesim.Sampled
 module Backend = Slo_vm.Backend
 module Json = Slo_util.Json
-
-let l1_bound_pp = 0.5
-let l2_bound_pp = 1.0
-let speedup_zero_pct = 0.1
+open Slo_bench.Accuracy_rule
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
@@ -53,21 +50,6 @@ let row_label (r : Engine.record) =
 let miss_rate_pct ~misses ~accesses =
   if accesses <= 0 then 0.0
   else 100.0 *. float_of_int misses /. float_of_int accesses
-
-let sign_of x =
-  if x > speedup_zero_pct then 1 else if x < -.speedup_zero_pct then -1 else 0
-
-(* A sign disagreement is a decision flip only when the two estimates
-   genuinely point different ways: strictly opposite signs, or one in
-   the dead zone while the other clears it with margin (2x the zero
-   band). Two values straddling the dead-zone edge by a hair (say
-   +0.099 vs +0.101) agree for every purpose the measurement feeds;
-   flagging them would make the gate a coin flip on near-zero rows. *)
-let sign_flip a b =
-  let sa = sign_of a and sb = sign_of b in
-  if sa = sb then false
-  else if sa * sb < 0 then true
-  else Float.abs (if sa = 0 then b else a) > 2.0 *. speedup_zero_pct
 
 type side_delta = { d_l1_pp : float; d_l2_pp : float }
 

@@ -19,8 +19,10 @@
    changes execution). Per row and per side (before/after), the L1 and
    L2 miss rates of the two files must agree within fixed bounds
    (|Δ| <= 0.5 percentage points for L1, 1.0 for L2), and the measured
-   speedups must agree in sign (a |speedup| below 0.1% counts as zero).
-   This is the artifact-level face of the roster accuracy gate.
+   speedups must not flip sign (a |speedup| below 0.1% counts as zero,
+   and a zero only conflicts with a value clearing twice that band).
+   This is the artifact-level face of the roster accuracy gate and
+   applies the same rule ([Slo_bench.Accuracy_rule]).
 
    In both modes the measure-phase totals of both files are printed
    along with their ratio (file A total / file B total) — run A exact
@@ -29,10 +31,7 @@
    errors. *)
 
 module Json = Slo_util.Json
-
-let l1_bound_pp = 0.5
-let l2_bound_pp = 1.0
-let speedup_zero_pct = 0.1
+open Slo_bench.Accuracy_rule
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -115,8 +114,6 @@ let miss_rate_pct row ~misses_key ~accesses_key =
   | Some m, Some acc when acc > 0.0 -> Some (100.0 *. m /. acc)
   | _ -> None
 
-let sign_of ~eps x = if x > eps then 1 else if x < -.eps then -1 else 0
-
 let compare_accuracy complain ra rb =
   let check_rate label bound a b ~misses_key ~accesses_key =
     match
@@ -170,12 +167,11 @@ let compare_accuracy complain ra rb =
           (* the decision the measurement feeds must not flip *)
           match (num_member "speedup_pct" a, num_member "speedup_pct" b) with
           | Some sa, Some sb ->
-            let za = sign_of ~eps:speedup_zero_pct sa
-            and zb = sign_of ~eps:speedup_zero_pct sb in
+            let flips = sign_flip sa sb in
             Printf.printf "  %-28s %+7.2f%% vs %+7.2f%%  sign %s\n"
               (label ^ " speedup") sa sb
-              (if za = zb then "agrees" else "FLIPS");
-            if za <> zb then
+              (if flips then "FLIPS" else "agrees");
+            if flips then
               complain
                 (Printf.sprintf
                    "%s: speedup sign flips between fidelities (%+.2f%% vs \

@@ -18,259 +18,13 @@ type t = {
   ins : int array;
   carry : int array;
   mutable synth_tag : int;  (* next synthetic fill tag; real tags are >= 0 *)
-  (* probe kernels, selected once at creation: [k addr] probes the set,
-     updates tick/stamps/tags (hit/miss counters too for [k_access],
-     never for [k_touch]) and returns [(way_index lsl 1) lor hit] *)
-  mutable k_access : int -> int;
-  mutable k_touch : int -> int;
 }
-
-type kernel = [ `Auto | `Generic ]
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
 
 let log2 x =
   let rec go n x = if x <= 1 then n else go (n + 1) (x lsr 1) in
   go 0 x
-
-(* The generic probe: any associativity, shift/mask set indexing on
-   power-of-two set counts with a divide fallback (the odd 6144-set
-   Itanium L2). This is the reference kernel the specialized ones are
-   property-tested against; the inline while-probe and first-minimal
-   victim scan define the simulator's semantics. *)
-let generic_kernel ~count c : int -> int =
-  let tags = c.tags and stamps = c.stamps and ins = c.ins in
-  let assoc = c.assoc and nsets = c.nsets in
-  let lshift = c.line_shift and smask = c.set_mask and sshift = c.set_shift in
-  fun addr ->
-    let line_no = addr lsr lshift in
-    let set, tag =
-      if sshift >= 0 then (line_no land smask, line_no lsr sshift)
-      else (line_no mod nsets, line_no / nsets)
-    in
-    let base = set * assoc in
-    let tick = c.tick + 1 in
-    c.tick <- tick;
-    let lim = base + assoc in
-    let i = ref base in
-    while !i < lim && Array.unsafe_get tags !i <> tag do incr i done;
-    if !i < lim then begin
-      Array.unsafe_set stamps !i tick;
-      if count then c.hits <- c.hits + 1;
-      (!i lsl 1) lor 1
-    end
-    else begin
-      if count then c.misses <- c.misses + 1;
-      Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
-      (* evict the first way holding the minimal stamp *)
-      let victim = ref base in
-      for w = base + 1 to lim - 1 do
-        if stamps.(w) < stamps.(!victim) then victim := w
-      done;
-      tags.(!victim) <- tag;
-      stamps.(!victim) <- tick;
-      !victim lsl 1
-    end
-
-(* Specialized kernels for power-of-two set counts at associativity 1,
-   2, 4 or 8: the way probe is fully unrolled and the victim selection
-   is a comparison tree instead of a scan. The tree preserves the
-   generic kernel's first-minimal-stamp tie-break: every merge keeps
-   the left (lower-index) candidate on equal stamps, and the left
-   candidate always has the lower index. *)
-(* Each arm resolves the probe to a way index [w] (-1 = miss) through
-   unrolled compares, then performs the hit or fill update inline: the
-   native compiler does not inline local closures, so shared [hit]/
-   [fill] helpers would cost an indirect call per probe on the hottest
-   path of the whole simulator. *)
-let specialized_kernel ~count c : (int -> int) option =
-  if c.set_shift < 0 then None
-  else begin
-    let tags = c.tags and stamps = c.stamps and ins = c.ins in
-    let lshift = c.line_shift and smask = c.set_mask and sshift = c.set_shift in
-    match c.assoc with
-    | 1 ->
-      Some
-        (fun addr ->
-          let line_no = addr lsr lshift in
-          let set = line_no land smask in
-          let tag = line_no lsr sshift in
-          let tk = c.tick + 1 in
-          c.tick <- tk;
-          if Array.unsafe_get tags set = tag then begin
-            Array.unsafe_set stamps set tk;
-            if count then c.hits <- c.hits + 1;
-            (set lsl 1) lor 1
-          end
-          else begin
-            if count then c.misses <- c.misses + 1;
-            Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
-            Array.unsafe_set tags set tag;
-            Array.unsafe_set stamps set tk;
-            set lsl 1
-          end)
-    | 2 ->
-      Some
-        (fun addr ->
-          let line_no = addr lsr lshift in
-          let set = line_no land smask in
-          let tag = line_no lsr sshift in
-          let base = set lsl 1 in
-          let tk = c.tick + 1 in
-          c.tick <- tk;
-          let w =
-            if Array.unsafe_get tags base = tag then base
-            else if Array.unsafe_get tags (base + 1) = tag then base + 1
-            else -1
-          in
-          if w >= 0 then begin
-            Array.unsafe_set stamps w tk;
-            if count then c.hits <- c.hits + 1;
-            (w lsl 1) lor 1
-          end
-          else begin
-            let v =
-              if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base
-              then base + 1
-              else base
-            in
-            if count then c.misses <- c.misses + 1;
-            Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
-            Array.unsafe_set tags v tag;
-            Array.unsafe_set stamps v tk;
-            v lsl 1
-          end)
-    | 4 ->
-      Some
-        (fun addr ->
-          let line_no = addr lsr lshift in
-          let set = line_no land smask in
-          let tag = line_no lsr sshift in
-          let base = set lsl 2 in
-          let tk = c.tick + 1 in
-          c.tick <- tk;
-          let w =
-            if Array.unsafe_get tags base = tag then base
-            else if Array.unsafe_get tags (base + 1) = tag then base + 1
-            else if Array.unsafe_get tags (base + 2) = tag then base + 2
-            else if Array.unsafe_get tags (base + 3) = tag then base + 3
-            else -1
-          in
-          if w >= 0 then begin
-            Array.unsafe_set stamps w tk;
-            if count then c.hits <- c.hits + 1;
-            (w lsl 1) lor 1
-          end
-          else begin
-            let i01 =
-              if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base
-              then base + 1
-              else base
-            in
-            let i23 =
-              if
-                Array.unsafe_get stamps (base + 3)
-                < Array.unsafe_get stamps (base + 2)
-              then base + 3
-              else base + 2
-            in
-            let v =
-              if Array.unsafe_get stamps i23 < Array.unsafe_get stamps i01 then
-                i23
-              else i01
-            in
-            if count then c.misses <- c.misses + 1;
-            Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
-            Array.unsafe_set tags v tag;
-            Array.unsafe_set stamps v tk;
-            v lsl 1
-          end)
-    | 8 ->
-      Some
-        (fun addr ->
-          let line_no = addr lsr lshift in
-          let set = line_no land smask in
-          let tag = line_no lsr sshift in
-          let base = set lsl 3 in
-          let tk = c.tick + 1 in
-          c.tick <- tk;
-          let w =
-            if Array.unsafe_get tags base = tag then base
-            else if Array.unsafe_get tags (base + 1) = tag then base + 1
-            else if Array.unsafe_get tags (base + 2) = tag then base + 2
-            else if Array.unsafe_get tags (base + 3) = tag then base + 3
-            else if Array.unsafe_get tags (base + 4) = tag then base + 4
-            else if Array.unsafe_get tags (base + 5) = tag then base + 5
-            else if Array.unsafe_get tags (base + 6) = tag then base + 6
-            else if Array.unsafe_get tags (base + 7) = tag then base + 7
-            else -1
-          in
-          if w >= 0 then begin
-            Array.unsafe_set stamps w tk;
-            if count then c.hits <- c.hits + 1;
-            (w lsl 1) lor 1
-          end
-          else begin
-            let i01 =
-              if Array.unsafe_get stamps (base + 1) < Array.unsafe_get stamps base
-              then base + 1
-              else base
-            in
-            let i23 =
-              if
-                Array.unsafe_get stamps (base + 3)
-                < Array.unsafe_get stamps (base + 2)
-              then base + 3
-              else base + 2
-            in
-            let i45 =
-              if
-                Array.unsafe_get stamps (base + 5)
-                < Array.unsafe_get stamps (base + 4)
-              then base + 5
-              else base + 4
-            in
-            let i67 =
-              if
-                Array.unsafe_get stamps (base + 7)
-                < Array.unsafe_get stamps (base + 6)
-              then base + 7
-              else base + 6
-            in
-            let a =
-              if Array.unsafe_get stamps i23 < Array.unsafe_get stamps i01 then
-                i23
-              else i01
-            in
-            let b =
-              if Array.unsafe_get stamps i67 < Array.unsafe_get stamps i45 then
-                i67
-              else i45
-            in
-            let v =
-              if Array.unsafe_get stamps b < Array.unsafe_get stamps a then b
-              else a
-            in
-            if count then c.misses <- c.misses + 1;
-            Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
-            Array.unsafe_set tags v tag;
-            Array.unsafe_set stamps v tk;
-            v lsl 1
-          end)
-    | _ -> None
-  end
-
-let select_kernels kernel c =
-  let pick ~count =
-    match kernel with
-    | `Generic -> generic_kernel ~count c
-    | `Auto -> (
-      match specialized_kernel ~count c with
-      | Some k -> k
-      | None -> generic_kernel ~count c)
-  in
-  c.k_access <- pick ~count:true;
-  c.k_touch <- pick ~count:false
 
 let create ~name ~size ~line ~assoc =
   if line <= 0 || assoc <= 0 || size <= 0 then
@@ -279,29 +33,65 @@ let create ~name ~size ~line ~assoc =
   if size mod (line * assoc) <> 0 then
     invalid_arg "Cache.create: size not divisible by line*assoc";
   let nsets = size / (line * assoc) in
-  let c =
-    {
-      cname = name; line; assoc; nsets;
-      line_shift = log2 line;
-      set_mask = (if is_pow2 nsets then nsets - 1 else 0);
-      set_shift = (if is_pow2 nsets then log2 nsets else -1);
-      tags = Array.make (nsets * assoc) (-1);
-      stamps = Array.make (nsets * assoc) 0;
-      tick = 0; hits = 0; misses = 0;
-      ins = Array.make nsets 0;
-      carry = Array.make nsets 0;
-      synth_tag = -2;
-      k_access = (fun _ -> 0);
-      k_touch = (fun _ -> 0);
-    }
+  {
+    cname = name; line; assoc; nsets;
+    line_shift = log2 line;
+    set_mask = (if is_pow2 nsets then nsets - 1 else 0);
+    set_shift = (if is_pow2 nsets then log2 nsets else -1);
+    tags = Array.make (nsets * assoc) (-1);
+    stamps = Array.make (nsets * assoc) 0;
+    tick = 0; hits = 0; misses = 0;
+    ins = Array.make nsets 0;
+    carry = Array.make nsets 0;
+    synth_tag = -2;
+  }
+
+(* the LRU way of the set occupying [base, base + assoc): the first
+   way holding the minimal stamp *)
+let lru_way stamps base assoc =
+  let victim = ref base in
+  for w = base + 1 to base + assoc - 1 do
+    if Array.unsafe_get stamps w < Array.unsafe_get stamps !victim then
+      victim := w
+  done;
+  !victim
+
+(* The probe, and with it the simulator's semantics: shift/mask set
+   indexing on power-of-two set counts with a divide fallback (the odd
+   6144-set Itanium L2), tick first, a while-scan of the ways, and on a
+   miss a fill of the first-minimal-stamp way plus one ins-sketch bump.
+   Returns the way on a hit and [lnot way] (negative) on a miss: one
+   sign test tells the caller both. [Hierarchy]'s batch drains run the
+   same state machine inlined. *)
+let probe c ~count addr =
+  let tags = c.tags and stamps = c.stamps and assoc = c.assoc in
+  let line_no = addr lsr c.line_shift in
+  let set, tag =
+    if c.set_shift >= 0 then (line_no land c.set_mask, line_no lsr c.set_shift)
+    else (line_no mod c.nsets, line_no / c.nsets)
   in
-  select_kernels `Auto c;
-  c
+  let base = set * assoc in
+  let tick = c.tick + 1 in
+  c.tick <- tick;
+  let lim = base + assoc in
+  let i = ref base in
+  while !i < lim && Array.unsafe_get tags !i <> tag do incr i done;
+  if !i < lim then begin
+    Array.unsafe_set stamps !i tick;
+    if count then c.hits <- c.hits + 1;
+    !i
+  end
+  else begin
+    if count then c.misses <- c.misses + 1;
+    Array.unsafe_set c.ins set (Array.unsafe_get c.ins set + 1);
+    let v = lru_way stamps base assoc in
+    Array.unsafe_set tags v tag;
+    Array.unsafe_set stamps v tick;
+    lnot v
+  end
 
-let set_kernel c kernel = select_kernels kernel c
-
-let access t ~addr ~write:_ = t.k_access addr land 1 <> 0
-let touch t ~addr ~write:_ = t.k_touch addr land 1 <> 0
+let access t ~addr = probe t ~count:true addr >= 0
+let touch t ~addr = probe t ~count:false addr >= 0
 
 (* Sampled skip correction: the sketch says this cache filled
    [ins.(set)] lines into [set] over the [observed] accesses since the
@@ -327,17 +117,13 @@ let correct_skip t ~skipped ~observed =
         let n = if n > assoc then assoc else n in
         if n > 0 then begin
           let base = set * assoc in
-          let lim = base + assoc in
           for _ = 1 to n do
             let tick = t.tick + 1 in
             t.tick <- tick;
-            let victim = ref base in
-            for w = base + 1 to lim - 1 do
-              if t.stamps.(w) < t.stamps.(!victim) then victim := w
-            done;
-            t.tags.(!victim) <- t.synth_tag;
+            let v = lru_way t.stamps base assoc in
+            t.tags.(v) <- t.synth_tag;
             t.synth_tag <- t.synth_tag - 1;
-            t.stamps.(!victim) <- tick
+            t.stamps.(v) <- tick
           done
         end
       end

@@ -6,11 +6,11 @@
     original and the transformed program equally).
 
     The record is exposed so the {!Hierarchy} drain loops can hoist its
-    fields into registers and update the memoized hit path without a
-    cross-module call (which would not be inlined without flambda).
-    Outside [lib/cachesim] the fields must be treated as read-only;
-    all mutation goes through {!access}/{!touch}, the kernels, and
-    {!correct_skip}. *)
+    fields into registers and run their inlined copy of {!probe} over
+    them without a cross-module call (which would not be inlined
+    without flambda). Outside [lib/cachesim] the fields must be treated
+    as read-only; all mutation goes through {!probe} (and
+    {!access}/{!touch}), the drains, and {!correct_skip}. *)
 
 type t = {
   cname : string;
@@ -30,45 +30,32 @@ type t = {
           footprint sketch the sampled skip correction extrapolates from *)
   carry : int array;   (** per-set division remainders of {!correct_skip} *)
   mutable synth_tag : int;
-  mutable k_access : int -> int;
-      (** the probe kernel, selected (and written) once at {!create}:
-          [k_access addr] performs exactly one {!access} and returns
-          [(way_index lsl 1) lor hit] where [way_index] indexes
-          [tags]/[stamps] — the drain loops use it to remember where the
-          just-touched line lives *)
-  mutable k_touch : int -> int;
-      (** same kernel without the hit/miss counters ({!touch}) *)
 }
-
-type kernel = [ `Auto | `Generic ]
-(** [`Auto] selects an unrolled, branch-reduced probe when the set
-    count is a power of two and the associativity is 1, 2, 4 or 8,
-    falling back to the generic while-loop probe otherwise. [`Generic]
-    forces the fallback — the property tests drive identical streams
-    through both selections and require byte-identical state. *)
 
 val create : name:string -> size:int -> line:int -> assoc:int -> t
 (** [size] and [line] in bytes; [size] must be a multiple of
-    [line * assoc]. Raises [Invalid_argument] otherwise. Kernels start
-    as [`Auto]; {!set_kernel} re-selects. *)
+    [line * assoc]. Raises [Invalid_argument] otherwise. *)
 
-val set_kernel : t -> kernel -> unit
-(** Re-select the probe kernels. Safe at any time (kernels are
-    stateless between probes — all state lives in the record), but
-    meant for right after {!create}. *)
+val probe : t -> count:bool -> int -> int
+(** [probe t ~count addr] touches the line containing [addr] and
+    returns the index into [tags]/[stamps] of the way that now holds
+    it: [way] on a hit, [lnot way] (negative) on a miss. Advances the
+    tick and updates tags, LRU stamps and the [ins] sketch; bumps the
+    hit/miss counters only when [count]. [addr] must be non-negative
+    (the VM's address space); set indexing is shift/mask on
+    power-of-two geometries, with a divide fallback for odd set
+    counts. *)
 
-val access : t -> addr:int -> write:bool -> bool
-(** Touch the line containing [addr]; returns [true] on hit. Updates LRU
-    state and hit/miss counters. [addr] must be non-negative (the VM's
-    address space); set indexing is shift/mask on power-of-two
-    geometries, with a divide fallback for odd set counts. *)
+val access : t -> addr:int -> bool
+(** [probe ~count:true]: touch the line containing [addr]; returns
+    [true] on hit. Updates LRU state and hit/miss counters. *)
 
-val touch : t -> addr:int -> write:bool -> bool
-(** {!access} minus the statistics: updates tags, LRU stamps and the
-    internal tick exactly like {!access} and returns the same hit bool,
-    but leaves the hit/miss counters untouched. The sampled simulator
-    warms cache state with this during fast-forward so that detailed
-    windows start warm without unrecorded traffic diluting the
+val touch : t -> addr:int -> bool
+(** [probe ~count:false]: {!access} minus the statistics — updates
+    tags, LRU stamps and the internal tick exactly like {!access} and
+    returns the same hit bool, but leaves the hit/miss counters
+    untouched. The sampled simulator warms cache state this way so that
+    detailed windows start warm without unrecorded traffic diluting the
     counters. *)
 
 val correct_skip : t -> skipped:int -> observed:int -> unit

@@ -61,7 +61,7 @@ type t = {
   mutable on_sample : int -> int -> unit;
 }
 
-let create ?kernel cfg =
+let create cfg =
   let c1 =
     Cache.create ~name:"L1D" ~size:cfg.l1_size ~line:cfg.l1_line
       ~assoc:cfg.l1_assoc
@@ -70,11 +70,6 @@ let create ?kernel cfg =
     Cache.create ~name:"L2" ~size:cfg.l2_size ~line:cfg.l2_line
       ~assoc:cfg.l2_assoc
   in
-  (match kernel with
-  | Some k ->
-    Cache.set_kernel c1 k;
-    Cache.set_kernel c2 k
-  | None -> ());
   {
     cfg; c1; c2;
     shift1 = Cache.line_shift c1;
@@ -113,24 +108,23 @@ let[@inline] count_miss t m n latency =
 (* The L1->L2 descent of one missing L1 line: one L2 request for the
    L2 line containing it (a single probe whenever the L2 line is at
    least as large as the L1 line — always, on real geometries — with a
-   range loop for the degenerate smaller-L2-line case). [k2] selects
+   range loop for the degenerate smaller-L2-line case). [count] selects
    recorded or warming probes. *)
-let descend_with t (k2 : int -> int) l1_base : bool =
-  if t.l2_covers_l1 then k2 l1_base land 1 <> 0
+let descend t ~count l1_base : bool =
+  if t.l2_covers_l1 then Cache.probe t.c2 ~count l1_base >= 0
   else begin
     let sh = t.shift2 in
     let first = l1_base lsr sh and last = (l1_base + t.line1 - 1) lsr sh in
     let all = ref true in
     for l = first to last do
-      if k2 (l lsl sh) land 1 = 0 then all := false
+      if Cache.probe t.c2 ~count (l lsl sh) < 0 then all := false
     done;
     !all
   end
 
 (* The one and only implementation of the service/descent rule, shared
-   by the recorded path ([access], probing through
-   [Cache.k_access]) and the warming path ([warm], probing through
-   [Cache.k_touch]) so the two can never drift:
+   by the recorded path ([access], [~count:true]) and the warming path
+   ([warm], [~count:false]) so the two can never drift:
 
    - a floating-point access under the Itanium bypass is served by L2
      (its first level); L2-missing lines go to memory;
@@ -141,46 +135,35 @@ let descend_with t (k2 : int -> int) l1_base : bool =
      its LRU state.
 
    Returns the deepest level any covered line had to go to. *)
-let serve_with t (k1 : int -> int) (k2 : int -> int) ~addr ~size ~is_float :
-    level =
+let serve t ~count ~addr ~size ~is_float : level =
   if is_float && t.fpb then begin
     let sh = t.shift2 in
     let first = addr lsr sh and last = (addr + max size 1 - 1) lsr sh in
     let all = ref true in
     for l = first to last do
-      if k2 (l lsl sh) land 1 = 0 then all := false
+      if Cache.probe t.c2 ~count (l lsl sh) < 0 then all := false
     done;
     if !all then L2 else Mem
   end
   else begin
     let sh = t.shift1 in
     let first = addr lsr sh and last = (addr + max size 1 - 1) lsr sh in
-    if first = last then begin
-      (* the common single-line access: no range bookkeeping *)
-      if k1 addr land 1 = 1 then L1
-      else if descend_with t k2 (first lsl sh) then L2
-      else Mem
-    end
-    else begin
-      let any_l1_miss = ref false and all_l2_hit = ref true in
-      for l = first to last do
-        if k1 (l lsl sh) land 1 = 0 then begin
-          any_l1_miss := true;
-          if not (descend_with t k2 (l lsl sh)) then all_l2_hit := false
-        end
-      done;
-      if not !any_l1_miss then L1
-      else if !all_l2_hit then L2
-      else Mem
-    end
+    let any_l1_miss = ref false and all_l2_hit = ref true in
+    for l = first to last do
+      if Cache.probe t.c1 ~count (l lsl sh) < 0 then begin
+        any_l1_miss := true;
+        if not (descend t ~count (l lsl sh)) then all_l2_hit := false
+      end
+    done;
+    if not !any_l1_miss then L1
+    else if !all_l2_hit then L2
+    else Mem
   end
 
-let access t ~addr ~size ~write:_ ~is_float =
+let access t ~addr ~size ~is_float =
   t.memo_line <- -1;
   t.n_access <- t.n_access + 1;
-  match
-    serve_with t t.c1.Cache.k_access t.c2.Cache.k_access ~addr ~size ~is_float
-  with
+  match serve t ~count:true ~addr ~size ~is_float with
   | L1 ->
     t.by_l1 <- t.by_l1 + 1;
     (t.cfg.l1_lat, L1)
@@ -193,10 +176,9 @@ let access t ~addr ~size ~write:_ ~is_float =
     t.extra <- t.extra + t.mem_extra;
     (t.cfg.mem_lat, Mem)
 
-let warm t ~addr ~size ~write:_ ~is_float =
+let warm t ~addr ~size ~is_float =
   t.memo_line <- -1;
-  ignore
-    (serve_with t t.c1.Cache.k_touch t.c2.Cache.k_touch ~addr ~size ~is_float)
+  ignore (serve t ~count:false ~addr ~size ~is_float)
 
 let correct_skip t ~skipped ~observed =
   t.memo_line <- -1;
@@ -207,33 +189,68 @@ let correct_skip t ~skipped ~observed =
 (* Batch drains                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [Cache.probe] of line number [line] (in the cache's own line size),
+   over the arrays, geometry and tick/hit/miss refs a drain loop has
+   hoisted out of the [Cache.t]; same result encoding. It has to live
+   here: [Cache.probe] called from the drain loops would be a
+   cross-module call, which the native compiler without flambda never
+   inlines (and dune's dev profile compiles library modules [-opaque],
+   so it would not even be a direct call), and that call per event is
+   the cost the ring was built to shed. Same tick-first ordering, way
+   scan, first-minimal victim and ins-sketch bump, so the drained cache
+   state is bit-identical to per-access probing. *)
+let[@inline] drain_probe tags stamps ins assoc nsets smask sshift tick hits
+    misses line =
+  let set, tag =
+    if sshift >= 0 then (line land smask, line lsr sshift)
+    else (line mod nsets, line / nsets)
+  in
+  let base = set * assoc in
+  let lim = base + assoc in
+  let tk = !tick + 1 in
+  tick := tk;
+  let i = ref base in
+  while !i < lim && Array.unsafe_get tags !i <> tag do incr i done;
+  if !i < lim then begin
+    Array.unsafe_set stamps !i tk;
+    incr hits;
+    !i
+  end
+  else begin
+    incr misses;
+    Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
+    let v = ref base in
+    for w = base + 1 to lim - 1 do
+      if Array.unsafe_get stamps w < Array.unsafe_get stamps !v then v := w
+    done;
+    Array.unsafe_set tags !v tag;
+    Array.unsafe_set stamps !v tk;
+    lnot !v
+  end
+
 (* Drain ring events [lo, hi) with [access] semantics. One call
-   replaces [hi - lo] [access] calls: the config constants, kernel
-   closures and counters live in locals for the whole batch, and an
-   event landing on the same line as the previous one skips the probe —
-   the line is resident and most-recent in its set, so a full probe
-   would hit at [memo_way]; the memo path replicates that probe's exact
-   counter, tick and stamp effects. Counters after the drain are
-   byte-equal to feeding every event through [access] (a QCheck
-   property pins this).
+   replaces [hi - lo] [access] calls: the config constants, cache
+   arrays and counters live in locals for the whole batch, single-line
+   events probe through the inlined [drain_probe], and an event landing
+   on the same line as the previous one skips the probe — the line is
+   resident and most-recent in its set, so a full probe would hit at
+   [memo_way]; the memo path replicates that probe's exact counter,
+   tick and stamp effects. Multi-line events (rare) go through [serve],
+   with the cached tick/hit/miss locals written back around the call.
+   Counters after the drain are byte-equal to feeding every event
+   through [access] (a QCheck property pins this).
 
    The same loop is the PMU: every first-level miss event (an L2 or
    memory access for an integer event, a memory access for a float one,
    as [Pmu.record] decides) bumps [misses], and the one whose count
    reaches [next_sample] goes to the sampler with its latency. Without
-   a sampler that is one increment and one compare per miss. *)
-(* The single-line probes below are the generic kernel's state machine
-   (cache.ml) transcribed inline: same tick-first ordering, same
-   while-scan, same first-minimal victim, same ins-sketch bump, so the
-   drained cache state is bit-identical to what [Cache.k_access] would
-   have produced — the native compiler cannot inline the kernel
-   closures into this loop, and the indirect call per probe is the
-   dominant per-event cost the ring was built to shed. Multi-line
-   events (rare) still go through the kernel closures; the cached
-   tick/hit/miss locals are written back around those calls. *)
+   a sampler that is one increment and one compare per miss.
+
+   The FP-bypass and integer paths stay separate branches, each with
+   its own line split: picking the cache per event and sharing one
+   path costs a measurable share of the per-event time. *)
 let drain_quiet t (addrs : int array) (metas : int array) lo hi =
   let c1 = t.c1 and c2 = t.c2 in
-  let k1 = c1.Cache.k_access and k2 = c2.Cache.k_access in
   let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps
   and ins1 = c1.Cache.ins in
   let assoc1 = c1.Cache.assoc and nsets1 = c1.Cache.nsets
@@ -252,8 +269,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
   and miss1 = ref c1.Cache.misses in
   let tick2 = ref c2.Cache.tick and hits2 = ref c2.Cache.hits
   and miss2 = ref c2.Cache.misses in
-  (* write the cached counters back before any kernel-closure call and
-     reload after: the closures update the records directly *)
+  (* write the cached counters back before a [serve]/[descend] call and
+     reload after: those probe through the records directly *)
   let sync () =
     c1.Cache.tick <- !tick1; c1.Cache.hits <- !hits1;
     c1.Cache.misses <- !miss1;
@@ -273,8 +290,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
     let sz = if sz = 0 then 1 else sz in
     if m land 1 = 1 && fpb then begin
       (* FP under the bypass: L2 is the first level *)
-      let first = addr lsr sh2 and last = (addr + sz - 1) lsr sh2 in
-      if first = last then begin
+      let first = addr lsr sh2 in
+      if first = (addr + sz - 1) lsr sh2 then begin
         let ltag = (first lsl 1) lor 1 in
         if ltag = !memo_line then begin
           let tk = !tick2 + 1 in
@@ -285,36 +302,18 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
           extra := !extra + l2_extra
         end
         else begin
-          (* inline L2 probe of line [first] *)
-          let set, tag =
-            if sshift2 >= 0 then (first land smask2, first lsr sshift2)
-            else (first mod nsets2, first / nsets2)
+          let r =
+            drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2 tick2
+              hits2 miss2 first
           in
-          let base = set * assoc2 in
-          let lim = base + assoc2 in
-          let tk = !tick2 + 1 in
-          tick2 := tk;
-          let i = ref base in
-          while !i < lim && Array.unsafe_get tags2 !i <> tag do incr i done;
           memo_line := ltag;
-          if !i < lim then begin
-            Array.unsafe_set stamps2 !i tk;
-            incr hits2;
-            memo_way := !i;
+          if r >= 0 then begin
+            memo_way := r;
             incr by_l2;
             extra := !extra + l2_extra
           end
           else begin
-            incr miss2;
-            Array.unsafe_set ins2 set (Array.unsafe_get ins2 set + 1);
-            let victim = ref base in
-            for w = base + 1 to lim - 1 do
-              if Array.unsafe_get stamps2 w < Array.unsafe_get stamps2 !victim
-              then victim := w
-            done;
-            Array.unsafe_set tags2 !victim tag;
-            Array.unsafe_set stamps2 !victim tk;
-            memo_way := !victim;
+            memo_way := lnot r;
             incr by_mem;
             extra := !extra + mem_extra;
             count_miss t m 1 t.cfg.mem_lat
@@ -324,12 +323,9 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
       else begin
         memo_line := -1;
         sync ();
-        let all = ref true in
-        for l = first to last do
-          if k2 (l lsl sh2) land 1 = 0 then all := false
-        done;
+        let served = serve t ~count:true ~addr ~size:sz ~is_float:true in
         reload ();
-        if !all then begin
+        if served = L2 then begin
           incr by_l2;
           extra := !extra + l2_extra
         end
@@ -341,8 +337,8 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
       end
     end
     else begin
-      let first = addr lsr sh1 and last = (addr + sz - 1) lsr sh1 in
-      if first = last then begin
+      let first = addr lsr sh1 in
+      if first = (addr + sz - 1) lsr sh1 then begin
         (* the bank bit mirrors [Sampled]'s memo tags: a float access
            keeps bit 0 set even without the bypass, so the warm memo
            decisions of the batched and per-access sampled paths agree
@@ -356,87 +352,39 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
           incr by_l1
         end
         else begin
-          (* inline L1 probe of line [first] *)
-          let set, tag =
-            if sshift1 >= 0 then (first land smask1, first lsr sshift1)
-            else (first mod nsets1, first / nsets1)
+          let r =
+            drain_probe tags1 stamps1 ins1 assoc1 nsets1 smask1 sshift1 tick1
+              hits1 miss1 first
           in
-          let base = set * assoc1 in
-          let lim = base + assoc1 in
-          let tk = !tick1 + 1 in
-          tick1 := tk;
-          let i = ref base in
-          while !i < lim && Array.unsafe_get tags1 !i <> tag do incr i done;
           memo_line := ltag;
-          if !i < lim then begin
-            Array.unsafe_set stamps1 !i tk;
-            incr hits1;
-            memo_way := !i;
+          if r >= 0 then begin
+            memo_way := r;
             incr by_l1
           end
           else begin
-            incr miss1;
-            Array.unsafe_set ins1 set (Array.unsafe_get ins1 set + 1);
-            let victim = ref base in
-            for w = base + 1 to lim - 1 do
-              if Array.unsafe_get stamps1 w < Array.unsafe_get stamps1 !victim
-              then victim := w
-            done;
-            Array.unsafe_set tags1 !victim tag;
-            Array.unsafe_set stamps1 !victim tk;
-            memo_way := !victim;
+            memo_way := lnot r;
             (* the missing L1 line descends to L2 *)
-            if l2c then begin
-              (* inline L2 probe of the covering L2 line *)
-              let l2line = (first lsl sh1) lsr sh2 in
-              let set, tag =
-                if sshift2 >= 0 then (l2line land smask2, l2line lsr sshift2)
-                else (l2line mod nsets2, l2line / nsets2)
-              in
-              let base = set * assoc2 in
-              let lim = base + assoc2 in
-              let tk = !tick2 + 1 in
-              tick2 := tk;
-              let j = ref base in
-              while !j < lim && Array.unsafe_get tags2 !j <> tag do incr j done;
-              if !j < lim then begin
-                Array.unsafe_set stamps2 !j tk;
-                incr hits2;
-                incr by_l2;
-                extra := !extra + l2_extra;
-                count_miss t m (1 - (m land 1)) t.cfg.l2_lat
-              end
+            let served =
+              if l2c then
+                drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2
+                  tick2 hits2 miss2 ((first lsl sh1) lsr sh2)
+                >= 0
               else begin
-                incr miss2;
-                Array.unsafe_set ins2 set (Array.unsafe_get ins2 set + 1);
-                let victim = ref base in
-                for w = base + 1 to lim - 1 do
-                  if
-                    Array.unsafe_get stamps2 w
-                    < Array.unsafe_get stamps2 !victim
-                  then victim := w
-                done;
-                Array.unsafe_set tags2 !victim tag;
-                Array.unsafe_set stamps2 !victim tk;
-                incr by_mem;
-                extra := !extra + mem_extra;
-                count_miss t m 1 t.cfg.mem_lat
+                sync ();
+                let s = descend t ~count:true (first lsl sh1) in
+                reload ();
+                s
               end
+            in
+            if served then begin
+              incr by_l2;
+              extra := !extra + l2_extra;
+              count_miss t m (1 - (m land 1)) t.cfg.l2_lat
             end
             else begin
-              sync ();
-              let served = descend_with t k2 (first lsl sh1) in
-              reload ();
-              if served then begin
-                incr by_l2;
-                extra := !extra + l2_extra;
-                count_miss t m (1 - (m land 1)) t.cfg.l2_lat
-              end
-              else begin
-                incr by_mem;
-                extra := !extra + mem_extra;
-                count_miss t m 1 t.cfg.mem_lat
-              end
+              incr by_mem;
+              extra := !extra + mem_extra;
+              count_miss t m 1 t.cfg.mem_lat
             end
           end
         end
@@ -444,25 +392,20 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
       else begin
         memo_line := -1;
         sync ();
-        let any_miss = ref false and all2 = ref true in
-        for l = first to last do
-          if k1 (l lsl sh1) land 1 = 0 then begin
-            any_miss := true;
-            if not (descend_with t k2 (l lsl sh1)) then all2 := false
-          end
-        done;
+        let served =
+          serve t ~count:true ~addr ~size:sz ~is_float:(m land 1 = 1)
+        in
         reload ();
-        if not !any_miss then incr by_l1
-        else if !all2 then begin
+        match served with
+        | L1 -> incr by_l1
+        | L2 ->
           incr by_l2;
           extra := !extra + l2_extra;
           count_miss t m (1 - (m land 1)) t.cfg.l2_lat
-        end
-        else begin
+        | Mem ->
           incr by_mem;
           extra := !extra + mem_extra;
           count_miss t m 1 t.cfg.mem_lat
-        end
       end
     end
   done;
@@ -485,56 +428,86 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
    equals the previous event's is a complete no-op (the line is
    resident and most-recent — not even the tick moves, matching
    [Sampled.access]'s memo), everything else moves tag/LRU state
-   through [Cache.k_touch] with no counter recorded. *)
+   through [drain_probe] (or [serve ~count:false] for multi-line
+   events) with no counter recorded: the probes' hits and misses land
+   in one throwaway ref. *)
 let drain_warm t (addrs : int array) (metas : int array) lo hi =
   let c1 = t.c1 and c2 = t.c2 in
-  let k1 = c1.Cache.k_touch and k2 = c2.Cache.k_touch in
+  let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps
+  and ins1 = c1.Cache.ins in
+  let assoc1 = c1.Cache.assoc and nsets1 = c1.Cache.nsets
+  and smask1 = c1.Cache.set_mask and sshift1 = c1.Cache.set_shift in
+  let tags2 = c2.Cache.tags and stamps2 = c2.Cache.stamps
+  and ins2 = c2.Cache.ins in
+  let assoc2 = c2.Cache.assoc and nsets2 = c2.Cache.nsets
+  and smask2 = c2.Cache.set_mask and sshift2 = c2.Cache.set_shift in
   let sh1 = t.shift1 and sh2 = t.shift2 in
-  let fpb = t.fpb in
+  let fpb = t.fpb and l2c = t.l2_covers_l1 in
   let memo_line = ref t.memo_line and memo_way = ref t.memo_way in
+  let tick1 = ref c1.Cache.tick and tick2 = ref c2.Cache.tick in
+  let junk = ref 0 in
+  let sync () = c1.Cache.tick <- !tick1; c2.Cache.tick <- !tick2 in
+  let reload () = tick1 := c1.Cache.tick; tick2 := c2.Cache.tick in
   for k = lo to hi - 1 do
     let addr = Array.unsafe_get addrs k in
     let m = Array.unsafe_get metas k in
     let sz = (m lsr 2) land 15 in
     let sz = if sz = 0 then 1 else sz in
     if m land 1 = 1 && fpb then begin
-      let first = addr lsr sh2 and last = (addr + sz - 1) lsr sh2 in
-      if first = last then begin
+      let first = addr lsr sh2 in
+      if first = (addr + sz - 1) lsr sh2 then begin
         let ltag = (first lsl 1) lor 1 in
         if ltag <> !memo_line then begin
-          let r = k2 addr in
+          let r =
+            drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2 tick2
+              junk junk first
+          in
           memo_line := ltag;
-          memo_way := r lsr 1
+          memo_way := if r >= 0 then r else lnot r
         end
       end
       else begin
         memo_line := -1;
-        for l = first to last do
-          ignore (k2 (l lsl sh2))
-        done
+        sync ();
+        ignore (serve t ~count:false ~addr ~size:sz ~is_float:true);
+        reload ()
       end
     end
     else begin
-      let first = addr lsr sh1 and last = (addr + sz - 1) lsr sh1 in
-      if first = last then begin
+      let first = addr lsr sh1 in
+      if first = (addr + sz - 1) lsr sh1 then begin
         let ltag = (first lsl 1) lor (m land 1) in
         if ltag <> !memo_line then begin
-          let r = k1 addr in
+          let r =
+            drain_probe tags1 stamps1 ins1 assoc1 nsets1 smask1 sshift1 tick1
+              junk junk first
+          in
           memo_line := ltag;
-          memo_way := r lsr 1;
-          if r land 1 = 0 then
-            ignore (descend_with t k2 (first lsl sh1))
+          if r >= 0 then memo_way := r
+          else begin
+            memo_way := lnot r;
+            if l2c then
+              ignore
+                (drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2
+                   tick2 junk junk ((first lsl sh1) lsr sh2))
+            else begin
+              sync ();
+              ignore (descend t ~count:false (first lsl sh1));
+              reload ()
+            end
+          end
         end
       end
       else begin
         memo_line := -1;
-        for l = first to last do
-          if k1 (l lsl sh1) land 1 = 0 then
-            ignore (descend_with t k2 (l lsl sh1))
-        done
+        sync ();
+        ignore (serve t ~count:false ~addr ~size:sz ~is_float:(m land 1 = 1));
+        reload ()
       end
     end
   done;
+  c1.Cache.tick <- !tick1;
+  c2.Cache.tick <- !tick2;
   t.memo_line <- !memo_line;
   t.memo_way <- !memo_way
 

@@ -37,11 +37,9 @@ val small : config
 
 type t
 
-val create : ?kernel:Cache.kernel -> config -> t
-(** [kernel] selects the probe kernels of both levels (see
-    {!Cache.kernel}); defaults to [`Auto]. *)
+val create : config -> t
 
-val access : t -> addr:int -> size:int -> write:bool -> is_float:bool -> int * level
+val access : t -> addr:int -> size:int -> is_float:bool -> int * level
 (** Simulate one access; returns (latency in cycles, level that served it
     — the deepest level any covered line had to go to).
 
@@ -54,7 +52,7 @@ val access : t -> addr:int -> size:int -> write:bool -> is_float:bool -> int * l
     L2 traffic nor perturb L2's LRU state. The same rule applies at the
     L2→memory boundary: only L2-missing lines count as memory traffic. *)
 
-val warm : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
+val warm : t -> addr:int -> size:int -> is_float:bool -> unit
 (** Update cache state — tags and LRU, in both levels, following the
     exact same line-descent rules as {!access} — without recording
     anything: no hit/miss counters, no access counts, no extra cycles.
@@ -66,7 +64,8 @@ val drain_quiet : t -> int array -> int array -> int -> int -> unit
     {!Ring} for the packing) through the measurement path. Counters and
     cache state afterwards are byte-equal to calling {!access}
     once per event in order — pinned by a QCheck property — but the
-    batch loop hoists the config constants and kernels once and skips
+    batch loop hoists the config constants and cache arrays once, runs
+    an inlined copy of {!Cache.probe} over them, and skips
     the probe entirely when an event lands on the same line as its
     predecessor (the line is resident and most-recent; the memo
     replicates the probe's exact counter and LRU effects). This is the
@@ -94,7 +93,7 @@ val drain_warm : t -> int array -> int array -> int -> int -> unit
     semantics: an event on the same single line as its predecessor is a
     complete no-op (matching {!Sampled}'s per-access warm memo — not
     even the LRU tick advances); all other events move tags and LRU
-    through the touch kernels without recording anything. *)
+    like {!warm} without recording anything. *)
 
 val correct_skip : t -> skipped:int -> observed:int -> unit
 (** Apply {!Cache.correct_skip} to both levels and invalidate the drain

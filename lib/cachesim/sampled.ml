@@ -92,7 +92,7 @@ let apply_correction t =
     t.last_line <- -1
   end
 
-let access t ~addr ~size ~write ~is_float =
+let access t ~addr ~size ~is_float =
   let p = t.pos in
   t.pos <- (let p' = p + 1 in if p' = t.stride then 0 else p');
   t.total <- t.total + 1;
@@ -113,7 +113,7 @@ let access t ~addr ~size ~write ~is_float =
     in
     if p < t.window then begin
       t.last_line <- line;
-      ignore (Hierarchy.access t.h ~addr ~size ~write ~is_float)
+      ignore (Hierarchy.access t.h ~addr ~size ~is_float)
     end
     else if (* warm: a repeat of the just-touched line cannot change
                eviction order — it is already resident and most-recent
@@ -121,7 +121,7 @@ let access t ~addr ~size ~write ~is_float =
             line >= 0 && line = t.last_line then ()
     else begin
       t.last_line <- line;
-      Hierarchy.warm t.h ~addr ~size ~write ~is_float
+      Hierarchy.warm t.h ~addr ~size ~is_float
     end
   end
 

@@ -40,7 +40,7 @@ val create : ?window:int -> ?stride:int -> ?skip:int -> Hierarchy.config -> t
 (** Raises [Invalid_argument] unless [0 < window], [0 <= skip] and
     [window + skip <= stride]. [skip] defaults to [0]. *)
 
-val access : t -> addr:int -> size:int -> write:bool -> is_float:bool -> unit
+val access : t -> addr:int -> size:int -> is_float:bool -> unit
 (** Feed one access: detailed, skipped or warming depending on the
     position within the current period. *)
 

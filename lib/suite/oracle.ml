@@ -224,7 +224,7 @@ let measured_run backend ~args ~config (prog : Ir.program) =
         let m = metas.(k) in
         ignore
           (Hierarchy.access hier ~addr:addrs.(k) ~size:(Ring.meta_size m)
-             ~write:(Ring.meta_write m) ~is_float:(Ring.meta_float m))
+             ~is_float:(Ring.meta_float m))
       done
     | Backend.Superblock -> Hierarchy.drain_quiet hier addrs metas 0 n
   in

@@ -9,11 +9,11 @@ let mk ?(size = 1024) ?(line = 64) ?(assoc = 2) () =
 
 let basic_hit_miss () =
   let c = mk () in
-  Alcotest.(check bool) "cold miss" false (Cache.access c ~addr:0 ~write:false);
+  Alcotest.(check bool) "cold miss" false (Cache.access c ~addr:0);
   Alcotest.(check bool) "hit same line" true
-    (Cache.access c ~addr:63 ~write:false);
+    (Cache.access c ~addr:63);
   Alcotest.(check bool) "miss next line" false
-    (Cache.access c ~addr:64 ~write:true);
+    (Cache.access c ~addr:64);
   Alcotest.(check int) "hits" 1 (Cache.hits c);
   Alcotest.(check int) "misses" 2 (Cache.misses c)
 
@@ -21,23 +21,23 @@ let lru_eviction () =
   (* 1024/64/2 => 8 sets; addresses k*512 all map to set 0 *)
   let c = mk () in
   let a0 = 0 and a1 = 512 and a2 = 1024 in
-  ignore (Cache.access c ~addr:a0 ~write:false);
-  ignore (Cache.access c ~addr:a1 ~write:false);
-  ignore (Cache.access c ~addr:a0 ~write:false);
+  ignore (Cache.access c ~addr:a0);
+  ignore (Cache.access c ~addr:a1);
+  ignore (Cache.access c ~addr:a0);
   (* a1 is now LRU; a2 evicts it *)
-  ignore (Cache.access c ~addr:a2 ~write:false);
+  ignore (Cache.access c ~addr:a2);
   Alcotest.(check bool) "a0 still resident" true
-    (Cache.access c ~addr:a0 ~write:false);
+    (Cache.access c ~addr:a0);
   Alcotest.(check bool) "a1 evicted" false
-    (Cache.access c ~addr:a1 ~write:false)
+    (Cache.access c ~addr:a1)
 
 let clear_and_stats () =
   let c = mk () in
-  ignore (Cache.access c ~addr:0 ~write:false);
+  ignore (Cache.access c ~addr:0);
   Cache.clear c;
   Alcotest.(check int) "stats cleared" 0 (Cache.misses c);
   Alcotest.(check bool) "lines invalidated" false
-    (Cache.access c ~addr:0 ~write:false)
+    (Cache.access c ~addr:0)
 
 let bad_config () =
   Alcotest.(check bool) "bad line" true
@@ -46,23 +46,23 @@ let bad_config () =
     | _ -> false)
 
 let prop_working_set =
-  QCheck.Test.make ~count:100
+  QCheck.Test.make ~count:(Qcheck_long.iters 100)
     ~name:"working set <= capacity never misses after warmup"
     QCheck.(make Gen.(int_range 1 16))
     (fun nlines ->
       let c = Cache.create ~name:"t" ~size:(16 * 64) ~line:64 ~assoc:16 in
       let addrs = List.init nlines (fun i -> i * 64) in
-      List.iter (fun a -> ignore (Cache.access c ~addr:a ~write:false)) addrs;
+      List.iter (fun a -> ignore (Cache.access c ~addr:a)) addrs;
       Cache.reset_stats c;
-      List.iter (fun a -> ignore (Cache.access c ~addr:a ~write:false)) addrs;
+      List.iter (fun a -> ignore (Cache.access c ~addr:a)) addrs;
       Cache.misses c = 0)
 
 let prop_miss_bound =
-  QCheck.Test.make ~count:100 ~name:"misses <= accesses"
+  QCheck.Test.make ~count:(Qcheck_long.iters 100) ~name:"misses <= accesses"
     QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 100_000))
     (fun addrs ->
       let c = mk () in
-      List.iter (fun a -> ignore (Cache.access c ~addr:a ~write:false)) addrs;
+      List.iter (fun a -> ignore (Cache.access c ~addr:a)) addrs;
       Cache.misses c + Cache.hits c = List.length addrs
       && Cache.misses c <= List.length addrs)
 
@@ -70,7 +70,9 @@ let prop_miss_bound =
    the plain division/modulo set-index arithmetic the production code
    replaced with shift/mask fast paths: per-access results and final
    hit/miss totals must match exactly, on power-of-two and (L2-Itanium-
-   style) non-power-of-two set counts alike. *)
+   style) non-power-of-two set counts alike. A second cache driven by
+   [Cache.touch] over the same stream must return the same hits and end
+   in the same state, with no hit or miss recorded. *)
 module Ref_model = struct
   type t = {
     line : int;
@@ -121,7 +123,7 @@ let gen_geometry =
     return (line, assoc, nsets))
 
 let prop_matches_reference_model =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
     ~name:"shift/mask access matches div/mod reference model"
     QCheck.(
       pair
@@ -131,44 +133,52 @@ let prop_matches_reference_model =
     (fun ((line, assoc, nsets), addrs) ->
       let size = line * assoc * nsets in
       let c = Cache.create ~name:"t" ~size ~line ~assoc in
+      let w = Cache.create ~name:"t" ~size ~line ~assoc in
       let r = Ref_model.create ~size ~line ~assoc in
       List.for_all
         (fun addr ->
-          Cache.access c ~addr ~write:false = Ref_model.access r ~addr)
+          let hit = Ref_model.access r ~addr in
+          Cache.access c ~addr = hit && Cache.touch w ~addr = hit)
         addrs
       && Cache.hits c = r.Ref_model.hits
-      && Cache.misses c = r.Ref_model.misses)
+      && Cache.misses c = r.Ref_model.misses
+      && w.Cache.tags = c.Cache.tags
+      && w.Cache.stamps = c.Cache.stamps
+      && w.Cache.tick = c.Cache.tick
+      && w.Cache.ins = c.Cache.ins
+      && Cache.hits w = 0
+      && Cache.misses w = 0)
 
 (* ------------------------- hierarchy ------------------------- *)
 
 let hierarchy_levels () =
   let h = Hierarchy.create Hierarchy.small in
-  let lat1, lvl1 = Hierarchy.access h ~addr:4096 ~size:8 ~write:false ~is_float:false in
+  let lat1, lvl1 = Hierarchy.access h ~addr:4096 ~size:8 ~is_float:false in
   Alcotest.(check bool) "cold goes to memory" true (lvl1 = Hierarchy.Mem);
   Alcotest.(check int) "mem latency" Hierarchy.small.mem_lat lat1;
-  let lat2, lvl2 = Hierarchy.access h ~addr:4096 ~size:8 ~write:false ~is_float:false in
+  let lat2, lvl2 = Hierarchy.access h ~addr:4096 ~size:8 ~is_float:false in
   Alcotest.(check bool) "then L1 hit" true (lvl2 = Hierarchy.L1);
   Alcotest.(check int) "l1 latency" Hierarchy.small.l1_lat lat2
 
 let fp_bypass () =
   let h = Hierarchy.create Hierarchy.small in
-  ignore (Hierarchy.access h ~addr:8192 ~size:8 ~write:false ~is_float:true);
-  let _, lvl = Hierarchy.access h ~addr:8192 ~size:8 ~write:false ~is_float:true in
+  ignore (Hierarchy.access h ~addr:8192 ~size:8 ~is_float:true);
+  let _, lvl = Hierarchy.access h ~addr:8192 ~size:8 ~is_float:true in
   Alcotest.(check bool) "FP served by L2, never L1" true (lvl = Hierarchy.L2);
   (* the same line via an integer access misses L1 (floats bypassed it) *)
   let _, lvl_int =
-    Hierarchy.access h ~addr:8192 ~size:8 ~write:false ~is_float:false
+    Hierarchy.access h ~addr:8192 ~size:8 ~is_float:false
   in
   Alcotest.(check bool) "int access misses L1" true (lvl_int <> Hierarchy.L1)
 
 let straddling_access () =
   let h = Hierarchy.create Hierarchy.small in
   (* 8 bytes across a 64B boundary touches two L1 lines *)
-  ignore (Hierarchy.access h ~addr:(4096 + 60) ~size:8 ~write:false ~is_float:false);
-  ignore (Hierarchy.access h ~addr:4096 ~size:1 ~write:false ~is_float:false);
-  ignore (Hierarchy.access h ~addr:(4096 + 64) ~size:1 ~write:false ~is_float:false);
-  let _, l1 = Hierarchy.access h ~addr:4096 ~size:1 ~write:false ~is_float:false in
-  let _, l2 = Hierarchy.access h ~addr:(4096 + 64) ~size:1 ~write:false ~is_float:false in
+  ignore (Hierarchy.access h ~addr:(4096 + 60) ~size:8 ~is_float:false);
+  ignore (Hierarchy.access h ~addr:4096 ~size:1 ~is_float:false);
+  ignore (Hierarchy.access h ~addr:(4096 + 64) ~size:1 ~is_float:false);
+  let _, l1 = Hierarchy.access h ~addr:4096 ~size:1 ~is_float:false in
+  let _, l2 = Hierarchy.access h ~addr:(4096 + 64) ~size:1 ~is_float:false in
   Alcotest.(check bool) "both lines resident" true
     (l1 = Hierarchy.L1 && l2 = Hierarchy.L1)
 
@@ -183,13 +193,13 @@ let straddling_access () =
 let partial_hit_descends_only_misses () =
   let h = Hierarchy.create Hierarchy.small in
   (* warm L1 line [4160,4223]: L1 miss, descends to L2 (miss), memory *)
-  let _, lvl0 = Hierarchy.access h ~addr:4160 ~size:8 ~write:false ~is_float:false in
+  let _, lvl0 = Hierarchy.access h ~addr:4160 ~size:8 ~is_float:false in
   Alcotest.(check bool) "cold warmup from memory" true (lvl0 = Hierarchy.Mem);
   Alcotest.(check int) "warmup: 1 L1 miss" 1 (Cache.misses (Hierarchy.l1 h));
   Alcotest.(check int) "warmup: 1 L2 miss" 1 (Cache.misses (Hierarchy.l2 h));
   (* straddle [4216,4232): L1 line 4160 hits, L1 line 4224 misses; only
      the missing line may reach L2 *)
-  let _, lvl = Hierarchy.access h ~addr:4216 ~size:16 ~write:false ~is_float:false in
+  let _, lvl = Hierarchy.access h ~addr:4216 ~size:16 ~is_float:false in
   Alcotest.(check bool) "missing line came from memory" true (lvl = Hierarchy.Mem);
   Alcotest.(check int) "L1: one hit (line 4160)" 1 (Cache.hits (Hierarchy.l1 h));
   Alcotest.(check int) "L1: two misses total" 2 (Cache.misses (Hierarchy.l1 h));
@@ -198,7 +208,7 @@ let partial_hit_descends_only_misses () =
   Alcotest.(check int) "L2: exactly the missing line descended" 2
     (Cache.misses (Hierarchy.l2 h));
   (* both lines now resident: the same access is a pure L1 hit *)
-  let _, lvl2 = Hierarchy.access h ~addr:4216 ~size:16 ~write:false ~is_float:false in
+  let _, lvl2 = Hierarchy.access h ~addr:4216 ~size:16 ~is_float:false in
   Alcotest.(check bool) "now an L1 hit" true (lvl2 = Hierarchy.L1);
   Alcotest.(check int) "no further L2 traffic" 2 (Cache.misses (Hierarchy.l2 h));
   Alcotest.(check int) "no L2 hits either" 0 (Cache.hits (Hierarchy.l2 h))
@@ -210,14 +220,14 @@ let per_line_fills_share_l2_line () =
   let h = Hierarchy.create Hierarchy.small in
   (* [4096,4224) covers L1 lines 4096 and 4160, both cold, both inside
      the single L2 line [4096,4223] *)
-  let _, lvl = Hierarchy.access h ~addr:4096 ~size:128 ~write:false ~is_float:false in
+  let _, lvl = Hierarchy.access h ~addr:4096 ~size:128 ~is_float:false in
   Alcotest.(check bool) "served by memory" true (lvl = Hierarchy.Mem);
   Alcotest.(check int) "two L1 misses" 2 (Cache.misses (Hierarchy.l1 h));
   Alcotest.(check int) "first fill misses L2" 1 (Cache.misses (Hierarchy.l2 h));
   Alcotest.(check int) "second fill hits the just-filled L2 line" 1
     (Cache.hits (Hierarchy.l2 h));
   (* an all-hit straddling access is served entirely by L1 *)
-  let _, lvl2 = Hierarchy.access h ~addr:4100 ~size:120 ~write:false ~is_float:false in
+  let _, lvl2 = Hierarchy.access h ~addr:4100 ~size:120 ~is_float:false in
   Alcotest.(check bool) "straddling re-access is L1" true (lvl2 = Hierarchy.L1);
   Alcotest.(check int) "and adds no L2 traffic" 2
     (Cache.misses (Hierarchy.l2 h) + Cache.hits (Hierarchy.l2 h))
@@ -226,12 +236,12 @@ let per_line_fills_share_l2_line () =
    access touches every covered L2 line there *)
 let fp_straddle_touches_l2_range () =
   let h = Hierarchy.create Hierarchy.small in
-  let _, lvl = Hierarchy.access h ~addr:4216 ~size:16 ~write:false ~is_float:true in
+  let _, lvl = Hierarchy.access h ~addr:4216 ~size:16 ~is_float:true in
   Alcotest.(check bool) "cold FP from memory" true (lvl = Hierarchy.Mem);
   Alcotest.(check int) "both L2 lines touched" 2 (Cache.misses (Hierarchy.l2 h));
   Alcotest.(check int) "L1 untouched by FP" 0
     (Cache.misses (Hierarchy.l1 h) + Cache.hits (Hierarchy.l1 h));
-  let _, lvl2 = Hierarchy.access h ~addr:4216 ~size:16 ~write:false ~is_float:true in
+  let _, lvl2 = Hierarchy.access h ~addr:4216 ~size:16 ~is_float:true in
   Alcotest.(check bool) "warm FP served by L2" true (lvl2 = Hierarchy.L2)
 
 (* ------------------- skip correction sketch ------------------- *)
@@ -241,45 +251,45 @@ let fp_straddle_touches_l2_range () =
 let correct_skip_evicts_lru () =
   (* one set, two ways *)
   let c = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:64 ~write:false);
-  ignore (Cache.access c ~addr:0 ~write:false);
+  ignore (Cache.access c ~addr:0);
+  ignore (Cache.access c ~addr:64);
+  ignore (Cache.access c ~addr:0);
   (* ins = 2 over 3 accesses; extrapolating 1 skipped access at that
      rate with observed = 2 inserts 2*1/2 = 1 synthetic line, evicting
      the LRU way (line 64) and leaving the MRU way (line 0) alone *)
   Cache.correct_skip c ~skipped:1 ~observed:2;
   Alcotest.(check bool) "MRU line survives" true
-    (Cache.access c ~addr:0 ~write:false);
+    (Cache.access c ~addr:0);
   Alcotest.(check bool) "LRU line evicted by a synthetic" false
-    (Cache.access c ~addr:64 ~write:false)
+    (Cache.access c ~addr:64)
 
 let correct_skip_caps_and_carries () =
   let c = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:64 ~write:false);
+  ignore (Cache.access c ~addr:0);
+  ignore (Cache.access c ~addr:64);
   (* rate 2 insertions / 2 accesses over 100 skipped = 100 synthetic
      fills, capped at the associativity: everything evicted, no crash *)
   Cache.correct_skip c ~skipped:100 ~observed:2;
   Alcotest.(check bool) "all ways synthetic" false
-    (Cache.access c ~addr:0 ~write:false);
+    (Cache.access c ~addr:0);
   Alcotest.(check bool) "all ways synthetic (other line)" false
-    (Cache.access c ~addr:64 ~write:false);
+    (Cache.access c ~addr:64);
   (* remainders carry: 1 insertion / 2 observed over 1 skipped is half
      a line — rounded down to nothing, remainder carried. After the
      sketch refills, the second correction's half line plus the carry
      completes one eviction (without the carry it would again round to
      zero) *)
   let d = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access d ~addr:0 ~write:false);
+  ignore (Cache.access d ~addr:0);
   Cache.correct_skip d ~skipped:1 ~observed:2;
   Alcotest.(check bool) "half a line rounds down" true
-    (Cache.access d ~addr:0 ~write:false);
-  ignore (Cache.access d ~addr:64 ~write:false);
+    (Cache.access d ~addr:0);
+  ignore (Cache.access d ~addr:64);
   (* line 0 is now LRU; ins = 1 again *)
-  ignore (Cache.access d ~addr:64 ~write:false);
+  ignore (Cache.access d ~addr:64);
   Cache.correct_skip d ~skipped:1 ~observed:2;
   Alcotest.(check bool) "carry completes the eviction" false
-    (Cache.access d ~addr:0 ~write:false)
+    (Cache.access d ~addr:0)
 
 (* ------------------- ring & batched draining ------------------- *)
 
@@ -316,8 +326,8 @@ let ring_flushes_when_full () =
    [Hierarchy.drain_quiet] must leave counters AND full cache state
    (tags, LRU stamps, tick, sketch) byte-equal to feeding every event
    through [Hierarchy.access], on random geometries (power-of-two
-   and odd set counts, specialized and generic probe kernels, FP bypass
-   on and off), random event streams and random batch boundaries. *)
+   and odd set counts, FP bypass on and off), random event streams and
+   random batch boundaries. *)
 let cache_state_eq (a : Cache.t) (b : Cache.t) =
   a.Cache.tags = b.Cache.tags
   && a.Cache.stamps = b.Cache.stamps
@@ -336,8 +346,8 @@ let hier_state_eq a b =
   && Hierarchy.extra_cycles a = Hierarchy.extra_cycles b
 
 (* geometries with power-of-two and odd set counts at both levels,
-   associativities with (1,2,4,8) and without (3) a specialized kernel,
-   and the degenerate l2_line < l1_line shape the descent range loop
+   power-of-two (1,2,4,8) and odd (3) associativities, and the
+   degenerate l2_line < l1_line shape the descent range loop
    handles *)
 let gen_hier_config =
   QCheck.Gen.(
@@ -384,8 +394,8 @@ let print_events evs =
        evs)
 
 let prop_drain_matches_per_access =
-  QCheck.Test.make ~count:200
-    ~name:"ring drain byte-equal to per-access (both kernels)"
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
+    ~name:"ring drain byte-equal to per-access"
     QCheck.(
       triple
         (make gen_hier_config ~print:print_hier_config)
@@ -394,10 +404,9 @@ let prop_drain_matches_per_access =
     (fun (cfg, events, chunk0) ->
       let per = Hierarchy.create cfg in
       let dra = Hierarchy.create cfg in
-      let dgn = Hierarchy.create ~kernel:`Generic cfg in
       List.iter
-        (fun (addr, size, write, is_float) ->
-          ignore (Hierarchy.access per ~addr ~size ~write ~is_float))
+        (fun (addr, size, _, is_float) ->
+          ignore (Hierarchy.access per ~addr ~size ~is_float))
         events;
       let n = List.length events in
       let addrs = Array.make n 0 and metas = Array.make n 0 in
@@ -408,26 +417,21 @@ let prop_drain_matches_per_access =
         events;
       (* varying batch boundaries: the memo must survive (or be
          invalidated) identically across flush points *)
-      let feed h =
-        let lo = ref 0 and k = ref 0 in
-        while !lo < n do
-          let c = min (n - !lo) (1 + ((chunk0 + !k) mod 17)) in
-          Hierarchy.drain_quiet h addrs metas !lo (!lo + c);
-          lo := !lo + c;
-          incr k
-        done
-      in
-      feed dra;
-      feed dgn;
-      (* the generic-kernel drain pins specialized ≡ generic too *)
-      hier_state_eq per dra && hier_state_eq per dgn)
+      let lo = ref 0 and k = ref 0 in
+      while !lo < n do
+        let c = min (n - !lo) (1 + ((chunk0 + !k) mod 17)) in
+        Hierarchy.drain_quiet dra addrs metas !lo (!lo + c);
+        lo := !lo + c;
+        incr k
+      done;
+      hier_state_eq per dra)
 
 (* The drain as PMU: an attached [Pmu] fed by [drain_quiet] (random
    batch boundaries) ends with the same samples, the same event count
    and the same hierarchy as [Hierarchy.access] then [Pmu.record] on
    every event, for any period and phase *)
 let prop_sampling_drain_matches_record =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
     ~name:"sampling drain = access + Pmu.record"
     QCheck.(
       quad
@@ -441,8 +445,8 @@ let prop_sampling_drain_matches_record =
       and p_dra = Pmu.create ~period ~phase () in
       Pmu.attach p_dra dra;
       List.iteri
-        (fun i (addr, size, write, is_float) ->
-          let latency, level = Hierarchy.access per ~addr ~size ~write ~is_float in
+        (fun i (addr, size, _, is_float) ->
+          let latency, level = Hierarchy.access per ~addr ~size ~is_float in
           (* a few iids, so samples accumulate per instruction *)
           Pmu.record p_per ~iid:(i mod 5) ~level ~latency ~is_float)
         events;
@@ -470,7 +474,7 @@ module Drainer = Slo_cachesim.Drainer
    [Drainer.run ~pipeline:true] at random ring capacities, so batch
    handoffs (and buffer swaps) land anywhere in the stream *)
 let prop_pipelined_sampling_drain_matches_record =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
     ~name:"pipelined sampling drain = access + Pmu.record"
     QCheck.(
       quad
@@ -484,8 +488,8 @@ let prop_pipelined_sampling_drain_matches_record =
       and p_dra = Pmu.create ~period ~phase () in
       Pmu.attach p_dra dra;
       List.iteri
-        (fun i (addr, size, write, is_float) ->
-          let latency, level = Hierarchy.access per ~addr ~size ~write ~is_float in
+        (fun i (addr, size, _, is_float) ->
+          let latency, level = Hierarchy.access per ~addr ~size ~is_float in
           Pmu.record p_per ~iid:(i mod 5) ~level ~latency ~is_float)
         events;
       Drainer.run ~pipeline:true ~cap
@@ -562,11 +566,11 @@ let drainer_body_error_wins () =
 
 let extra_cycles_accumulate () =
   let h = Hierarchy.create Hierarchy.small in
-  ignore (Hierarchy.access h ~addr:0x10000 ~size:4 ~write:false ~is_float:false);
+  ignore (Hierarchy.access h ~addr:0x10000 ~size:4 ~is_float:false);
   Alcotest.(check int) "mem beyond base"
     (Hierarchy.small.mem_lat - Hierarchy.small.l1_lat)
     (Hierarchy.extra_cycles h);
-  ignore (Hierarchy.access h ~addr:0x10000 ~size:4 ~write:false ~is_float:false);
+  ignore (Hierarchy.access h ~addr:0x10000 ~size:4 ~is_float:false);
   Alcotest.(check int) "L1 hit adds nothing"
     (Hierarchy.small.mem_lat - Hierarchy.small.l1_lat)
     (Hierarchy.extra_cycles h)

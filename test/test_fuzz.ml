@@ -132,9 +132,6 @@ let arbitrary_spec =
 
 let anchors sp = if sp.sp_second then [ "tab"; "tab2" ] else [ "tab" ]
 
-let iters n =
-  match Sys.getenv_opt "QCHECK_LONG" with Some _ -> n * 10 | None -> n
-
 let oracle_holds src plans =
   let rep = O.run_source src plans in
   if O.ok rep then true
@@ -147,7 +144,8 @@ let oracle_holds src plans =
 (* random split: partition live fields into hot/cold by seed; fields never
    read are dead *)
 let prop_random_split =
-  QCheck.Test.make ~count:(iters 60) ~name:"random split preserves behaviour"
+  QCheck.Test.make ~count:(Qcheck_long.iters 60)
+    ~name:"random split preserves behaviour"
     (QCheck.pair arbitrary_spec QCheck.(int_range 0 10_000))
     (fun (sp, seed) ->
       let all = List.init sp.sp_nfields Fun.id in
@@ -164,7 +162,8 @@ let prop_random_split =
 (* random peel, including the two-anchor-global configuration; gated on
    the same feasibility test the heuristics use *)
 let prop_random_peel =
-  QCheck.Test.make ~count:(iters 60) ~name:"random peel preserves behaviour"
+  QCheck.Test.make ~count:(Qcheck_long.iters 60)
+    ~name:"random peel preserves behaviour"
     arbitrary_spec
     (fun sp ->
       let src = render sp in
@@ -181,7 +180,7 @@ let prop_random_peel =
 
 (* random dead-field removal + reordering *)
 let prop_random_rebuild =
-  QCheck.Test.make ~count:(iters 60)
+  QCheck.Test.make ~count:(Qcheck_long.iters 60)
     ~name:"random reorder+dead-removal preserves behaviour"
     (QCheck.pair arbitrary_spec QCheck.(int_range 0 10_000))
     (fun (sp, seed) ->
@@ -200,7 +199,7 @@ let prop_random_rebuild =
 
 (* the full framework decision, oracle-checked *)
 let prop_driver_end_to_end =
-  QCheck.Test.make ~count:(iters 40)
+  QCheck.Test.make ~count:(Qcheck_long.iters 40)
     ~name:"framework decision passes the oracle" arbitrary_spec
     (fun sp ->
       let src = render sp in
@@ -221,7 +220,7 @@ let backends_agree_or_report prog =
       (String.concat "\n" (List.map O.string_of_backend_mismatch ms))
 
 let prop_backends_agree =
-  QCheck.Test.make ~count:(iters 40)
+  QCheck.Test.make ~count:(Qcheck_long.iters 40)
     ~name:"all backends agree with the walk reference" arbitrary_spec
     (fun sp ->
       let compiled = D.compile (render sp) in
@@ -325,7 +324,7 @@ let arbitrary_link_spec ~alias =
 
 (* a clean linked ring is provably poolable, and the rewrite is sound *)
 let prop_random_pool =
-  QCheck.Test.make ~count:(iters 40)
+  QCheck.Test.make ~count:(Qcheck_long.iters 40)
     ~name:"random linked ring pools and preserves behaviour"
     (arbitrary_link_spec ~alias:false)
     (fun sp ->
@@ -348,7 +347,7 @@ let prop_random_pool =
 (* the aliased twin must be refuted — a pool rewrite behind a live
    interior alias would be unsound *)
 let prop_alias_refutes_pool =
-  QCheck.Test.make ~count:(iters 40)
+  QCheck.Test.make ~count:(Qcheck_long.iters 40)
     ~name:"aliased link cell refutes pooling"
     (arbitrary_link_spec ~alias:true)
     (fun sp ->

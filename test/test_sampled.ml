@@ -11,8 +11,8 @@ module H = Slo_core.Heuristics
 module W = Slo_profile.Weights
 module Suite = Slo_suite.Suite
 
-let acc ?(size = 4) ?(write = false) ?(is_float = false) t addr =
-  S.access t ~addr ~size ~write ~is_float
+let acc ?(size = 4) ?(is_float = false) t addr =
+  S.access t ~addr ~size ~is_float
 
 (* ---------------- period layout, hand-computed counts ---------------- *)
 
@@ -136,7 +136,7 @@ let try_advance_equivalence () =
     while !i < 200 do
       if bulk && 200 - !i >= 5 && S.try_advance t 5 then i := !i + 5
       else begin
-        acc ~write:(!i mod 3 = 0) ~is_float:(!i mod 5 = 0) t (addr !i);
+        acc ~is_float:(!i mod 5 = 0) t (addr !i);
         incr i
       end
     done
@@ -215,15 +215,15 @@ let print_sampled_case (window, stride, skip, events, chunk) =
           events))
 
 let prop_drain_matches_per_access =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
     ~name:"sampled drain byte-equal to per-access (incl. skip correction)"
     (QCheck.make gen_sampled_case ~print:print_sampled_case)
     (fun (window, stride, skip, events, chunk0) ->
       let per = S.create ~window ~stride ~skip Hierarchy.small in
       let dra = S.create ~window ~stride ~skip Hierarchy.small in
       List.iter
-        (fun (addr, size, write, is_float) ->
-          S.access per ~addr ~size ~write ~is_float)
+        (fun (addr, size, _, is_float) ->
+          S.access per ~addr ~size ~is_float)
         events;
       let n = List.length events in
       let addrs = Array.make n 0 and metas = Array.make n 0 in
@@ -260,8 +260,8 @@ let drain_bulk_equivalence () =
       i mod 5 = 0 )
   in
   for i = 0 to n - 1 do
-    let addr, size, write, is_float = ev i in
-    S.access t_ref ~addr ~size ~write ~is_float
+    let addr, size, _, is_float = ev i in
+    S.access t_ref ~addr ~size ~is_float
   done;
   let i = ref 0 and advanced = ref 0 in
   while !i < n do
@@ -292,11 +292,9 @@ let stride_eq_window_is_exact () =
   let h = S.hierarchy t in
   let exact = Hierarchy.create Hierarchy.small in
   for i = 0 to 999 do
-    let a = i * 7919 mod 16384
-    and write = i mod 3 = 0
-    and is_float = i mod 5 = 0 in
-    S.access t ~addr:a ~size:8 ~write ~is_float;
-    ignore (Hierarchy.access exact ~addr:a ~size:8 ~write ~is_float)
+    let a = i * 7919 mod 16384 and is_float = i mod 5 = 0 in
+    S.access t ~addr:a ~size:8 ~is_float;
+    ignore (Hierarchy.access exact ~addr:a ~size:8 ~is_float)
   done;
   Alcotest.(check int) "accesses" (Hierarchy.accesses exact)
     (Hierarchy.accesses h);
@@ -382,9 +380,8 @@ let fidelity_rejection_messages () =
    measured speedup must agree in sign, and the transformation plans
    must be identical. Window/stride are scaled down with the tiny
    argument sizes so several periods still elapse. *)
-let l1_bound_pp = 0.5
-let l2_bound_pp = 1.0
-let speedup_zero_pct = 0.1
+open Slo_bench.Accuracy_rule
+
 let test_fidelity = S.Sampled { window = 256; stride = 2048; skip = 0 }
 
 (* the explicit fast-forward mode (skip > 0): counters are biased (that
@@ -405,18 +402,23 @@ let plan_summaries (ev : D.evaluation) =
        (fun (d : H.decision) -> Option.map H.plan_summary d.d_plan)
        ev.e_decisions)
 
-let sign_of x =
-  if x > speedup_zero_pct then 1 else if x < -.speedup_zero_pct then -1 else 0
-
-(* same decision-flip rule as bench/accuracy.exe: only strictly
-   opposite signs, or a dead-zone value against one clearing twice the
-   band, count as a flip — values straddling the band edge by a hair
-   agree for every decision the measurement feeds *)
-let sign_flip a b =
-  let sa = sign_of a and sb = sign_of b in
-  if sa = sb then false
-  else if sa * sb < 0 then true
-  else Float.abs (if sa = 0 then b else a) > 2.0 *. speedup_zero_pct
+(* the decision-flip rule itself, shared with bench/accuracy.exe and
+   bench/compare.exe: the dead-zone edge is not a knife edge *)
+let accuracy_rule () =
+  let flip a b = sign_flip a b && sign_flip b a in
+  let agree a b = (not (sign_flip a b)) && not (sign_flip b a) in
+  Alcotest.(check (list int)) "sign_of around the band" [ -1; 0; 0; 0; 1 ]
+    (List.map sign_of [ -0.11; -0.1; 0.0; 0.1; 0.11 ]);
+  Alcotest.(check bool) "straddling the band edge agrees" true
+    (agree 0.099 0.101 && agree (-0.099) (-0.101));
+  Alcotest.(check bool) "same side agrees" true
+    (agree 3.0 0.5 && agree (-3.0) (-0.5) && agree 0.0 0.05);
+  Alcotest.(check bool) "zero vs less than twice the band agrees" true
+    (agree 0.0 0.2 && agree 0.05 (-0.2));
+  Alcotest.(check bool) "zero vs more than twice the band flips" true
+    (flip 0.0 0.21 && flip 0.05 (-0.3));
+  Alcotest.(check bool) "opposite signs flip" true
+    (flip 0.11 (-0.11) && flip 2.0 (-1.0))
 
 let roster_accuracy (e : Suite.entry) () =
   let prog = D.compile e.source in
@@ -539,6 +541,7 @@ let () =
           Alcotest.test_case "fidelity strings" `Quick fidelity_strings;
           Alcotest.test_case "fidelity rejection messages" `Quick
             fidelity_rejection_messages;
+          Alcotest.test_case "accuracy rule" `Quick accuracy_rule;
         ] );
       ("roster accuracy", per_entry roster_accuracy);
       ("roster fast-forward", per_entry roster_fast_forward);
