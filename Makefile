@@ -45,10 +45,7 @@ bench-smoke:
 # the full-size roster accuracy gate: exact vs sampled on the compiled
 # engine across every Table 3 benchmark; per-row miss-rate
 # deltas, speedup signs and the ACCURACY.json artifact
-# ACCURACY_FLAGS overrides fidelity/output, e.g.
-#   make accuracy ACCURACY_FLAGS="--fidelity sampled:4096,32768,4096 \
-#     --out _artifacts/ACCURACY-skip.json"
-# to gate an accuracy-licensed skipping configuration
+# ACCURACY_FLAGS overrides fidelity/output (--fidelity, --out)
 accuracy:
 	dune exec bench/accuracy.exe -- --jobs $(JOBS) $(ACCURACY_FLAGS)
 

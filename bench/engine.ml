@@ -623,11 +623,13 @@ let git_rev () =
   with _ -> "unknown"
 
 let write_json run ~path =
+  (* [sampled_skip] stays in schema 3 so artifacts keep comparing
+     against older ones: 0 (full warming, the only sampled layout) *)
   let window, stride, skip =
     match run.run_fidelity with
     | Sampled.Exact -> (Json.Null, Json.Null, Json.Null)
-    | Sampled.Sampled { window; stride; skip } ->
-      (Json.Int window, Json.Int stride, Json.Int skip)
+    | Sampled.Sampled { window; stride } ->
+      (Json.Int window, Json.Int stride, Json.Int 0)
   in
   let doc =
     Json.Obj

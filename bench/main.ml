@@ -15,11 +15,10 @@
                        another name for it) or walk (the tree-walking
                        reference)
      --fidelity F      cache-simulation fidelity: exact (default),
-                       sampled, sampled:WINDOW,STRIDE or
-                       sampled:WINDOW,STRIDE,SKIP — sampled runs simulate
-                       windows in detail and warm (or, with SKIP,
-                       fast-forward past) the rest, trading bounded
-                       counter accuracy for measure throughput
+                       sampled or sampled:WINDOW,STRIDE — sampled runs
+                       simulate windows in detail and warm the rest,
+                       trading bounded counter accuracy for measure
+                       throughput
      --out FILE        where to write the machine-readable results
                        (default _artifacts/BENCH.json)
 
@@ -434,7 +433,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [TARGET...] [--jobs N|-j N] [--only NAME]\n\
      \       [--backend superblock|walk]\n\
-     \       [--fidelity exact|sampled|sampled:W,S[,K]] [--out FILE]\n\
+     \       [--fidelity exact|sampled|sampled:W,S] [--out FILE]\n\
      targets: table1 table2 table3 pool figure1 figure2 ablation overhead\n\
      \         casestudies timings";
   exit 2

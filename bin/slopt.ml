@@ -130,12 +130,9 @@ let fidelity_arg =
            ~doc:"Cache-simulation fidelity: $(b,exact) (every access \
                  simulated; default), $(b,sampled) (detailed windows, the \
                  rest warms cache state without counter work; bounded \
-                 counter error), $(b,sampled:WINDOW,STRIDE) to choose the \
-                 window geometry, or $(b,sampled:WINDOW,STRIDE,SKIP) to \
-                 also fast-forward past SKIP accesses per period (fastest, \
-                 biased — the accuracy gate only licenses the default). \
-                 Program output, exit code and step counts are exact in \
-                 every fidelity.")
+                 counter error), or $(b,sampled:WINDOW,STRIDE) to choose \
+                 the window geometry. Program output, exit code and step \
+                 counts are exact in every fidelity.")
 
 let pool_arg =
   Arg.(value & flag

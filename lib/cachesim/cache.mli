@@ -10,7 +10,7 @@
     them without a cross-module call (which would not be inlined
     without flambda). Outside [lib/cachesim] the fields must be treated
     as read-only; all mutation goes through {!probe} (and
-    {!access}/{!touch}), the drains, and {!correct_skip}. *)
+    {!access}/{!touch}) and the drains. *)
 
 type t = {
   cname : string;
@@ -20,16 +20,11 @@ type t = {
   line_shift : int;    (** log2 of the (power-of-two) line size *)
   set_mask : int;      (** [nsets - 1] when [nsets] is a power of 2, else 0 *)
   set_shift : int;     (** log2 [nsets] when a power of 2, else -1 *)
-  tags : int array;    (** [nsets * assoc]; -1 = invalid, < -1 = synthetic *)
+  tags : int array;    (** [nsets * assoc]; -1 = invalid *)
   stamps : int array;  (** LRU timestamps, parallel to [tags] *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  ins : int array;
-      (** per-set line insertions since the last {!correct_skip} — the
-          footprint sketch the sampled skip correction extrapolates from *)
-  carry : int array;   (** per-set division remainders of {!correct_skip} *)
-  mutable synth_tag : int;
 }
 
 val create : name:string -> size:int -> line:int -> assoc:int -> t
@@ -40,8 +35,8 @@ val probe : t -> count:bool -> int -> int
 (** [probe t ~count addr] touches the line containing [addr] and
     returns the index into [tags]/[stamps] of the way that now holds
     it: [way] on a hit, [lnot way] (negative) on a miss. Advances the
-    tick and updates tags, LRU stamps and the [ins] sketch; bumps the
-    hit/miss counters only when [count]. [addr] must be non-negative
+    tick and updates tags and LRU stamps; bumps the hit/miss counters
+    only when [count]. [addr] must be non-negative
     (the VM's address space); set indexing is shift/mask on
     power-of-two geometries, with a divide fallback for odd set
     counts. *)
@@ -58,17 +53,6 @@ val touch : t -> addr:int -> bool
     detailed windows start warm without unrecorded traffic diluting the
     counters. *)
 
-val correct_skip : t -> skipped:int -> observed:int -> unit
-(** Extrapolate the per-set insertion rate recorded in the [ins] sketch
-    over the [observed] accesses since the last correction onto
-    [skipped] unreplayed accesses: each set evicts
-    [skipped * ins / observed] LRU ways (capped at the associativity)
-    and fills them with unique synthetic tags at MRU. Synthetic tags
-    are negative and can never hit, so they age and displace resident
-    lines exactly as the skipped insertions would have, without
-    touching any counter. Resets the sketch; division remainders carry
-    to the next call. No-op when [skipped] or [observed] is zero. *)
-
 val line_size : t -> int
 
 val line_shift : t -> int
@@ -80,5 +64,4 @@ val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
 val clear : t -> unit
-(** Invalidate all lines, reset statistics and the skip-correction
-    sketch. *)
+(** Invalidate all lines and reset statistics. *)

@@ -15,11 +15,7 @@
    circulate beyond the one living in the ring. When the pool is dry
    the producer blocks until the worker returns one, which keeps
    memory bounded and applies back-pressure when simulation is slower
-   than execution.
-
-   Not suitable for consumers that must observe sampler or hierarchy
-   state synchronously with the VM (the K>0 bulk-advance check): those
-   pass [~pipeline:false]. *)
+   than execution. *)
 
 type t = {
   drain : int array -> int array -> int -> unit;

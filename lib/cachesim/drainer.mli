@@ -1,4 +1,4 @@
-(** The exact-run primitive: a ring whose batches drain either inline
+(** The measured-run primitive: a ring whose batches drain either inline
     or on a dedicated domain while the VM keeps executing.
 
     Pipelined, the ring's sink hands its filled buffer pair to a worker
@@ -7,9 +7,7 @@
     counters and PMU samples taken inside the drain are byte-equal to
     the inline drain — only the wall-clock overlap changes. A bounded
     pool of [depth] extra buffer pairs applies back-pressure when
-    simulation falls behind execution. Consumers that inspect
-    simulation state while the VM runs (the sampled bulk-advance check)
-    pass [~pipeline:false]. *)
+    simulation falls behind execution. *)
 
 val run :
   ?pipeline:bool ->

@@ -180,11 +180,6 @@ let warm t ~addr ~size ~is_float =
   t.memo_line <- -1;
   ignore (serve t ~count:false ~addr ~size ~is_float)
 
-let correct_skip t ~skipped ~observed =
-  t.memo_line <- -1;
-  Cache.correct_skip t.c1 ~skipped ~observed;
-  Cache.correct_skip t.c2 ~skipped ~observed
-
 (* ------------------------------------------------------------------ *)
 (* Batch drains                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -197,10 +192,10 @@ let correct_skip t ~skipped ~observed =
    inlines (and dune's dev profile compiles library modules [-opaque],
    so it would not even be a direct call), and that call per event is
    the cost the ring was built to shed. Same tick-first ordering, way
-   scan, first-minimal victim and ins-sketch bump, so the drained cache
-   state is bit-identical to per-access probing. *)
-let[@inline] drain_probe tags stamps ins assoc nsets smask sshift tick hits
-    misses line =
+   scan and first-minimal victim, so the drained cache state is
+   bit-identical to per-access probing. *)
+let[@inline] drain_probe tags stamps assoc nsets smask sshift tick hits misses
+    line =
   let set, tag =
     if sshift >= 0 then (line land smask, line lsr sshift)
     else (line mod nsets, line / nsets)
@@ -218,7 +213,6 @@ let[@inline] drain_probe tags stamps ins assoc nsets smask sshift tick hits
   end
   else begin
     incr misses;
-    Array.unsafe_set ins set (Array.unsafe_get ins set + 1);
     let v = ref base in
     for w = base + 1 to lim - 1 do
       if Array.unsafe_get stamps w < Array.unsafe_get stamps !v then v := w
@@ -251,12 +245,10 @@ let[@inline] drain_probe tags stamps ins assoc nsets smask sshift tick hits
    path costs a measurable share of the per-event time. *)
 let drain_quiet t (addrs : int array) (metas : int array) lo hi =
   let c1 = t.c1 and c2 = t.c2 in
-  let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps
-  and ins1 = c1.Cache.ins in
+  let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps in
   let assoc1 = c1.Cache.assoc and nsets1 = c1.Cache.nsets
   and smask1 = c1.Cache.set_mask and sshift1 = c1.Cache.set_shift in
-  let tags2 = c2.Cache.tags and stamps2 = c2.Cache.stamps
-  and ins2 = c2.Cache.ins in
+  let tags2 = c2.Cache.tags and stamps2 = c2.Cache.stamps in
   let assoc2 = c2.Cache.assoc and nsets2 = c2.Cache.nsets
   and smask2 = c2.Cache.set_mask and sshift2 = c2.Cache.set_shift in
   let sh1 = t.shift1 and sh2 = t.shift2 in
@@ -303,7 +295,7 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
         end
         else begin
           let r =
-            drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2 tick2
+            drain_probe tags2 stamps2 assoc2 nsets2 smask2 sshift2 tick2
               hits2 miss2 first
           in
           memo_line := ltag;
@@ -353,7 +345,7 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
         end
         else begin
           let r =
-            drain_probe tags1 stamps1 ins1 assoc1 nsets1 smask1 sshift1 tick1
+            drain_probe tags1 stamps1 assoc1 nsets1 smask1 sshift1 tick1
               hits1 miss1 first
           in
           memo_line := ltag;
@@ -366,7 +358,7 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
             (* the missing L1 line descends to L2 *)
             let served =
               if l2c then
-                drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2
+                drain_probe tags2 stamps2 assoc2 nsets2 smask2 sshift2
                   tick2 hits2 miss2 ((first lsl sh1) lsr sh2)
                 >= 0
               else begin
@@ -433,12 +425,10 @@ let drain_quiet t (addrs : int array) (metas : int array) lo hi =
    in one throwaway ref. *)
 let drain_warm t (addrs : int array) (metas : int array) lo hi =
   let c1 = t.c1 and c2 = t.c2 in
-  let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps
-  and ins1 = c1.Cache.ins in
+  let tags1 = c1.Cache.tags and stamps1 = c1.Cache.stamps in
   let assoc1 = c1.Cache.assoc and nsets1 = c1.Cache.nsets
   and smask1 = c1.Cache.set_mask and sshift1 = c1.Cache.set_shift in
-  let tags2 = c2.Cache.tags and stamps2 = c2.Cache.stamps
-  and ins2 = c2.Cache.ins in
+  let tags2 = c2.Cache.tags and stamps2 = c2.Cache.stamps in
   let assoc2 = c2.Cache.assoc and nsets2 = c2.Cache.nsets
   and smask2 = c2.Cache.set_mask and sshift2 = c2.Cache.set_shift in
   let sh1 = t.shift1 and sh2 = t.shift2 in
@@ -459,7 +449,7 @@ let drain_warm t (addrs : int array) (metas : int array) lo hi =
         let ltag = (first lsl 1) lor 1 in
         if ltag <> !memo_line then begin
           let r =
-            drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2 tick2
+            drain_probe tags2 stamps2 assoc2 nsets2 smask2 sshift2 tick2
               junk junk first
           in
           memo_line := ltag;
@@ -479,7 +469,7 @@ let drain_warm t (addrs : int array) (metas : int array) lo hi =
         let ltag = (first lsl 1) lor (m land 1) in
         if ltag <> !memo_line then begin
           let r =
-            drain_probe tags1 stamps1 ins1 assoc1 nsets1 smask1 sshift1 tick1
+            drain_probe tags1 stamps1 assoc1 nsets1 smask1 sshift1 tick1
               junk junk first
           in
           memo_line := ltag;
@@ -488,7 +478,7 @@ let drain_warm t (addrs : int array) (metas : int array) lo hi =
             memo_way := lnot r;
             if l2c then
               ignore
-                (drain_probe tags2 stamps2 ins2 assoc2 nsets2 smask2 sshift2
+                (drain_probe tags2 stamps2 assoc2 nsets2 smask2 sshift2
                    tick2 junk junk ((first lsl sh1) lsr sh2))
             else begin
               sync ();

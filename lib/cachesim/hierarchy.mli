@@ -95,12 +95,6 @@ val drain_warm : t -> int array -> int array -> int -> int -> unit
     even the LRU tick advances); all other events move tags and LRU
     like {!warm} without recording anything. *)
 
-val correct_skip : t -> skipped:int -> observed:int -> unit
-(** Apply {!Cache.correct_skip} to both levels and invalidate the drain
-    memo (a synthetic insertion can evict the memoized line). Called by
-    {!Sampled} when a skip segment's unreplayed accesses must be
-    charged to the cache state before detailed measurement resumes. *)
-
 val extra_cycles : t -> int
 (** Accumulated latency beyond the base cycle of each access. *)
 

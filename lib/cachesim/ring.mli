@@ -42,8 +42,7 @@ val set_sink : t -> (t -> unit) -> unit
     returns, {!flush} resets [len] to 0 (the callback must not push). *)
 
 val length : t -> int
-(** Events currently buffered (the VM-side pending count a sampled
-    bulk-advance check needs, see {!Sampled.bulk_ready}). *)
+(** Events currently buffered, not yet handed to the sink. *)
 
 val flush : t -> unit
 (** Drain buffered events through the sink (no-op when empty). *)

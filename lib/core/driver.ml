@@ -55,66 +55,42 @@ let compile ?(verify = false) source =
 let measure ?(args = []) ?(config = Hierarchy.itanium)
     ?(backend = Backend.default) ?(fidelity = Sampled.Exact) ?pipeline
     (prog : Ir.program) : measurement =
-  let module Ring = Slo_cachesim.Ring in
-  let module Drainer = Slo_cachesim.Drainer in
-  match Sampled.of_fidelity config fidelity with
-  | None ->
-    (* exact: the VM appends packed events to a ring; the drain runs
-       whole batches through the hierarchy. Counters are byte-equal to
-       per-access simulation (Hierarchy.drain_quiet's contract) at a
-       fraction of the per-event cost. With a second core available
-       the drain runs on a worker domain, overlapped with execution
-       (identical counters — the drainer preserves batch order); on a
-       single core the inline sink is cheaper than the handoff. *)
-    let hier = Hierarchy.create config in
-    let result =
-      Drainer.run ?pipeline
-        ~drain:(fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n)
-        (fun ring -> Backend.run ~args (Backend.create ~ring backend prog))
-    in
-    {
-      m_result = result;
-      m_cycles = result.steps + Hierarchy.extra_cycles hier;
-      m_l1_misses = Slo_cachesim.Cache.misses (Hierarchy.l1 hier);
-      m_l2_misses = Slo_cachesim.Cache.misses (Hierarchy.l2 hier);
-      m_accesses = Hierarchy.accesses hier;
-    }
-  | Some smp ->
-    (* sampled: detailed windows feed the hierarchy, the rest warms or
-       skips, and the miss / cycle counters are window measurements
-       scaled to the full run. The bulk hook — O(1) fast-forward per
-       block — is only worth wiring up when the fidelity actually has a
-       skip segment; with the default full-warming layout it could never
-       accept, and its mere presence forces dual-body compilation.
-       Buffered ring events precede the bulk accesses in stream order,
-       so the bulk hook flushes before advancing; it reads sampler
-       state, so the drain stays inline *)
-    let result =
-      Drainer.run ~pipeline:false
-        ~drain:(fun addrs metas n -> Sampled.drain smp addrs metas 0 n)
-        (fun ring ->
-          let vm =
-            match fidelity with
-            | Sampled.Sampled { skip; _ } when skip > 0 ->
-              let bulk_hook n =
-                if Sampled.bulk_ready smp ~pending:(Ring.length ring) n then begin
-                  Ring.flush ring;
-                  Sampled.try_advance smp n
-                end
-                else false
-              in
-              Backend.create ~ring ~bulk_hook backend prog
-            | _ -> Backend.create ~ring backend prog
-          in
-          Backend.run ~args vm)
-    in
-    {
-      m_result = result;
-      m_cycles = result.steps + Sampled.est_extra_cycles smp;
-      m_l1_misses = Sampled.est_l1_misses smp;
-      m_l2_misses = Sampled.est_l2_misses smp;
-      m_accesses = Sampled.total_accesses smp;
-    }
+  (* the VM appends packed events to a ring and the drain runs whole
+     batches through the simulator: the hierarchy itself (exact), or
+     the sampler's detailed windows and warm remainder (sampled), whose
+     counters are window measurements scaled to the full run. Counters
+     are byte-equal to per-access simulation at a fraction of the
+     per-event cost. With a second core available the drain runs on a
+     worker domain, overlapped with execution (identical counters — the
+     drainer preserves batch order); on a single core the inline sink
+     is cheaper than the handoff. *)
+  let drain, readout =
+    match Sampled.of_fidelity config fidelity with
+    | None ->
+      let hier = Hierarchy.create config in
+      ( (fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n),
+        fun (r : Interp.result) ->
+          {
+            m_result = r;
+            m_cycles = r.steps + Hierarchy.extra_cycles hier;
+            m_l1_misses = Slo_cachesim.Cache.misses (Hierarchy.l1 hier);
+            m_l2_misses = Slo_cachesim.Cache.misses (Hierarchy.l2 hier);
+            m_accesses = Hierarchy.accesses hier;
+          } )
+    | Some smp ->
+      ( (fun addrs metas n -> Sampled.drain smp addrs metas 0 n),
+        fun r ->
+          {
+            m_result = r;
+            m_cycles = r.steps + Sampled.est_extra_cycles smp;
+            m_l1_misses = Sampled.est_l1_misses smp;
+            m_l2_misses = Sampled.est_l2_misses smp;
+            m_accesses = Sampled.total_accesses smp;
+          } )
+  in
+  readout
+    (Slo_cachesim.Drainer.run ?pipeline ~drain (fun ring ->
+         Backend.run ~args (Backend.create ~ring backend prog)))
 
 let analyze (prog : Ir.program) ~scheme ~feedback =
   let leg = Legality.analyze prog in

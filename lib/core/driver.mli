@@ -74,20 +74,16 @@ val measure :
     choice only affects wall-clock speed.
 
     [pipeline] (default: on when the host has more than one core)
-    drains exact-fidelity ring batches on a worker domain overlapped
-    with VM execution via {!Slo_cachesim.Drainer.run}; counters are
-    byte-equal to the serial drain either way. Ignored under sampled
-    fidelities, whose bulk fast-forward check must observe sampler
-    state synchronously with the VM.
+    drains the ring batches on a worker domain overlapped with VM
+    execution via {!Slo_cachesim.Drainer.run}, at either fidelity;
+    counters are byte-equal to the serial drain either way.
 
     [fidelity] (default [Exact]) selects full-trace simulation or
-    {!Slo_cachesim.Sampled} windows with fast-forward in between. Under
-    [Sampled] the miss and cycle numbers are estimates (window counters
-    scaled to the whole run, with accuracy bounds pinned by the roster
-    accuracy harness); [m_result] — output, exit code, steps — is exact
-    in every fidelity. The sampler's bulk fast path pairs best with the
-    [Superblock] backend, which retires a whole fused chain's accesses
-    per consultation. *)
+    {!Slo_cachesim.Sampled} windows with functional warming in between.
+    Under [Sampled] the miss and cycle numbers are estimates (window
+    counters scaled to the whole run, with accuracy bounds pinned by
+    the roster accuracy harness); [m_result] — output, exit code,
+    steps — is exact in every fidelity. *)
 
 val analyze :
   Ir.program ->

@@ -28,19 +28,14 @@ let of_string = function
 
 type vm = Vwalk of Interp.t | Vcompiled of Compile.t
 
-let create ?edges ?bulk_hook ?ring ?max_steps backend prog =
+let create ?edges ?ring ?max_steps backend prog =
   match backend with
-  | Walk ->
-    (* the walker has no bulk fast path; ignoring the hook is sound
-       because a bulk advance is defined as equivalent to the same
-       accesses fed one at a time *)
-    Vwalk (Interp.create ?ring ?edges ?max_steps prog)
-  | Superblock ->
-    Vcompiled (Compile.create ?edges ?bulk_hook ?ring ?max_steps prog)
+  | Walk -> Vwalk (Interp.create ?ring ?edges ?max_steps prog)
+  | Superblock -> Vcompiled (Compile.create ?edges ?ring ?max_steps prog)
 
 let run ?args = function
   | Vwalk vm -> Interp.run ?args vm
   | Vcompiled vm -> Compile.run ?args vm
 
-let run_program ?edges ?bulk_hook ?ring ?max_steps ?args backend prog =
-  run ?args (create ?edges ?bulk_hook ?ring ?max_steps backend prog)
+let run_program ?edges ?ring ?max_steps ?args backend prog =
+  run ?args (create ?edges ?ring ?max_steps backend prog)

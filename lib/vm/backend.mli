@@ -37,7 +37,6 @@ type vm
 
 val create :
   ?edges:Edges.t ->
-  ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->
   t ->
@@ -52,19 +51,12 @@ val create :
     backend.
 
     [edges] (see {!Edges}) turns on edge profiling: every backend
-    counts the same taken edges and function entries into the table.
-
-    [bulk_hook] (see {!Compile.create}) lets a sampled-measurement
-    consumer retire a whole block's accesses in O(1); the [Walk]
-    backend ignores it (always per-access), which is sound because a
-    successful bulk advance is defined as equivalent to feeding the
-    same accesses one at a time. *)
+    counts the same taken edges and function entries into the table. *)
 
 val run : ?args:int list -> vm -> result
 
 val run_program :
   ?edges:Edges.t ->
-  ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->
   ?args:int list ->

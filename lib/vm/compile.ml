@@ -46,13 +46,7 @@
    the same totals and the same step-limit failures). Compile-time name
    resolution failures are not reported eagerly: an unknown global or
    local compiles to a closure that raises the interpreter's exact
-   error if (and only if) the instruction is actually executed.
-
-   [bulk_hook]: blocks with a statically known event count carry a
-   second, ring-free compilation of their body; when the bulk hook
-   accepts the block's event count the fast body runs instead, so a
-   sampler fast-forwarding past a detailed window pays O(1) per
-   superblock instead of O(accesses). *)
+   error if (and only if) the instruction is actually executed. *)
 
 exception Runtime_error = Rt.Runtime_error
 
@@ -72,13 +66,6 @@ type bcode = {
   bc_body : (frame -> unit) array;
   bc_term : frame -> int;  (* successor block id, or -1 to return *)
   bc_ret : frame -> retval;  (* only consulted when bc_term yields -1 *)
-  bc_events : int;
-    (* statically known memory events of the body, or -1 when the
-       count is dynamic (calls nest events, memset/memcpy lengths are
-       runtime values) or the bulk fast path is disabled *)
-  bc_fast : (frame -> unit) array;
-    (* the same body compiled without the event ring; executed instead of
-       [bc_body] when the bulk hook consumes all [bc_events] accesses *)
 }
 
 (* a compiled function; fields are filled in two passes (signature-level
@@ -113,11 +100,6 @@ type t = {
        Chosen once at [create]; every load/store closure is compiled
        against exactly one case, so the hot path carries no dispatch *)
   edges : Edges.t option;
-  bulk : int -> bool;
-    (* [bulk n]: consume [n] upcoming accesses cheaply (true) or fall
-       back to per-access events (false); constantly false unless a
-       [bulk_hook] was supplied at [create] time *)
-  bulk_on : bool;  (* a bulk hook AND a ring were supplied *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -127,18 +109,12 @@ type t = {
 let exec_fcode t (fc : fcode) (frame : frame) : retval =
   let blocks = fc.fc_blocks in
   let max_steps = t.max_steps in
-  let bulk = t.bulk in
   let rec go bid =
     let bc = blocks.(bid) in
     let s = t.steps + bc.bc_steps in
     t.steps <- s;
     if s > max_steps then error "step limit exceeded";
-    (* retire the whole block's accesses through the bulk hook when it
-       accepts them (sampled fast-forward), and run the ring-free body;
-       [bc_events] is -1 whenever that would be unsound *)
-    let body =
-      if bc.bc_events > 0 && bulk bc.bc_events then bc.bc_fast else bc.bc_body
-    in
+    let body = bc.bc_body in
     for k = 0 to Array.length body - 1 do
       (Array.unsafe_get body k) frame
     done;
@@ -266,8 +242,7 @@ let no_ring = Ring.create ~cap:1 ()
    access event, for the generic load/store compilation: the meta word
    folds to one immediate per compiled load/store and the push is
    [emit]'s. Without a ring nothing is added (the accessor is returned
-   as is), which keeps the bulk fast bodies and ring-free runs free of
-   event plumbing. *)
+   as is), which keeps ring-free runs free of event plumbing. *)
 let with_event ~ring ~(ga : frame -> int) ~size ~write ~is_float ~iid :
     frame -> int =
   match ring with
@@ -490,10 +465,10 @@ let fcompare (op : Ir.binop) =
 
 (* Superblock formation: a block that is the Tjmp target of its single
    predecessor is fused into that predecessor, so straight-line chains
-   execute as one array sweep with one step-limit check and one bulk
-   consultation per chain instead of per block. Fused interior blocks
-   stay in the array but become unreachable: their only predecessor no
-   longer branches to them, it falls through the concatenated body.
+   execute as one array sweep with one step-limit check per chain
+   instead of per block. Fused interior blocks stay in the array but
+   become unreachable: their only predecessor no longer branches to
+   them, it falls through the concatenated body.
    Step accounting is chain-wise (the whole chain's steps are pre-added
    before the sweep), which extends the blockwise convention this
    backend already documents — totals and step-limit failures on any
@@ -549,12 +524,6 @@ let fuse_superblocks (func : Ir.func) (row : Edges.row option)
              always the original per-block compilations *)
           let bcs = List.map (fun bid -> blocks.(bid)) seq in
           let last = List.nth bcs (List.length bcs - 1) in
-          let events =
-            List.fold_left
-              (fun a bc ->
-                if a < 0 || bc.bc_events < 0 then -1 else a + bc.bc_events)
-              0 bcs
-          in
           let term =
             match row with
             | None -> last.bc_term
@@ -582,11 +551,6 @@ let fuse_superblocks (func : Ir.func) (row : Edges.row option)
               bc_body = Array.concat (List.map (fun bc -> bc.bc_body) bcs);
               bc_term = term;
               bc_ret = last.bc_ret;
-              bc_events = events;
-              bc_fast =
-                (if events > 0 then
-                   Array.concat (List.map (fun bc -> bc.bc_fast) bcs)
-                 else [||]);
             }
       end
     done
@@ -666,7 +630,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
     pre_of (p : pre) =
   let func = p.p_func and fc = p.p_fc in
   let fl = p.p_fl and clocals = p.p_locals in
-  let mem = t.mem in
+  let mem = t.mem and ring = t.ring in
   (* an int-bank register; the register-direct forms read and write
      [f.ir]/[f.fr] without the cross-bank conversions of [geti]/[setf] *)
   let ireg r = not fl.(r) in
@@ -790,7 +754,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
      forms below leave out (bit-fields, cross-bank operands): address
      accessor, event wrapper, [Memory] call and result setter are
      separate closures *)
-  let compile_load ~ring ~iid r a ty acc : frame -> unit =
+  let compile_load ~iid r a ty acc : frame -> unit =
     let ga = geti a in
     match
       match acc with
@@ -825,7 +789,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         in
         fun f -> st f (Memory.load_int mem ~addr:(ga f) ~size))
   in
-  let compile_store ~ring ~iid a v ty acc : frame -> unit =
+  let compile_store ~iid a v ty acc : frame -> unit =
     let ga = geti a in
     match
       match acc with
@@ -867,10 +831,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
           let addr = ga f in
           Memory.store_int mem ~addr ~size (gv f))
   in
-  (* [ring] rather than [t.ring]: blocks whose access count is
-     statically known are compiled twice, once with the ring and once
-     without, so the sampler's fast-forward can run the plain body *)
-  let compile_instr ~ring (i : Ir.instr) : frame -> unit =
+  let compile_instr (i : Ir.instr) : frame -> unit =
     let iid = i.iid in
     match i.idesc with
     | Ir.Imov (r, o) ->
@@ -968,9 +929,8 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         | Irty.Short -> fun f -> st f (truncate_int 2 (g f))
         | Irty.Int -> fun f -> st f (truncate_int 4 (g f))
         | _ -> fun f -> st f (g f)))
-    | Ir.Iload (r, a, ty, acc) -> compile_load ~ring ~iid r a ty acc
-    | Ir.Istore (a, v, ty, acc) ->
-      compile_store ~ring ~iid a v ty acc
+    | Ir.Iload (r, a, ty, acc) -> compile_load ~iid r a ty acc
+    | Ir.Istore (a, v, ty, acc) -> compile_store ~iid a v ty acc
     | Ir.Iaddrglob (r, g) -> (
       match Hashtbl.find_opt globals_addr g with
       | Some (addr, _) ->
@@ -1143,25 +1103,11 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
         let g = geti cond in
         ((fun f -> if g f <> 0 then x else y), never_ret))
   in
-  (* static memory events of a block body, or -1 when the count is
-     dynamic: calls may nest events and memset/memcpy lengths are
-     runtime values *)
-  let count_events (b : Ir.block) =
-    List.fold_left
-      (fun acc (i : Ir.instr) ->
-        if acc < 0 then acc
-        else
-          match i.idesc with
-          | Ir.Iload _ | Ir.Istore _ -> acc + 1
-          | Ir.Icall _ | Ir.Imemset _ | Ir.Imemcpy _ -> -1
-          | _ -> acc)
-      0 b.instrs
-  in
   (* a register-direct load or store addressing through [form], or
      [None] for the shapes the generic compilation keeps: bit-fields,
      a destination or stored value in the other bank, odd sizes, and
      big-endian hosts *)
-  let fast_access ~ring form (i : Ir.instr) : (frame -> unit) option =
+  let fast_access form (i : Ir.instr) : (frame -> unit) option =
     let ev, rg =
       match ring with Some rg -> (true, rg) | None -> (false, no_ring)
     in
@@ -1237,11 +1183,11 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
   in
   (* the register-direct compilation of one instruction, or [None] for
      the generic one *)
-  let fast_instr ~ring (i : Ir.instr) : (frame -> unit) option =
+  let fast_instr (i : Ir.instr) : (frame -> unit) option =
     match i.idesc with
     | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
       when ireg a ->
-      fast_access ~ring (Abase (a, a, 0)) i
+      fast_access (Abase (a, a, 0)) i
     | Ir.Imov (r, Ir.Oreg x) when fl.(r) = fl.(x) ->
       if fl.(r) then Some (fun f -> wrf f r (rdf f x))
       else Some (fun f -> wr f r (rd f x))
@@ -1287,34 +1233,34 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
      the consumer's event, memory access and result write are
      byte-identical, and steps are counted from the IR ([bc_steps]
      below), not from the body array length. *)
-  let fuse_pair ~ring (i : Ir.instr) (j : Ir.instr) : (frame -> unit) option =
+  let fuse_pair (i : Ir.instr) (j : Ir.instr) : (frame -> unit) option =
     match addr_producer i with
     | Some ((Abase (d, _, _) | Aframe (d, _, _) | Aindex (d, _, _, _)) as form)
       -> (
       match j.idesc with
       | Ir.Iload (_, Ir.Oreg a, _, _) | Ir.Istore (Ir.Oreg a, _, _, _)
         when a = d ->
-        fast_access ~ring form j
+        fast_access form j
       | _ -> None)
     | None -> None
   in
-  let compile_instrs ~ring instrs =
+  let compile_instrs instrs =
     (* any compile-time failure on the register-direct route falls back
        to the generic compilation, where name-resolution and layout
        failures compile to raising closures so they surface only if the
        instruction runs, matching the tree-walker's lazy failure points *)
     let emit i =
-      match fast_instr ~ring i with
+      match fast_instr i with
       | Some code -> code
       | None | (exception _) -> (
-        match compile_instr ~ring i with
+        match compile_instr i with
         | code -> code
         | exception e -> fun _ -> raise e)
     in
     let rec go acc = function
       | [] -> List.rev acc
       | i :: (j :: rest as tl) -> (
-        match fuse_pair ~ring i j with
+        match fuse_pair i j with
         | Some code -> go (code :: acc) rest
         | None | (exception _) -> go (emit i :: acc) tl)
       | [ i ] -> List.rev (emit i :: acc)
@@ -1325,24 +1271,19 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
      exactly like the tree-walker's defaults *)
   let empty =
     { bc_steps = 1; bc_body = [||]; bc_term = (fun _ -> -1);
-      bc_ret = (fun _ -> RVoid); bc_events = -1; bc_fast = [||] }
+      bc_ret = (fun _ -> RVoid) }
   in
   (* superblock peephole, part 2: fold the last body thunk into the
-     terminator closure — one fewer dispatch per executed block. Only
-     for blocks with a single compiled body: a dual-body block
-     (bc_events > 0) runs either body, so its terminator cannot absorb
-     a thunk belonging to one of them. *)
+     terminator closure — one fewer dispatch per executed block *)
   let fold_tail bc =
     let n = Array.length bc.bc_body in
-    if n = 0 || bc.bc_events > 0 then bc
+    if n = 0 then bc
     else begin
       let last = bc.bc_body.(n - 1) in
-      let body = Array.sub bc.bc_body 0 (n - 1) in
       let term = bc.bc_term in
       {
         bc with
-        bc_body = body;
-        bc_fast = body;
+        bc_body = Array.sub bc.bc_body 0 (n - 1);
         bc_term =
           (fun f ->
             last f;
@@ -1350,27 +1291,20 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
       }
     end
   in
-  (* dual bodies only pay off when there are both events to skip and a
-     bulk consumer to skip them through *)
-  let dual = t.bulk_on in
   let blocks = Array.make func.next_block empty in
   List.iter
     (fun (b : Ir.block) ->
-      let body = compile_instrs ~ring:t.ring b.instrs in
+      let body = compile_instrs b.instrs in
       let term, ret =
         match compile_term b with
         | r -> r
         | exception e -> ((fun _ -> raise e), never_ret)
       in
-      let events = if dual then count_events b else -1 in
-      let fast =
-        if events > 0 then compile_instrs ~ring:None b.instrs else body
-      in
       (* steps are counted from the IR, not the body array: the peephole
          shortens the array without changing the executed step total *)
       blocks.(b.bid) <-
         { bc_steps = List.length b.instrs + 1; bc_body = body; bc_term = term;
-          bc_ret = ret; bc_events = events; bc_fast = fast })
+          bc_ret = ret })
     func.fblocks;
   fuse_superblocks func row blocks;
   Array.iteri (fun k bc -> blocks.(k) <- fold_tail bc) blocks;
@@ -1380,7 +1314,7 @@ let compile_body t (prog : Ir.program) layout globals_addr strings func_addr
 (* Setup and entry points                                              *)
 (* ------------------------------------------------------------------ *)
 
-let create ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps)
+let create ?edges ?ring ?(max_steps = Rt.default_max_steps)
     (prog : Ir.program) : t =
   let layout = Layout.create prog.structs in
   let mem = Memory.create () in
@@ -1410,8 +1344,6 @@ let create ?edges ?bulk_hook ?ring ?(max_steps = Rt.default_max_steps)
     {
       mem; dispatch; fcode_tbl; benv; out = benv.Builtins.out;
       sp = Memory.stack_top; steps = 0; max_steps; ring; edges;
-      bulk = (match bulk_hook with Some b -> b | None -> fun _ -> false);
-      bulk_on = Option.is_some bulk_hook && Option.is_some ring;
     }
   in
   let pres =

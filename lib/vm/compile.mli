@@ -27,7 +27,6 @@ type t
 
 val create :
   ?edges:Edges.t ->
-  ?bulk_hook:(int -> bool) ->
   ?ring:Slo_cachesim.Ring.t ->
   ?max_steps:int ->
   Ir.program ->
@@ -45,31 +44,15 @@ val create :
     on abnormal termination — so the sink always sees exactly the
     run's stream.
 
-    [bulk_hook n] is consulted before running a block whose event count
-    [n] is statically known (no calls, no memset/memcpy): returning
-    [true] means the event consumer has accounted for all [n] accesses
-    itself and the block runs with no per-access events at all. The
-    sampled cache simulator uses this to retire a block's accesses in
-    O(1) while fast-forwarding. Only meaningful together with [ring];
-    the event values the consumer would have received (addresses,
-    instruction ids) are not reconstructed — the consumer must not need
-    them. Events already buffered precede the [n] bulk accesses in
-    stream order: the consumer must flush-then-advance (see
-    {!Slo_cachesim.Sampled.bulk_ready}). On a
-    run that terminates abnormally mid-block the bulk consumer may have
-    been charged up to one block's trailing accesses that never
-    executed (same granularity caveat as the step limit below).
-
     [edges] turns on edge profiling: each terminator and call prologue
     increments a counter slot of the table, resolved at compile time.
 
     Each straight-line chain of blocks linked by unconditional jumps
-    runs as one superblock: one array sweep, one step-limit check and
-    one [bulk_hook] consultation per chain. Under [edges] a fused chain
-    counts its interior jump edges once per run, so the edge counts
-    equal the unfused ones. Step totals and step-limit failures are
-    unchanged on all programs; the limit check is chain-wise (see the
-    caveat on {!run}). *)
+    runs as one superblock: one array sweep and one step-limit check
+    per chain. Under [edges] a fused chain counts its interior jump
+    edges once per run, so the edge counts equal the unfused ones. Step
+    totals and step-limit failures are unchanged on all programs; the
+    limit check is chain-wise (see the caveat on {!run}). *)
 
 val run : ?args:int list -> t -> result
 (** Execute [main]. Raises {!Runtime_error} exactly where {!Interp.run}
@@ -79,4 +62,4 @@ val run : ?args:int list -> t -> result
     before doing so. *)
 
 val run_program : ?args:int list -> Ir.program -> result
-(** [create] + [run] without a ring, edge counters or bulk hook. *)
+(** [create] + [run] without a ring or edge counters. *)

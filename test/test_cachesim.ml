@@ -145,7 +145,6 @@ let prop_matches_reference_model =
       && w.Cache.tags = c.Cache.tags
       && w.Cache.stamps = c.Cache.stamps
       && w.Cache.tick = c.Cache.tick
-      && w.Cache.ins = c.Cache.ins
       && Cache.hits w = 0
       && Cache.misses w = 0)
 
@@ -244,53 +243,6 @@ let fp_straddle_touches_l2_range () =
   let _, lvl2 = Hierarchy.access h ~addr:4216 ~size:16 ~is_float:true in
   Alcotest.(check bool) "warm FP served by L2" true (lvl2 = Hierarchy.L2)
 
-(* ------------------- skip correction sketch ------------------- *)
-
-(* [Cache.correct_skip] evicts per-set LRU lines in favour of synthetic
-   never-hit tags, at the per-set insertion rate the sketch recorded. *)
-let correct_skip_evicts_lru () =
-  (* one set, two ways *)
-  let c = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access c ~addr:0);
-  ignore (Cache.access c ~addr:64);
-  ignore (Cache.access c ~addr:0);
-  (* ins = 2 over 3 accesses; extrapolating 1 skipped access at that
-     rate with observed = 2 inserts 2*1/2 = 1 synthetic line, evicting
-     the LRU way (line 64) and leaving the MRU way (line 0) alone *)
-  Cache.correct_skip c ~skipped:1 ~observed:2;
-  Alcotest.(check bool) "MRU line survives" true
-    (Cache.access c ~addr:0);
-  Alcotest.(check bool) "LRU line evicted by a synthetic" false
-    (Cache.access c ~addr:64)
-
-let correct_skip_caps_and_carries () =
-  let c = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access c ~addr:0);
-  ignore (Cache.access c ~addr:64);
-  (* rate 2 insertions / 2 accesses over 100 skipped = 100 synthetic
-     fills, capped at the associativity: everything evicted, no crash *)
-  Cache.correct_skip c ~skipped:100 ~observed:2;
-  Alcotest.(check bool) "all ways synthetic" false
-    (Cache.access c ~addr:0);
-  Alcotest.(check bool) "all ways synthetic (other line)" false
-    (Cache.access c ~addr:64);
-  (* remainders carry: 1 insertion / 2 observed over 1 skipped is half
-     a line — rounded down to nothing, remainder carried. After the
-     sketch refills, the second correction's half line plus the carry
-     completes one eviction (without the carry it would again round to
-     zero) *)
-  let d = Cache.create ~name:"t" ~size:128 ~line:64 ~assoc:2 in
-  ignore (Cache.access d ~addr:0);
-  Cache.correct_skip d ~skipped:1 ~observed:2;
-  Alcotest.(check bool) "half a line rounds down" true
-    (Cache.access d ~addr:0);
-  ignore (Cache.access d ~addr:64);
-  (* line 0 is now LRU; ins = 1 again *)
-  ignore (Cache.access d ~addr:64);
-  Cache.correct_skip d ~skipped:1 ~observed:2;
-  Alcotest.(check bool) "carry completes the eviction" false
-    (Cache.access d ~addr:0)
-
 (* ------------------- ring & batched draining ------------------- *)
 
 module Ring = Slo_cachesim.Ring
@@ -324,7 +276,7 @@ let ring_flushes_when_full () =
 
 (* The tentpole equivalence: draining ring batches through
    [Hierarchy.drain_quiet] must leave counters AND full cache state
-   (tags, LRU stamps, tick, sketch) byte-equal to feeding every event
+   (tags, LRU stamps, tick) byte-equal to feeding every event
    through [Hierarchy.access], on random geometries (power-of-two
    and odd set counts, FP bypass on and off), random event streams and
    random batch boundaries. *)
@@ -334,9 +286,6 @@ let cache_state_eq (a : Cache.t) (b : Cache.t) =
   && a.Cache.tick = b.Cache.tick
   && a.Cache.hits = b.Cache.hits
   && a.Cache.misses = b.Cache.misses
-  && a.Cache.ins = b.Cache.ins
-  && a.Cache.carry = b.Cache.carry
-  && a.Cache.synth_tag = b.Cache.synth_tag
 
 let hier_state_eq a b =
   cache_state_eq (Hierarchy.l1 a) (Hierarchy.l1 b)
@@ -710,10 +659,6 @@ let () =
           Alcotest.test_case "meta round-trips" `Quick ring_meta_roundtrip;
           Alcotest.test_case "flush on full, in order" `Quick
             ring_flushes_when_full;
-          Alcotest.test_case "correct_skip evicts LRU" `Quick
-            correct_skip_evicts_lru;
-          Alcotest.test_case "correct_skip caps and carries" `Quick
-            correct_skip_caps_and_carries;
           QCheck_alcotest.to_alcotest prop_drain_matches_per_access;
           QCheck_alcotest.to_alcotest prop_sampling_drain_matches_record;
           Alcotest.test_case "drainer matches serial" `Quick

@@ -1,7 +1,8 @@
 (* Sampled cache simulation: exact-count unit tests for the period
-   layout (detailed window / skip / warm-up), the O(1) bulk fast-forward,
-   the stride = window ≡ exact property, and the roster accuracy gate
-   that pins sampled estimates to exact simulation within fixed bounds. *)
+   layout (detailed window / warm-up), the ring drain ≡ per-access
+   properties (inline and pipelined), the stride = window ≡ exact
+   property, and the roster accuracy gate that pins sampled estimates
+   to exact simulation within fixed bounds. *)
 
 module S = Slo_cachesim.Sampled
 module Hierarchy = Slo_cachesim.Hierarchy
@@ -16,9 +17,9 @@ let acc ?(size = 4) ?(is_float = false) t addr =
 
 (* ---------------- period layout, hand-computed counts ---------------- *)
 
-(* window=2 stride=8 skip=4 → detailed [0,2), skip [2,6), warm [6,8) *)
+(* window=2 stride=8 → detailed [0,2), warm [2,8) *)
 let period_layout () =
-  let t = S.create ~window:2 ~stride:8 ~skip:4 Hierarchy.small in
+  let t = S.create ~window:2 ~stride:8 Hierarchy.small in
   let h = S.hierarchy t in
   let a = 4096 and b = 8192 in
   (* [0,2) detailed: cold miss on a, then a hit on the same line *)
@@ -27,22 +28,21 @@ let period_layout () =
   Alcotest.(check int) "window recorded" 2 (S.recorded_accesses t);
   Alcotest.(check int) "1 L1 miss" 1 (Cache.misses (Hierarchy.l1 h));
   Alcotest.(check int) "1 L1 hit" 1 (Cache.hits (Hierarchy.l1 h));
-  (* [2,6) skip: counted, but neither counters nor cache state move *)
-  for _ = 1 to 4 do
+  Alcotest.(check int) "two probes" 2 (Hierarchy.l1 h).Cache.tick;
+  (* [2,8) warm-up: tag/LRU state moves, counters do not *)
+  for _ = 1 to 6 do
     acc t b
   done;
-  Alcotest.(check int) "skip not recorded" 2 (S.recorded_accesses t);
-  Alcotest.(check int) "skip still counted" 6 (S.total_accesses t);
-  Alcotest.(check int) "skip leaves counters alone" 1
-    (Cache.misses (Hierarchy.l1 h));
-  (* [6,8) warm-up: tag/LRU state moves, counters do not *)
-  acc t b;
-  acc t b;
   Alcotest.(check int) "warm not recorded" 2 (S.recorded_accesses t);
+  Alcotest.(check int) "warm still counted" 8 (S.total_accesses t);
   Alcotest.(check int) "warm bumps no miss counter" 1
     (Cache.misses (Hierarchy.l1 h));
   Alcotest.(check int) "warm bumps no hit counter" 1
     (Cache.hits (Hierarchy.l1 h));
+  (* only the first warm access probes: the repeats land on the line
+     just touched, which is already resident and most-recent *)
+  Alcotest.(check int) "warm repeats skip the probe" 3
+    (Hierarchy.l1 h).Cache.tick;
   (* next period opens detailed: b is resident thanks to the warm-up *)
   acc t b;
   Alcotest.(check int) "warmed line hits in the next window" 2
@@ -52,8 +52,8 @@ let period_layout () =
   (* estimators scale window counters by total/recorded = 3 *)
   Alcotest.(check int) "est scales misses" 3 (S.est_l1_misses t)
 
-(* a short sampler (stride=window) degenerates to no skip and no warm
-   segment: every access detailed, scale stays 1 *)
+(* a short sampler (stride=window) degenerates to no warm segment:
+   every access detailed, scale stays 1 *)
 let short_run_all_detailed () =
   let t = S.create ~window:4 ~stride:4 Hierarchy.small in
   for i = 0 to 9 do
@@ -67,21 +67,22 @@ let short_run_all_detailed () =
    straddles: a straddle inside the window records every covered line, a
    straddle in the warm segment warms every covered line *)
 let straddle_positions () =
-  (* window=1 stride=4 skip=2 → detailed [0,1), skip [1,3), warm [3,4) *)
-  let t = S.create ~window:1 ~stride:4 ~skip:2 Hierarchy.small in
+  (* window=1 stride=4 → detailed [0,1), warm [1,4) *)
+  let t = S.create ~window:1 ~stride:4 Hierarchy.small in
   let h = S.hierarchy t in
   (* pos 0 detailed: 8 bytes across a 64 B boundary, two cold L1 lines *)
   acc ~size:8 t (4096 + 60);
   Alcotest.(check int) "straddle records both lines" 2
     (Cache.misses (Hierarchy.l1 h));
   Alcotest.(check int) "one access, one position" 1 (S.recorded_accesses t);
-  (* pos 1,2 skip *)
+  (* pos 1,2 warm another line *)
   acc t 0;
   acc t 0;
   (* pos 3 warm: straddle over two fresh lines — resident, unrecorded *)
   acc ~size:8 t (8192 + 60);
-  Alcotest.(check int) "warm straddle records nothing" 2
+  Alcotest.(check int) "warm accesses record nothing" 2
     (Cache.misses (Hierarchy.l1 h) + Cache.hits (Hierarchy.l1 h));
+  Alcotest.(check int) "four positions, one recorded" 4 (S.total_accesses t);
   (* pos 0 of the next period: both warmed lines hit *)
   acc ~size:8 t (8192 + 60);
   Alcotest.(check int) "both warmed lines hit" 2 (Cache.hits (Hierarchy.l1 h))
@@ -90,74 +91,14 @@ let create_validates () =
   let bad f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool) "window 0 rejected" true (bad (fun () ->
       S.create ~window:0 ~stride:8 Hierarchy.small));
+  Alcotest.(check bool) "negative window rejected" true (bad (fun () ->
+      S.create ~window:(-2) ~stride:8 Hierarchy.small));
   Alcotest.(check bool) "stride < window rejected" true (bad (fun () ->
       S.create ~window:8 ~stride:4 Hierarchy.small));
-  Alcotest.(check bool) "negative skip rejected" true (bad (fun () ->
-      S.create ~window:2 ~stride:8 ~skip:(-1) Hierarchy.small));
-  Alcotest.(check bool) "window + skip > stride rejected" true (bad (fun () ->
-      S.create ~window:2 ~stride:8 ~skip:7 Hierarchy.small))
-
-(* ---------------- try_advance ---------------- *)
-
-let try_advance_segments () =
-  (* window=2 stride=8 skip=4 → skip is [2,6) *)
-  let t = S.create ~window:2 ~stride:8 ~skip:4 Hierarchy.small in
-  (* the default skip = 0 (full functional warming) never fast-forwards *)
-  let t0 = S.create ~window:2 ~stride:8 Hierarchy.small in
-  acc t0 0;
-  acc t0 0;
-  Alcotest.(check bool) "skip = 0 never advances" false (S.try_advance t0 1);
-  Alcotest.(check bool) "refused inside window" false (S.try_advance t 1);
-  acc t 0;
-  acc t 0;
-  (* pos = 2, start of the skip segment (4 positions long) *)
-  Alcotest.(check bool) "n = 0 refused" false (S.try_advance t 0);
-  Alcotest.(check bool) "n < 0 refused" false (S.try_advance t (-1));
-  Alcotest.(check bool) "span past skip_end refused" false (S.try_advance t 5);
-  Alcotest.(check bool) "whole skip segment consumed" true (S.try_advance t 4);
-  Alcotest.(check int) "total advanced by 4" 6 (S.total_accesses t);
-  (* pos = 6: warm segment — bulk is never allowed to skip warming *)
-  Alcotest.(check bool) "refused in warm segment" false (S.try_advance t 1);
-  acc t 0;
-  acc t 0;
-  (* wrapped to pos 0 *)
-  Alcotest.(check bool) "refused in next window" false (S.try_advance t 1);
-  Alcotest.(check int) "refusals consumed nothing" 8 (S.total_accesses t)
-
-(* try_advance n must be indistinguishable from n access calls: drive
-   two samplers through the same 200-access schedule, one taking the
-   bulk fast path whenever it is available *)
-let try_advance_equivalence () =
-  let mk () = S.create ~window:4 ~stride:16 ~skip:8 Hierarchy.small in
-  let t_bulk = mk () and t_slow = mk () in
-  let addr i = 4096 + (64 * (i * 7919 mod 24)) in
-  let feed t ~bulk =
-    let i = ref 0 in
-    while !i < 200 do
-      if bulk && 200 - !i >= 5 && S.try_advance t 5 then i := !i + 5
-      else begin
-        acc ~is_float:(!i mod 5 = 0) t (addr !i);
-        incr i
-      end
-    done
-  in
-  feed t_bulk ~bulk:true;
-  feed t_slow ~bulk:false;
-  let hb = S.hierarchy t_bulk and hs = S.hierarchy t_slow in
-  Alcotest.(check int) "total" (S.total_accesses t_slow)
-    (S.total_accesses t_bulk);
-  Alcotest.(check int) "recorded" (S.recorded_accesses t_slow)
-    (S.recorded_accesses t_bulk);
-  Alcotest.(check int) "L1 hits" (Cache.hits (Hierarchy.l1 hs))
-    (Cache.hits (Hierarchy.l1 hb));
-  Alcotest.(check int) "L1 misses" (Cache.misses (Hierarchy.l1 hs))
-    (Cache.misses (Hierarchy.l1 hb));
-  Alcotest.(check int) "L2 misses" (Cache.misses (Hierarchy.l2 hs))
-    (Cache.misses (Hierarchy.l2 hb));
-  Alcotest.(check int) "est L1" (S.est_l1_misses t_slow)
-    (S.est_l1_misses t_bulk);
-  Alcotest.(check int) "est cycles" (S.est_extra_cycles t_slow)
-    (S.est_extra_cycles t_bulk)
+  Alcotest.(check bool) "stride = window accepted" false (bad (fun () ->
+      S.create ~window:8 ~stride:8 Hierarchy.small));
+  Alcotest.(check bool) "defaults accepted" false (bad (fun () ->
+      S.create Hierarchy.small))
 
 (* ---------------- ring drain ≡ per-access ---------------- *)
 
@@ -169,9 +110,6 @@ let cache_state_eq (a : Cache.t) (b : Cache.t) =
   && a.Cache.tick = b.Cache.tick
   && a.Cache.hits = b.Cache.hits
   && a.Cache.misses = b.Cache.misses
-  && a.Cache.ins = b.Cache.ins
-  && a.Cache.carry = b.Cache.carry
-  && a.Cache.synth_tag = b.Cache.synth_tag
 
 let sampler_state_eq a b =
   let ha = S.hierarchy a and hb = S.hierarchy b in
@@ -186,17 +124,16 @@ let sampler_state_eq a b =
   && S.est_l2_misses a = S.est_l2_misses b
   && S.est_extra_cycles a = S.est_extra_cycles b
 
-(* [Sampled.drain] slices ring batches into period segments; counters,
-   cache state and the skip correction points must be byte-equal to
-   feeding every event through [Sampled.access] — across random period
-   layouts (skip = 0 and > 0, degenerate warmless tails), random event
-   streams and random batch boundaries. *)
+(* [Sampled.drain] slices ring batches into period segments; counters
+   and cache state must be byte-equal to feeding every event through
+   [Sampled.access] — across random period layouts (including
+   degenerate warmless ones), random event streams and random batch
+   boundaries. *)
 let gen_sampled_case =
   QCheck.Gen.(
     int_range 1 6 >>= fun window ->
-    int_range 0 8 >>= fun skip ->
     int_range 0 6 >>= fun warm ->
-    let stride = window + skip + warm in
+    let stride = window + warm in
     list_size (int_range 1 300)
       (int_range 0 1023 >>= fun addr ->
        int_range 1 8 >>= fun size ->
@@ -205,26 +142,29 @@ let gen_sampled_case =
        return (addr, size, write, is_float))
     >>= fun events ->
     int_range 1 13 >>= fun chunk ->
-    return (window, stride, skip, events, chunk))
+    return (window, stride, events, chunk))
 
-let print_sampled_case (window, stride, skip, events, chunk) =
-  Printf.sprintf "W=%d S=%d K=%d chunk=%d events=%s" window stride skip chunk
+let print_sampled_case (window, stride, events, chunk) =
+  Printf.sprintf "W=%d S=%d chunk=%d events=%s" window stride chunk
     (String.concat ";"
        (List.map
           (fun (a, s, w, f) -> Printf.sprintf "(%d,%d,%b,%b)" a s w f)
           events))
 
+(* the per-access reference: a fresh sampler fed one event at a time *)
+let per_access window stride events =
+  let t = S.create ~window ~stride Hierarchy.small in
+  List.iter
+    (fun (addr, size, _, is_float) -> S.access t ~addr ~size ~is_float)
+    events;
+  t
+
 let prop_drain_matches_per_access =
   QCheck.Test.make ~count:(Qcheck_long.iters 200)
-    ~name:"sampled drain byte-equal to per-access (incl. skip correction)"
+    ~name:"sampled drain byte-equal to per-access"
     (QCheck.make gen_sampled_case ~print:print_sampled_case)
-    (fun (window, stride, skip, events, chunk0) ->
-      let per = S.create ~window ~stride ~skip Hierarchy.small in
-      let dra = S.create ~window ~stride ~skip Hierarchy.small in
-      List.iter
-        (fun (addr, size, _, is_float) ->
-          S.access per ~addr ~size ~is_float)
-        events;
+    (fun (window, stride, events, chunk0) ->
+      let dra = S.create ~window ~stride Hierarchy.small in
       let n = List.length events in
       let addrs = Array.make n 0 and metas = Array.make n 0 in
       List.iteri
@@ -239,51 +179,31 @@ let prop_drain_matches_per_access =
         lo := !lo + c;
         incr k
       done;
-      sampler_state_eq per dra)
+      sampler_state_eq (per_access window stride events) dra)
 
-(* The driver's bulk wiring: [bulk_ready] (predicting at pos + pending
-   buffered events), then flush, then [try_advance] — never pushing the
-   advanced accesses — must be indistinguishable from pushing every
-   access. Skipped accesses are address-blind, so the per-access
-   reference sees the identical stream. *)
-let drain_bulk_equivalence () =
-  let mk () = S.create ~window:3 ~stride:16 ~skip:9 Hierarchy.small in
-  let t_ref = mk () and t_bulk = mk () in
-  let ring = Ring.create ~cap:7 () in
-  Ring.set_sink ring (fun r ->
-      S.drain t_bulk r.Ring.addrs r.Ring.metas 0 r.Ring.len);
-  let n = 500 in
-  let ev i =
-    ( 64 * (i * 7919 mod 24),
-      (if i mod 4 = 0 then 8 else 4),
-      i mod 3 = 0,
-      i mod 5 = 0 )
-  in
-  for i = 0 to n - 1 do
-    let addr, size, _, is_float = ev i in
-    S.access t_ref ~addr ~size ~is_float
-  done;
-  let i = ref 0 and advanced = ref 0 in
-  while !i < n do
-    let g = min (1 + (!i mod 5)) (n - !i) in
-    if S.bulk_ready t_bulk ~pending:(Ring.length ring) g then begin
-      Ring.flush ring;
-      Alcotest.(check bool) "predicted advance accepted" true
-        (S.try_advance t_bulk g);
-      advanced := !advanced + g
-    end
-    else
-      for j = !i to !i + g - 1 do
-        let addr, size, write, is_float = ev j in
-        Ring.push ring addr (Ring.meta ~size ~write ~is_float ~iid:j)
-      done;
-    i := !i + g
-  done;
-  Ring.flush ring;
-  Alcotest.(check bool) "some groups actually bulk-advanced" true
-    (!advanced > 0);
-  Alcotest.(check bool) "bulk + drain ≡ per-access" true
-    (sampler_state_eq t_ref t_bulk)
+module Drainer = Slo_cachesim.Drainer
+
+(* The sampled measure phase on the worker domain: the same property
+   through [Drainer.run ~pipeline:true] at random ring capacities, so
+   batch handoffs (and buffer swaps) land anywhere in the period
+   layout *)
+let prop_pipelined_drain_matches_per_access =
+  QCheck.Test.make ~count:(Qcheck_long.iters 200)
+    ~name:"pipelined sampled drain byte-equal to per-access"
+    QCheck.(
+      pair
+        (make gen_sampled_case ~print:print_sampled_case)
+        (int_range 1 64))
+    (fun ((window, stride, events, _), cap) ->
+      let dra = S.create ~window ~stride Hierarchy.small in
+      Drainer.run ~pipeline:true ~cap
+        ~drain:(fun a m n -> S.drain dra a m 0 n)
+        (fun rg ->
+          List.iteri
+            (fun i (addr, size, write, is_float) ->
+              Ring.push rg addr (Ring.meta ~size ~write ~is_float ~iid:i))
+            events);
+      sampler_state_eq (per_access window stride events) dra)
 
 (* ---------------- stride = window ≡ exact ---------------- *)
 
@@ -323,19 +243,19 @@ let fidelity_strings () =
   Alcotest.(check bool) "exact" true (ok "exact" = S.Exact);
   Alcotest.(check bool) "sampled defaults" true (ok "sampled" = S.sampled_default);
   Alcotest.(check bool) "sampled:W,S" true
-    (ok "sampled:256,2048" = S.Sampled { window = 256; stride = 2048; skip = 0 });
-  Alcotest.(check bool) "sampled:W,S,K" true
-    (ok "sampled:256,2048,1024"
-    = S.Sampled { window = 256; stride = 2048; skip = 1024 });
+    (ok "sampled:256,2048" = S.Sampled { window = 256; stride = 2048 });
+  (* a zero third field is the full-warming layout it always meant *)
+  Alcotest.(check bool) "sampled:W,S,0" true
+    (ok "sampled:256,2048,0" = S.Sampled { window = 256; stride = 2048 });
   (* name ∘ parse round-trips *)
   List.iter
     (fun s ->
       Alcotest.(check bool) (s ^ " round-trips") true (ok (S.fidelity_name (ok s)) = ok s))
-    [ "exact"; "sampled"; "sampled:128,1024"; "sampled:128,1024,512" ];
+    [ "exact"; "sampled"; "sampled:128,1024"; "sampled:128,1024,0" ];
   List.iter
     (fun s -> Alcotest.(check bool) (s ^ " rejected") true (rejected s))
     [ ""; "fast"; "sampled:"; "sampled:0,8"; "sampled:16,8"; "sampled:1,2,3";
-      "sampled:4,16,-1"; "sampled:x,y" ]
+      "sampled:4,16,-1"; "sampled:256,2048,1024"; "sampled:x,y" ]
 
 (* each misconfiguration is rejected with its specific diagnosis *)
 let fidelity_rejection_messages () =
@@ -355,19 +275,19 @@ let fidelity_rejection_messages () =
   check_msg "sampled:-4,8" "window must be positive";
   check_msg "sampled:4,0" "stride must be positive";
   check_msg "sampled:16,8" "window must not exceed stride";
-  check_msg "sampled:4,16,-1" "skip must be >= 0";
-  (* a skip that swallows the whole non-window remainder leaves nothing
-     to warm from: K >= S - W is refused for K > 0... *)
-  check_msg "sampled:4,16,12" "non-empty warm segment";
-  check_msg "sampled:4,16,13" "non-empty warm segment";
-  check_msg "sampled:4096,32768,28672" "non-empty warm segment";
-  (* ...but K = 0 with W = S (pure exact) stays legal *)
+  (* the removed fast-forward mode gets its own diagnosis, whatever
+     the rest of the spec... *)
+  check_msg "sampled:4096,32768,4096" "fast-forward mode";
+  check_msg "sampled:4096,32768,4096" "use sampled:WINDOW,STRIDE";
+  check_msg "sampled:4,16,12" "fast-forward mode";
+  check_msg "sampled:4,16,-1" "fast-forward mode";
+  (* ...and K = 0, like W = S (pure exact), stays legal *)
   (match S.fidelity_of_string "sampled:16,16" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "sampled:16,16 rejected: %s" e);
-  (match S.fidelity_of_string "sampled:4,16,11" with
+  (match S.fidelity_of_string "sampled:4,16,0" with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "sampled:4,16,11 rejected: %s" e);
+  | Error e -> Alcotest.failf "sampled:4,16,0 rejected: %s" e);
   check_msg "sampled:x,y" "integer fields";
   check_msg "sampled:1,2,3,4" "integer fields";
   check_msg "bogus" "expected exact | sampled"
@@ -382,13 +302,7 @@ let fidelity_rejection_messages () =
    argument sizes so several periods still elapse. *)
 open Slo_bench.Accuracy_rule
 
-let test_fidelity = S.Sampled { window = 256; stride = 2048; skip = 0 }
-
-(* the explicit fast-forward mode (skip > 0): counters are biased (that
-   is why it is not the default), but execution stays exact — the
-   superblock bulk hook retires whole block chains during the skip
-   segment and must not perturb steps, accesses or program output *)
-let fast_forward_fidelity = S.Sampled { window = 64; stride = 1024; skip = 832 }
+let test_fidelity = S.Sampled { window = 256; stride = 2048 }
 
 let tiny_args (e : Suite.entry) = List.map (fun a -> max 1 (a / 8)) e.train_args
 
@@ -465,39 +379,15 @@ let roster_accuracy (e : Suite.entry) () =
     true
     (not (sign_flip exact.e_speedup_pct sampled.e_speedup_pct))
 
-let roster_fast_forward (e : Suite.entry) () =
-  let prog = D.compile e.source in
-  let args = tiny_args e in
-  let exact =
-    D.evaluate ~args ~config:Hierarchy.small ~scheme:W.ISPBO ~feedback:None prog
-  in
-  let ff =
-    D.evaluate ~args ~config:Hierarchy.small
-      ~backend:Slo_vm.Backend.Superblock ~fidelity:fast_forward_fidelity
-      ~scheme:W.ISPBO ~feedback:None prog
-  in
-  let check_side label (x : D.measurement) (s : D.measurement) =
-    Alcotest.(check string) (label ^ " output") x.m_result.output
-      s.m_result.output;
-    Alcotest.(check int) (label ^ " exit") x.m_result.exit_code
-      s.m_result.exit_code;
-    Alcotest.(check int) (label ^ " steps") x.m_result.steps s.m_result.steps;
-    Alcotest.(check int) (label ^ " accesses") x.m_accesses s.m_accesses
-  in
-  check_side "before" exact.e_before ff.e_before;
-  check_side "after" exact.e_after ff.e_after;
-  Alcotest.(check string) "plans agree" (plan_summaries exact)
-    (plan_summaries ff)
-
-(* the pipelined exact drain (worker-domain Drainer) must produce the
-   same measurement as the serial sink, bit for bit — same cycles,
-   same miss counters, same access totals *)
-let roster_pipelined_measure (e : Suite.entry) () =
+(* the pipelined drain (worker-domain Drainer) must produce the same
+   measurement as the serial sink, bit for bit — same cycles, same miss
+   counters, same access totals — at either fidelity *)
+let roster_pipelined_measure fidelity (e : Suite.entry) () =
   let prog = D.compile e.source in
   let args = tiny_args e in
   let m ~pipeline =
     D.measure ~args ~config:Hierarchy.small
-      ~backend:Slo_vm.Backend.Superblock ~pipeline prog
+      ~backend:Slo_vm.Backend.Superblock ~fidelity ~pipeline prog
   in
   let s = m ~pipeline:false and p = m ~pipeline:true in
   Alcotest.(check string) "output" s.D.m_result.output p.D.m_result.output;
@@ -524,15 +414,10 @@ let () =
           Alcotest.test_case "straddle positions" `Quick straddle_positions;
           Alcotest.test_case "create validates" `Quick create_validates;
         ] );
-      ( "try_advance",
-        [
-          Alcotest.test_case "segments" `Quick try_advance_segments;
-          Alcotest.test_case "equivalence" `Quick try_advance_equivalence;
-        ] );
       ( "ring drain",
         [
           QCheck_alcotest.to_alcotest prop_drain_matches_per_access;
-          Alcotest.test_case "bulk hook wiring" `Quick drain_bulk_equivalence;
+          QCheck_alcotest.to_alcotest prop_pipelined_drain_matches_per_access;
         ] );
       ( "exactness",
         [
@@ -544,6 +429,7 @@ let () =
           Alcotest.test_case "accuracy rule" `Quick accuracy_rule;
         ] );
       ("roster accuracy", per_entry roster_accuracy);
-      ("roster fast-forward", per_entry roster_fast_forward);
-      ("roster pipelined measure", per_entry roster_pipelined_measure);
+      ("roster pipelined measure", per_entry (roster_pipelined_measure S.Exact));
+      ( "roster pipelined sampled",
+        per_entry (roster_pipelined_measure test_fidelity) );
     ]
