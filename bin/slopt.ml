@@ -248,21 +248,14 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Execute under the Itanium-like cache simulator")
     Term.(const run $ file_arg $ args_arg $ backend_arg $ fidelity_arg)
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the evaluation: with $(docv) > 1 the \
-                 before/after measurement runs execute in parallel.")
-
 let bench_cmd =
-  let run file args weighting pool verify jobs backend fidelity =
-    if jobs < 1 then die ~code:2 "ERROR: --jobs must be >= 1";
+  let run file args weighting pool verify backend fidelity =
     let ev =
       guarded file (fun () ->
           let prog = load ~verify file in
           let scheme, feedback = weighting ~args prog in
-          D.evaluate ~args ~pool ~verify ~jobs ~backend ~fidelity ~scheme
-            ~feedback prog)
+          D.evaluate ~args ~pool ~verify ~backend ~fidelity ~scheme ~feedback
+            prog)
     in
     List.iter
       (fun p -> Printf.printf "plan: %s\n" (H.plan_summary p))
@@ -275,7 +268,7 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Measure original vs transformed program")
     Term.(const run $ file_arg $ args_arg $ weighting_term $ pool_arg
-          $ verify_arg $ jobs_arg $ backend_arg $ fidelity_arg)
+          $ verify_arg $ backend_arg $ fidelity_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune: search the plan space with the cachesim as cost oracle        *)
@@ -293,6 +286,13 @@ let beam_arg =
        & info [ "beam" ] ~docv:"N"
            ~doc:"Field-permutation beam per struct: how many hot-field \
                  orders are considered per split point and rebuild.")
+
+let jobs_arg =
+  Arg.(value & opt int 1
+       & info [ "jobs"; "j" ] ~docv:"N"
+           ~doc:"Worker domains that score candidates: the size of the \
+                 search pool. With $(docv) = 1 candidates are scored \
+                 inline, one after another.")
 
 let seed_arg =
   Arg.(value & opt int 0

@@ -2,7 +2,7 @@
    drained on a dedicated domain while the VM keeps executing.
 
    The serial path interleaves execution and simulation on one core;
-   with a second core available the drain can ride shotgun — the
+   with a spare core in the domain budget the drain can ride shotgun — the
    ring's sink hands the filled buffer pair to a worker domain, swaps
    fresh (or recycled) arrays into the ring, and returns immediately.
    The worker drains handed-off batches strictly in FIFO order through
@@ -87,10 +87,9 @@ let stop t dom ~abort =
   if abort then Queue.clear t.q;
   Condition.signal t.nonempty;
   Mutex.unlock t.mu;
-  Domain.join dom
+  Slo_exec.Cores.join dom
 
-let run ?(pipeline = Domain.recommended_domain_count () > 1) ?cap
-    ?(depth = 2) ~drain body =
+let run ?pipeline ?cap ?(depth = 2) ~drain body =
   if depth <= 0 then invalid_arg "Drainer.run: depth must be positive";
   let ring = Ring.create ?cap () in
   let body () =
@@ -98,36 +97,51 @@ let run ?(pipeline = Domain.recommended_domain_count () > 1) ?cap
     Ring.flush ring;
     x
   in
-  if not pipeline then begin
-    Ring.set_sink ring (fun r -> drain r.Ring.addrs r.Ring.metas r.Ring.len);
-    body ()
-  end
-  else begin
-    let t =
-      {
-        drain;
-        mu = Mutex.create ();
-        nonempty = Condition.create ();
-        nonfull = Condition.create ();
-        q = Queue.create ();
-        spares = [];
-        spares_made = 0;
-        depth;
-        stopping = false;
-        failed = None;
-      }
-    in
-    let dom = Domain.spawn (fun () -> worker t) in
-    Ring.set_sink ring (sink t);
-    match body () with
-    | x -> (
-      stop t dom ~abort:false;
+  let t =
+    {
+      drain;
+      mu = Mutex.create ();
+      nonempty = Condition.create ();
+      nonfull = Condition.create ();
+      q = Queue.create ();
+      spares = [];
+      spares_made = 0;
+      depth;
+      stopping = false;
+      failed = None;
+    }
+  in
+  let dom = ref None in
+  let go () = worker t in
+  let handoff d =
+    dom := Some d;
+    Ring.set_sink ring (sink t)
+  in
+  let inline r = drain r.Ring.addrs r.Ring.metas r.Ring.len in
+  (match pipeline with
+  | Some true -> handoff (Slo_exec.Cores.spawn go)
+  | Some false -> Ring.set_sink ring inline
+  | None ->
+    (* the budget's answer, asked again at every batch drained inline:
+       a spare freed mid-run moves the rest of the run to a worker, and
+       FIFO order keeps the counters unchanged *)
+    Ring.set_sink ring (fun r ->
+        match Slo_exec.Cores.try_spawn go with
+        | Some d ->
+          handoff d;
+          sink t r
+        | None -> inline r));
+  match body () with
+  | x -> (
+    match !dom with
+    | None -> x
+    | Some d -> (
+      stop t d ~abort:false;
       match t.failed with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> x)
-    | exception e ->
-      (* the body's error wins; the drain's, if any, is dropped *)
-      let bt = Printexc.get_raw_backtrace () in
-      stop t dom ~abort:true;
-      Printexc.raise_with_backtrace e bt
-  end
+      | None -> x))
+  | exception e ->
+    (* the body's error wins; the drain's, if any, is dropped *)
+    let bt = Printexc.get_raw_backtrace () in
+    Option.iter (fun d -> stop t d ~abort:true) !dom;
+    Printexc.raise_with_backtrace e bt

@@ -21,9 +21,12 @@ val run :
     returns the body's result once every event has been drained: the
     simulated state is safe to read when [run] returns. [drain addrs
     metas n] consumes events [0, n), never concurrently with itself.
-    [pipeline] (default: on when the host has more than one core)
-    drains on a worker domain; [depth] (default 2) bounds the buffer
-    pairs in flight beyond the ring's own.
+    [~pipeline:true] drains on a worker domain and [~pipeline:false]
+    inline. Omitted, the run asks {!Slo_exec.Cores} for a spare core
+    at every batch it would drain inline: from the first batch that
+    gets one, the rest of the run drains on a worker holding that spare
+    until it is joined. [depth] (default 2) bounds the buffer pairs in
+    flight beyond the ring's own.
 
     The worker is joined on every path. If [body] raises, that
     exception propagates and any drain failure is dropped; if it

@@ -60,10 +60,10 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
      the sampler's detailed windows and warm remainder (sampled), whose
      counters are window measurements scaled to the full run. Counters
      are byte-equal to per-access simulation at a fraction of the
-     per-event cost. With a second core available the drain runs on a
-     worker domain, overlapped with execution (identical counters — the
-     drainer preserves batch order); on a single core the inline sink
-     is cheaper than the handoff. *)
+     per-event cost. With a spare core free in the domain budget the
+     drain runs on a worker domain, overlapped with execution (identical
+     counters — the drainer preserves batch order); without one the
+     inline sink is cheaper than the handoff. *)
   let drain, readout =
     match Sampled.of_fidelity config fidelity with
     | None ->
@@ -167,7 +167,7 @@ let speedup_pct ~before ~after =
 let timed = Slo_util.Clock.timed
 
 let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?threshold ?pool
-    ?(verify = false) ?(jobs = 1) ?(backend = Backend.default)
+    ?(verify = false) ?(backend = Backend.default)
     ?(fidelity = Sampled.Exact) ~scheme ~feedback (prog : Ir.program) :
     evaluation =
   let d, t_an =
@@ -186,19 +186,8 @@ let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?threshold ?pool
           let m = measure prog in
           (m, m)
         end
-        else if jobs > 1 then begin
-          (* the two measurement runs are independent; overlap them. The
-             spawned run is joined on every path, and the original's
-             exception wins, as it does serially *)
-          let after = Domain.spawn (fun () -> measure transformed) in
-          match measure prog with
-          | before -> (before, Domain.join after)
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            (try ignore (Domain.join after) with _ -> ());
-            Printexc.raise_with_backtrace e bt
-        end
         else
+          (* original first, so its fault wins *)
           let before = measure prog in
           (before, measure transformed))
   in

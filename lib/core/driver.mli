@@ -73,10 +73,11 @@ val measure :
     the compiled one); all backends yield identical measurements, the
     choice only affects wall-clock speed.
 
-    [pipeline] (default: on when the host has more than one core)
-    drains the ring batches on a worker domain overlapped with VM
-    execution via {!Slo_cachesim.Drainer.run}, at either fidelity;
-    counters are byte-equal to the serial drain either way.
+    [pipeline] forces the drain of the ring batches onto a worker
+    domain overlapped with VM execution ([true]) or inline ([false]),
+    via {!Slo_cachesim.Drainer.run}, at either fidelity; omitted, the
+    run pipelines once {!Slo_exec.Cores} has a spare core free.
+    Counters are byte-equal to the serial drain either way.
 
     [fidelity] (default [Exact]) selects full-trace simulation or
     {!Slo_cachesim.Sampled} windows with functional warming in between.
@@ -140,7 +141,6 @@ val evaluate :
   ?threshold:float ->
   ?pool:bool ->
   ?verify:bool ->
-  ?jobs:int ->
   ?backend:Slo_vm.Backend.t ->
   ?fidelity:Slo_cachesim.Sampled.fidelity ->
   scheme:Slo_profile.Weights.scheme ->
@@ -150,9 +150,9 @@ val evaluate :
 (** Full pipeline on an already-compiled program: {!decide}, transform,
     measure. [~pool] (default false) forwards to {!Heuristics.decide}:
     shape-proven recursive types are planned as index-linked pools.
-    With [~jobs] > 1 (default 1) the transformed program runs on a
-    second domain, joined on every path; a fault raises what [~jobs:1]
-    raises (the original's, when both fault). [backend] selects the VM
+    The two runs are measured in order, original first, so when both
+    fault the original's fault is raised; each run's drain takes a
+    spare core when one is free (see {!measure}). [backend] selects the VM
     engine used for both measurement runs (default the compiled one)
     and [fidelity] their simulation fidelity (default exact — see
     {!measure}; sampled fidelity affects only the measurement numbers,

@@ -17,18 +17,21 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable closed : bool;
   mutable joined : bool;
-  mutable domains : unit Domain.t list;
+  mutable domains : unit Cores.t list;
+  mutable busy : int;  (* workers running a job, under [q_mutex] *)
   n_jobs : int;
 }
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = max 1 (Cores.total - 1)
 
 let jobs t = t.n_jobs
 
 (* Worker loop: take the next thunk off the queue, run it, repeat until
    the pool is closed and the queue drained. The thunk itself contains
    the try/with that feeds the future, so nothing a job raises can
-   escape here. *)
+   escape here. The submitter blocks while the workers run, so the
+   first busy worker stands in for it; each other busy worker holds a
+   claim on a spare core for the length of its job. *)
 let worker t () =
   let rec loop () =
     Mutex.lock t.q_mutex;
@@ -37,8 +40,14 @@ let worker t () =
     done;
     match Queue.take_opt t.queue with
     | Some job ->
+      t.busy <- t.busy + 1;
+      if t.busy > 1 then Cores.claim ();
       Mutex.unlock t.q_mutex;
       job ();
+      Mutex.lock t.q_mutex;
+      if t.busy > 1 then Cores.release ();
+      t.busy <- t.busy - 1;
+      Mutex.unlock t.q_mutex;
       loop ()
     | None ->
       (* queue empty and pool closed *)
@@ -57,10 +66,11 @@ let create ~jobs =
       closed = false;
       joined = false;
       domains = [];
+      busy = 0;
       n_jobs = jobs;
     }
   in
-  t.domains <- List.init jobs (fun _ -> Domain.spawn (worker t));
+  t.domains <- List.init jobs (fun _ -> Cores.spawn ~spare:false (worker t));
   t
 
 let fill fut st =
@@ -142,7 +152,7 @@ let shutdown t =
   t.joined <- true;
   Mutex.unlock t.q_mutex;
   if must_join then begin
-    List.iter Domain.join t.domains;
+    List.iter Cores.join t.domains;
     t.domains <- []
   end
 

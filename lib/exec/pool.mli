@@ -25,13 +25,16 @@ type 'a future
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs] worker domains ([1 <= jobs <= 256];
-    raises [Invalid_argument] otherwise). A pool with [jobs = 1] runs
-    every job on a single worker in submission order, which makes it the
-    serial reference that [--jobs n] output is compared against. *)
+    raises [Invalid_argument] otherwise). The submitter blocks while
+    they run, so the first busy worker stands in for it, and each
+    other busy worker holds a {!Cores.claim} on a spare core for the
+    length of its job: [k] busy workers hold [k - 1] spares, and an
+    idle pool holds none. A pool with [jobs = 1] runs every job
+    on a single worker in submission order, which makes it the serial
+    reference that [--jobs n] output is compared against. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count () - 1] (the submitting domain keeps
-    one), at least 1. *)
+(** [Cores.total - 1] (the submitting domain keeps one), at least 1. *)
 
 val jobs : t -> int
 (** Number of worker domains. *)

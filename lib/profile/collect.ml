@@ -22,7 +22,7 @@ let collect ?(args = []) ?(instrument = true)
   Pmu.attach pmu hier;
   let edges = if instrument then Some (Edges.create prog) else None in
   (* the exact measure phase's event path: memory events arrive batched
-     through a ring and the drain is the PMU, so with a second core the
+     through a ring and the drain is the PMU, so with a spare core the
      sampling runs on the drain's domain, in the same batch order *)
   let result =
     Drainer.run ?pipeline

@@ -35,6 +35,7 @@ val collect :
     PMU event count and the hierarchy counters are backend independent
     (pinned per roster program by [test_profile]).
 
-    [pipeline] (default: on when the host has more than one core)
-    drains the ring, PMU sampling included, on a worker domain via
-    {!Slo_cachesim.Drainer.run}; the results are byte-equal either way. *)
+    [pipeline] drains the ring, PMU sampling included, on a worker
+    domain ([true]) or inline ([false]) via {!Slo_cachesim.Drainer.run};
+    omitted, the run pipelines once {!Slo_exec.Cores} has a spare core
+    free. The results are byte-equal either way. *)

@@ -31,7 +31,7 @@ let default_config ~socket_path =
     socket_path;
     listen = None;
     jobs = Pool.default_jobs ();
-    shards = max 1 (min 4 (Domain.recommended_domain_count () - 1));
+    shards = max 1 (min 4 (Slo_exec.Cores.total - 1));
     window = 32;
     cache_mb = 64;
     cache_dir = None;
@@ -181,8 +181,8 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
     P.R_advise { a_report = Adv.report adv; a_cached = false }
   | `Bench ->
     let ev =
-      D.evaluate ~args ~verify:true ~jobs:1 ~backend ~scheme
-        ~feedback:(feedback ()) prog
+      D.evaluate ~args ~verify:true ~backend ~scheme ~feedback:(feedback ())
+        prog
     in
     P.R_bench
       {

@@ -74,7 +74,8 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** [listen = None], [jobs = Slo_exec.Pool.default_jobs ()],
-    [shards = max 1 (min 4 (recommended_domain_count - 1))],
+    [shards = max 1 (min 4 (Slo_exec.Cores.total - 1))] (accept shards
+    do I/O, so they spawn their own domains outside the budget),
     [window = 32], [cache_mb = 64], [cache_dir = None],
     [max_conns = 64], watermarks auto ([high = max 8 (4*jobs)],
     [low = high/2]), [handle_sigterm = true], [log = ignore]. *)

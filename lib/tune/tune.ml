@@ -305,11 +305,7 @@ let search prog cfg =
   if cfg.jobs < 1 then invalid_arg "Tune.search: jobs must be >= 1";
   let t0 = Clock.now_ns () in
   let measure ~fidelity p =
-    (* pipeline off: candidate scoring already saturates the pool's
-       domains, and a drainer domain per in-flight measure would
-       oversubscribe the machine *)
-    D.measure ~args:cfg.args ~config:cfg.cache ~backend:cfg.backend ~fidelity
-      ~pipeline:false p
+    D.measure ~args:cfg.args ~config:cfg.cache ~backend:cfg.backend ~fidelity p
   in
   let base = measure ~fidelity:Sampled.Exact prog in
   let expected_exit = base.D.m_result.Slo_vm.Interp.exit_code in

@@ -452,14 +452,7 @@ let prop_pipelined_sampling_drain_matches_record =
       && Pmu.events_seen p_per = Pmu.events_seen p_dra
       && hier_state_eq per dra)
 
-(* the worker-domain drain: same events through a small ring with
-   buffer handoff (many swaps, back-pressure) must leave the hierarchy
-   byte-equal to one serial drain call *)
-let drainer_matches_serial () =
-  let cfg = Hierarchy.small in
-  let serial = Hierarchy.create cfg in
-  let piped = Hierarchy.create cfg in
-  let n = 5000 in
+let random_events n =
   let addrs = Array.make n 0 and metas = Array.make n 0 in
   let seed = ref 123456789 in
   let rand m =
@@ -472,6 +465,17 @@ let drainer_matches_serial () =
       Ring.meta ~size:(1 + rand 8) ~write:(rand 2 = 0) ~is_float:(rand 2 = 0)
         ~iid:i
   done;
+  (addrs, metas)
+
+(* the worker-domain drain: same events through a small ring with
+   buffer handoff (many swaps, back-pressure) must leave the hierarchy
+   byte-equal to one serial drain call *)
+let drainer_matches_serial () =
+  let cfg = Hierarchy.small in
+  let serial = Hierarchy.create cfg in
+  let piped = Hierarchy.create cfg in
+  let n = 5000 in
+  let addrs, metas = random_events n in
   Hierarchy.drain_quiet serial addrs metas 0 n;
   Drainer.run ~pipeline:true ~cap:64
     ~drain:(fun a m len -> Hierarchy.drain_quiet piped a m 0 len)
@@ -481,6 +485,40 @@ let drainer_matches_serial () =
       done);
   Alcotest.(check bool) "pipelined drain byte-equal to serial" true
     (hier_state_eq serial piped)
+
+(* a default run starts inline while every spare core is claimed and
+   moves to a worker at the first batch after one is freed: counters
+   byte-equal to one serial drain, the spare held while the worker runs
+   and given back when the run ends *)
+let drainer_takes_freed_spare () =
+  let module Cores = Slo_exec.Cores in
+  let cfg = Hierarchy.small in
+  let serial = Hierarchy.create cfg in
+  let moved = Hierarchy.create cfg in
+  let n = 5000 in
+  let addrs, metas = random_events n in
+  Hierarchy.drain_quiet serial addrs metas 0 n;
+  let free0 = Cores.free () in
+  for _ = 1 to free0 do
+    Cores.claim ()
+  done;
+  let free_late = ref (-1) in
+  Drainer.run ~cap:64
+    ~drain:(fun a m len -> Hierarchy.drain_quiet moved a m 0 len)
+    (fun rg ->
+      for i = 0 to n - 1 do
+        if i = n / 2 then
+          for _ = 1 to free0 do
+            Cores.release ()
+          done;
+        if i = 3 * n / 4 then free_late := Cores.free ();
+        Ring.push rg addrs.(i) metas.(i)
+      done);
+  Alcotest.(check bool) "moved drain byte-equal to serial" true
+    (hier_state_eq serial moved);
+  Alcotest.(check int) "the worker held the freed spare" (max 0 (free0 - 1))
+    !free_late;
+  Alcotest.(check int) "spare given back" free0 (Cores.free ())
 
 let push_events rg n =
   for i = 0 to n - 1 do
@@ -663,6 +701,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sampling_drain_matches_record;
           Alcotest.test_case "drainer matches serial" `Quick
             drainer_matches_serial;
+          Alcotest.test_case "drainer takes a freed spare" `Quick
+            drainer_takes_freed_spare;
           QCheck_alcotest.to_alcotest
             prop_pipelined_sampling_drain_matches_record;
           Alcotest.test_case "drainer join re-raises" `Quick

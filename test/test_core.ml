@@ -531,33 +531,29 @@ let faulting_hot_cold =
    if (it % 10 == 0) { c = c + arr[it].cold1 + arr[it].cold2; } }\n\
    printf(\"%ld %g\\n\", s, c); return 0; }\n"
 
-(* a faulting [~jobs:2] evaluation joins its spawned domain and raises
-   what [~jobs:1] raises: 200 of them would exhaust the runtime's domain
-   limit if each leaked one *)
-let evaluate_parallel_fault () =
+(* a faulting evaluation on the default (budgeted, pipelined when a
+   spare is free) drain raises the serial fault and gives its spare
+   back: 200 of them would exhaust the runtime's domain limit if each
+   leaked a worker, and would drain the budget if each kept a spare *)
+let evaluate_fault_returns_spares () =
   let prog = lower faulting_hot_cold in
-  let eval ~jobs d =
-    D.evaluate ~jobs ~args:[ d ] ~scheme:W.ISPBO ~feedback:None prog
-  in
-  let raised ~jobs =
-    match eval ~jobs 0 with
+  let eval d = D.evaluate ~args:[ d ] ~scheme:W.ISPBO ~feedback:None prog in
+  let raised () =
+    match eval 0 with
     | _ -> Alcotest.fail "expected a runtime fault"
     | exception e -> Printexc.to_string e
   in
-  let serial = raised ~jobs:1 in
-  Alcotest.(check string) "serial fault"
-    (Printexc.to_string
-       (Slo_vm.Rt.Runtime_error "integer division by zero"))
-    serial;
+  let free0 = Slo_exec.Cores.free () in
+  let serial =
+    Printexc.to_string (Slo_vm.Rt.Runtime_error "integer division by zero")
+  in
   for _ = 1 to 200 do
-    Alcotest.(check string) "jobs:2 raises what jobs:1 raises" serial
-      (raised ~jobs:2)
+    Alcotest.(check string) "serial fault" serial (raised ())
   done;
-  let ev1 = eval ~jobs:1 1 and ev2 = eval ~jobs:2 1 in
+  Alcotest.(check int) "every spare given back" free0
+    (Slo_exec.Cores.free ());
   Alcotest.(check bool) "a plan is measured" true
-    (H.plans ev1.e_decisions <> []);
-  Alcotest.(check bool) "same counters at jobs:2" true
-    (ev2.e_before = ev1.e_before && ev2.e_after = ev1.e_after)
+    (H.plans (eval 1).e_decisions <> [])
 
 (* each stage failure maps to its constructor and renders with and
    without a file prefix; other exceptions propagate *)
@@ -900,8 +896,8 @@ let () =
         ] );
       ( "driver",
         [
-          Alcotest.test_case "parallel fault joins" `Quick
-            evaluate_parallel_fault;
+          Alcotest.test_case "fault returns spares" `Quick
+            evaluate_fault_returns_spares;
           Alcotest.test_case "stage errors" `Quick stage_errors;
           Alcotest.test_case "feedback rule" `Quick feedback_rule;
         ] );

@@ -75,6 +75,94 @@ let pool_await_timeout () =
   | None -> Alcotest.fail "crashed job timed out instead of failing");
   Pool.shutdown p
 
+(* ---------------- domain budget ---------------- *)
+
+module Cores = Slo_exec.Cores
+
+let in_budget () =
+  let f = Cores.free () in
+  f >= 0 && f <= Cores.total - 1
+
+(* four domains take and give back spares as fast as they can, through
+   both spawns and a claim, while every domain involved checks the
+   count: it never leaves [0, total - 1] and ends where it started *)
+let cores_concurrent_bounds () =
+  let free0 = Cores.free () in
+  let ok = Atomic.make true in
+  let check () = if not (in_budget ()) then Atomic.set ok false in
+  let churn () =
+    for i = 1 to 60 do
+      check ();
+      (match i mod 3 with
+      | 0 -> Cores.join (Cores.spawn check)
+      | 1 -> Option.iter Cores.join (Cores.try_spawn check)
+      | _ ->
+        Cores.claim ();
+        check ();
+        Cores.release ());
+      check ()
+    done
+  in
+  let ds = List.init 4 (fun _ -> Domain.spawn churn) in
+  for _ = 1 to 1000 do
+    check ()
+  done;
+  List.iter Domain.join ds;
+  Alcotest.(check bool) "free stayed in [0, total - 1]" true (Atomic.get ok);
+  Alcotest.(check int) "every spare given back" free0 (Cores.free ())
+
+(* a domain that raises still gives its spare back on join *)
+let cores_join_raises () =
+  let free0 = Cores.free () in
+  let d = Cores.spawn (fun () -> failwith "boom") in
+  Alcotest.check_raises "join re-raises" (Failure "boom") (fun () ->
+      Cores.join d);
+  Alcotest.(check int) "spare given back" free0 (Cores.free ())
+
+(* a claim made while no spare is free is paid by the next one given
+   back, before a try_spawn can take it *)
+let cores_claim_first () =
+  let free0 = Cores.free () in
+  let d = Cores.spawn (fun () -> ()) in
+  for _ = 1 to free0 do
+    Cores.claim ()
+  done;
+  Alcotest.(check int) "all spares held or owed" 0 (Cores.free ());
+  Cores.join d;
+  Alcotest.(check bool) "the owed claim took the spare back" true
+    (Cores.try_spawn (fun () -> ()) = None);
+  for _ = 1 to free0 do
+    Cores.release ()
+  done;
+  Alcotest.(check int) "every claim released" free0 (Cores.free ())
+
+(* k busy workers hold k - 1 spares, an idle pool none, and shutdown
+   leaves the budget where it was, also after a job raised *)
+let pool_returns_reservation () =
+  let free0 = Cores.free () in
+  let p = Pool.create ~jobs:2 in
+  Alcotest.(check int) "idle workers hold nothing" free0 (Cores.free ());
+  let started = Atomic.make 0 and go = Atomic.make false in
+  let job fail () =
+    Atomic.incr started;
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    if fail then failwith "bang"
+  in
+  let a = Pool.submit p (job false) and b = Pool.submit p (job true) in
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check int) "two busy workers hold one spare" (max 0 (free0 - 1))
+    (Cores.free ());
+  Atomic.set go true;
+  Alcotest.(check bool) "job ran" true (Pool.await a = Ok ());
+  Alcotest.(check bool) "job raised" true (Result.is_error (Pool.await b));
+  Pool.shutdown p;
+  Alcotest.(check int) "shutdown returned the reservation" free0
+    (Cores.free ())
+
 (* ---------------- engine ---------------- *)
 
 (* A tiny hot/cold benchmark in the shape of Figure 1, small enough that
@@ -215,6 +303,15 @@ let () =
           Alcotest.test_case "crash isolated" `Quick pool_error_isolated;
           Alcotest.test_case "lifecycle" `Quick pool_lifecycle;
           Alcotest.test_case "await timeout" `Quick pool_await_timeout;
+        ] );
+      ( "cores",
+        [
+          Alcotest.test_case "concurrent bounds" `Quick
+            cores_concurrent_bounds;
+          Alcotest.test_case "join raises" `Quick cores_join_raises;
+          Alcotest.test_case "claim first" `Quick cores_claim_first;
+          Alcotest.test_case "pool returns reservation" `Quick
+            pool_returns_reservation;
         ] );
       ( "engine",
         [
