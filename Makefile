@@ -42,12 +42,18 @@ bench-smoke:
 	dune exec bench/compare.exe -- _artifacts/BENCH-table3-smoke.json \
 	  _artifacts/BENCH-table3-sampled.json
 
-# the full-size roster accuracy gate: exact vs sampled on the compiled
-# engine across every Table 3 benchmark; per-row miss-rate
-# deltas, speedup signs and the ACCURACY.json artifact
-# ACCURACY_FLAGS overrides fidelity/output (--fidelity, --out)
+# the full-size roster accuracy gate: Table 3 on the compiled engine
+# at exact and at sampled fidelity, then compare.exe's accuracy mode
+# on the two artifacts: per-row miss-rate deltas, equal steps and
+# accesses, speedup signs, and the ACCURACY.json report
 accuracy:
-	dune exec bench/accuracy.exe -- --jobs $(JOBS) $(ACCURACY_FLAGS)
+	dune exec bench/main.exe -- table3 --jobs $(JOBS) --fidelity exact \
+	  --out _artifacts/BENCH-accuracy-exact.json
+	dune exec bench/main.exe -- table3 --jobs $(JOBS) --fidelity sampled \
+	  --out _artifacts/BENCH-accuracy-sampled.json
+	dune exec bench/compare.exe -- --out _artifacts/ACCURACY.json \
+	  _artifacts/BENCH-accuracy-exact.json \
+	  _artifacts/BENCH-accuracy-sampled.json
 
 # measure-phase throughput and profile-time gate: three fresh
 # full-roster exact superblock runs against the committed baseline

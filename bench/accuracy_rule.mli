@@ -1,7 +1,7 @@
 (** The accuracy rule sampled cache simulation is held to against exact
-    simulation, written once for [bench/accuracy.exe] (the roster
-    gate), [bench/compare.exe] (its artifact-level face) and the tier-1
-    roster accuracy tests. *)
+    simulation, written once for [bench/compare.exe] (whose accuracy
+    mode [make accuracy] runs on the full Table 3 roster) and the
+    tier-1 roster accuracy tests. *)
 
 val l1_bound_pp : float
 (** Largest allowed |Δ| of an L1 miss rate, in percentage points: 0.5. *)

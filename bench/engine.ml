@@ -134,8 +134,6 @@ let create_run ?(backend = Backend.default) ?(fidelity = Sampled.Exact) ~jobs
     recs = []; t_start = Slo_util.Clock.now_ns () }
 
 let jobs run = Pool.jobs run.pool
-let backend run = run.run_backend
-let fidelity run = run.run_fidelity
 let records run = List.rev run.recs
 let push_record run r = run.recs <- r :: run.recs
 let finish run = Pool.shutdown run.pool

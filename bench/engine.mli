@@ -84,8 +84,6 @@ val create_run :
     fidelities. *)
 
 val jobs : run -> int
-val backend : run -> Slo_vm.Backend.t
-val fidelity : run -> Slo_cachesim.Sampled.fidelity
 
 val records : run -> record list
 (** All records accumulated so far, in submission order. *)

@@ -13,7 +13,7 @@
     exactly those of {!Hierarchy.access} — a property the unit
     tests pin. The estimators scale window-recorded counters by
     total/recorded accesses; the roster accuracy gate
-    ([test_sampled.ml], [bench/accuracy.exe]) bounds the resulting
+    ([test_sampled.ml], [make accuracy]) bounds the resulting
     per-level miss-rate error and requires speedup-sign agreement with
     exact simulation. *)
 

@@ -155,10 +155,3 @@ let shutdown t =
     List.iter Cores.join t.domains;
     t.domains <- []
   end
-
-let map_ordered ~jobs f xs =
-  let t = create ~jobs in
-  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
-  let results = List.map await futs in
-  shutdown t;
-  results

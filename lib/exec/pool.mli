@@ -69,8 +69,3 @@ val await_timeout : 'a future -> timeout_ms:float -> ('a, error) result option
 val shutdown : t -> unit
 (** Drain the queue, then join all worker domains. Jobs already submitted
     are completed; further {!submit}s are rejected. Idempotent. *)
-
-val map_ordered : jobs:int -> ('a -> 'b) -> 'a list -> ('b, error) result list
-(** [map_ordered ~jobs f xs] runs [f] over [xs] on a fresh pool and
-    returns the results in the order of [xs] (not completion order). The
-    pool is shut down before returning. *)

@@ -14,7 +14,10 @@ module Json = Slo_util.Json
 
 let pool_ordered () =
   let xs = List.init 20 (fun i -> i) in
-  let rs = Pool.map_ordered ~jobs:4 (fun x -> x * x) xs in
+  let p = Pool.create ~jobs:4 in
+  let futs = List.map (fun x -> Pool.submit p (fun () -> x * x)) xs in
+  let rs = List.map Pool.await futs in
+  Pool.shutdown p;
   let expect = List.map (fun x -> Ok (x * x)) xs in
   Alcotest.(check bool) "squares in submission order" true (rs = expect)
 

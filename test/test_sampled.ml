@@ -294,8 +294,8 @@ let fidelity_rejection_messages () =
 
 (* ---------------- roster accuracy gate ---------------- *)
 
-(* The tier-1 face of the accuracy harness (bench/accuracy.exe runs the
-   real sizes): per roster program, sampled fidelity must agree with
+(* The tier-1 face of the accuracy gate (`make accuracy` checks the
+   real sizes with bench/compare.exe): per roster program, sampled fidelity must agree with
    exact simulation within |Δ| ≤ 0.5pp L1 / 1.0pp L2 miss rate, the
    measured speedup must agree in sign, and the transformation plans
    must be identical. Window/stride are scaled down with the tiny
@@ -316,8 +316,8 @@ let plan_summaries (ev : D.evaluation) =
        (fun (d : H.decision) -> Option.map H.plan_summary d.d_plan)
        ev.e_decisions)
 
-(* the decision-flip rule itself, shared with bench/accuracy.exe and
-   bench/compare.exe: the dead-zone edge is not a knife edge *)
+(* the decision-flip rule itself, shared with bench/compare.exe's
+   accuracy mode: the dead-zone edge is not a knife edge *)
 let accuracy_rule () =
   let flip a b = sign_flip a b && sign_flip b a in
   let agree a b = (not (sign_flip a b)) && not (sign_flip b a) in
