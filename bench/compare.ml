@@ -254,8 +254,7 @@ let write_accuracy path ~ja ~jb ~ms_exact ~ms_sampled ~reports ~ok =
         ("rows", Json.List (List.map json_of_report reports));
         ("ok", Json.Bool ok) ]
   in
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Slo_util.Files.mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc (Json.to_string doc);
   output_string oc "\n";

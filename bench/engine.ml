@@ -644,8 +644,7 @@ let write_json run ~path =
          Json.Float (Slo_util.Clock.elapsed_ms ~since:run.t_start /. 1000.0));
         ("results", Json.List (List.map json_of_record (records run))) ]
   in
-  let dir = Filename.dirname path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Slo_util.Files.mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc (Json.to_string doc);
   output_string oc "\n";

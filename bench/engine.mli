@@ -42,12 +42,8 @@ val compile : Slo_suite.Suite.entry -> Ir.program * float
     verifier sweep); returns the program and the original compile time in
     ms. Re-raises the stored exception for an entry that failed. Safe to
     call from worker domains; the cache itself is filled under a mutex
-    (call {!precompile} first to hoist all compilation out of the
-    workers). *)
-
-val precompile : Slo_suite.Suite.entry list -> unit
-(** Compile every entry serially in the calling domain, caching per-entry
-    results — including failures, which later {!compile} calls re-raise. *)
+    (the table runners compile their roster serially first, so the
+    workers only read it). *)
 
 val train_profile :
   Slo_suite.Suite.entry -> Ir.program -> Slo_profile.Feedback.t * float
@@ -83,8 +79,6 @@ val create_run :
     to an accuracy report when diffing artifacts of different
     fidelities. *)
 
-val jobs : run -> int
-
 val records : run -> record list
 (** All records accumulated so far, in submission order. *)
 
@@ -105,6 +99,10 @@ val pool_table : run -> roster:Slo_suite.Suite.entry list -> string
     conservation) and measured before/after under the cachesim; refuted
     types show their first uniqueness witness instead. Measured rows are
     recorded under experiment ["pool"]. *)
+
+val git_rev : unit -> string
+(** The checkout's short git revision, or ["unknown"] outside a git
+    work tree; every artifact records it. *)
 
 val write_json : run -> path:string -> unit
 (** Write the accumulated records plus run metadata (jobs, git revision,

@@ -114,14 +114,6 @@ let usage = "loadgen [options]  (see bench/loadgen.ml)"
 let log fmt =
   Printf.ksprintf (fun s -> if !verbose then Printf.eprintf "loadgen: %s\n%!" s) fmt
 
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if String.equal line "" then "unknown" else line
-  with _ -> "unknown"
-
 let deadline () = if !deadline_ms > 0.0 then Some !deadline_ms else None
 
 let advise_req (e : Suite.entry) =
@@ -643,7 +635,7 @@ let () =
       [
         ("schema_version", Json.Int 2);
         ("tool", Json.String "slo-loadgen");
-        ("git_rev", Json.String (git_rev ()));
+        ("git_rev", Json.String (Slo_bench.Engine.git_rev ()));
         ("mode", Json.String !mode);
         ("transport", Json.String transport);
         ("kind", Json.String !kind);
@@ -717,8 +709,7 @@ let () =
             ] );
       ]
   in
-  let dir = Filename.dirname !out in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Slo_util.Files.mkdir_p (Filename.dirname !out);
   let oc = open_out !out in
   output_string oc (Json.to_string doc);
   output_string oc "\n";

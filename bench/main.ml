@@ -232,7 +232,7 @@ let figure2 () =
   (match Adv.vcg adv "node" with
   | Some vcg ->
     let dir = "_artifacts" in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Slo_util.Files.mkdir_p dir;
     let oc = open_out (Filename.concat dir "node.vcg") in
     output_string oc vcg;
     close_out oc;

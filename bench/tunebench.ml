@@ -36,14 +36,6 @@ type row = {
   row_result : (Tune.result, string) result;
 }
 
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if String.equal line "" then "unknown" else line
-  with _ -> "unknown"
-
 let delta_pct (r : Tune.result) =
   if r.t_found_cycles > 0 then
     (float_of_int r.t_heuristic_cycles /. float_of_int r.t_found_cycles -. 1.0)
@@ -209,7 +201,7 @@ let () =
       [
         ("schema_version", Json.Int 1);
         ("tool", Json.String "slo-tunebench");
-        ("git_rev", Json.String (git_rev ()));
+        ("git_rev", Json.String (Engine.git_rev ()));
         ("scheme", Json.String (Codec.scheme_name scheme));
         ("jobs", Json.Int !jobs);
         ("beam", Json.Int !beam);
@@ -222,8 +214,7 @@ let () =
         ("results", Json.List (List.map json_of_row rows));
       ]
   in
-  let dir = Filename.dirname !out in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Slo_util.Files.mkdir_p (Filename.dirname !out);
   let oc = open_out !out in
   output_string oc (Json.to_string doc);
   output_string oc "\n";

@@ -19,9 +19,6 @@
 
 type t
 
-val default_window : int
-val default_stride : int
-
 val create : ?window:int -> ?stride:int -> Hierarchy.config -> t
 (** Raises [Invalid_argument] unless [0 < window <= stride]. *)
 
@@ -65,7 +62,7 @@ val est_extra_cycles : t -> int
 type fidelity = Exact | Sampled of { window : int; stride : int }
 
 val sampled_default : fidelity
-(** [Sampled] with {!default_window} / {!default_stride}. *)
+(** [Sampled] with a 4096-access window per 32768-access stride. *)
 
 val fidelity_name : fidelity -> string
 (** ["exact"] or ["sampled:W,S"] — round-trips with

@@ -104,11 +104,9 @@ let feedback_for ?(args = []) prog ~scheme =
     Some (fst (Slo_profile.Collect.collect ~args prog))
   else None
 
-let decide ?threshold ?pool prog ~scheme ~feedback =
+let decide ?pool prog ~scheme ~feedback =
   let legality, affinity = analyze prog ~scheme ~feedback in
-  let decisions =
-    Heuristics.decide ?threshold ?pool prog legality affinity ~scheme
-  in
+  let decisions = Heuristics.decide ?pool prog legality affinity ~scheme in
   { legality; affinity; decisions }
 
 let advise ?pool prog ~scheme ~feedback =
@@ -166,12 +164,12 @@ let speedup_pct ~before ~after =
 
 let timed = Slo_util.Clock.timed
 
-let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?threshold ?pool
+let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?pool
     ?(verify = false) ?(backend = Backend.default)
     ?(fidelity = Sampled.Exact) ~scheme ~feedback (prog : Ir.program) :
     evaluation =
   let d, t_an =
-    timed (fun () -> decide ?threshold ?pool prog ~scheme ~feedback)
+    timed (fun () -> decide ?pool prog ~scheme ~feedback)
   in
   let plans = Heuristics.plans d.decisions in
   let transformed, t_tr =

@@ -102,7 +102,6 @@ val feedback_for :
     gets [None]. *)
 
 val decide :
-  ?threshold:float ->
   ?pool:bool ->
   Ir.program ->
   scheme:Slo_profile.Weights.scheme ->
@@ -138,7 +137,6 @@ val transform_with_plans :
 val evaluate :
   ?args:int list ->
   ?config:Slo_cachesim.Hierarchy.config ->
-  ?threshold:float ->
   ?pool:bool ->
   ?verify:bool ->
   ?backend:Slo_vm.Backend.t ->

@@ -39,13 +39,9 @@ type decision = {
   d_notes : string list;  (** why the type was (not) transformed *)
 }
 
-val threshold_pbo : float
-(** 3.0 (percent) *)
-
-val threshold_ispbo : float
-(** 7.5 (percent) *)
-
 val threshold_for : Slo_profile.Weights.scheme -> float
+(** The split threshold T_s in percent: 3.0 under PBO and PPBO, 7.5
+    under every other scheme. *)
 
 val statically_read : Ir.program -> (string * int, unit) Hashtbl.t
 (** The (struct, field) pairs with at least one tagged load anywhere in

@@ -54,20 +54,15 @@ type pool_spec = {
 val link_field_name : string
 (** ["__link"] *)
 
-val pad_field_name : string
-(** ["__pad"] *)
-
 val hot_name : string -> string
 val cold_name : string -> string
-val piece_name : string -> string -> string
-val piece_global : string -> string -> string
 
 val split : Ir.program -> split_spec -> unit
 val peel : Ir.program -> peel_spec -> unit
 val rebuild : Ir.program -> rebuild_spec -> unit
 
 val pad : Ir.program -> pad_spec -> unit
-(** Append a [pd_bytes]-byte [char] array field named {!pad_field_name}
+(** Append a [pd_bytes]-byte [char] array field named [__pad]
     to the struct — the autotuner's padding classes (rounding elements up
     to a power of two or a cache line so array elements stop straddling
     line boundaries). No access rewriting is needed: existing field
@@ -76,18 +71,12 @@ val pad : Ir.program -> pad_spec -> unit
     stacking a second one. Raises [Invalid_argument] for [pd_bytes <= 0]
     or an unknown struct. *)
 
-val pool_struct_name : string -> string
-(** [s ^ "__pool"] — the factored non-link ("data") struct. *)
-
-val pool_anchor_name : string -> string
-(** ["__pool_" ^ target] — the global anchoring a pool piece's base. *)
-
 val pool : Ir.program -> pool_spec -> unit
 (** Rewrite the type's single allocation site into a packed, index-linked
     pool (SoCal-style structure-of-arrays factorization of the link
-    fields): the data fields stay together in {!pool_struct_name}, each
+    fields): the data fields stay together in [S__pool], each
     link field becomes its own parallel single-field struct
-    ({!piece_name}), all allocated with the original element count and
+    ([S__link]), all allocated with the original element count and
     anchored in fresh [__pool_*] globals. Every [struct S *] value in the
     program is retyped to a plain element index ([long] — same size, so
     enclosing layouts are unchanged): the allocation result becomes index

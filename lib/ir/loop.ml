@@ -12,7 +12,6 @@ type forest = {
   all : loop list;    (* innermost first *)
   inner : loop option array;  (* block id -> innermost loop *)
   back_edges : (int * int) list;
-  by_header : (int, loop) Hashtbl.t;
 }
 
 module UF = struct
@@ -148,7 +147,7 @@ let compute (cfg : Cfg.t) : forest =
            | 0 -> compare a.header b.header
            | c -> c)
   in
-  { loops = top; all; inner; back_edges = !back_edges; by_header }
+  { loops = top; all; inner; back_edges = !back_edges }
 
 let top_level f = f.loops
 let all_loops f = f.all
@@ -159,5 +158,3 @@ let innermost f b =
 let rec all_blocks l = l.body @ List.concat_map all_blocks l.children
 
 let is_back_edge f e = List.mem e f.back_edges
-let loop_of_header f h = Hashtbl.find_opt f.by_header h
-let depth_of_block f b = match innermost f b with Some l -> l.depth | None -> 0

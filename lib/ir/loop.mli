@@ -36,7 +36,3 @@ val all_blocks : loop -> int list
 val is_back_edge : forest -> int * int -> bool
 (** [(src, dst)] is a back edge of some recognised loop. *)
 
-val loop_of_header : forest -> int -> loop option
-val depth_of_block : forest -> int -> int
-(** Nesting depth of the innermost loop containing the block; 0 outside
-    loops. *)

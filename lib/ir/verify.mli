@@ -52,11 +52,8 @@ type kind =
 
 type error = { site : site; kind : kind }
 
-val string_of_kind : kind -> string
-val string_of_error : error -> string
-
 val report : error list -> string
-(** One {!string_of_error} line per error. *)
+(** One [WHERE: what went wrong] line per error. *)
 
 val program : ?require_locs:bool -> Ir.program -> error list
 (** All well-formedness violations, in discovery order (program-level

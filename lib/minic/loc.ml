@@ -10,9 +10,9 @@ let dummy = { line = 0; col = 0 }
 
 let make ~line ~col = { line; col }
 
-let pp ppf { line; col } = Fmt.pf ppf "%d:%d" line col
+let pp ppf { line; col } = Format.fprintf ppf "%d:%d" line col
 
-let to_string l = Fmt.str "%a" pp l
+let to_string l = Format.asprintf "%a" pp l
 
 let compare (a : t) (b : t) =
   match compare a.line b.line with 0 -> compare a.col b.col | c -> c

@@ -5,5 +5,4 @@
     locations); the property-based tests rely on this. *)
 
 val string_of_expr : Ast.expr -> string
-val string_of_stmt : ?indent:int -> Ast.stmt -> string
 val string_of_program : Ast.program -> string

@@ -21,13 +21,11 @@ type env = {
   externs : (string, Ast.extern_decl) Hashtbl.t;
 }
 
-val builtin_names : string list
+val is_builtin : string -> bool
 (** Functions the runtime provides: allocation ([malloc], [calloc],
     [realloc], [free]), memory streaming ([memset], [memcpy]), I/O
     ([printf], [putint], [putfloat]), math ([sqrt], [exp], [log], [fabs],
     [pow], [floor]), and a deterministic [rand] / [srand]. *)
-
-val is_builtin : string -> bool
 
 val check : Ast.program -> env
 (** Check a program; raises {!Error} on the first type error. *)
@@ -35,5 +33,3 @@ val check : Ast.program -> env
 val field_index : env -> string -> string -> int
 (** [field_index env struct_name field_name] is the declaration index of the
     field; raises {!Error} (with a dummy location) if absent. *)
-
-val lookup_struct : env -> string -> Ast.struct_decl

@@ -22,10 +22,6 @@
 val default_exponent : float
 (** 1.5 *)
 
-val recursion_factor : float
-(** Multiplier applied to members of cyclic SCCs (approximation of the
-    paper's recursion handling). *)
-
 type t
 
 val compute :

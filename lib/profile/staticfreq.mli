@@ -23,9 +23,6 @@ type probs = {
   loop_fp : float;   (** staying probability for floating-point loops *)
 }
 
-val default_probs : probs
-(** 0.88 / 0.93 — the compiler's shipped values. *)
-
 val modified_probs : probs
 (** 0.95 / 0.98 — the ISPBO.W experiment. *)
 

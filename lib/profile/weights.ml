@@ -88,10 +88,3 @@ let block_weights prog scheme ~feedback : block_weights =
       (Printf.sprintf
          "Weights.block_weights: %s attributes samples to fields, not blocks"
          (name scheme))
-
-let entry_weight (bw : block_weights) (f : Ir.func) =
-  match Hashtbl.find_opt bw f.fname with
-  | Some arr ->
-    let entry = match f.fblocks with b :: _ -> b.Ir.bid | [] -> 0 in
-    if entry < Array.length arr then arr.(entry) else 0.0
-  | None -> 0.0

@@ -34,6 +34,3 @@ val block_weights :
 (** Raises [Invalid_argument] for d-cache schemes, or if a profile-based
     scheme is given no feedback. *)
 
-val entry_weight : block_weights -> Ir.func -> float
-(** Weight of the function's entry block (the "routine entry point" weight
-    used for the straight-line affinity group). *)

@@ -19,17 +19,8 @@ type t = {
 
 let magic = "slo-diskcache 1"
 
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "/" && p <> "." && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path
-
 let create ~dir =
-  mkdir_p dir;
+  Slo_util.Files.mkdir_p dir;
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   { cache_dir = dir; lock = Mutex.create (); seq = 0 }
@@ -51,7 +42,7 @@ let load_verified ic ~key =
   if m <> magic then None
   else
     let* klen = Option.bind (read_line_opt ic) int_of_string_opt in
-    if klen < 0 || klen > 1_000_000 then None
+    if klen < 0 || klen > Protocol.max_frame_bytes then None
     else
       let* stored_key = read_exact ic klen in
       let* _nl = read_exact ic 1 in
@@ -93,7 +84,7 @@ let store t ~key payload =
       (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) n)
   in
   try
-    mkdir_p (Filename.dirname path);
+    Slo_util.Files.mkdir_p (Filename.dirname path);
     let oc = open_out_bin tmp in
     (try
        output_string oc magic;

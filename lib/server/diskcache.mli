@@ -1,8 +1,8 @@
 (** Persistent content-addressed reply cache.
 
-    A directory of records mapping the server's result-cache key
-    ([digest(src) x kind x scheme x backend x args]) to a serialized
-    reply, layered {e under} the in-memory LRU: a daemon restarted on
+    A directory of records mapping the server's reply-cache key (a
+    request's normal-form bytes, at most {!Protocol.max_frame_bytes}
+    long) to a serialized reply, layered {e under} the in-memory LRU: a daemon restarted on
     the same [--cache-dir] — or a fleet of daemons sharing one — starts
     warm instead of recompiling its whole working set.
 

@@ -110,9 +110,9 @@ type stats_reply = {
   s_uptime_s : float;
   s_requests : (string * int) list;  (** request kind -> served count *)
   s_errors : (string * int) list;    (** error code -> reply count *)
-  s_result_hits : int;               (** (digest, scheme, backend) cache *)
+  s_result_hits : int;               (** request bytes -> reply cache *)
   s_result_misses : int;
-  s_ir_hits : int;                   (** digest -> compiled IR cache *)
+  s_ir_hits : int;                   (** source -> compiled IR cache *)
   s_ir_misses : int;
   s_disk_hits : int;                 (** persistent-cache loads *)
   s_disk_misses : int;               (** result misses the disk lacked too *)

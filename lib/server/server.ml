@@ -42,14 +42,17 @@ let default_config ~socket_path =
     log = ignore;
   }
 
-(* one LRU holds all three in-memory key spaces; the "ir:"/"res:"/"frm:"
-   key prefixes keep them disjoint *)
+(* one LRU holds both in-memory key spaces: ["ir:" ^ src] -> compiled
+   IR, and request bytes -> the serialized success reply with
+   [cached:true] and no id. A reply is keyed by its request's normal
+   form ({!identity}), and also by the id-stripped bytes a frame arrived
+   with when those differ from it. Request bytes are JSON objects, so
+   the two spaces never meet on an entry the daemon inserts; a frame's
+   bytes are only a lookup, and one that names an IR entry is a miss. *)
 type cached =
   | Cir of Ir.program
-  | Creply of P.reply
   | Craw of { rk : string; body : string }
-      (* [rk] is the request kind for the stats counters; [body] the
-         serialized success reply with [cached:true] and no id *)
+      (* [rk] is the request kind for the stats counters *)
 
 type listener = {
   l_fd : Unix.file_descr;
@@ -73,7 +76,8 @@ type t = {
   drained : Condition.t; (* broadcast when inflight drops to 0 *)
   cache : (string, cached) Lru.t;
   disk : Diskcache.t option;
-  pending : (string, P.reply Pool.future) Hashtbl.t;
+  (* a success's cached-marked bytes ride along with its reply *)
+  pending : (string, (P.reply * string option) Pool.future) Hashtbl.t;
   req_counts : (string, int) Hashtbl.t;
   err_counts : (string, int) Hashtbl.t;
   hist : Histogram.t;
@@ -110,16 +114,15 @@ let err code fmt =
 
 let heap_bytes v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
 
-let get_ir t ~digest ~src =
-  let key = "ir:" ^ digest in
+let get_ir t src =
+  let key = "ir:" ^ src in
   let hit =
     locked t (fun () ->
         match Lru.find t.cache key with
         | Some (Cir p) ->
           t.ir_hits <- t.ir_hits + 1;
           Some p
-        | Some (Creply _ | Craw _) -> assert false (* key spaces are disjoint *)
-        | None ->
+        | Some (Craw _) | None ->
           t.ir_misses <- t.ir_misses + 1;
           None)
   in
@@ -128,21 +131,99 @@ let get_ir t ~digest ~src =
   | None ->
     let prog = D.compile ~verify:true src in
     locked t (fun () ->
-        ignore (Lru.add t.cache key (Cir prog) ~bytes:(heap_bytes prog)));
+        ignore
+          (Lru.add t.cache key (Cir prog)
+             ~bytes:(heap_bytes prog + String.length key)));
     prog
 
-let scheme_of_name name = Result.to_option (Codec.scheme_of_string name)
+let kind_name = function
+  | P.Advise _ -> "advise"
+  | P.Bench _ -> "bench"
+  | P.Check _ -> "check"
+  | P.Tune _ -> "tune"
+  | P.Stats -> "stats"
+  | P.Shutdown -> "shutdown"
+
+let resolve_scheme = function
+  | None -> Ok W.ISPBO
+  | Some name -> (
+    match Codec.scheme_of_string name with
+    | Error _ -> Error (err P.Bad_request "unknown scheme %S" name)
+    | Ok scheme when W.is_dcache scheme ->
+      Error
+        (err P.Bad_request
+           "d-cache scheme %S attributes PMU samples, not block weights; it \
+            is not servable over the wire"
+           name)
+    | Ok scheme -> Ok scheme)
+
+let resolve_backend = function
+  | None -> Ok Slo_vm.Backend.default
+  | Some name ->
+    Option.to_result (Slo_vm.Backend.of_string name)
+      ~none:(err P.Bad_request "unknown backend %S" name)
+
+(* A compute request's cache identity: its normal form — scheme and
+   backend resolved and written back in their canonical spellings, each
+   omitted at its default; the deadline dropped, except on tune, where
+   it is the search budget and shapes the answer; no id — serialized by
+   the wire codec. Two requests share a cached reply exactly when these
+   bytes are equal, so every field the codec carries is part of the
+   identity. Returns the key and the normal form, or the [bad_request]
+   reply for an unknown spelling or for a key over
+   {!P.max_frame_bytes}: escaping can make the key several times longer
+   than the frame it came in, and the key is held in memory and on disk
+   under the same bound as a frame. *)
+let identity req =
+  let ( let* ) = Result.bind in
+  let scheme, backend =
+    match req with
+    | P.Advise { scheme; _ } -> (scheme, None)
+    | P.Bench { scheme; backend; _ } | P.Tune { scheme; backend; _ } ->
+      (scheme, backend)
+    | P.Check _ | P.Stats | P.Shutdown -> (None, None)
+  in
+  let* scheme = resolve_scheme scheme in
+  let* backend = resolve_backend backend in
+  let canon default name v = if v = default then None else Some (name v) in
+  let sname = canon W.ISPBO Codec.scheme_name scheme
+  and bname = canon Slo_vm.Backend.default Slo_vm.Backend.to_string backend in
+  let normal =
+    match req with
+    | P.Advise a -> P.Advise { a with scheme = sname; deadline_ms = None }
+    | P.Bench b ->
+      P.Bench { b with scheme = sname; backend = bname; deadline_ms = None }
+    | P.Check c -> P.Check { c with deadline_ms = None }
+    | P.Tune x -> P.Tune { x with scheme = sname; backend = bname }
+    | P.Stats | P.Shutdown -> req
+  in
+  let key = Json.to_string ~indent:false (P.json_of_request normal) in
+  if String.length key > P.max_frame_bytes then
+    Error
+      (err P.Bad_request
+         "request too large: its normal form is %d bytes, over the %d-byte \
+          frame limit"
+         (String.length key) P.max_frame_bytes)
+  else Ok (key, normal)
 
 (* display label for sources shipped over the wire; the client re-labels
    lines with the real path when it has one *)
 let wire_uri = "<input>"
 
-let compute t ~kind ~digest ~src ~scheme ~backend ~args =
-  let prog = get_ir t ~digest ~src in
-  let feedback () = D.feedback_for ~args prog ~scheme in
-  match kind with
-  | `Check relax ->
+(* [req] is a normal form ({!identity}), whose canonical spellings
+   always resolve *)
+let compute t req =
+  let resolved = function Ok v -> v | Error _ -> invalid_arg "Server.compute" in
+  let backend_of b = resolved (resolve_backend b) in
+  (* the program, scheme and feedback a profile-guided request runs on *)
+  let profiled src scheme args =
+    let prog = get_ir t src and scheme = resolved (resolve_scheme scheme) in
+    (prog, scheme, D.feedback_for ~args prog ~scheme)
+  in
+  match req with
+  | P.Check { src; relax; _ } ->
     (* purely static: no profile collection, no execution *)
+    let prog = get_ir t src in
     let diags = Slo_advice.Advice.check ~relax prog in
     P.R_check
       {
@@ -151,15 +232,16 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
         c_invalidating = Slo_advice.Advice.invalidating_count diags;
         c_cached = false;
       }
-  | `Tune (beam, budget_ms) ->
+  | P.Tune { src; args; beam; deadline_ms = budget_ms; scheme; backend } ->
     (* jobs=1: a busy daemon gets its parallelism from concurrent tune
        requests occupying pool workers, not from one request
        oversubscribing the domains — and the search is deterministic at
        any jobs anyway *)
-    let cfg = Tune.default_config ~scheme ~feedback:(feedback ()) in
+    let prog, scheme, feedback = profiled src scheme args in
+    let cfg = Tune.default_config ~scheme ~feedback in
     let cfg =
       { cfg with
-        Tune.args; backend; budget_ms;
+        Tune.args; backend = backend_of backend; budget_ms;
         beam = Option.value ~default:cfg.Tune.beam beam }
     in
     let r = Tune.search prog cfg in
@@ -176,13 +258,15 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
         t_complete = r.t_complete;
         t_cached = false;
       }
-  | `Advise pool ->
-    let adv = D.advise ~pool prog ~scheme ~feedback:(feedback ()) in
+  | P.Advise { src; args; pool; scheme; _ } ->
+    let prog, scheme, feedback = profiled src scheme args in
+    let adv = D.advise ~pool prog ~scheme ~feedback in
     P.R_advise { a_report = Adv.report adv; a_cached = false }
-  | `Bench ->
+  | P.Bench { src; args; scheme; backend; _ } ->
+    let prog, scheme, feedback = profiled src scheme args in
     let ev =
-      D.evaluate ~args ~verify:true ~backend ~scheme ~feedback:(feedback ())
-        prog
+      D.evaluate ~args ~verify:true ~backend:(backend_of backend) ~scheme
+        ~feedback prog
     in
     P.R_bench
       {
@@ -192,6 +276,7 @@ let compute t ~kind ~digest ~src ~scheme ~backend ~args =
         b_plans = List.map H.plan_summary (H.plans ev.D.e_decisions);
         b_cached = false;
       }
+  | P.Stats | P.Shutdown -> invalid_arg "Server.compute"
 
 (* queued-job bookkeeping: the watermark pair is a hysteresis band so
    the shedding decision does not flap once per job around one
@@ -225,35 +310,6 @@ let error_code : D.error -> P.error_code = function
   | D.Unsupported _ | D.Ill_formed _ -> P.Legality_error
   | D.Runtime _ | D.Dcache_scheme _ -> P.Bad_request
 
-(* Everything a request can legitimately fail with becomes a structured
-   error reply; only true surprises surface as [worker_crash]. The job
-   always cleans its [pending] slot and caches successful replies (in
-   memory, and persistently when a disk cache is configured). *)
-let job t ~key ~kind ~digest ~src ~scheme ~backend ~args () =
-  let reply, success =
-    match
-      D.guard (fun () -> compute t ~kind ~digest ~src ~scheme ~backend ~args)
-    with
-    | Ok r -> (r, true)
-    | Error e ->
-      (P.R_error { code = error_code e; message = D.render_error e }, false)
-    | exception e -> (err P.Worker_crash "%s" (Printexc.to_string e), false)
-  in
-  locked t (fun () ->
-      Hashtbl.remove t.pending key;
-      note_finished t;
-      if success then
-        ignore (Lru.add t.cache key (Creply reply) ~bytes:(heap_bytes reply)));
-  (match (t.disk, success) with
-  | Some d, true ->
-    Diskcache.store d ~key (Json.to_string ~indent:false (P.json_of_reply reply))
-  | _ -> ());
-  reply
-
-(* ------------------------------------------------------------------ *)
-(* Request handling (runs on connection reader + waiter threads)       *)
-(* ------------------------------------------------------------------ *)
-
 let mark_cached = function
   | P.R_advise a -> P.R_advise { a with a_cached = true }
   | P.R_bench b -> P.R_bench { b with b_cached = true }
@@ -261,19 +317,54 @@ let mark_cached = function
   | P.R_tune x -> P.R_tune { x with t_cached = true }
   | r -> r
 
-let cached_flag = function
-  | P.R_advise a -> a.a_cached
-  | P.R_bench b -> b.b_cached
-  | P.R_check c -> c.c_cached
-  | P.R_tune x -> x.t_cached
-  | _ -> true
+let serialize reply = Json.to_string ~indent:false (P.json_of_reply reply)
 
-(* a request is either answerable now or pending on the pool *)
+(* caller holds t.lock *)
+let add_reply t key ~rk body =
+  ignore
+    (Lru.add t.cache key (Craw { rk; body })
+       ~bytes:(String.length body + String.length key + 64))
+
+(* Everything a request can legitimately fail with becomes a structured
+   error reply; only true surprises surface as [worker_crash]. The job
+   always cleans its [pending] slot, and caches a success's cached-marked
+   bytes in the same locked section, so a request never finds neither;
+   the bytes also go to disk when a disk cache is configured. *)
+let job t ~key req () =
+  let reply, entry =
+    match D.guard (fun () -> compute t req) with
+    | Ok r -> (r, Some (serialize (mark_cached r)))
+    | Error e ->
+      (P.R_error { code = error_code e; message = D.render_error e }, None)
+    | exception e -> (err P.Worker_crash "%s" (Printexc.to_string e), None)
+  in
+  locked t (fun () ->
+      Hashtbl.remove t.pending key;
+      note_finished t;
+      Option.iter (fun body -> add_reply t key ~rk:(kind_name req) body) entry);
+  (match (t.disk, entry) with
+  | Some d, Some body -> Diskcache.store d ~key body
+  | _ -> ());
+  (reply, entry)
+
+(* ------------------------------------------------------------------ *)
+(* Request handling (runs on connection reader + waiter threads)       *)
+(* ------------------------------------------------------------------ *)
+
+(* a request is answered from the cache, answered now with an error,
+   or pending on the pool *)
 type outcome =
+  | Hit of string (* cached-marked reply bytes *)
   | Now of P.reply
-  | Wait of P.reply Pool.future * float option (* deadline *)
+  | Wait of (P.reply * string option) Pool.future * float option (* deadline *)
 
-let probe_disk t ~key =
+(* caller holds t.lock *)
+let find_reply t key =
+  match Lru.find t.cache key with
+  | Some (Craw { body; _ }) -> Some body
+  | Some (Cir _) | None -> None
+
+let probe_disk t ~key ~rk =
   match t.disk with
   | None -> None
   | Some d -> (
@@ -281,110 +372,67 @@ let probe_disk t ~key =
     | None ->
       locked t (fun () -> t.disk_misses <- t.disk_misses + 1);
       None
-    | Some payload -> (
-      match P.reply_of_json (Json.of_string payload) with
+    | Some record -> (
+      (* a record is untrusted input: serve the codec's bytes for the
+         reply it parses to, never the file's own *)
+      match P.reply_of_json (Json.of_string record) with
       | Ok reply ->
+        let body = serialize (mark_cached reply) in
         locked t (fun () ->
             t.disk_hits <- t.disk_hits + 1;
-            ignore (Lru.add t.cache key (Creply reply) ~bytes:(heap_bytes reply)));
-        Some reply
+            add_reply t key ~rk body);
+        Some body
       | Error _ | (exception Json.Parse_error _) ->
         (* a stale-format record: treat as a miss *)
         locked t (fun () -> t.disk_misses <- t.disk_misses + 1);
         None))
 
-let serve_compute t ~kind ~src ~scheme ~backend ~args ~deadline_ms =
-  let scheme_name = Option.value ~default:"ispbo" scheme in
-  match scheme_of_name scheme_name with
-  | None -> Now (err P.Bad_request "unknown scheme %S" scheme_name)
-  | Some scheme when W.is_dcache scheme ->
-    Now
-      (err P.Bad_request
-         "d-cache scheme %S attributes PMU samples, not block weights; it is \
-          not servable over the wire"
-         scheme_name)
-  | Some scheme -> (
-    let backend_name =
-      Option.value ~default:(Slo_vm.Backend.to_string Slo_vm.Backend.default)
-        backend
-    in
-    match Slo_vm.Backend.of_string backend_name with
-    | None -> Now (err P.Bad_request "unknown backend %S" backend_name)
-    | Some backend -> (
-      let digest = Digest.to_hex (Digest.string src) in
-      let key =
-        Printf.sprintf "res:%s:%s:%s:%s:%s" digest
-          (match kind with
-          | `Advise false -> "advise"
-          | `Advise true -> "advise-pool"
-          | `Bench -> "bench"
-          | `Check false -> "check"
-          | `Check true -> "check-relax"
-          | `Tune (beam, budget_ms) ->
-            (* budget and beam shape the (deterministic) answer, so they
-               are part of the result identity *)
-            Printf.sprintf "tune[beam=%s,budget=%s]"
-              (match beam with None -> "-" | Some b -> string_of_int b)
-              (match budget_ms with
-              | None -> "-"
-              | Some f -> Printf.sprintf "%g" f))
-          (W.name scheme) (Slo_vm.Backend.to_string backend)
-          (String.concat "," (List.map string_of_int args))
-      in
-      let mem =
-        locked t (fun () ->
-            match Lru.find t.cache key with
-            | Some (Creply r) ->
-              t.result_hits <- t.result_hits + 1;
-              Some r
-            | Some (Cir _ | Craw _) -> assert false
+(* [req] is the normal form {!identity} returned with [key]; [deadline]
+   bounds the wait for a pool job *)
+let serve_compute t ~key ~deadline req =
+  let mem =
+    locked t (fun () ->
+        match find_reply t key with
+        | Some _ as hit ->
+          t.result_hits <- t.result_hits + 1;
+          hit
+        | None ->
+          t.result_misses <- t.result_misses + 1;
+          None)
+  in
+  match mem with
+  | Some body -> Hit body
+  | None -> (
+    match probe_disk t ~key ~rk:(kind_name req) with
+    | Some body -> Hit body
+    | None ->
+      locked t (fun () ->
+          (* recheck: a coalesced job or another connection's disk load
+             may have filled the slot during the disk probe *)
+          match find_reply t key with
+          | Some body -> Hit body
+          | None -> (
+            match Hashtbl.find_opt t.pending key with
+            | Some f -> Wait (f, deadline)
             | None ->
-              t.result_misses <- t.result_misses + 1;
-              None)
-      in
-      match mem with
-      | Some r -> Now (mark_cached r)
-      | None -> (
-        match probe_disk t ~key with
-        | Some r -> Now (mark_cached r)
-        | None -> (
-          let decision =
-            locked t (fun () ->
-                (* recheck: a coalesced job or another connection's disk
-                   load may have filled the slot during the disk probe *)
-                match Lru.find t.cache key with
-                | Some (Creply r) -> `Hit r
-                | Some (Cir _ | Craw _) -> assert false
-                | None -> (
-                  match Hashtbl.find_opt t.pending key with
-                  | Some f -> `Coalesce f
-                  | None ->
-                    let sheddable =
-                      match kind with `Bench | `Tune _ -> true | _ -> false
-                    in
-                    if t.shedding && sheddable then `Shed t.queued
-                    else begin
-                      note_submitted t;
-                      `Submit
-                    end))
-          in
-          match decision with
-          | `Hit r -> Now (mark_cached r)
-          | `Coalesce f -> Wait (f, deadline_ms)
-          | `Shed depth ->
-            Now
-              (err P.Overloaded
-                 "overloaded: %d compute jobs queued; bench and tune \
-                  requests are shed until the backlog clears (cached \
-                  replies are still served)"
-                 depth)
-          | `Submit ->
-            let f =
-              Pool.submit t.pool
-                (job t ~key ~kind ~digest ~src ~scheme ~backend ~args)
-            in
-            locked t (fun () -> Hashtbl.add t.pending key f);
-            Wait (f, deadline_ms)))))
+              let sheddable =
+                match req with P.Bench _ | P.Tune _ -> true | _ -> false
+              in
+              if t.shedding && sheddable then
+                Now
+                  (err P.Overloaded
+                     "overloaded: %d compute jobs queued; bench and tune \
+                      requests are shed until the backlog clears (cached \
+                      replies are still served)"
+                     t.queued)
+              else begin
+                (* submit and register in one section: a job that
+                   finishes first must find its slot to clear *)
+                let f = Pool.submit t.pool (job t ~key req) in
+                Hashtbl.add t.pending key f;
+                note_submitted t;
+                Wait (f, deadline)
+              end)))
 
 let build_stats t =
   locked t (fun () ->
@@ -517,28 +565,22 @@ let writer_loop conn =
   in
   go ()
 
-let serialize reply = Json.to_string ~indent:false (P.json_of_reply reply)
-
-(* finish one admitted request: error accounting, frame-cache insert,
-   reply write, latency record, slot release. Runs on the reader thread
-   (fast paths) or on a waiter thread (pool-scheduled requests). *)
-let finish t conn ~t0 ~id ~frame_key ~rk reply =
+(* a reply's bytes, counting an error reply by its code *)
+let render t reply =
   (match reply with
   | P.R_error { code; _ } -> count_error t code
   | _ -> ());
-  let body = serialize reply in
-  (match (frame_key, reply) with
-  | Some fk, (P.R_advise _ | P.R_bench _ | P.R_check _) ->
-    (* memoize the id-independent request bytes -> marked-cached reply
-       bytes, so a byte-identical repeat skips the JSON parse *)
-    let cached_body =
-      if cached_flag reply then body else serialize (mark_cached reply)
-    in
-    locked t (fun () ->
-        ignore
-          (Lru.add t.cache ("frm:" ^ fk)
-             (Craw { rk; body = cached_body })
-             ~bytes:(String.length cached_body + String.length fk + 64)))
+  serialize reply
+
+(* finish one admitted request: frame-cache insert, reply write, latency
+   record, slot release. [entry] is a success's cached-marked bytes;
+   [frame_key], when given, the id-stripped request bytes that key them
+   besides the normal form, so a byte-identical repeat skips the JSON
+   parse. Runs on the reader thread (fast paths) or on a waiter thread
+   (pool-scheduled requests). *)
+let finish t conn ~t0 ~id ?frame_key ~rk ?entry body =
+  (match (frame_key, entry) with
+  | Some fk, Some e -> locked t (fun () -> add_reply t fk ~rk e)
   | _ -> ());
   ignore (send_raw conn ?id body);
   locked t (fun () ->
@@ -554,84 +596,75 @@ let handle_frame t conn ~t0 ~fast payload =
   match Json.of_string payload with
   | exception Json.Parse_error msg ->
     let id = Option.map fst fast in
-    finish t conn ~t0 ~id ~frame_key:None ~rk:""
-      (err P.Bad_request "request is not JSON: %s" msg)
+    finish t conn ~t0 ~id ~rk:""
+      (render t (err P.Bad_request "request is not JSON: %s" msg))
   | j -> (
     let id =
       match fast with Some (id, _) -> Some id | None -> P.id_of_frame j
     in
-    (* frame-cache key: the id-independent request bytes. Without a
-       canonical prefix the bytes are only id-independent when there is
-       no id at all. *)
-    let frame_key =
-      match fast with
-      | Some (_, rest) -> Some rest
-      | None -> if id = None then Some payload else None
-    in
     match P.request_of_json j with
     | Error msg ->
-      finish t conn ~t0 ~id ~frame_key:None ~rk:""
-        (err P.Bad_request "%s" msg)
+      finish t conn ~t0 ~id ~rk:"" (render t (err P.Bad_request "%s" msg))
     | Ok req -> (
-      let rk =
-        match req with
-        | P.Advise _ -> "advise"
-        | P.Bench _ -> "bench"
-        | P.Check _ -> "check"
-        | P.Tune _ -> "tune"
-        | P.Stats -> "stats"
-        | P.Shutdown -> "shutdown"
-      in
+      let rk = kind_name req in
       locked t (fun () -> bump t.req_counts rk);
-      let finish_now = finish t conn ~t0 ~id ~frame_key ~rk in
       match req with
-      | P.Stats -> finish t conn ~t0 ~id ~frame_key:None ~rk (build_stats t)
+      | P.Stats -> finish t conn ~t0 ~id ~rk (serialize (build_stats t))
       | P.Shutdown ->
-        finish t conn ~t0 ~id ~frame_key:None ~rk P.R_shutdown;
+        finish t conn ~t0 ~id ~rk (serialize P.R_shutdown);
         request_stop t
       | P.Advise _ | P.Bench _ | P.Check _ | P.Tune _ -> (
-        let kind, src, scheme, backend, args, deadline_ms =
-          match req with
-          | P.Advise { src; scheme; args; pool; deadline_ms } ->
-            (`Advise pool, src, scheme, None, args, deadline_ms)
-          | P.Bench { src; scheme; backend; args; deadline_ms } ->
-            (`Bench, src, scheme, backend, args, deadline_ms)
-          | P.Check { src; relax; deadline_ms } ->
-            (`Check relax, src, None, None, [], deadline_ms)
-          | P.Tune { src; scheme; backend; args; beam; deadline_ms } ->
-            (* [deadline_ms] is the anytime search budget, enforced
-               inside the search itself — the waiter below must await
-               unboundedly, or a tight budget would race the transport
-               timeout instead of returning the best-so-far plan *)
-            (`Tune (beam, deadline_ms), src, scheme, backend, args, None)
-          | P.Stats | P.Shutdown -> assert false
-        in
-        match serve_compute t ~kind ~src ~scheme ~backend ~args ~deadline_ms with
-        | Now reply -> finish_now reply
-        | Wait (fut, deadline) ->
-          (* complete out of order on a waiter thread; the reader goes
-             back to the socket immediately *)
-          ignore
-            (Thread.create
-               (fun () ->
-                 let res =
-                   match deadline with
-                   | None -> Some (Pool.await fut)
-                   | Some ms -> Pool.await_timeout fut ~timeout_ms:ms
-                 in
-                 let reply =
-                   match res with
+        match identity req with
+        | Error reply -> finish t conn ~t0 ~id ~rk (render t reply)
+        | Ok (key, normal) -> (
+          (* the frame's id-independent bytes, when they differ from the
+             normal form. Without a canonical prefix the bytes are only
+             id-independent when there is no id at all. *)
+          let frame_key =
+            match fast with
+            | Some (_, rest) when rest <> key -> Some rest
+            | None when id = None && payload <> key -> Some payload
+            | _ -> None
+          in
+          let finish = finish t conn ~t0 ~id ?frame_key ~rk in
+          (* [deadline_ms] bounds the wait; on tune it is the anytime
+             search budget, enforced inside the search itself — the
+             waiter must await unboundedly, or a tight budget would race
+             the transport timeout instead of returning the best-so-far
+             plan *)
+          let deadline =
+            match req with
+            | P.Advise { deadline_ms; _ }
+            | P.Bench { deadline_ms; _ }
+            | P.Check { deadline_ms; _ } ->
+              deadline_ms
+            | _ -> None
+          in
+          match serve_compute t ~key ~deadline normal with
+          | Hit body -> finish ~entry:body body
+          | Now reply -> finish (render t reply)
+          | Wait (fut, deadline) ->
+            (* complete out of order on a waiter thread; the reader goes
+               back to the socket immediately *)
+            ignore
+              (Thread.create
+                 (fun () ->
+                   match
+                     match deadline with
+                     | None -> Some (Pool.await fut)
+                     | Some ms -> Pool.await_timeout fut ~timeout_ms:ms
+                   with
                    | None ->
-                     err P.Timeout
-                       "deadline of %gms expired; the computation continues \
-                        and will be cached"
-                       (Option.get deadline)
-                   | Some (Ok reply) -> reply
+                     finish
+                       (render t
+                          (err P.Timeout
+                             "deadline of %gms expired; the computation \
+                              continues and will be cached"
+                             (Option.get deadline)))
+                   | Some (Ok (reply, entry)) -> finish ?entry (render t reply)
                    | Some (Error (e : Pool.error)) ->
-                     err P.Worker_crash "%s" e.Pool.err_exn
-                 in
-                 finish_now reply)
-               ()))))
+                     finish (render t (err P.Worker_crash "%s" e.Pool.err_exn)))
+                 ())))))
 
 let conn_loop t id conn =
   let writer = Thread.create writer_loop conn in
@@ -665,21 +698,20 @@ let conn_loop t id conn =
            runs on the reader itself — drain joins the reader, which
            joins the writer, which flushes the reply first. *)
         let frame_hit =
-          (* keyed by the raw id-independent request bytes (no hashing
-             beyond the table's own): entries are only ever inserted for
-             id-less or canonical-id frames, so a hit is byte-identical
-             request semantics *)
+          (* looked up by the raw id-independent request bytes (no
+             hashing beyond the table's own): replies are keyed only by
+             id-less request bytes — normal forms, and the id-stripped
+             bytes of id-less or canonical-id frames — so a hit is
+             byte-identical request semantics *)
           let rest = match fast with Some (_, r) -> r | None -> payload in
-          let fk = "frm:" ^ rest in
           locked t (fun () ->
-              match Lru.find t.cache fk with
+              match Lru.find t.cache rest with
               | Some (Craw { rk; body }) ->
                 bump t.req_counts rk;
                 t.result_hits <- t.result_hits + 1;
                 Histogram.record t.hist (Clock.elapsed_ms ~since:t0);
                 Some body
-              | Some (Cir _ | Creply _) -> assert false
-              | None -> None)
+              | Some (Cir _) | None -> None)
         in
         (match frame_hit with
         | Some body ->

@@ -3,19 +3,24 @@
     A long-running server speaking {!Protocol} over a Unix-domain
     socket and, optionally, TCP ([listen]): clients send Mini-C source
     inline, the server answers with advisory reports ([advise]),
-    before/after measurements ([bench]) or diagnostics ([check]), keyed
-    by a content-addressed cache hierarchy:
+    before/after measurements ([bench]), diagnostics ([check]) or tuned
+    plans ([tune]), keyed by a content-addressed cache hierarchy:
 
-    - [digest(request bytes)] → serialized reply (the {e frame cache} —
-      a warm repeat of byte-identical request bytes is served without
-      parsing the request at all; the per-request ["id"] field is
-      spliced around it),
-    - [(digest(src), kind, scheme, backend, args)] → finished reply
-      (the in-memory result LRU),
-    - the same key → serialized reply on disk under [cache_dir] (the
+    - request bytes → serialized reply (the in-memory LRU). A reply is
+      keyed by its request's {e normal form}: the request as the wire
+      codec writes it, with scheme and backend in their canonical
+      spellings and omitted at their defaults, the deadline dropped
+      (except on [tune], where it is the search budget) and no id, so
+      requests share a reply exactly when their normal forms are
+      byte-equal. The id-stripped bytes a frame arrived with key the
+      same reply when they differ from the normal form, so a warm
+      repeat of byte-identical request bytes is served without parsing
+      the request at all; the per-request ["id"] field is spliced
+      around the reply.
+    - the normal form → the same bytes on disk under [cache_dir] (the
       persistent layer, see {!Diskcache} — restarts and fleets sharing
       a directory start warm), and
-    - [digest(src)] → compiled and verified IR.
+    - [src] → compiled and verified IR.
 
     Misses are scheduled onto a {!Slo_exec.Pool} of worker domains, and
     identical concurrent requests coalesce onto one in-flight
@@ -42,6 +47,10 @@
     - {b structured errors}: Mini-C parse, typecheck, lowering/verifier
       and worker-crash failures each map to a distinct error code; a
       failed request never tears down the connection.
+    - {b bounded, untrusted cache input}: a request whose normal form
+      is longer than {!Protocol.max_frame_bytes} is refused with
+      [bad_request]; a disk record is parsed and re-serialized by the
+      codec before it is served or kept in memory.
     - {b admission control}: when the compute backlog reaches the high
       watermark the server sheds [bench] misses with an [overloaded]
       reply (cached [bench] and all [advise]/[check] are still served)

@@ -14,7 +14,6 @@ type config = {
   scheme : W.scheme;
   feedback : Slo_profile.Feedback.t option;
   args : int list;
-  threshold : float option;
   beam : int;
   max_candidates : int;
   seed : int;
@@ -30,7 +29,6 @@ let default_config ~scheme ~feedback =
     scheme;
     feedback;
     args = [];
-    threshold = None;
     beam = 4;
     max_candidates = 256;
     seed = 0;
@@ -334,7 +332,7 @@ let search prog cfg =
      propagate rather than masking it as a rejection. *)
   let heuristic =
     H.plans
-      (D.decide ?threshold:cfg.threshold prog ~scheme:cfg.scheme
+      (D.decide prog ~scheme:cfg.scheme
          ~feedback:cfg.feedback)
         .D.decisions
   in

@@ -46,7 +46,6 @@ type config = {
   scheme : Slo_profile.Weights.scheme;
   feedback : Slo_profile.Feedback.t option;
   args : int list;            (** program arguments for the measure runs *)
-  threshold : float option;   (** heuristic T_s override, [None] = scheme default *)
   beam : int;                 (** max field permutations per split point / rebuild *)
   max_candidates : int;       (** global candidate cap (product truncation) *)
   seed : int;                 (** seeds the deterministic candidate shuffle *)

@@ -22,8 +22,6 @@ let create () =
     freed = Hashtbl.create 64;
   }
 
-let heap_base _ = heap_base_addr
-
 let ensure t limit =
   let len = Bytes.length t.buf in
   if limit > len then begin

@@ -37,7 +37,6 @@ val create : unit -> t
 val globals_base : int
 val stack_top : int
 val stack_limit : int
-val heap_base : t -> int
 
 val alloc_global : t -> size:int -> align:int -> int
 (** Carve space in the globals region (only before first heap alloc). *)

@@ -375,6 +375,79 @@ let codec_ids () =
   | None, Error "overloaded" -> ()
   | _ -> Alcotest.fail "scan of an error reply"
 
+(* ---------------- persistent cache ---------------- *)
+
+module Diskcache = Slo_server.Diskcache
+
+let with_diskcache k =
+  let dir = Filename.temp_dir "slo-diskcache-unit" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
+    (fun () -> k (Diskcache.create ~dir))
+
+(* where a key's record lives: md5(key) under a two-hex-char fanout *)
+let record_path d key =
+  let h = Digest.to_hex (Digest.string key) in
+  Filename.concat (Filename.concat (Diskcache.dir d) (String.sub h 0 2))
+    (h ^ ".rec")
+
+(* a record in the on-disk format, each header field overridable *)
+let record ?(magic = "slo-diskcache 1") ?klen ?digest ?plen ~key payload =
+  let len s = string_of_int (String.length s) in
+  Printf.sprintf "%s\n%s\n%s\n%s\n%s\n%s" magic
+    (Option.value ~default:(len key) klen) key
+    (Option.value ~default:(Digest.to_hex (Digest.string payload)) digest)
+    (Option.value ~default:(len payload) plen) payload
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let diskcache_roundtrip () =
+  with_diskcache (fun d ->
+      Alcotest.(check (option string)) "absent" None (Diskcache.find d ~key:"k");
+      Diskcache.store d ~key:"k" "{\"ok\":true}";
+      Alcotest.(check (option string)) "stored" (Some "{\"ok\":true}")
+        (Diskcache.find d ~key:"k");
+      (* a key past the old 1 000 000-byte cap: request bytes carry the
+         source, bounded only by the frame limit *)
+      let key = String.make 1_500_000 'k' in
+      Diskcache.store d ~key "long";
+      Alcotest.(check (option string)) "long key" (Some "long")
+        (Diskcache.find d ~key))
+
+(* every malformed record reads as a miss, and the file is dropped *)
+let diskcache_rejects () =
+  with_diskcache (fun d ->
+      let key = "{\"kind\":\"advise\",\"src\":\"x\"}" and payload = "reply" in
+      let good = record ~key payload in
+      let rejects label contents =
+        let path = record_path d key in
+        Diskcache.store d ~key payload;
+        write_file path contents;
+        Alcotest.(check (option string)) label None (Diskcache.find d ~key);
+        Alcotest.(check bool) (label ^ ": file removed") false
+          (Sys.file_exists path)
+      in
+      rejects "another key under this file name" (record ~key:(key ^ " ") payload);
+      rejects "truncated payload"
+        (String.sub good 0 (String.length good - 2));
+      rejects "payload digest mismatch"
+        (record ~digest:(Digest.to_hex (Digest.string "other")) ~key payload);
+      rejects "bad magic" (record ~magic:"slo-diskcache 0" ~key payload);
+      rejects "negative key length" (record ~klen:"-1" ~key payload);
+      rejects "over-cap key length"
+        (record ~klen:(string_of_int (P.max_frame_bytes + 1)) ~key payload);
+      rejects "negative payload length" (record ~plen:"-1" ~key payload);
+      rejects "over-cap payload length"
+        (record ~plen:(string_of_int (P.max_frame_bytes + 1)) ~key payload);
+      (* the control: the same writer's well-formed record is a hit *)
+      write_file (record_path d key) good;
+      Alcotest.(check (option string)) "well-formed record" (Some payload)
+        (Diskcache.find d ~key))
+
 (* ---------------- end to end ---------------- *)
 
 let e2e_advise_cached () =
@@ -844,6 +917,78 @@ let e2e_pipelining_out_of_order () =
         Alcotest.failf "bench reply: %s" (Json.to_string (P.json_of_reply r)));
       close conn)
 
+(* A request's cache identity: one entry serves every spelling of the
+   same request — scheme omitted or in any case, a deadline (a bound on
+   the wait, not part of the answer), a frame whose id is not the first
+   field or that carries extra whitespace — while a change to any field
+   that shapes the answer misses. Every cached reply is the first
+   reply's bytes but for "cached". *)
+let e2e_request_identity () =
+  with_server ~jobs:2 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let src = hot_cold_src "ident" in
+      let hits = ref 0 and misses = ref 0 in
+      let counts label =
+        match Client.rpc conn P.Stats with
+        | P.R_stats s ->
+          Alcotest.(check (pair int int))
+            (label ^ ": result hits, misses") (!hits, !misses)
+            (s.s_result_hits, s.s_result_misses)
+        | _ -> Alcotest.fail "stats failed"
+      in
+      let call payload =
+        Client.send_raw conn payload;
+        let reply = Client.recv_raw conn in
+        match P.strip_id reply with Some (_, rest) -> rest | None -> reply
+      in
+      let frame req = Json.to_string ~indent:false (P.json_of_request req) in
+      let cached_as bytes =
+        Astring.String.concat ~sep:"\"cached\":true"
+          (Astring.String.cuts ~sep:"\"cached\":false" bytes)
+      in
+      let miss label req =
+        let reply = call (frame req) in
+        incr misses;
+        counts label;
+        Alcotest.(check bool) (label ^ " is computed") true
+          (Astring.String.is_infix ~affix:"\"ok\":true" reply
+          && Astring.String.is_infix ~affix:"\"cached\":false" reply);
+        reply
+      in
+      let hit label first payload =
+        let reply = call payload in
+        incr hits;
+        counts label;
+        Alcotest.(check string) (label ^ " bytes") (cached_as first) reply
+      in
+      let tune ?beam budget =
+        P.Tune { src; scheme = None; backend = None; args = []; beam;
+                 deadline_ms = Some budget }
+      in
+      let first = miss "scheme omitted" (advise src) in
+      hit "ispbo" first (frame (advise ~scheme:"ispbo" src));
+      hit "ISPBO" first (frame (advise ~scheme:"ISPBO" src));
+      hit "with a deadline" first (frame (advise ~deadline_ms:60000.0 src));
+      hit "id not first, extra whitespace" first
+        (Printf.sprintf "{ \"kind\" : \"advise\" ,\n  \"id\" : 7 , \"src\" : %s }"
+           (Json.to_string (Json.String src)));
+      ignore (miss "scheme" (advise ~scheme:"spbo" src));
+      ignore (miss "pool" (advise ~pool:true src));
+      ignore
+        (miss "args"
+           (P.Advise { src; scheme = None; args = [ 3 ]; pool = false;
+                       deadline_ms = None }));
+      let b = miss "bench" (bench src) in
+      hit "bench, backend spelled out" b (frame (bench ~backend:"superblock" src));
+      ignore (miss "backend" (bench ~backend:"walk" src));
+      ignore (miss "check" (P.Check { src; relax = false; deadline_ms = None }));
+      ignore (miss "relax" (P.Check { src; relax = true; deadline_ms = None }));
+      let tn = miss "tune" (tune 0.001) in
+      hit "tune repeat" tn (frame (tune 0.001));
+      ignore (miss "tune budget" (tune 0.002));
+      ignore (miss "beam" (tune ~beam:2 0.001));
+      close conn)
+
 let e2e_disk_cache_warm_restart () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -875,6 +1020,63 @@ let e2e_disk_cache_warm_restart () =
       close conn);
   (* best-effort cleanup; verify-on-load makes leftovers harmless *)
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+
+(* a disk record is untrusted input: a daemon serves the codec's bytes
+   for the reply a record parses to, never the file's own. A record
+   with leading whitespace and "cached":false still parses; served
+   as it is, it would break an id'd reply's frame. *)
+let e2e_disk_record_reserialized () =
+  let dir = Filename.temp_dir "slo-diskcache-record" "" in
+  let src = hot_cold_src "record" in
+  let key = Json.to_string ~indent:false (P.json_of_request (advise src)) in
+  Diskcache.store (Diskcache.create ~dir) ~key
+    (" "
+    ^ Json.to_string ~indent:false
+        (P.json_of_reply (P.R_advise { a_report = "from disk"; a_cached = false })));
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
+    (fun () ->
+      with_server ~cache_dir:dir (fun ~connect ~close _socket ->
+          let conn = connect () in
+          (* the disk hit, then the memory hit it left behind *)
+          List.iter
+            (fun (id, label) ->
+              Client.send conn ~id (advise src);
+              match Client.recv conn with
+              | Some id', P.R_advise { a_report = "from disk"; a_cached = true }
+                when id' = id ->
+                ()
+              | _, r ->
+                Alcotest.failf "%s: %s" label
+                  (Json.to_string (P.json_of_reply r)))
+            [ (1, "disk hit"); (2, "memory hit") ];
+          (match Client.rpc conn P.Stats with
+          | P.R_stats s ->
+            Alcotest.(check (pair int int)) "disk hits, result misses" (1, 1)
+              (s.s_disk_hits, s.s_result_misses)
+          | _ -> Alcotest.fail "stats failed");
+          close conn))
+
+(* the cache key is bounded like a frame: a source whose escaped form
+   outgrows the frame limit (each raw control byte escapes to six key
+   bytes) gets a clean bad_request, and nothing is cached *)
+let e2e_key_bounded () =
+  with_server (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let n = (P.max_frame_bytes / 6) + 1 in
+      Client.send_raw conn
+        (Printf.sprintf "{\"kind\":\"check\",\"src\":\"%s\"}"
+           (String.make n '\001'));
+      (match P.reply_of_json (Json.of_string (Client.recv_raw conn)) with
+      | Ok r -> expect_error "oversized normal form" P.Bad_request r
+      | Error msg -> Alcotest.failf "undecodable reply: %s" msg);
+      (match Client.rpc conn P.Stats with
+      | P.R_stats s ->
+        Alcotest.(check (pair int int)) "nothing cached, no compute" (0, 0)
+          (s.s_cache_entries, s.s_result_misses)
+      | _ -> Alcotest.fail "stats failed");
+      close conn)
 
 let e2e_overload_sheds_bench () =
   (* watermarks 1/0 with one worker: a single queued job flips the
@@ -938,6 +1140,12 @@ let () =
           Alcotest.test_case "reply codec" `Quick codec_replies;
           Alcotest.test_case "id plumbing" `Quick codec_ids;
         ] );
+      ( "diskcache",
+        [
+          Alcotest.test_case "round trip" `Quick diskcache_roundtrip;
+          Alcotest.test_case "rejects malformed records" `Quick
+            diskcache_rejects;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "advise + cache" `Quick e2e_advise_cached;
@@ -957,8 +1165,12 @@ let () =
           Alcotest.test_case "tcp transport" `Quick e2e_tcp_transport;
           Alcotest.test_case "pipelining out of order" `Quick
             e2e_pipelining_out_of_order;
+          Alcotest.test_case "request identity" `Quick e2e_request_identity;
           Alcotest.test_case "disk cache warm restart" `Quick
             e2e_disk_cache_warm_restart;
+          Alcotest.test_case "disk record re-serialized" `Quick
+            e2e_disk_record_reserialized;
+          Alcotest.test_case "cache key bounded" `Quick e2e_key_bounded;
           Alcotest.test_case "overload sheds bench" `Quick
             e2e_overload_sheds_bench;
         ] );
