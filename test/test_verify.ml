@@ -203,6 +203,40 @@ let duplicate_block () =
     (function Verify.Duplicate_block 0 -> true | _ -> false)
     prog
 
+(* the report names the offending instruction or terminator exactly as
+   printed, so a site built for the wrong instruction shows here *)
+let report_text_instr () =
+  let prog = compiled () in
+  let f = main_func prog in
+  let r = Ir.fresh_reg f in
+  let i =
+    first_in_main prog (fun i ->
+        match i.Ir.idesc with Ir.Iload _ -> true | _ -> false)
+  in
+  (match i.Ir.idesc with
+  | Ir.Iload (d, _, t, a) -> i.Ir.idesc <- Ir.Iload (d, Ir.Oreg r, t, a)
+  | _ -> assert false);
+  Alcotest.(check string) "report"
+    "main.B1: %r5 = load.long %r68: register %r68 is used but never defined"
+    (Verify.report (Verify.program prog))
+
+let report_text_term () =
+  let prog = compiled () in
+  let f = main_func prog in
+  let r = Ir.fresh_reg f in
+  let b =
+    List.find
+      (fun (b : Ir.block) ->
+        match b.Ir.btermin with Ir.Tbr _ -> true | _ -> false)
+      f.Ir.fblocks
+  in
+  (match b.Ir.btermin with
+  | Ir.Tbr (_, t, e) -> b.Ir.btermin <- Ir.Tbr (Ir.Oreg r, t, e)
+  | _ -> assert false);
+  Alcotest.(check string) "report"
+    "main.B1: br %r68, B2, B4: register %r68 is used but never defined"
+    (Verify.report (Verify.program prog))
+
 (* ------------------------------------------------------------------ *)
 (* Positive: silent on the whole roster, before and after transforming *)
 (* ------------------------------------------------------------------ *)
@@ -245,6 +279,10 @@ let () =
           Alcotest.test_case "unknown global" `Quick unknown_global;
           Alcotest.test_case "call arity mismatch" `Quick arity_mismatch;
           Alcotest.test_case "duplicate block id" `Quick duplicate_block;
+          Alcotest.test_case "report text names the instruction" `Quick
+            report_text_instr;
+          Alcotest.test_case "report text names the terminator" `Quick
+            report_text_term;
         ] );
       ("suite programs verify clean", suite_tests);
     ]
