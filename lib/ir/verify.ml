@@ -110,10 +110,13 @@ exception Ill_formed of error list
 (* The pass                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Sites are passed as thunks and built only when an error is recorded:
+   an instruction's site prints the instruction, which would otherwise
+   cost a string per instruction of every well-formed program. *)
 let program ?(require_locs = false) (p : Ir.program) : error list =
   let errors = ref [] in
-  let fail site kind = errors := { site; kind } :: !errors in
-  let prog_site = { in_func = None; in_block = None; in_instr = None } in
+  let fail site kind = errors := { site = site (); kind } :: !errors in
+  let prog_site () = { in_func = None; in_block = None; in_instr = None } in
 
   (* struct table: field-name uniqueness, bit-field sanity, and the
      struct names mentioned by field types *)
@@ -177,7 +180,7 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
 
   List.iter
     (fun (f : Ir.func) ->
-      let fsite = { in_func = Some f.fname; in_block = None; in_instr = None } in
+      let fsite () = { in_func = Some f.fname; in_block = None; in_instr = None } in
       check_ty fsite f.fret;
       List.iter (fun (_, t) -> check_ty fsite t) f.fparams;
       List.iter (fun (_, t) -> check_ty fsite t) f.flocals;
@@ -202,7 +205,7 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
         f.fblocks;
       List.iter
         (fun (b : Ir.block) ->
-          let bsite =
+          let bsite () =
             { in_func = Some f.fname; in_block = Some b.bid; in_instr = None }
           in
           List.iter
@@ -226,7 +229,7 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
         f.fblocks;
       List.iter
         (fun (b : Ir.block) ->
-          let site_of i =
+          let site_of i () =
             { in_func = Some f.fname; in_block = Some b.bid;
               in_instr = Some (Ir.string_of_instr i) }
           in
@@ -290,7 +293,7 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
                 ())
             b.instrs;
           (* terminator operands *)
-          let tsite =
+          let tsite () =
             { in_func = Some f.fname; in_block = Some b.bid;
               in_instr = Some (Ir.string_of_term b.btermin) }
           in

@@ -10,9 +10,9 @@ end
 
 module ItemSet = Set.Make (Item)
 
-(* abstract cells holding pointer values *)
+(* abstract cells holding pointer values; registers are not cells but
+   slots of one array (see [analyze]) *)
 type cell =
-  | Creg of string * int   (* function, register *)
   | Clocal of string * string
   | Cglobal of string
   | Cmem_field of string * int  (* contents of a struct field *)
@@ -39,22 +39,28 @@ type t = {
 
 let get t c = Option.value ~default:ItemSet.empty (Hashtbl.find_opt t.cells c)
 
-let add t c items changed =
-  if not (ItemSet.is_empty items) then begin
-    let old = get t c in
-    let nu = ItemSet.union old items in
-    if not (ItemSet.equal old nu) then begin
-      Hashtbl.replace t.cells c nu;
-      changed := true
-    end
+(* [Some (old ∪ items)] when that grows [old], marking the round changed *)
+let grow old items changed =
+  if ItemSet.subset items old then None
+  else begin
+    changed := true;
+    Some (ItemSet.union old items)
   end
 
-(* the first collapse of a type fixes its provenance chain; later
-   re-discoveries (the fixpoint revisits every instruction) are no-ops *)
-let collapse ?(why = []) t s =
-  if not (Hashtbl.mem t.collapsed_set s) then
-    Hashtbl.replace t.collapse_why s why;
-  Hashtbl.replace t.collapsed_set s ()
+let add t c items changed =
+  Option.iter (Hashtbl.replace t.cells c) (grow (get t c) items changed)
+
+let add_reg regs r items changed =
+  Option.iter (fun nu -> regs.(r) <- nu) (grow regs.(r) items changed)
+
+(* the first collapse of a type fixes its provenance chain, built only
+   then; later re-discoveries (the fixpoint revisits every instruction)
+   are no-ops *)
+let collapse t s why =
+  if not (Hashtbl.mem t.collapsed_set s) then begin
+    Hashtbl.replace t.collapse_why s (why ());
+    Hashtbl.replace t.collapsed_set s ()
+  end
 
 (* arithmetic / scalar indexing turns any view into a raw view *)
 let degrade items =
@@ -108,11 +114,6 @@ let analyze (prog : Ir.program) : t =
       items
   in
   let changed = ref true in
-  let operand_items fname (o : Ir.operand) =
-    match o with
-    | Ir.Oreg r -> get t (Creg (fname, r))
-    | Ir.Oimm _ | Ir.Ofimm _ -> ItemSet.empty
-  in
   (* memory cells addressed by a pointer with the given provenance *)
   let mem_cells_of items =
     ItemSet.fold
@@ -151,42 +152,83 @@ let analyze (prog : Ir.program) : t =
           Hashtbl.replace param_cells (f.Ir.fname, i) (Clocal (f.fname, pname)))
         f.Ir.fparams)
     prog.funcs;
+  (* per function, fixed across rounds: where its registers start in
+     [regs], its locals' types, and the loads and stores whose address
+     register was set by an address-of a local or global earlier in the
+     same block *)
+  let nregs = ref 0 in
+  let funcs =
+    List.map
+      (fun (f : Ir.func) ->
+        let locals_ty = Hashtbl.create 16 in
+        List.iter (fun (n, ty) -> Hashtbl.replace locals_ty n ty) f.flocals;
+        let direct =
+          List.concat_map
+            (fun (b : Ir.block) ->
+              let addr_of = Hashtbl.create 8 in
+              List.filter_map
+                (fun (i : Ir.instr) ->
+                  match i.idesc with
+                  | Ir.Iaddrlocal (r, l) ->
+                    Hashtbl.replace addr_of r (Clocal (f.fname, l));
+                    None
+                  | Ir.Iaddrglob (r, g) ->
+                    Hashtbl.replace addr_of r (Cglobal g);
+                    None
+                  | Ir.Istore (Ir.Oreg ar, v, _, _) ->
+                    Option.map (fun c -> `Store (c, v)) (Hashtbl.find_opt addr_of ar)
+                  | Ir.Iload (r, Ir.Oreg ar, _, _) ->
+                    Option.map (fun c -> `Load (r, c)) (Hashtbl.find_opt addr_of ar)
+                  | _ -> None)
+                b.instrs)
+            f.fblocks
+        in
+        let roff = !nregs in
+        nregs := roff + f.next_reg;
+        (f, roff, locals_ty, direct))
+      prog.funcs
+  in
+  (* every function's register cells, register [r] of a function at its
+     [roff + r] ([r < next_reg], which Verify checks): one allocation,
+     where an array per function would give the major heap one more size
+     class (and its pool) for each length *)
+  let regs = Array.make !nregs ItemSet.empty in
   while !changed do
     changed := false;
     List.iter
-      (fun (f : Ir.func) ->
+      (fun ((f : Ir.func), roff, locals_ty, direct) ->
         let fn = f.fname in
-        let reg r = Creg (fn, r) in
-        let ops o = operand_items fn o in
-        let locals_ty = Hashtbl.create 16 in
-        List.iter (fun (n, ty) -> Hashtbl.replace locals_ty n ty) f.flocals;
+        let ops (o : Ir.operand) =
+          match o with
+          | Ir.Oreg r -> regs.(roff + r)
+          | Ir.Oimm _ | Ir.Ofimm _ -> ItemSet.empty
+        in
+        let set r items = add_reg regs (roff + r) items changed in
         List.iter
           (fun (b : Ir.block) ->
             List.iter
               (fun (i : Ir.instr) ->
                 match i.idesc with
-                | Ir.Imov (r, o) -> add t (reg r) (ops o) changed
+                | Ir.Imov (r, o) -> set r (ops o)
                 | Ir.Ibin (r, _, _, a, b2) ->
                   (* pointer arithmetic through plain ops degrades *)
                   let src = ItemSet.union (ops a) (ops b2) in
                   note_degrade fn i "pointer arithmetic" src;
-                  add t (reg r) (degrade src) changed
+                  set r (degrade src)
                 | Ir.Iun (r, _, _, a) ->
                   note_degrade fn i "pointer arithmetic" (ops a);
-                  add t (reg r) (degrade (ops a)) changed
+                  set r (degrade (ops a))
                 | Ir.Icast (r, _, to_, v, _) -> (
                   let src = ops v in
                   match to_ with
                   | Irty.Ptr (Irty.Struct s) ->
-                    add t (reg r)
-                      (ItemSet.add (Item.Obj_ptr s) src)
-                      changed
-                  | _ -> add t (reg r) src changed)
+                    set r (ItemSet.add (Item.Obj_ptr s) src)
+                  | _ -> set r src)
                 | Ir.Iload (r, a, _, _) ->
                   let addr = ops a in
                   note_deref fn i addr;
                   List.iter
-                    (fun mc -> add t (reg r) (get t mc) changed)
+                    (fun mc -> set r (get t mc))
                     (mem_cells_of addr)
                 | Ir.Istore (a, v, _, _) ->
                   let addr = ops a in
@@ -196,15 +238,15 @@ let analyze (prog : Ir.program) : t =
                     (mem_cells_of addr)
                 | Ir.Iaddrglob (r, g) -> (
                   match Hashtbl.find_opt globals_ty g with
-                  | Some ty -> add t (reg r) (obj_item ty) changed
+                  | Some ty -> set r (obj_item ty)
                   | None -> ())
                 | Ir.Iaddrlocal (r, l) -> (
                   match Hashtbl.find_opt locals_ty l with
-                  | Some ty -> add t (reg r) (obj_item ty) changed
+                  | Some ty -> set r (obj_item ty)
                   | None -> ())
                 | Ir.Iaddrstr _ | Ir.Iaddrfunc _ -> ()
                 | Ir.Ifieldaddr (r, _, s, fi) ->
-                  add t (reg r) (ItemSet.singleton (Item.Field_ptr (s, fi))) changed
+                  set r (ItemSet.singleton (Item.Field_ptr (s, fi)))
                 | Ir.Iptradd (r, b2, _, elem) -> (
                   let base = ops b2 in
                   match elem with
@@ -218,16 +260,14 @@ let analyze (prog : Ir.program) : t =
                             (Printf.sprintf "indexing in struct '%s' steps" s)
                         | Item.Raw_ptr _ -> ())
                       base;
-                    add t (reg r)
-                      (ItemSet.add (Item.Obj_ptr s) (degrade_struct_step s base))
-                      changed
+                    set r (ItemSet.add (Item.Obj_ptr s) (degrade_struct_step s base))
                   | _ ->
                     note_degrade fn i "scalar indexing" base;
-                    add t (reg r) (degrade base) changed)
+                    set r (degrade base))
                 | Ir.Ialloc (r, _, _, elem) -> (
                   match elem with
                   | Irty.Struct s ->
-                    add t (reg r) (ItemSet.singleton (Item.Obj_ptr s)) changed
+                    set r (ItemSet.singleton (Item.Obj_ptr s))
                   | _ -> ())
                 | Ir.Icall (dst, callee, args) -> (
                   match callee with
@@ -242,7 +282,7 @@ let analyze (prog : Ir.program) : t =
                         | None -> ())
                       args;
                     (match dst with
-                    | Some r -> add t (reg r) (get t (Cret callee_name)) changed
+                    | Some r -> set r (get t (Cret callee_name))
                     | None -> ())
                   | Ir.Cdirect _ | Ir.Cbuiltin _ | Ir.Cextern _
                   | Ir.Cindirect _ ->
@@ -255,13 +295,12 @@ let analyze (prog : Ir.program) : t =
                             match it with
                             | Item.Field_ptr (s, _) | Item.Obj_ptr s
                             | Item.Raw_ptr s ->
-                              collapse t s
-                                ~why:
+                              collapse t s (fun () ->
                                   [ event fn i
                                       "pointer into struct '%s' escapes to \
                                        call '%s'"
                                       s
-                                      (Ir.string_of_callee callee) ])
+                                      (Ir.string_of_callee callee) ]))
                           (ops arg))
                       args)
                 | Ir.Ifree _ -> ()
@@ -271,12 +310,11 @@ let analyze (prog : Ir.program) : t =
                       match it with
                       | Item.Field_ptr (s, _) | Item.Obj_ptr s
                       | Item.Raw_ptr s ->
-                        collapse t s
-                          ~why:
+                        collapse t s (fun () ->
                             [ event fn i
                                 "pointer into struct '%s' is bulk-written by \
                                  memset"
-                                s ])
+                                s ]))
                     (ops d)
                 | Ir.Imemcpy (d, s2, _, _) ->
                   ItemSet.iter
@@ -284,41 +322,24 @@ let analyze (prog : Ir.program) : t =
                       match it with
                       | Item.Field_ptr (s, _) | Item.Obj_ptr s
                       | Item.Raw_ptr s ->
-                        collapse t s
-                          ~why:
+                        collapse t s (fun () ->
                             [ event fn i
                                 "pointer into struct '%s' is bulk-copied by \
                                  memcpy"
-                                s ])
+                                s ]))
                     (ItemSet.union (ops d) (ops s2)))
               b.instrs;
             match b.btermin with
             | Ir.Tret (Some o) -> add t (Cret fn) (ops o) changed
             | Ir.Tret None | Ir.Tjmp _ | Ir.Tbr _ -> ())
           f.fblocks;
-        (* locals/globals written through Iaddrlocal/Iaddrglob addressing:
-           handled via a second pass matching store-to-address-of *)
+        (* locals/globals written or read through an address-of *)
         List.iter
-          (fun (b : Ir.block) ->
-            (* map registers defined by address-of instructions *)
-            let addr_of = Hashtbl.create 8 in
-            List.iter
-              (fun (i : Ir.instr) ->
-                match i.idesc with
-                | Ir.Iaddrlocal (r, l) -> Hashtbl.replace addr_of r (Clocal (fn, l))
-                | Ir.Iaddrglob (r, g) -> Hashtbl.replace addr_of r (Cglobal g)
-                | Ir.Istore (Ir.Oreg ar, v, _, _) -> (
-                  match Hashtbl.find_opt addr_of ar with
-                  | Some c -> add t c (ops v) changed
-                  | None -> ())
-                | Ir.Iload (r, Ir.Oreg ar, _, _) -> (
-                  match Hashtbl.find_opt addr_of ar with
-                  | Some c -> add t (reg r) (get t c) changed
-                  | None -> ())
-                | _ -> ())
-              b.instrs)
-          f.fblocks)
-      prog.funcs
+          (function
+            | `Store (c, v) -> add t c (ops v) changed
+            | `Load (r, c) -> set r (get t c))
+          direct)
+      funcs
   done;
   (* final collapse detection: a raw view that is actually dereferenced
      collapses the type's field sets; the chain explains where the raw
@@ -331,7 +352,7 @@ let analyze (prog : Ir.program) : t =
           Option.to_list (Hashtbl.find_opt t.raw_origin s)
           @ Option.to_list (Hashtbl.find_opt t.raw_deref s)
         in
-        collapse t s ~why:chain
+        collapse t s (fun () -> chain)
       | Item.Field_ptr _ | Item.Obj_ptr _ -> ())
     t.deref_items;
   t

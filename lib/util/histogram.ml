@@ -60,7 +60,7 @@ let percentile t p =
            end)
          t.counts
      with Exit -> ());
-    if !idx >= Array.length bounds then t.max else bounds.(!idx)
+    if !idx >= Array.length bounds then t.max else Float.min bounds.(!idx) t.max
   end
 
 let merge dst src =

@@ -7,9 +7,10 @@
     an increment — no allocation, no per-sample storage — and the
     histogram stays O(1) in memory no matter how many requests it has
     seen. Percentiles are therefore estimates: {!percentile} returns
-    the upper bound of the bucket containing the requested rank, i.e. a
-    conservative (never under-reported) latency. Exact [min]/[max]/sum
-    are tracked on the side. *)
+    the upper bound of the bucket containing the requested rank, capped
+    at the largest sample, i.e. a conservative (never under-reported)
+    latency that no request exceeded. Exact [min]/[max]/sum are tracked
+    on the side. *)
 
 type t
 
@@ -31,8 +32,9 @@ val mean_ms : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0..100]: the upper bound of the bucket
-    holding the sample of rank [ceil (p/100 * count)] (the observed max
-    for the overflow bucket); [0.0] when empty. Raises
+    holding the sample of rank [ceil (p/100 * count)], or the observed
+    max when that is lower (always for the overflow bucket); [0.0] when
+    empty. Raises
     [Invalid_argument] for [p] outside [0..100]. *)
 
 val merge : t -> t -> unit

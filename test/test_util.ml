@@ -352,6 +352,15 @@ let histogram_basics () =
   Alcotest.check feq "overflow p100 is exact max" 1e9
     (Histogram.percentile h 100.0)
 
+(* a bucket's upper bound above every sample is no latency any request
+   had: the daemon's stats once read p95=2000 ms with max=1495.1 ms *)
+let histogram_clamped_to_max () =
+  let h = Histogram.create () in
+  List.iter (Histogram.record h) [ 20.0; 1495.1 ];
+  Alcotest.check feq "p50 is its bucket bound" 20.0 (Histogram.percentile h 50.0);
+  Alcotest.check feq "p95 is the max" 1495.1 (Histogram.percentile h 95.0);
+  Alcotest.check feq "p99 is the max" 1495.1 (Histogram.percentile h 99.0)
+
 let histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
   List.iter (Histogram.record a) [ 1.0; 2.0 ];
@@ -407,5 +416,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick histogram_basics;
           Alcotest.test_case "merge" `Quick histogram_merge;
+          Alcotest.test_case "percentiles clamped to the max" `Quick
+            histogram_clamped_to_max;
         ] );
     ]
