@@ -128,6 +128,7 @@ let bench_req ?args (e : Suite.entry) =
       scheme = Some (Codec.scheme_name W.SPBO);
       backend = None;
       args = Option.value ~default:e.train_args args;
+      pool = false;
       deadline_ms = deadline ();
     }
 
@@ -678,8 +679,13 @@ let () =
               ("result_hits", Json.Int d_hits);
               ("result_misses", Json.Int d_misses);
               ("hit_rate_pct", Json.Float hit_rate);
-              ("ir_hits", Json.Int (s1.P.s_ir_hits - s0.P.s_ir_hits));
-              ("ir_misses", Json.Int (s1.P.s_ir_misses - s0.P.s_ir_misses));
+              (* the daemon caches replies only: programs compiled and
+                 entries evicted in the measured phase, and the bytes
+                 the reply LRU holds at its end *)
+              ("compiles", Json.Int (s1.P.s_ir_misses - s0.P.s_ir_misses));
+              ( "evictions",
+                Json.Int (s1.P.s_cache_evictions - s0.P.s_cache_evictions) );
+              ("cache_bytes", Json.Int s1.P.s_cache_bytes);
               ("disk_hits", Json.Int (s1.P.s_disk_hits - s0.P.s_disk_hits));
               ("disk_misses", Json.Int (s1.P.s_disk_misses - s0.P.s_disk_misses));
               (* absolute count at the end of warmup: a daemon

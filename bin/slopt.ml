@@ -549,7 +549,7 @@ let serve_cmd =
   let cache_mb =
     Arg.(value & opt int 64
          & info [ "cache-mb" ] ~docv:"MB"
-             ~doc:"LRU budget for compiled IR and finished results, in MiB.")
+             ~doc:"LRU budget for finished replies, in MiB.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None
@@ -712,11 +712,12 @@ let client_advise_cmd =
           $ scheme_name_arg $ client_args_arg $ pool_arg $ deadline_arg)
 
 let client_bench_cmd =
-  let run socket wait file name scheme backend args deadline =
+  let run socket wait file name scheme backend args pool deadline =
     let src, args = resolve_src file name args in
     match
       rpc socket wait
-        (Proto.Bench { src; scheme; backend; args; deadline_ms = deadline })
+        (Proto.Bench
+           { src; scheme; backend; args; pool; deadline_ms = deadline })
     with
     | Proto.R_bench b ->
       if b.b_cached then prerr_endline "(served from cache)";
@@ -728,7 +729,8 @@ let client_bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Request a before/after measurement")
     Term.(const run $ socket_arg $ wait_arg $ src_file_arg $ name_arg
-          $ scheme_name_arg $ backend_name_arg $ client_args_arg $ deadline_arg)
+          $ scheme_name_arg $ backend_name_arg $ client_args_arg $ pool_arg
+          $ deadline_arg)
 
 (* the daemon labels wire-shipped sources "<input>"; give the lines the
    real name when the client knows one *)
@@ -845,14 +847,12 @@ let client_stats_cmd =
       Printf.printf "requests: %s\n" (counts s.s_requests);
       Printf.printf "errors: %s\n" (counts s.s_errors);
       Printf.printf
-        "cache: result %d/%d hits (%s), ir %d/%d hits (%s), disk %d/%d hits \
-         (%s), %d entries, %d bytes, %d evictions\n"
+        "cache: result %d/%d hits (%s), compiles %d, disk %d/%d hits (%s), \
+         %d entries, %d bytes, %d evictions\n"
         s.s_result_hits
         (s.s_result_hits + s.s_result_misses)
         (rate s.s_result_hits s.s_result_misses)
-        s.s_ir_hits
-        (s.s_ir_hits + s.s_ir_misses)
-        (rate s.s_ir_hits s.s_ir_misses)
+        s.s_ir_misses
         s.s_disk_hits
         (s.s_disk_hits + s.s_disk_misses)
         (rate s.s_disk_hits s.s_disk_misses)

@@ -40,6 +40,7 @@ type request =
       scheme : string option;
       backend : string option;
       args : int list;
+      pool : bool;
       deadline_ms : float option;
     }
   | Check of { src : string; relax : bool; deadline_ms : float option }
@@ -186,6 +187,10 @@ let strip_id payload =
 let opt_field k f = function None -> [] | Some v -> [ (k, f v) ]
 let list_field k f = function [] -> [] | xs -> [ (k, Json.List (List.map f xs)) ]
 
+(* [pool] is emitted only when set, so pre-pool clients and daemons
+   exchange byte-identical frames *)
+let pool_field pool = if pool then [ ("pool", Json.Bool true) ] else []
+
 let with_id ?id j =
   match (id, j) with
   | Some n, Json.Obj fields -> Json.Obj (("id", Json.Int n) :: fields)
@@ -193,20 +198,19 @@ let with_id ?id j =
 
 let json_of_request_body = function
   | Advise { src; scheme; args; pool; deadline_ms } ->
-    (* [pool] is emitted only when set, so pre-pool clients and daemons
-       exchange byte-identical frames *)
     Json.Obj
       ([ ("kind", Json.String "advise"); ("src", Json.String src) ]
       @ opt_field "scheme" (fun s -> Json.String s) scheme
       @ list_field "args" (fun i -> Json.Int i) args
-      @ (if pool then [ ("pool", Json.Bool true) ] else [])
+      @ pool_field pool
       @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
-  | Bench { src; scheme; backend; args; deadline_ms } ->
+  | Bench { src; scheme; backend; args; pool; deadline_ms } ->
     Json.Obj
       ([ ("kind", Json.String "bench"); ("src", Json.String src) ]
       @ opt_field "scheme" (fun s -> Json.String s) scheme
       @ opt_field "backend" (fun s -> Json.String s) backend
       @ list_field "args" (fun i -> Json.Int i) args
+      @ pool_field pool
       @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
   | Check { src; relax; deadline_ms } ->
     Json.Obj
@@ -267,17 +271,16 @@ let request_of_json j =
         let* scheme = get_string j "scheme" in
         let* args = get_int_list j "args" in
         let* deadline_ms = get_number j "deadline_ms" in
-        if k = Some "advise" then
-          let* pool =
-            match Json.member "pool" j with
-            | Some (Json.Bool b) -> Ok b
-            | Some _ -> Error "field \"pool\" must be a bool"
-            | None -> Ok false
-          in
-          Ok (Advise { src; scheme; args; pool; deadline_ms })
+        let* pool =
+          match Json.member "pool" j with
+          | Some (Json.Bool b) -> Ok b
+          | Some _ -> Error "field \"pool\" must be a bool"
+          | None -> Ok false
+        in
+        if k = Some "advise" then Ok (Advise { src; scheme; args; pool; deadline_ms })
         else
           let* backend = get_string j "backend" in
-          Ok (Bench { src; scheme; backend; args; deadline_ms }))
+          Ok (Bench { src; scheme; backend; args; pool; deadline_ms }))
     | Some "check" -> (
       let* src = get_string j "src" in
       match src with

@@ -77,6 +77,10 @@ type request =
       scheme : string option;
       backend : string option;      (** default the VM default *)
       args : int list;
+      pool : bool;                  (** as on [Advise]: plan index-linked
+                                        pools before measuring (default
+                                        false, omitted from the frame
+                                        when unset) *)
       deadline_ms : float option;
     }
   | Check of {
@@ -112,8 +116,10 @@ type stats_reply = {
   s_errors : (string * int) list;    (** error code -> reply count *)
   s_result_hits : int;               (** request bytes -> reply cache *)
   s_result_misses : int;
-  s_ir_hits : int;                   (** source -> compiled IR cache *)
-  s_ir_misses : int;
+  s_ir_hits : int;
+      (** always 0: the daemon caches no compiled programs. Kept on the
+          wire because older peers' decoders require the field *)
+  s_ir_misses : int;                 (** programs compiled *)
   s_disk_hits : int;                 (** persistent-cache loads *)
   s_disk_misses : int;               (** result misses the disk lacked too *)
   s_cache_entries : int;

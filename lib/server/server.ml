@@ -42,17 +42,13 @@ let default_config ~socket_path =
     log = ignore;
   }
 
-(* one LRU holds both in-memory key spaces: ["ir:" ^ src] -> compiled
-   IR, and request bytes -> the serialized success reply with
-   [cached:true] and no id. A reply is keyed by its request's normal
-   form ({!identity}), and also by the id-stripped bytes a frame arrived
-   with when those differ from it. Request bytes are JSON objects, so
-   the two spaces never meet on an entry the daemon inserts; a frame's
-   bytes are only a lookup, and one that names an IR entry is a miss. *)
-type cached =
-  | Cir of Ir.program
-  | Craw of { rk : string; body : string }
-      (* [rk] is the request kind for the stats counters *)
+(* the in-memory LRU maps request bytes to the serialized success reply
+   with [cached:true] and no id. A reply is keyed by its request's
+   normal form ({!identity}), and also by the id-stripped bytes a frame
+   arrived with when those differ from it. [rk] is the request kind for
+   the stats counters. Compiled programs are not cached: no measured
+   traffic reused one, and each weighed about ten replies. *)
+type cached = { rk : string; body : string }
 
 type listener = {
   l_fd : Unix.file_descr;
@@ -83,8 +79,7 @@ type t = {
   hist : Histogram.t;
   mutable result_hits : int;
   mutable result_misses : int;
-  mutable ir_hits : int;
-  mutable ir_misses : int;
+  mutable compiles : int; (* reported on the wire as [ir_misses] *)
   mutable disk_hits : int;
   mutable disk_misses : int;
   mutable queued : int; (* compute jobs submitted, not yet finished *)
@@ -112,29 +107,9 @@ let err code fmt =
 (* Compute jobs (run on pool worker domains)                           *)
 (* ------------------------------------------------------------------ *)
 
-let heap_bytes v = Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
-
-let get_ir t src =
-  let key = "ir:" ^ src in
-  let hit =
-    locked t (fun () ->
-        match Lru.find t.cache key with
-        | Some (Cir p) ->
-          t.ir_hits <- t.ir_hits + 1;
-          Some p
-        | Some (Craw _) | None ->
-          t.ir_misses <- t.ir_misses + 1;
-          None)
-  in
-  match hit with
-  | Some p -> p
-  | None ->
-    let prog = D.compile ~verify:true src in
-    locked t (fun () ->
-        ignore
-          (Lru.add t.cache key (Cir prog)
-             ~bytes:(heap_bytes prog + String.length key)));
-    prog
+let compile t src =
+  locked t (fun () -> t.compiles <- t.compiles + 1);
+  D.compile ~verify:true src
 
 let kind_name = function
   | P.Advise _ -> "advise"
@@ -217,13 +192,13 @@ let compute t req =
   let backend_of b = resolved (resolve_backend b) in
   (* the program, scheme and feedback a profile-guided request runs on *)
   let profiled src scheme args =
-    let prog = get_ir t src and scheme = resolved (resolve_scheme scheme) in
+    let prog = compile t src and scheme = resolved (resolve_scheme scheme) in
     (prog, scheme, D.feedback_for ~args prog ~scheme)
   in
   match req with
   | P.Check { src; relax; _ } ->
     (* purely static: no profile collection, no execution *)
-    let prog = get_ir t src in
+    let prog = compile t src in
     let diags = Slo_advice.Advice.check ~relax prog in
     P.R_check
       {
@@ -262,10 +237,10 @@ let compute t req =
     let prog, scheme, feedback = profiled src scheme args in
     let adv = D.advise ~pool prog ~scheme ~feedback in
     P.R_advise { a_report = Adv.report adv; a_cached = false }
-  | P.Bench { src; args; scheme; backend; _ } ->
+  | P.Bench { src; args; pool; scheme; backend; _ } ->
     let prog, scheme, feedback = profiled src scheme args in
     let ev =
-      D.evaluate ~args ~verify:true ~backend:(backend_of backend) ~scheme
+      D.evaluate ~args ~pool ~verify:true ~backend:(backend_of backend) ~scheme
         ~feedback prog
     in
     P.R_bench
@@ -322,7 +297,7 @@ let serialize reply = Json.to_string ~indent:false (P.json_of_reply reply)
 (* caller holds t.lock *)
 let add_reply t key ~rk body =
   ignore
-    (Lru.add t.cache key (Craw { rk; body })
+    (Lru.add t.cache key { rk; body }
        ~bytes:(String.length body + String.length key + 64))
 
 (* Everything a request can legitimately fail with becomes a structured
@@ -360,9 +335,7 @@ type outcome =
 
 (* caller holds t.lock *)
 let find_reply t key =
-  match Lru.find t.cache key with
-  | Some (Craw { body; _ }) -> Some body
-  | Some (Cir _) | None -> None
+  Option.map (fun c -> c.body) (Lru.find t.cache key)
 
 let probe_disk t ~key ~rk =
   match t.disk with
@@ -447,8 +420,8 @@ let build_stats t =
           s_errors = sorted t.err_counts;
           s_result_hits = t.result_hits;
           s_result_misses = t.result_misses;
-          s_ir_hits = t.ir_hits;
-          s_ir_misses = t.ir_misses;
+          s_ir_hits = 0;
+          s_ir_misses = t.compiles;
           s_disk_hits = t.disk_hits;
           s_disk_misses = t.disk_misses;
           s_cache_entries = Lru.length t.cache;
@@ -706,12 +679,12 @@ let conn_loop t id conn =
           let rest = match fast with Some (_, r) -> r | None -> payload in
           locked t (fun () ->
               match Lru.find t.cache rest with
-              | Some (Craw { rk; body }) ->
+              | Some { rk; body } ->
                 bump t.req_counts rk;
                 t.result_hits <- t.result_hits + 1;
                 Histogram.record t.hist (Clock.elapsed_ms ~since:t0);
                 Some body
-              | Some (Cir _) | None -> None)
+              | None -> None)
         in
         (match frame_hit with
         | Some body ->
@@ -949,8 +922,7 @@ let run cfg =
       hist = Histogram.create ();
       result_hits = 0;
       result_misses = 0;
-      ir_hits = 0;
-      ir_misses = 0;
+      compiles = 0;
       disk_hits = 0;
       disk_misses = 0;
       queued = 0;

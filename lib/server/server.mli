@@ -19,8 +19,11 @@
       around the reply.
     - the normal form → the same bytes on disk under [cache_dir] (the
       persistent layer, see {!Diskcache} — restarts and fleets sharing
-      a directory start warm), and
-    - [src] → compiled and verified IR.
+      a directory start warm).
+
+    Compiled programs are not cached: a miss compiles its source, and
+    the LRU holds replies alone, so a stream of unique sources takes
+    room for its replies only, not for programs ten times their size.
 
     Misses are scheduled onto a {!Slo_exec.Pool} of worker domains, and
     identical concurrent requests coalesce onto one in-flight
@@ -71,7 +74,7 @@ type config = {
   jobs : int;            (** worker domains for the compute pool *)
   shards : int;          (** accept/reader domains per listener *)
   window : int;          (** per-connection in-flight request cap *)
-  cache_mb : int;        (** LRU budget for IR + results, in MiB *)
+  cache_mb : int;        (** reply LRU budget, in MiB *)
   cache_dir : string option;
       (** persistent reply cache directory; [None] disables the layer *)
   max_conns : int;       (** concurrent connections before [overloaded] *)

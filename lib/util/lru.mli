@@ -1,5 +1,5 @@
 (** A byte-budgeted LRU map, the backing store for the advice server's
-    content-addressed caches.
+    content-addressed reply cache.
 
     Entries carry an explicit byte size supplied at insertion time (the
     cache does not try to guess how big a value is); once the running

@@ -72,12 +72,14 @@ let fresh_socket =
    connection limit, the finally's shutdown request then gets refused
    as [overloaded], and [Thread.join] hangs the whole suite. *)
 let with_server ?(jobs = 1) ?(max_conns = 16) ?(handle_sigterm = false)
-    ?listen ?cache_dir ?(high_watermark = 0) ?(low_watermark = 0) f =
+    ?listen ?cache_dir ?(cache_mb = 64) ?(high_watermark = 0)
+    ?(low_watermark = 0) f =
   let socket_path = fresh_socket () in
   let cfg =
     { (Server.default_config ~socket_path) with
       jobs;
       max_conns;
+      cache_mb;
       handle_sigterm;
       listen;
       cache_dir;
@@ -127,8 +129,8 @@ let with_server ?(jobs = 1) ?(max_conns = 16) ?(handle_sigterm = false)
 let advise ?scheme ?(pool = false) ?deadline_ms src =
   P.Advise { src; scheme; args = []; pool; deadline_ms }
 
-let bench ?scheme ?backend ?deadline_ms src =
-  P.Bench { src; scheme; backend; args = []; deadline_ms }
+let bench ?scheme ?backend ?(pool = false) ?deadline_ms src =
+  P.Bench { src; scheme; backend; args = []; pool; deadline_ms }
 
 let expect_error name code reply =
   match reply with
@@ -230,8 +232,15 @@ let codec_requests () =
          scheme = Some "fco";
          backend = Some "closure";
          args = [];
+         pool = false;
          deadline_ms = None;
        });
+  roundtrip (bench ~pool:true ~deadline_ms:50.0 "y");
+  (* [pool] is omitted at its default, so a pool-less frame is the same
+     bytes an older peer writes *)
+  Alcotest.(check string) "bench without pool"
+    "{\"kind\":\"bench\",\"src\":\"y\"}"
+    (Json.to_string ~indent:false (P.json_of_request (bench "y")));
   roundtrip (P.Check { src = "z"; relax = false; deadline_ms = None });
   roundtrip (P.Check { src = "z"; relax = true; deadline_ms = Some 100.0 });
   roundtrip
@@ -473,9 +482,11 @@ let e2e_advise_cached () =
       | P.R_stats s ->
         Alcotest.(check int) "result hits" 1 s.s_result_hits;
         Alcotest.(check int) "result misses" 2 s.s_result_misses;
-        (* the IR cache deduplicates across schemes *)
-        Alcotest.(check int) "ir hits" 1 s.s_ir_hits;
-        Alcotest.(check int) "ir misses" 1 s.s_ir_misses;
+        (* no compiled-program cache: each miss compiles, and the cache
+           holds the two replies alone *)
+        Alcotest.(check int) "ir hits" 0 s.s_ir_hits;
+        Alcotest.(check int) "ir misses" 2 s.s_ir_misses;
+        Alcotest.(check int) "entries are the replies" 2 s.s_cache_entries;
         Alcotest.(check bool) "advise counted" true
           (List.assoc_opt "advise" s.s_requests = Some 3);
         Alcotest.(check bool) "cache occupied" true (s.s_cache_bytes > 0)
@@ -522,6 +533,55 @@ let e2e_bench () =
       (match Client.rpc conn (bench ~scheme:"spbo" src) with
       | P.R_bench b -> Alcotest.(check bool) "bench repeat is a hit" true b.b_cached
       | _ -> Alcotest.fail "bench repeat failed");
+      close conn)
+
+(* [pool] reaches the daemon's bench: the ring measured with pooling
+   runs a pool plan, and the request is its own cache entry *)
+let e2e_bench_pool () =
+  with_server (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let src = ring_src "bp" in
+      let plans pool =
+        match Client.rpc conn (bench ~pool src) with
+        | P.R_bench b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "pool=%b bench is a miss" pool)
+            false b.b_cached;
+          b.b_plans
+        | r -> Alcotest.failf "bench failed: %s" (Json.to_string (P.json_of_reply r))
+      in
+      let is_pool p = Astring.String.is_prefix ~affix:"pool " p in
+      Alcotest.(check bool) "no pool plan without the flag" false
+        (List.exists is_pool (plans false));
+      Alcotest.(check bool) "pooled bench plans a pool" true
+        (List.exists is_pool (plans true));
+      close conn)
+
+(* replies are the only cache entries: a run of distinct cold sources
+   whose compiled programs alone would overflow a 1 MiB cache leaves the
+   first reply in place, with nothing evicted *)
+let e2e_cold_sources_keep_replies () =
+  with_server ~cache_mb:1 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let e = Slo_suite.Suite.find "179.art" in
+      let src i = Printf.sprintf "%s\n/* cold %d */\n" e.source i in
+      let cold = 24 in
+      for i = 0 to cold - 1 do
+        match Client.rpc conn (advise (src i)) with
+        | P.R_advise { a_cached; _ } ->
+          Alcotest.(check bool) (Printf.sprintf "cold %d is a miss" i) false
+            a_cached
+        | r -> Alcotest.failf "advise failed: %s" (Json.to_string (P.json_of_reply r))
+      done;
+      (match Client.rpc conn (advise (src 0)) with
+      | P.R_advise { a_cached; _ } ->
+        Alcotest.(check bool) "the first reply is still cached" true a_cached
+      | _ -> Alcotest.fail "repeat advise failed");
+      (match Client.rpc conn P.Stats with
+      | P.R_stats s ->
+        Alcotest.(check int) "nothing evicted" 0 s.s_cache_evictions;
+        Alcotest.(check int) "one entry per reply" cold s.s_cache_entries
+      | _ -> Alcotest.fail "stats failed");
       close conn)
 
 (* "closure", the compiled engine's name before superblock fusion became
@@ -733,7 +793,8 @@ let e2e_daemon_is_library () =
                    (Client.rpc conn
                       (P.Bench
                          { src = e.source; scheme = Some scheme_name;
-                           backend = None; args; deadline_ms = None }))))
+                           backend = None; args; pool = false;
+                           deadline_ms = None }))))
             [ "ispbo"; "spbo"; "pbo" ])
         [ "179.art"; "gobmk"; "sphinx" ];
       List.iter
@@ -981,6 +1042,7 @@ let e2e_request_identity () =
       let b = miss "bench" (bench src) in
       hit "bench, backend spelled out" b (frame (bench ~backend:"superblock" src));
       ignore (miss "backend" (bench ~backend:"walk" src));
+      ignore (miss "bench pool" (bench ~pool:true src));
       ignore (miss "check" (P.Check { src; relax = false; deadline_ms = None }));
       ignore (miss "relax" (P.Check { src; relax = true; deadline_ms = None }));
       let tn = miss "tune" (tune 0.001) in
@@ -1151,6 +1213,9 @@ let () =
           Alcotest.test_case "advise + cache" `Quick e2e_advise_cached;
           Alcotest.test_case "advise with pooling" `Quick e2e_advise_pool;
           Alcotest.test_case "bench + cache" `Quick e2e_bench;
+          Alcotest.test_case "bench with pooling" `Quick e2e_bench_pool;
+          Alcotest.test_case "cold sources do not evict replies" `Quick
+            e2e_cold_sources_keep_replies;
           Alcotest.test_case "bench closure spelling" `Quick
             e2e_bench_closure_spelling;
           Alcotest.test_case "check + cache" `Quick e2e_check;
