@@ -94,7 +94,7 @@ val table3 : run -> roster:Slo_suite.Suite.entry list -> string
 
 val pool_table : run -> roster:Slo_suite.Suite.entry list -> string
 (** Index-linked pool rows: one per self-referential record type in the
-    roster. Shape-poolable types are rewritten with {!Transform.pool},
+    roster. Shape-poolable types are rewritten with a [Pool] plan,
     validated by the differential oracle (output + per-field access
     conservation) and measured before/after under the cachesim; refuted
     types show their first uniqueness witness instead. Measured rows are

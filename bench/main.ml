@@ -204,17 +204,17 @@ let figure1 () =
   let prog = D.compile src in
   show prog "(a) original array of structures";
   let split_prog = Ircopy.copy_program prog in
-  T.split split_prog
-    { T.s_typ = "rec"; s_hot = [ 0; 2 ]; s_cold = [ 1; 3 ]; s_dead = [] };
+  T.apply split_prog
+    (T.Split { T.s_typ = "rec"; s_hot = [ 0; 2 ]; s_cold = [ 1; 3 ]; s_dead = [] });
   show split_prog "(b) after structure splitting (link pointer inserted)";
   let r1 = Slo_vm.Interp.run_program prog in
   let r2 = Slo_vm.Interp.run_program split_prog in
   say "outputs match after splitting: %b" (r1.output = r2.output);
   (* peeling needs the anchor-global form, which this program has *)
   let peel_prog = Ircopy.copy_program prog in
-  T.peel peel_prog
-    { T.p_typ = "rec"; p_live = [ 0; 1; 2; 3 ]; p_dead = [];
-      p_globals = [ "arr" ] };
+  T.apply peel_prog
+    (T.Peel { T.p_typ = "rec"; p_live = [ 0; 1; 2; 3 ]; p_dead = [];
+              p_globals = [ "arr" ] });
   show peel_prog "(c) after structure peeling (one array per field)";
   let r3 = Slo_vm.Interp.run_program peel_prog in
   say "outputs match after peeling:   %b" (r1.output = r3.output);
@@ -326,8 +326,8 @@ let casestudies () =
       (List.init (Array.length decl.fields) Fun.id)
   in
   let regrouped = Ircopy.copy_program prog in
-  T.rebuild regrouped
-    { T.r_typ = "bigobj"; r_order = hot @ cold; r_dead = [] };
+  T.apply regrouped
+    (T.Rebuild { T.r_typ = "bigobj"; r_order = hot @ cold; r_dead = [] });
   let before = D.measure ~args:e.ref_args prog in
   let after = D.measure ~args:e.ref_args regrouped in
   if before.m_result.output <> after.m_result.output then

@@ -1,6 +1,6 @@
 module Weights = Slo_profile.Weights
 
-type plan =
+type plan = Transform.plan =
   | Split of Transform.split_spec
   | Peel of Transform.peel_spec
   | Rebuild of Transform.rebuild_spec
@@ -185,16 +185,7 @@ let decide ?threshold ?(pool = false) (prog : Ir.program) (leg : Legality.t)
 
 let plans ds = List.filter_map (fun d -> d.d_plan) ds
 
-let apply prog plans =
-  List.iter
-    (fun p ->
-      match p with
-      | Split s -> Transform.split prog s
-      | Peel s -> Transform.peel prog s
-      | Rebuild s -> Transform.rebuild prog s
-      | Pad s -> Transform.pad prog s
-      | Pool s -> Transform.pool prog s)
-    plans
+let apply prog plans = List.iter (Transform.apply prog) plans
 
 let plan_summary = function
   | Split s ->

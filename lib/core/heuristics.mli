@@ -21,7 +21,7 @@
       hot fields are ordered by descending hotness;
     - if only dead fields were found, the type is rebuilt in place. *)
 
-type plan =
+type plan = Transform.plan =
   | Split of Transform.split_spec
   | Peel of Transform.peel_spec
   | Rebuild of Transform.rebuild_spec

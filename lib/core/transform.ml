@@ -17,12 +17,21 @@ type pad_spec = { pd_typ : string; pd_bytes : int }
 
 type pool_spec = { po_typ : string; po_links : int list }
 
+type plan =
+  | Split of split_spec
+  | Peel of peel_spec
+  | Rebuild of rebuild_spec
+  | Pad of pad_spec
+  | Pool of pool_spec
+
 let link_field_name = "__link"
 let pad_field_name = "__pad"
 let hot_name s = s ^ "__hot"
 let cold_name s = s ^ "__cold"
 let piece_name s f = s ^ "__" ^ f
 let piece_global g f = g ^ "__" ^ f
+let pool_struct_name s = s ^ "__pool"
+let pool_anchor_name target = "__pool_" ^ target
 
 (* ------------------------------------------------------------------ *)
 (* Type substitution                                                   *)
@@ -33,6 +42,18 @@ let rec subst_ty ~from_ ~to_ (t : Irty.t) : Irty.t =
   | Irty.Struct s when String.equal s from_ -> Irty.Struct to_
   | Irty.Ptr u -> Irty.Ptr (subst_ty ~from_ ~to_ u)
   | Irty.Array (u, n) -> Irty.Array (subst_ty ~from_ ~to_ u, n)
+  | Irty.Struct _ | Irty.Void | Irty.Char | Irty.Short | Irty.Int
+  | Irty.Long | Irty.Float | Irty.Double | Irty.Funptr ->
+    t
+
+(* [Ptr (Struct typ)] becomes a plain element index. Long and pointers
+   are both 8 bytes in the VM, so retyping changes no enclosing layout
+   (e.g. arc.tail/head cells keep their offsets). *)
+let rec subst_ptr_ty ~typ (t : Irty.t) : Irty.t =
+  match t with
+  | Irty.Ptr (Irty.Struct x) when String.equal x typ -> Irty.Long
+  | Irty.Ptr u -> Irty.Ptr (subst_ptr_ty ~typ u)
+  | Irty.Array (u, n) -> Irty.Array (subst_ptr_ty ~typ u, n)
   | Irty.Struct _ | Irty.Void | Irty.Char | Irty.Short | Irty.Int
   | Irty.Long | Irty.Float | Irty.Double | Irty.Funptr ->
     t
@@ -56,8 +77,7 @@ let map_types (prog : Ir.program) (s : Irty.t -> Irty.t) =
     prog.structs;
   List.iter
     (fun (f : Ir.func) ->
-      let f' = f in
-      f'.flocals <- List.map (fun (n, t) -> (n, s t)) f.flocals;
+      f.flocals <- List.map (fun (n, t) -> (n, s t)) f.flocals;
       List.iter
         (fun (b : Ir.block) ->
           List.iter
@@ -89,9 +109,6 @@ let map_types (prog : Ir.program) (s : Irty.t -> Irty.t) =
           fret = s f.fret })
       prog.funcs
 
-let rename_type (prog : Ir.program) ~from_ ~to_ =
-  map_types prog (subst_ty ~from_ ~to_)
-
 (* an action-based per-block instruction rewriter *)
 type action = Keep | Drop | Replace of Ir.instr list
 
@@ -111,231 +128,7 @@ let rewrite_instrs (f : Ir.func) (decide : Ir.instr -> action) =
 let mk_instr prog loc desc = { Ir.iid = Ir.fresh_iid prog; iloc = loc; idesc = desc }
 
 (* ------------------------------------------------------------------ *)
-(* Structure splitting                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let split (prog : Ir.program) (spec : split_spec) =
-  let s = spec.s_typ in
-  let hot = hot_name s and cold = cold_name s in
-  let decl = Structs.find prog.structs s in
-  let field i = decl.fields.(i) in
-  (* index maps: old field index -> placement *)
-  let place = Array.make (Array.length decl.fields) `Dead in
-  List.iteri (fun ni oi -> place.(oi) <- `Hot ni) spec.s_hot;
-  List.iteri (fun ni oi -> place.(oi) <- `Cold ni) spec.s_cold;
-  List.iter (fun oi -> place.(oi) <- `Dead) spec.s_dead;
-  let link_idx = List.length spec.s_hot in
-  (* new struct definitions (field types renamed at the end, with
-     everything else) *)
-  Structs.define prog.structs hot
-    (List.map field spec.s_hot
-    @ [ { Structs.name = link_field_name; ty = Irty.Ptr (Irty.Struct cold);
-          bits = None } ]);
-  Structs.define prog.structs cold (List.map field spec.s_cold);
-  let retag (acc : Ir.access option) : Ir.access option =
-    match acc with
-    | Some a when String.equal a.astruct s -> (
-      match place.(a.afield) with
-      | `Hot ni -> Some { Ir.astruct = hot; afield = ni }
-      | `Cold ni -> Some { Ir.astruct = cold; afield = ni }
-      | `Dead -> acc (* the store is dropped anyway *))
-    | Some _ | None -> acc
-  in
-  List.iter
-    (fun (f : Ir.func) ->
-      let regty = Regty.infer prog f in
-      (* remember which registers are dead-field addresses *)
-      let dead_addr = Hashtbl.create 8 in
-      rewrite_instrs f (fun i ->
-          let loc = i.iloc in
-          match i.idesc with
-          | Ir.Ifieldaddr (r, b, s', fi) when String.equal s' s -> (
-            match place.(fi) with
-            | `Hot ni ->
-              i.idesc <- Ir.Ifieldaddr (r, b, hot, ni);
-              Keep
-            | `Cold ni ->
-              let t1 = Ir.fresh_reg f and t2 = Ir.fresh_reg f in
-              Replace
-                [
-                  mk_instr prog loc (Ir.Ifieldaddr (t1, b, hot, link_idx));
-                  mk_instr prog loc
-                    (Ir.Iload (t2, Ir.Oreg t1, Irty.Ptr (Irty.Struct cold),
-                               Some { Ir.astruct = hot; afield = link_idx }));
-                  mk_instr prog loc (Ir.Ifieldaddr (r, Ir.Oreg t2, cold, ni));
-                ]
-            | `Dead ->
-              Hashtbl.replace dead_addr r ();
-              Drop)
-          | Ir.Istore (Ir.Oreg a, _, _, _) when Hashtbl.mem dead_addr a ->
-            Drop (* dead store removal *)
-          | Ir.Istore (a, v, ty, acc) ->
-            i.idesc <- Ir.Istore (a, v, ty, retag acc);
-            Keep
-          | Ir.Iload (r, a, ty, acc) ->
-            i.idesc <- Ir.Iload (r, a, ty, retag acc);
-            Keep
-          | Ir.Ifree o -> (
-            match Regty.struct_ptr (match o with
-                                    | Ir.Oreg r -> regty.(r)
-                                    | Ir.Oimm _ | Ir.Ofimm _ -> None) with
-            | Some s' when String.equal s' s ->
-              (* free the cold part through the link, then the hot part *)
-              let t1 = Ir.fresh_reg f and t2 = Ir.fresh_reg f in
-              Replace
-                [
-                  mk_instr prog loc (Ir.Ifieldaddr (t1, o, hot, link_idx));
-                  mk_instr prog loc
-                    (Ir.Iload (t2, Ir.Oreg t1, Irty.Ptr (Irty.Struct cold),
-                               Some { Ir.astruct = hot; afield = link_idx }));
-                  mk_instr prog loc (Ir.Ifree (Ir.Oreg t2));
-                  mk_instr prog loc (Ir.Ifree o);
-                ]
-            | Some _ | None -> Keep)
-          | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
-          | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
-          | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _
-          | Ir.Imemset _ | Ir.Imemcpy _ ->
-            Keep);
-      (* allocation sites: allocate the cold array and initialise links *)
-      let worklist = Queue.create () in
-      List.iter (fun b -> Queue.add b worklist) f.fblocks;
-      while not (Queue.is_empty worklist) do
-        let b : Ir.block = Queue.pop worklist in
-        let rec find_alloc pre = function
-          | [] -> None
-          | ({ Ir.idesc = Ir.Ialloc (r, kind, count, Irty.Struct s'); _ } as ai)
-            :: rest
-            when String.equal s' s ->
-            Some (List.rev pre, ai, r, kind, count, rest)
-          | i :: rest -> find_alloc (i :: pre) rest
-        in
-        match find_alloc [] b.instrs with
-        | None -> ()
-        | Some (pre, alloc_i, r, kind, count, rest) ->
-          let loc = alloc_i.iloc in
-          alloc_i.idesc <- Ir.Ialloc (r, kind, count, Irty.Struct hot);
-          let rc = Ir.fresh_reg f in
-          let cold_kind =
-            match kind with
-            | Ir.Arealloc _ -> Ir.Amalloc (* realloc'd types are filtered out *)
-            | Ir.Amalloc | Ir.Acalloc -> kind
-          in
-          let alloc_c =
-            mk_instr prog loc (Ir.Ialloc (rc, cold_kind, count, Irty.Struct cold))
-          in
-          let iv = Ir.fresh_reg f in
-          let init_iv = mk_instr prog loc (Ir.Imov (iv, Ir.Oimm 0L)) in
-          let header = Ir.fresh_block f loc in
-          let body = Ir.fresh_block f loc in
-          let after = Ir.fresh_block f loc in
-          after.instrs <- rest;
-          after.btermin <- b.btermin;
-          b.instrs <- pre @ [ alloc_i; alloc_c; init_iv ];
-          b.btermin <- Ir.Tjmp header.bid;
-          let cond = Ir.fresh_reg f in
-          header.instrs <-
-            [ mk_instr prog loc
-                (Ir.Ibin (cond, Ir.Lt, Irty.Long, Ir.Oreg iv, count)) ];
-          header.btermin <- Ir.Tbr (Ir.Oreg cond, body.bid, after.bid);
-          let hp = Ir.fresh_reg f and fa = Ir.fresh_reg f in
-          let cp = Ir.fresh_reg f and iv2 = Ir.fresh_reg f in
-          body.instrs <-
-            [
-              mk_instr prog loc
-                (Ir.Iptradd (hp, Ir.Oreg r, Ir.Oreg iv, Irty.Struct hot));
-              mk_instr prog loc (Ir.Ifieldaddr (fa, Ir.Oreg hp, hot, link_idx));
-              mk_instr prog loc
-                (Ir.Iptradd (cp, Ir.Oreg rc, Ir.Oreg iv, Irty.Struct cold));
-              mk_instr prog loc
-                (Ir.Istore (Ir.Oreg fa, Ir.Oreg cp,
-                            Irty.Ptr (Irty.Struct cold),
-                            Some { Ir.astruct = hot; afield = link_idx }));
-              mk_instr prog loc
-                (Ir.Ibin (iv2, Ir.Add, Irty.Long, Ir.Oreg iv, Ir.Oimm 1L));
-              mk_instr prog loc (Ir.Imov (iv, Ir.Oreg iv2));
-            ];
-          body.btermin <- Ir.Tjmp header.bid;
-          Queue.add after worklist
-      done;
-      ignore (Dce.cleanup f))
-    prog.funcs;
-  Structs.remove prog.structs s;
-  rename_type prog ~from_:s ~to_:hot
-
-(* ------------------------------------------------------------------ *)
-(* Rebuild (dead field removal + reordering, same type name)           *)
-(* ------------------------------------------------------------------ *)
-
-let rebuild (prog : Ir.program) (spec : rebuild_spec) =
-  let s = spec.r_typ in
-  let decl = Structs.find prog.structs s in
-  let place = Array.make (Array.length decl.fields) `Dead in
-  List.iteri (fun ni oi -> place.(oi) <- `Live ni) spec.r_order;
-  List.iter (fun oi -> place.(oi) <- `Dead) spec.r_dead;
-  Structs.define prog.structs s
-    (List.map (fun oi -> decl.fields.(oi)) spec.r_order);
-  let retag (acc : Ir.access option) =
-    match acc with
-    | Some a when String.equal a.astruct s -> (
-      match place.(a.afield) with
-      | `Live ni -> Some { Ir.astruct = s; afield = ni }
-      | `Dead -> acc)
-    | Some _ | None -> acc
-  in
-  List.iter
-    (fun (f : Ir.func) ->
-      let dead_addr = Hashtbl.create 8 in
-      rewrite_instrs f (fun i ->
-          match i.idesc with
-          | Ir.Ifieldaddr (r, b, s', fi) when String.equal s' s -> (
-            match place.(fi) with
-            | `Live ni ->
-              i.idesc <- Ir.Ifieldaddr (r, b, s, ni);
-              Keep
-            | `Dead ->
-              Hashtbl.replace dead_addr r ();
-              Drop)
-          | Ir.Istore (Ir.Oreg a, _, _, _) when Hashtbl.mem dead_addr a -> Drop
-          | Ir.Istore (a, v, ty, acc) ->
-            i.idesc <- Ir.Istore (a, v, ty, retag acc);
-            Keep
-          | Ir.Iload (r, a, ty, acc) ->
-            i.idesc <- Ir.Iload (r, a, ty, retag acc);
-            Keep
-          | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
-          | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
-          | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _
-          | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _ ->
-            Keep);
-      ignore (Dce.cleanup f))
-    prog.funcs
-
-(* Trailing padding: a pure layout change. The new field is never
-   accessed, so no instruction rewriting happens; allocation sites size
-   their arrays through the layout, which picks the pad up for free. *)
-let pad (prog : Ir.program) (spec : pad_spec) =
-  if spec.pd_bytes <= 0 then
-    invalid_arg
-      (Printf.sprintf "Transform.pad: %d pad bytes (need > 0)" spec.pd_bytes);
-  let decl =
-    match Structs.find_opt prog.structs spec.pd_typ with
-    | Some d -> d
-    | None ->
-      invalid_arg ("Transform.pad: unknown struct " ^ spec.pd_typ)
-  in
-  let fields =
-    List.filter
-      (fun (f : Structs.field) -> not (String.equal f.name pad_field_name))
-      (Array.to_list decl.fields)
-  in
-  Structs.define prog.structs spec.pd_typ
-    (fields
-    @ [ { Structs.name = pad_field_name;
-          ty = Irty.Array (Irty.Char, spec.pd_bytes); bits = None } ])
-
-(* ------------------------------------------------------------------ *)
-(* Structure peeling                                                   *)
+(* Peeling's anchor tracing                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* definition map: register -> defining instruction (None when multiply
@@ -403,15 +196,15 @@ let trace_base defs (b : Ir.operand) ~typ : (string * Ir.operand option) option 
     | None -> None)
 
 (* trace an allocation chain: value stored = alloc result, possibly through
-   casts *)
-let rec trace_alloc defs (v : Ir.operand) ~typ : Ir.instr option =
+   casts; the allocation's kind and count *)
+let rec trace_alloc defs (v : Ir.operand) ~typ =
   match v with
   | Ir.Oimm _ | Ir.Ofimm _ -> None
   | Ir.Oreg r -> (
     match defs.(r) with
-    | Some ({ Ir.idesc = Ir.Ialloc (_, _, _, Irty.Struct s'); _ } as ai)
+    | Some { Ir.idesc = Ir.Ialloc (_, kind, count, Irty.Struct s'); _ }
       when String.equal s' typ ->
-      Some ai
+      Some (kind, count)
     | Some { Ir.idesc = Ir.Icast (_, _, _, src, _); _ } ->
       trace_alloc defs src ~typ
     | Some _ | None -> None)
@@ -419,13 +212,13 @@ let rec trace_alloc defs (v : Ir.operand) ~typ : Ir.instr option =
 let peel_feasible (prog : Ir.program) ~typ ~globals : bool =
   let in_g g = List.mem g globals in
   let ok = ref (globals <> []) in
-  (* the type may not be referenced from any other storage *)
+  (* the type may not be referenced from any struct's field, its own
+     included (a self link) *)
   Structs.iter
     (fun d ->
-      if not (String.equal d.sname typ) || true then
-        Array.iter
-          (fun (fl : Structs.field) -> if ty_mentions typ fl.ty then ok := false)
-          d.fields)
+      Array.iter
+        (fun (fl : Structs.field) -> if ty_mentions typ fl.ty then ok := false)
+        d.fields)
     prog.structs;
   List.iter
     (fun (n, t, _) -> if (not (in_g n)) && ty_mentions typ t then ok := false)
@@ -505,369 +298,459 @@ let peel_feasible (prog : Ir.program) ~typ ~globals : bool =
     prog.funcs;
   !ok
 
-let peel (prog : Ir.program) (spec : peel_spec) =
-  let s = spec.p_typ in
-  let decl = Structs.find prog.structs s in
-  let field i = decl.fields.(i) in
-  let live = spec.p_live in
-  let piece_of = Hashtbl.create 8 in
-  List.iter
-    (fun fi ->
-      let fname = (field fi).Structs.name in
-      let pname = piece_name s fname in
-      Hashtbl.replace piece_of fi pname;
-      Structs.define prog.structs pname [ field fi ])
-    live;
-  let first_piece = Hashtbl.find piece_of (List.hd live) in
-  (* companion globals *)
-  let pg g fi = piece_global g (field fi).Structs.name in
-  prog.globals <-
-    List.concat_map
-      (fun ((n, _t, init) as orig) ->
-        if List.mem n spec.p_globals then
-          List.map
-            (fun fi ->
-              (pg n fi, Irty.Ptr (Irty.Struct (Hashtbl.find piece_of fi)), init))
-            live
-        else [ orig ])
-      prog.globals;
+(* ------------------------------------------------------------------ *)
+(* Layout maps                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every plan compiles to a layout map of its struct: where each old
+   field goes, and how an access reaches it from a pointer to the old
+   struct. One rewrite (below) then applies any map. *)
+
+type anchor =
+  | Companion of string
+      (** peel: the companion [G__name] of the anchor global [G] the
+          base was loaded from, at the element index the base was
+          computed with ({!trace_base}) *)
+  | Global of string  (** pool: this global, indexed by the base itself *)
+
+type path =
+  | Direct  (** the base itself: rebuild, pad, split's hot part *)
+  | Link of string * int
+      (** the link field (hot struct, index) the base holds: split's
+          cold part *)
+  | Anchor of anchor
+
+type slot = Dead | Moved of string * int * path  (** piece, new index, path *)
+
+(* what becomes of an allocation of the old struct *)
+type alloc =
+  | Same  (** rebuild, pad: the size follows the layout *)
+  | Linked of string * string * int
+      (** split (hot, cold, link): both parts, and a loop linking them *)
+  | At_anchor of string list
+      (** peel: dropped, and fanned out per piece at each store into one
+          of these anchor globals *)
+  | Pooled  (** pool: fanned out per piece; the pointer becomes index 0 *)
+
+(* what a [struct typ *] value becomes once the old struct is gone *)
+type pointer = Kept | Renamed of string | Index
+
+type layout = {
+  typ : string;
+  slots : slot array;  (** one per old field *)
+  pieces : (string * path) list;  (** fan-out order of allocs and frees *)
+  alloc : alloc;
+  pointer : pointer;
+}
+
+(* the one lookup behind every plan *)
+let find_struct (prog : Ir.program) kind typ =
+  match Structs.find_opt prog.structs typ with
+  | Some d -> d
+  | None ->
+    invalid_arg (Printf.sprintf "Transform.%s: unknown struct %s" kind typ)
+
+let place slots piece path fis =
+  List.iteri (fun ni oi -> slots.(oi) <- Moved (piece, ni, path)) fis
+
+let allocation_sites (prog : Ir.program) typ =
+  List.fold_left
+    (fun acc (f : Ir.func) ->
+      List.fold_left
+        (fun acc (b : Ir.block) ->
+          List.fold_left
+            (fun acc (i : Ir.instr) ->
+              match i.idesc with
+              | Ir.Ialloc (_, _, _, Irty.Struct s') when String.equal s' typ ->
+                acc + 1
+              | _ -> acc)
+            acc b.instrs)
+        acc f.fblocks)
+    0 prog.funcs
+
+(* Compile a plan into its layout map, defining the new structs and
+   globals on the way. *)
+let layout_of (prog : Ir.program) (plan : plan) : layout =
+  let define = Structs.define prog.structs in
+  match plan with
+  | Split sp ->
+    let s = sp.s_typ in
+    let decl = find_struct prog "split" s in
+    let field i = decl.fields.(i) in
+    let hot = hot_name s and cold = cold_name s in
+    let link = List.length sp.s_hot in
+    (* field types are renamed at the end, with everything else *)
+    define hot
+      (List.map field sp.s_hot
+      @ [ { Structs.name = link_field_name; ty = Irty.Ptr (Irty.Struct cold);
+            bits = None } ]);
+    define cold (List.map field sp.s_cold);
+    let slots = Array.make (Array.length decl.fields) Dead in
+    place slots hot Direct sp.s_hot;
+    place slots cold (Link (hot, link)) sp.s_cold;
+    List.iter (fun oi -> slots.(oi) <- Dead) sp.s_dead;
+    { typ = s; slots; pieces = [ (cold, Link (hot, link)); (hot, Direct) ];
+      alloc = Linked (hot, cold, link); pointer = Renamed hot }
+  | Rebuild r ->
+    let s = r.r_typ in
+    let decl = find_struct prog "rebuild" s in
+    define s (List.map (fun oi -> decl.fields.(oi)) r.r_order);
+    let slots = Array.make (Array.length decl.fields) Dead in
+    place slots s Direct r.r_order;
+    List.iter (fun oi -> slots.(oi) <- Dead) r.r_dead;
+    { typ = s; slots; pieces = []; alloc = Same; pointer = Kept }
+  | Pad p ->
+    (* a trailing, never-accessed field: every old field stays put *)
+    if p.pd_bytes <= 0 then
+      invalid_arg
+        (Printf.sprintf "Transform.pad: %d pad bytes (need > 0)" p.pd_bytes);
+    let decl = find_struct prog "pad" p.pd_typ in
+    let fields =
+      List.filter
+        (fun (f : Structs.field) -> not (String.equal f.name pad_field_name))
+        (Array.to_list decl.fields)
+    in
+    define p.pd_typ
+      (fields
+      @ [ { Structs.name = pad_field_name;
+            ty = Irty.Array (Irty.Char, p.pd_bytes); bits = None } ]);
+    { typ = p.pd_typ;
+      slots = Array.mapi (fun i _ -> Moved (p.pd_typ, i, Direct)) decl.fields;
+      pieces = []; alloc = Same; pointer = Kept }
+  | Peel p ->
+    let s = p.p_typ in
+    let decl = find_struct prog "peel" s in
+    let name fi = decl.fields.(fi).Structs.name in
+    let piece fi = piece_name s (name fi) in
+    List.iter (fun fi -> define (piece fi) [ decl.fields.(fi) ]) p.p_live;
+    (* each anchor global becomes one companion per piece *)
+    prog.globals <-
+      List.concat_map
+        (fun ((n, _t, init) as orig) ->
+          if List.mem n p.p_globals then
+            List.map
+              (fun fi ->
+                ( piece_global n (name fi),
+                  Irty.Ptr (Irty.Struct (piece fi)),
+                  init ))
+              p.p_live
+          else [ orig ])
+        prog.globals;
+    let pieces =
+      List.map (fun fi -> (piece fi, Anchor (Companion (name fi)))) p.p_live
+    in
+    let slots = Array.make (Array.length decl.fields) Dead in
+    List.iter2 (fun fi (pc, path) -> slots.(fi) <- Moved (pc, 0, path)) p.p_live
+      pieces;
+    (* a stray annotation of the peeled struct (e.g. an explicit
+       null-pointer cast whose value is replicated per piece) takes the
+       first piece, whose layout stands in for the peeled object *)
+    { typ = s; slots; pieces; alloc = At_anchor p.p_globals;
+      pointer = Renamed (piece (List.hd p.p_live)) }
+  | Pool p ->
+    let s = p.po_typ in
+    let decl = find_struct prog "pool" s in
+    let nfields = Array.length decl.fields in
+    if p.po_links = [] then
+      invalid_arg ("Transform.pool: no link fields for " ^ s);
+    let links = List.sort_uniq compare p.po_links in
+    List.iter
+      (fun fi ->
+        if fi < 0 || fi >= nfields then
+          invalid_arg
+            (Printf.sprintf "Transform.pool: link index %d out of range for %s"
+               fi s);
+        let fl = decl.fields.(fi) in
+        if not (Irty.equal fl.ty (Irty.Ptr (Irty.Struct s))) then
+          invalid_arg
+            (Printf.sprintf "Transform.pool: field %s.%s has type %s, not a \
+                             self link" s fl.name (Irty.to_string fl.ty)))
+      links;
+    (* exactly one allocation site (Shape's MULTI/NOALLOC conditions) *)
+    let n_sites = allocation_sites prog s in
+    if n_sites <> 1 then
+      invalid_arg
+        (Printf.sprintf "Transform.pool: %s has %d allocation sites (need \
+                         exactly 1)" s n_sites);
+    let data =
+      List.filter (fun fi -> not (List.mem fi links)) (List.init nfields Fun.id)
+    in
+    let via t = Anchor (Global (pool_anchor_name t)) in
+    let slots = Array.make nfields Dead in
+    let ps = pool_struct_name s in
+    place slots ps (via ps) data;
+    if data <> [] then define ps (List.map (fun fi -> decl.fields.(fi)) data);
+    let link_pieces =
+      List.map
+        (fun fi ->
+          let t = piece_name s decl.fields.(fi).Structs.name in
+          place slots t (via t) [ fi ];
+          define t [ decl.fields.(fi) ];
+          t)
+        links
+    in
+    let targets = (if data = [] then [] else [ ps ]) @ link_pieces in
+    prog.globals <-
+      prog.globals
+      @ List.map
+          (fun t -> (pool_anchor_name t, Irty.Ptr (Irty.Struct t), None))
+          targets;
+    { typ = s; slots; pieces = List.map (fun t -> (t, via t)) targets;
+      alloc = Pooled; pointer = Index }
+
+(* ------------------------------------------------------------------ *)
+(* The rewrite                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* split's allocation sites: allocate the cold array next to the hot one
+   and initialise every element's link (Figure 1b) *)
+let link_allocations prog (f : Ir.func) ~typ ~hot ~cold ~link =
+  let worklist = Queue.create () in
+  List.iter (fun b -> Queue.add b worklist) f.fblocks;
+  while not (Queue.is_empty worklist) do
+    let b : Ir.block = Queue.pop worklist in
+    let rec find_alloc pre = function
+      | [] -> None
+      | ({ Ir.idesc = Ir.Ialloc (r, kind, count, Irty.Struct s'); _ } as ai)
+        :: rest
+        when String.equal s' typ ->
+        Some (List.rev pre, ai, r, kind, count, rest)
+      | i :: rest -> find_alloc (i :: pre) rest
+    in
+    match find_alloc [] b.instrs with
+    | None -> ()
+    | Some (pre, alloc_i, r, kind, count, rest) ->
+      let loc = alloc_i.iloc in
+      let mk = mk_instr prog loc in
+      alloc_i.idesc <- Ir.Ialloc (r, kind, count, Irty.Struct hot);
+      let rc = Ir.fresh_reg f in
+      let cold_kind =
+        match kind with
+        | Ir.Arealloc _ -> Ir.Amalloc (* realloc'd types are filtered out *)
+        | Ir.Amalloc | Ir.Acalloc -> kind
+      in
+      let alloc_c = mk (Ir.Ialloc (rc, cold_kind, count, Irty.Struct cold)) in
+      let iv = Ir.fresh_reg f in
+      let init_iv = mk (Ir.Imov (iv, Ir.Oimm 0L)) in
+      let header = Ir.fresh_block f loc in
+      let body = Ir.fresh_block f loc in
+      let after = Ir.fresh_block f loc in
+      after.instrs <- rest;
+      after.btermin <- b.btermin;
+      b.instrs <- pre @ [ alloc_i; alloc_c; init_iv ];
+      b.btermin <- Ir.Tjmp header.bid;
+      let cond = Ir.fresh_reg f in
+      header.instrs <-
+        [ mk (Ir.Ibin (cond, Ir.Lt, Irty.Long, Ir.Oreg iv, count)) ];
+      header.btermin <- Ir.Tbr (Ir.Oreg cond, body.bid, after.bid);
+      let hp = Ir.fresh_reg f and fa = Ir.fresh_reg f in
+      let cp = Ir.fresh_reg f and iv2 = Ir.fresh_reg f in
+      body.instrs <-
+        [
+          mk (Ir.Iptradd (hp, Ir.Oreg r, Ir.Oreg iv, Irty.Struct hot));
+          mk (Ir.Ifieldaddr (fa, Ir.Oreg hp, hot, link));
+          mk (Ir.Iptradd (cp, Ir.Oreg rc, Ir.Oreg iv, Irty.Struct cold));
+          mk (Ir.Istore (Ir.Oreg fa, Ir.Oreg cp, Irty.Ptr (Irty.Struct cold),
+                         Some { Ir.astruct = hot; afield = link }));
+          mk (Ir.Ibin (iv2, Ir.Add, Irty.Long, Ir.Oreg iv, Ir.Oimm 1L));
+          mk (Ir.Imov (iv, Ir.Oreg iv2));
+        ];
+      body.btermin <- Ir.Tjmp header.bid;
+      Queue.add after worklist
+  done
+
+(* One walk applies a layout map to a function: field addresses follow
+   their path, access tags follow their slot, stores through a dead
+   field's address disappear, and allocations and frees of the old
+   struct fan out over its pieces. *)
+let rewrite_func prog (l : layout) (f : Ir.func) =
+  let s = l.typ in
+  let anchors =
+    match l.alloc with At_anchor gs -> gs | Same | Linked _ | Pooled -> []
+  in
+  let defs = if anchors = [] then [||] else def_map f in
+  let frees =
+    match l.pointer with Index -> [] | Kept | Renamed _ -> l.pieces
+  in
+  (* register types only tell which frees release the old struct *)
+  let regty =
+    if
+      frees <> []
+      && List.exists
+           (fun (b : Ir.block) ->
+             List.exists
+               (fun (i : Ir.instr) ->
+                 match i.idesc with Ir.Ifree _ -> true | _ -> false)
+               b.instrs)
+           f.fblocks
+    then Regty.infer prog f
+    else [||]
+  in
+  let dead_addr = Hashtbl.create 8 in
   let retag (acc : Ir.access option) =
     match acc with
     | Some a when String.equal a.astruct s -> (
-      match Hashtbl.find_opt piece_of a.afield with
-      | Some p -> Some { Ir.astruct = p; afield = 0 }
-      | None -> acc)
+      match l.slots.(a.afield) with
+      | Moved (piece, ni, _) -> Some { Ir.astruct = piece; afield = ni }
+      | Dead -> acc (* the store is dropped anyway *))
     | Some _ | None -> acc
   in
-  List.iter
-    (fun (f : Ir.func) ->
-      let defs = def_map f in
-      let dead_addr = Hashtbl.create 8 in
-      rewrite_instrs f (fun i ->
-          let loc = i.iloc in
-          match i.idesc with
-          | Ir.Ialloc (_, _, _, Irty.Struct s') when String.equal s' s ->
-            Drop (* re-emitted at the anchor store *)
-          | Ir.Icast (_, _, _, v, _) when trace_alloc defs v ~typ:s <> None ->
-            Drop
-          | Ir.Istore (addr, v, ty, acc) -> (
-            let anchor =
-              match addr with
-              | Ir.Oreg ar -> (
-                match defs.(ar) with
-                | Some { Ir.idesc = Ir.Iaddrglob (_, g); _ }
-                  when List.mem g spec.p_globals ->
-                  Some g
-                | Some _ | None -> None)
-              | Ir.Oimm _ | Ir.Ofimm _ -> None
-            in
-            match anchor with
-            | Some g -> (
-              match trace_alloc defs v ~typ:s with
-              | Some { Ir.idesc = Ir.Ialloc (_, kind, count, _); _ } ->
-                (* fan out: one allocation and one anchor store per piece *)
-                Replace
-                  (List.concat_map
-                     (fun fi ->
-                       let p = Hashtbl.find piece_of fi in
-                       let r = Ir.fresh_reg f and ga = Ir.fresh_reg f in
-                       [
-                         mk_instr prog loc
-                           (Ir.Ialloc (r, kind, count, Irty.Struct p));
-                         mk_instr prog loc (Ir.Iaddrglob (ga, pg g fi));
-                         mk_instr prog loc
-                           (Ir.Istore (Ir.Oreg ga, Ir.Oreg r,
-                                       Irty.Ptr (Irty.Struct p), None));
-                       ])
-                     live)
-              | Some _ -> assert false
-              | None ->
-                (* e.g. a null initialisation: replicate per piece *)
-                Replace
-                  (List.concat_map
-                     (fun fi ->
-                       let p = Hashtbl.find piece_of fi in
-                       let ga = Ir.fresh_reg f in
-                       [
-                         mk_instr prog loc (Ir.Iaddrglob (ga, pg g fi));
-                         mk_instr prog loc
-                           (Ir.Istore (Ir.Oreg ga, v,
-                                       Irty.Ptr (Irty.Struct p), None));
-                       ])
-                     live))
-            | None ->
-              if
-                match addr with
-                | Ir.Oreg ar -> Hashtbl.mem dead_addr ar
-                | Ir.Oimm _ | Ir.Ofimm _ -> false
-              then Drop
-              else begin
-                i.idesc <- Ir.Istore (addr, v, ty, retag acc);
-                Keep
-              end)
-          | Ir.Ifieldaddr (r, base, s', fi) when String.equal s' s -> (
-            if not (List.mem fi live) then begin
-              Hashtbl.replace dead_addr r ();
-              Drop
-            end
-            else
-              match trace_base defs base ~typ:s with
-              | None -> assert false (* peel_feasible guaranteed this *)
-              | Some (g, idx) ->
-                let p = Hashtbl.find piece_of fi in
-                let ga = Ir.fresh_reg f and pr = Ir.fresh_reg f in
-                let base_instrs =
-                  [
-                    mk_instr prog loc (Ir.Iaddrglob (ga, pg g fi));
-                    mk_instr prog loc
-                      (Ir.Iload (pr, Ir.Oreg ga, Irty.Ptr (Irty.Struct p),
-                                 None));
-                  ]
-                in
-                let final_base, extra =
-                  match idx with
-                  | None -> (Ir.Oreg pr, [])
-                  | Some idx_op ->
-                    let br = Ir.fresh_reg f in
-                    ( Ir.Oreg br,
-                      [
-                        mk_instr prog loc
-                          (Ir.Iptradd (br, Ir.Oreg pr, idx_op, Irty.Struct p));
-                      ] )
-                in
-                Replace
-                  (base_instrs @ extra
-                  @ [ mk_instr prog loc (Ir.Ifieldaddr (r, final_base, p, 0)) ]))
-          | Ir.Ifree (Ir.Oreg fr) -> (
-            match defs.(fr) with
-            | Some { Ir.idesc = Ir.Iload (_, ga, Irty.Ptr (Irty.Struct s'), _); _ }
-              when String.equal s' s -> (
-              match
-                match ga with
-                | Ir.Oreg gar -> defs.(gar)
-                | Ir.Oimm _ | Ir.Ofimm _ -> None
-              with
-              | Some { Ir.idesc = Ir.Iaddrglob (_, g); _ }
-                when List.mem g spec.p_globals ->
-                Replace
-                  (List.concat_map
-                     (fun fi ->
-                       let p = Hashtbl.find piece_of fi in
-                       let ga2 = Ir.fresh_reg f and pr = Ir.fresh_reg f in
-                       [
-                         mk_instr prog loc (Ir.Iaddrglob (ga2, pg g fi));
-                         mk_instr prog loc
-                           (Ir.Iload (pr, Ir.Oreg ga2,
-                                      Irty.Ptr (Irty.Struct p), None));
-                         mk_instr prog loc (Ir.Ifree (Ir.Oreg pr));
-                       ])
-                     live)
-              | Some _ | None -> Keep)
-            | Some _ | None -> Keep)
-          | Ir.Iload (r, a, ty, acc) ->
-            i.idesc <- Ir.Iload (r, a, ty, retag acc);
-            Keep
-          | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
-          | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
-          | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _
-          | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _ ->
-            Keep);
-      (* remaining references to the anchor globals (null compares):
-         retarget to the first piece *)
-      List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              match i.idesc with
-              | Ir.Iaddrglob (r, g) when List.mem g spec.p_globals ->
-                i.idesc <-
-                  Ir.Iaddrglob (r, pg g (List.hd live))
-              | Ir.Iload (r, a, Irty.Ptr (Irty.Struct s'), acc)
-                when String.equal s' s ->
-                i.idesc <-
-                  Ir.Iload (r, a, Irty.Ptr (Irty.Struct first_piece), acc)
-              | _ -> ())
-            b.instrs)
-        f.fblocks;
-      ignore (Dce.cleanup f))
-    prog.funcs;
-  (* stray type annotations mentioning the peeled struct (e.g. an explicit
-     null-pointer cast whose value is replicated per piece) would dangle
-     once the struct is removed; retarget them to the first piece, whose
-     layout stands in for "a pointer to the peeled object" *)
-  rename_type prog ~from_:s ~to_:first_piece;
-  Structs.remove prog.structs s
-
-(* ------------------------------------------------------------------ *)
-(* Index-linked pooling (SoCal-style SoA factorization)                *)
-(* ------------------------------------------------------------------ *)
-
-let pool_struct_name s = s ^ "__pool"
-let pool_anchor_name target = "__pool_" ^ target
-
-(* [Ptr (Struct typ)] becomes a plain element index. Long and pointers
-   are both 8 bytes in the VM, so retyping changes no enclosing layout
-   (e.g. arc.tail/head cells keep their offsets). *)
-let rec subst_ptr_ty ~typ (t : Irty.t) : Irty.t =
-  match t with
-  | Irty.Ptr (Irty.Struct x) when String.equal x typ -> Irty.Long
-  | Irty.Ptr u -> Irty.Ptr (subst_ptr_ty ~typ u)
-  | Irty.Array (u, n) -> Irty.Array (subst_ptr_ty ~typ u, n)
-  | Irty.Struct _ | Irty.Void | Irty.Char | Irty.Short | Irty.Int
-  | Irty.Long | Irty.Float | Irty.Double | Irty.Funptr ->
-    t
-
-(* Rewrite the (single, Shape-proven) allocation site of [po_typ] into a
-   packed pool: the non-link fields stay together in [S__pool] and every
-   link field gets its own parallel array ([S__next], ...), all sized by
-   the original element count and anchored in fresh globals. Every
-   [struct S *] value in the program then becomes the element index —
-   the allocation result is index 0, [ptradd] degenerates to integer
-   addition, and a field access indexes the right parallel array through
-   its anchor. Field names are preserved in the factored structs, so the
-   oracle's per-field access conservation (keyed by name) keeps holding.
-
-   Preconditions (checked, but normally guaranteed by [Shape.analyze]):
-   the type exists, the link fields are self links, and the program has
-   exactly one allocation site of the type. Everything subtler — no
-   null/index-0 confusion, no interior escape, no foreign pointers — is
-   Shape's province, and the differential oracle re-proves each rewrite
-   dynamically. *)
-let pool (prog : Ir.program) (spec : pool_spec) =
-  let s = spec.po_typ in
-  let decl =
-    match Structs.find_opt prog.structs s with
-    | Some d -> d
-    | None -> invalid_arg ("Transform.pool: unknown struct " ^ s)
+  (* a piece's anchor global, [g] being peel's traced anchor *)
+  let anchor_global g = function
+    | Anchor (Companion name) -> piece_global g name
+    | Anchor (Global g') -> g'
+    | Direct | Link _ -> invalid_arg "Transform: a piece without an anchor"
   in
-  let nfields = Array.length decl.fields in
-  if spec.po_links = [] then
-    invalid_arg ("Transform.pool: no link fields for " ^ s);
-  let links = List.sort_uniq compare spec.po_links in
-  List.iter
-    (fun fi ->
-      if fi < 0 || fi >= nfields then
-        invalid_arg
-          (Printf.sprintf "Transform.pool: link index %d out of range for %s"
-             fi s);
-      let fl = decl.fields.(fi) in
-      if not (Irty.equal fl.ty (Irty.Ptr (Irty.Struct s))) then
-        invalid_arg
-          (Printf.sprintf "Transform.pool: field %s.%s has type %s, not a \
-                           self link" s fl.name (Irty.to_string fl.ty)))
-    links;
-  let data =
-    List.filter (fun fi -> not (List.mem fi links)) (List.init nfields Fun.id)
+  (* the instructions that reach [piece] from a pointer [base] to the old
+     struct, and the piece's own base *)
+  let reach mk piece path base =
+    match path with
+    | Direct -> ([], base)
+    | Link (hot, link) ->
+      let t1 = Ir.fresh_reg f and t2 = Ir.fresh_reg f in
+      ( [ mk (Ir.Ifieldaddr (t1, base, hot, link));
+          mk (Ir.Iload (t2, Ir.Oreg t1, Irty.Ptr (Irty.Struct piece),
+                        Some { Ir.astruct = hot; afield = link })) ],
+        Ir.Oreg t2 )
+    | Anchor a -> (
+      let g, idx =
+        match a with
+        | Global g -> (g, Some base)
+        | Companion name -> (
+          match trace_base defs base ~typ:s with
+          | Some (g, idx) -> (piece_global g name, idx)
+          | None -> assert false (* peel_feasible guaranteed this *))
+      in
+      let ga = Ir.fresh_reg f and pr = Ir.fresh_reg f in
+      let load =
+        [ mk (Ir.Iaddrglob (ga, g));
+          mk (Ir.Iload (pr, Ir.Oreg ga, Irty.Ptr (Irty.Struct piece), None)) ]
+      in
+      match idx with
+      | None -> (load, Ir.Oreg pr)
+      | Some idx ->
+        let ep = Ir.fresh_reg f in
+        (load @ [ mk (Ir.Iptradd (ep, Ir.Oreg pr, idx, Irty.Struct piece)) ],
+         Ir.Oreg ep))
   in
-  let ps = pool_struct_name s in
-  (* old field index -> (target struct, new field index) *)
-  let place = Array.make nfields ("", 0) in
-  List.iteri (fun ni oi -> place.(oi) <- (ps, ni)) data;
-  List.iter
-    (fun oi -> place.(oi) <- (piece_name s decl.fields.(oi).Structs.name, 0))
-    links;
-  let targets =
-    (if data = [] then [] else [ ps ])
-    @ List.map (fun oi -> fst place.(oi)) links
+  (* one store per piece into the piece's anchor: of a fresh allocation
+     of the piece when [alloc] gives its kind and count, else of [v]
+     (e.g. a null initialisation) *)
+  let fan_out mk g alloc v =
+    List.concat_map
+      (fun (piece, path) ->
+        let ga = Ir.fresh_reg f in
+        let pre, v =
+          match alloc with
+          | Some (kind, count) ->
+            let r = Ir.fresh_reg f in
+            ([ mk (Ir.Ialloc (r, kind, count, Irty.Struct piece)) ], Ir.Oreg r)
+          | None -> ([], v)
+        in
+        let ptr = Irty.Ptr (Irty.Struct piece) in
+        pre
+        @ [ mk (Ir.Iaddrglob (ga, anchor_global g path));
+            mk (Ir.Istore (Ir.Oreg ga, v, ptr, None)) ])
+      l.pieces
   in
-  (* exactly one allocation site (Shape's MULTI/NOALLOC conditions) *)
-  let n_sites =
-    List.fold_left
-      (fun acc (f : Ir.func) ->
-        List.fold_left
-          (fun acc (b : Ir.block) ->
-            List.fold_left
-              (fun acc (i : Ir.instr) ->
-                match i.idesc with
-                | Ir.Ialloc (_, _, _, Irty.Struct s') when String.equal s' s ->
-                  acc + 1
-                | _ -> acc)
-              acc b.instrs)
-          acc f.fblocks)
-      0 prog.funcs
+  let anchor_store = function
+    | Ir.Oreg ar when anchors <> [] -> (
+      match defs.(ar) with
+      | Some { Ir.idesc = Ir.Iaddrglob (_, g); _ } when List.mem g anchors ->
+        Some g
+      | Some _ | None -> None)
+    | Ir.Oreg _ | Ir.Oimm _ | Ir.Ofimm _ -> None
   in
-  if n_sites <> 1 then
-    invalid_arg
-      (Printf.sprintf "Transform.pool: %s has %d allocation sites (need \
-                       exactly 1)" s n_sites);
-  (* factored struct definitions and their anchor globals *)
-  if data <> [] then
-    Structs.define prog.structs ps (List.map (fun fi -> decl.fields.(fi)) data);
-  List.iter
-    (fun fi -> Structs.define prog.structs (fst place.(fi)) [ decl.fields.(fi) ])
-    links;
-  prog.globals <-
-    prog.globals
-    @ List.map
-        (fun t -> (pool_anchor_name t, Irty.Ptr (Irty.Struct t), None))
-        targets;
-  let retag (acc : Ir.access option) : Ir.access option =
-    match acc with
-    | Some a when String.equal a.astruct s ->
-      let target, ni = place.(a.afield) in
-      Some { Ir.astruct = target; afield = ni }
-    | Some _ | None -> acc
+  let points_to_typ = function
+    | Ir.Oreg r when frees <> [] -> Regty.struct_ptr regty.(r) = Some s
+    | Ir.Oreg _ | Ir.Oimm _ | Ir.Ofimm _ -> false
   in
-  List.iter
-    (fun (f : Ir.func) ->
-      rewrite_instrs f (fun i ->
-          let loc = i.iloc in
-          match i.idesc with
-          | Ir.Ialloc (r, kind, count, Irty.Struct s') when String.equal s' s
-            ->
-            let kind =
-              match kind with
-              | Ir.Arealloc _ ->
-                invalid_arg "Transform.pool: realloc'd allocation site"
-              | Ir.Amalloc | Ir.Acalloc -> kind
-            in
-            Replace
-              (List.concat_map
-                 (fun t ->
-                   let rp = Ir.fresh_reg f and ga = Ir.fresh_reg f in
-                   [
-                     mk_instr prog loc (Ir.Ialloc (rp, kind, count,
-                                                   Irty.Struct t));
-                     mk_instr prog loc (Ir.Iaddrglob (ga, pool_anchor_name t));
-                     mk_instr prog loc
-                       (Ir.Istore (Ir.Oreg ga, Ir.Oreg rp,
-                                   Irty.Ptr (Irty.Struct t), None));
-                   ])
-                 targets
-              @ [ mk_instr prog loc (Ir.Imov (r, Ir.Oimm 0L)) ])
-          | Ir.Ifieldaddr (r, base, s', fi) when String.equal s' s ->
-            let target, ni = place.(fi) in
-            let ga = Ir.fresh_reg f and bp = Ir.fresh_reg f in
-            let ep = Ir.fresh_reg f in
-            Replace
-              [
-                mk_instr prog loc (Ir.Iaddrglob (ga, pool_anchor_name target));
-                mk_instr prog loc
-                  (Ir.Iload (bp, Ir.Oreg ga, Irty.Ptr (Irty.Struct target),
-                             None));
-                mk_instr prog loc
-                  (Ir.Iptradd (ep, Ir.Oreg bp, base, Irty.Struct target));
-                mk_instr prog loc (Ir.Ifieldaddr (r, Ir.Oreg ep, target, ni));
-              ]
-          | Ir.Iptradd (r, base, idx, Irty.Struct s') when String.equal s' s ->
-            (* index arithmetic: dst = base + idx (elements, not bytes) *)
-            Replace [ mk_instr prog loc (Ir.Ibin (r, Ir.Add, Irty.Long, base,
-                                                  idx)) ]
-          | Ir.Istore (a, v, ty, acc) ->
-            i.idesc <- Ir.Istore (a, v, ty, retag acc);
-            Keep
-          | Ir.Iload (r, a, ty, acc) ->
-            i.idesc <- Ir.Iload (r, a, ty, retag acc);
-            Keep
-          | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
-          | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
-          | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _
-          | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _ ->
-            Keep);
-      ignore (Dce.cleanup f))
-    prog.funcs;
-  (* every [struct s *] annotation (globals, locals, params, returns,
-     other structs' link cells, remaining instruction types) becomes a
-     plain index *)
-  map_types prog (subst_ptr_ty ~typ:s);
-  Structs.remove prog.structs s
+  rewrite_instrs f (fun i ->
+      match i.idesc with
+      | Ir.Ifieldaddr (r, base, s', fi) when String.equal s' s -> (
+        match l.slots.(fi) with
+        | Dead ->
+          Hashtbl.replace dead_addr r ();
+          Drop
+        | Moved (piece, ni, Direct) ->
+          i.idesc <- Ir.Ifieldaddr (r, base, piece, ni);
+          Keep
+        | Moved (piece, ni, path) ->
+          let mk = mk_instr prog i.iloc in
+          let pre, base = reach mk piece path base in
+          Replace (pre @ [ mk (Ir.Ifieldaddr (r, base, piece, ni)) ]))
+      | Ir.Istore (Ir.Oreg a, _, _, _) when Hashtbl.mem dead_addr a ->
+        Drop (* dead store removal *)
+      | Ir.Istore (addr, v, ty, acc) -> (
+        match anchor_store addr with
+        | Some g ->
+          let alloc = trace_alloc defs v ~typ:s in
+          Replace (fan_out (mk_instr prog i.iloc) g alloc v)
+        | None ->
+          i.idesc <- Ir.Istore (addr, v, ty, retag acc);
+          Keep)
+      | Ir.Iload (r, a, ty, acc) ->
+        i.idesc <- Ir.Iload (r, a, ty, retag acc);
+        Keep
+      | Ir.Ifree o when points_to_typ o ->
+        let mk = mk_instr prog i.iloc in
+        Replace
+          (List.concat_map
+             (fun (piece, path) ->
+               let pre, base = reach mk piece path o in
+               pre @ [ mk (Ir.Ifree base) ])
+             frees)
+      | Ir.Ialloc (r, kind, count, Irty.Struct s') when String.equal s' s -> (
+        match l.alloc with
+        | At_anchor _ -> Drop (* re-emitted at the anchor store *)
+        | Pooled ->
+          let mk = mk_instr prog i.iloc in
+          let kind =
+            match kind with
+            | Ir.Arealloc _ ->
+              invalid_arg "Transform.pool: realloc'd allocation site"
+            | Ir.Amalloc | Ir.Acalloc -> kind
+          in
+          Replace
+            (fan_out mk "" (Some (kind, count)) (Ir.Oimm 0L)
+            @ [ mk (Ir.Imov (r, Ir.Oimm 0L)) ])
+        | Same | Linked _ -> Keep)
+      | Ir.Iptradd (r, base, idx, Irty.Struct s')
+        when String.equal s' s && l.pointer = Index ->
+        (* index arithmetic: dst = base + idx (elements, not bytes) *)
+        let add = Ir.Ibin (r, Ir.Add, Irty.Long, base, idx) in
+        Replace [ mk_instr prog i.iloc add ]
+      | Ir.Iaddrglob (r, g) when List.mem g anchors ->
+        (* what still names an anchor (a null compare) takes the first
+           piece's companion; a fresh instruction, so that [defs] keeps
+           tracing through the old one *)
+        Replace
+          [ mk_instr prog i.iloc
+              (Ir.Iaddrglob (r, anchor_global g (snd (List.hd l.pieces)))) ]
+      | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
+      | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
+      | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _
+      | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _ ->
+        Keep);
+  (match l.alloc with
+  | Linked (hot, cold, link) -> link_allocations prog f ~typ:s ~hot ~cold ~link
+  | Same | At_anchor _ | Pooled -> ());
+  ignore (Dce.cleanup f)
+
+let apply (prog : Ir.program) (plan : plan) =
+  let l = layout_of prog plan in
+  (* a map that moves no field (pad) rewrites nothing *)
+  let moves =
+    l.pointer <> Kept
+    || Array.exists Fun.id
+         (Array.mapi (fun i slot -> slot <> Moved (l.typ, i, Direct)) l.slots)
+  in
+  if moves then List.iter (rewrite_func prog l) prog.funcs;
+  match l.pointer with
+  | Kept -> ()
+  | Renamed piece ->
+    Structs.remove prog.structs l.typ;
+    map_types prog (subst_ty ~from_:l.typ ~to_:piece)
+  | Index ->
+    Structs.remove prog.structs l.typ;
+    map_types prog (subst_ptr_ty ~typ:l.typ)

@@ -9,8 +9,9 @@
     field) as {e poolable} or not.
 
     A type is poolable when its cells can be relocated into a packed,
-    index-linked pool ({!Transform.pool}): every [struct S *] value in
-    the program can be reinterpreted as an element index, which requires
+    index-linked pool (a [Pool] plan of {!Transform.apply}): every
+    [struct S *] value in the program can be reinterpreted as an element
+    index, which requires
 
     - a single dominating allocation site (one [malloc]/[calloc] of an
       array of [S], executed at most once — not in a loop, not in a

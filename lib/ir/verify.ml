@@ -1,9 +1,9 @@
 (** Static IR well-formedness checking.
 
-    The BE transformations ({!Transform.split}, {!Transform.peel},
-    {!Transform.rebuild}) mutate the IR in place: they retarget field
-    accesses, rewrite allocation sites and remove the original struct from
-    the table. A single mis-rewritten access chain silently corrupts the
+    The BE transformations ({!Transform.apply}: split, peel, rebuild, pad
+    and pool, each compiled to a layout map) mutate the IR in place: they
+    retarget field accesses, rewrite allocation sites and remove the
+    original struct from the table. A single mis-rewritten access chain silently corrupts the
     program, and is only caught if a fuzz seed happens to execute it. This
     pass machine-checks the invariants every consumer of the IR (the VM,
     the analyses, the transformations themselves) relies on:

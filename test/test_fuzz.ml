@@ -141,13 +141,22 @@ let oracle_holds src plans =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* an optional trailing pad of 1-64 bytes on the type a plan leaves
+   behind, as the autotuner appends one after a split or rebuild *)
+let arbitrary_pad = QCheck.(option (int_range 1 64))
+
+let with_pad typ pad plans =
+  match pad with
+  | None -> plans
+  | Some pd_bytes -> plans @ [ H.Pad { T.pd_typ = typ; pd_bytes } ]
+
 (* random split: partition live fields into hot/cold by seed; fields never
    read are dead *)
 let prop_random_split =
   QCheck.Test.make ~count:(Qcheck_long.iters 60)
     ~name:"random split preserves behaviour"
-    (QCheck.pair arbitrary_spec QCheck.(int_range 0 10_000))
-    (fun (sp, seed) ->
+    (QCheck.triple arbitrary_spec QCheck.(int_range 0 10_000) arbitrary_pad)
+    (fun (sp, seed, pad) ->
       let all = List.init sp.sp_nfields Fun.id in
       let read = read_fields sp in
       let dead = List.filter (fun i -> not (List.mem i read)) all in
@@ -157,7 +166,9 @@ let prop_random_split =
       let hot, cold = if hot = [] then (cold, hot) else (hot, cold) in
       QCheck.assume (hot <> []);
       oracle_holds (render sp)
-        [ H.Split { T.s_typ = "s"; s_hot = hot; s_cold = cold; s_dead = dead } ])
+        (with_pad "s__hot" pad
+           [ H.Split { T.s_typ = "s"; s_hot = hot; s_cold = cold;
+                       s_dead = dead } ]))
 
 (* random peel, including the two-anchor-global configuration; gated on
    the same feasibility test the heuristics use *)
@@ -182,8 +193,8 @@ let prop_random_peel =
 let prop_random_rebuild =
   QCheck.Test.make ~count:(Qcheck_long.iters 60)
     ~name:"random reorder+dead-removal preserves behaviour"
-    (QCheck.pair arbitrary_spec QCheck.(int_range 0 10_000))
-    (fun (sp, seed) ->
+    (QCheck.triple arbitrary_spec QCheck.(int_range 0 10_000) arbitrary_pad)
+    (fun (sp, seed, pad) ->
       let all = List.init sp.sp_nfields Fun.id in
       let read = read_fields sp in
       let dead = List.filter (fun i -> not (List.mem i read)) all in
@@ -195,7 +206,8 @@ let prop_random_rebuild =
           read
       in
       oracle_holds (render sp)
-        [ H.Rebuild { T.r_typ = "s"; r_order = order; r_dead = dead } ])
+        (with_pad "s" pad
+           [ H.Rebuild { T.r_typ = "s"; r_order = order; r_dead = dead } ]))
 
 (* the full framework decision, oracle-checked *)
 let prop_driver_end_to_end =

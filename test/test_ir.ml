@@ -562,7 +562,7 @@ let pool_rewrite_ring () =
   if not (Slo_suite.Oracle.ok rep) then
     Alcotest.fail (Slo_suite.Oracle.describe rep);
   let pooled = Ircopy.copy_program prog in
-  T.pool pooled { T.po_typ = "n"; po_links = [ 1 ] };
+  T.apply pooled (T.Pool { T.po_typ = "n"; po_links = [ 1 ] });
   Alcotest.(check bool) "struct n removed" true
     (Structs.find_opt pooled.Ir.structs "n" = None);
   Alcotest.(check bool) "data pool defined" true
@@ -575,18 +575,40 @@ let pool_rewrite_ring () =
   Alcotest.(check bool) "data anchor" true (has_global "__pool_n__pool");
   Alcotest.(check bool) "link anchor" true (has_global "__pool_n__next")
 
-let pool_rejects_bad_specs () =
+(* one rule for a spec naming no struct, whatever the plan's kind, plus
+   the pool's own precondition checks *)
+let plans_reject_bad_specs () =
   let module T = Slo_core.Transform in
-  let check_rejects name spec =
-    let prog = lower ring_src in
-    match T.pool prog spec with
-    | () -> Alcotest.failf "%s accepted" name
-    | exception Invalid_argument _ -> ()
-  in
-  check_rejects "unknown struct" { T.po_typ = "ghost"; po_links = [ 0 ] };
-  check_rejects "empty links" { T.po_typ = "n"; po_links = [] };
-  check_rejects "non-link field" { T.po_typ = "n"; po_links = [ 0 ] };
-  check_rejects "out-of-range field" { T.po_typ = "n"; po_links = [ 7 ] }
+  let unknown kind = Some (Printf.sprintf "Transform.%s: unknown struct ghost" kind) in
+  List.iter
+    (fun (name, plan, want) ->
+      let prog = lower ring_src in
+      match T.apply prog plan with
+      | () -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument msg -> (
+        match want with
+        | Some w -> Alcotest.(check string) name w msg
+        | None -> ()))
+    [
+      ( "split: unknown struct",
+        T.Split { T.s_typ = "ghost"; s_hot = [ 0 ]; s_cold = []; s_dead = [] },
+        unknown "split" );
+      ( "peel: unknown struct",
+        T.Peel { T.p_typ = "ghost"; p_live = [ 0 ]; p_dead = [];
+                 p_globals = [ "items" ] },
+        unknown "peel" );
+      ( "rebuild: unknown struct",
+        T.Rebuild { T.r_typ = "ghost"; r_order = [ 0 ]; r_dead = [] },
+        unknown "rebuild" );
+      ("pad: unknown struct", T.Pad { T.pd_typ = "ghost"; pd_bytes = 8 },
+       unknown "pad");
+      ("pool: unknown struct", T.Pool { T.po_typ = "ghost"; po_links = [ 0 ] },
+       unknown "pool");
+      ("pool: empty links", T.Pool { T.po_typ = "n"; po_links = [] }, None);
+      ("pool: non-link field", T.Pool { T.po_typ = "n"; po_links = [ 0 ] }, None);
+      ( "pool: out-of-range field", T.Pool { T.po_typ = "n"; po_links = [ 7 ] },
+        None );
+    ]
 
 let () =
   Alcotest.run "ir"
@@ -647,7 +669,7 @@ let () =
             shape_null_test_refutes;
           Alcotest.test_case "pool rewrite on the ring" `Quick
             pool_rewrite_ring;
-          Alcotest.test_case "pool rejects bad specs" `Quick
-            pool_rejects_bad_specs;
+          Alcotest.test_case "plans reject bad specs" `Quick
+            plans_reject_bad_specs;
         ] );
     ]

@@ -50,26 +50,7 @@ let snapshot (e : Suite.entry) =
   List.iter (line "advice %s") (Slo_advice.Advice.summary (Slo_advice.Advice.check prog));
   Buffer.contents b
 
-(* the expected file, split into its per-program sections *)
-let expected =
-  lazy
-    (let text = In_channel.with_open_bin "static_snapshot.expected" In_channel.input_all in
-     let sections = Hashtbl.create 16 in
-     let name = ref "" and cur = Buffer.create 4096 in
-     let flush () =
-       if !name <> "" then Hashtbl.replace sections !name (Buffer.contents cur);
-       Buffer.clear cur
-     in
-     List.iter
-       (fun l ->
-         if String.starts_with ~prefix:"== " l then begin
-           flush ();
-           name := String.sub l 3 (String.length l - 3)
-         end;
-         if l <> "" then (Buffer.add_string cur l; Buffer.add_char cur '\n'))
-       (String.split_on_char '\n' text);
-     flush ();
-     sections)
+let expected = lazy (Snapshot.sections "static_snapshot.expected")
 
 let check (e : Suite.entry) () =
   match Hashtbl.find_opt (Lazy.force expected) e.name with

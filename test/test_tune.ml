@@ -94,10 +94,10 @@ let pad_rejects () =
   let prog = D.compile (hot_cold_src "pr") in
   Alcotest.check_raises "non-positive bytes"
     (Invalid_argument "Transform.pad: 0 pad bytes (need > 0)") (fun () ->
-      T.pad prog { T.pd_typ = "spr"; pd_bytes = 0 });
+      T.apply prog (T.Pad { T.pd_typ = "spr"; pd_bytes = 0 }));
   Alcotest.check_raises "unknown struct"
     (Invalid_argument "Transform.pad: unknown struct nosuch") (fun () ->
-      T.pad prog { T.pd_typ = "nosuch"; pd_bytes = 8 })
+      T.apply prog (T.Pad { T.pd_typ = "nosuch"; pd_bytes = 8 }))
 
 (* ---------------- search ---------------- *)
 
