@@ -291,8 +291,9 @@ let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains that score candidates: the size of the \
-                 search pool. With $(docv) = 1 candidates are scored \
-                 inline, one after another.")
+                 search pool. With $(docv) = 1 one worker scores them \
+                 in turn, and their measure runs drain on a spare core \
+                 when one is free.")
 
 let seed_arg =
   Arg.(value & opt int 0

@@ -59,6 +59,78 @@ let dead_fields (prog : Ir.program) (info : Legality.info)
         && not (List.mem fi info.attrs.addr_passed_fields))
       (List.init (Array.length decl.fields) Fun.id)
 
+type candidate = {
+  c_decl : Structs.decl;
+  c_info : Legality.info;
+  c_graph : Affinity.graph;
+  c_dead : int list;
+  c_live : int list;
+  c_rel : float array;
+  c_by_hot : int list;
+  c_peelable : bool;
+}
+
+(* the paper's gauntlet: strictly legal, dynamically allocated, no
+   by-value instances, not realloc'd, profiled, something left alive *)
+let candidate (prog : Ir.program) (leg : Legality.t) (aff : Affinity.t)
+    ~static_reads typ : (candidate, string) result =
+  let info = Legality.info leg typ in
+  let a = info.attrs in
+  if not (Legality.is_legal leg typ) then
+    Error
+      ("invalid: "
+      ^ String.concat ","
+          (List.map Legality.reason_name (Legality.reasons leg typ)))
+  else if not a.dyn_alloc then Error "not dynamically allocated"
+  else if a.has_global_var || a.has_local_var || a.has_static_array then
+    Error "has by-value instances"
+  else if a.realloced then Error "realloc'd (implementation limitation)"
+  else
+    match Affinity.graph aff typ with
+    | None -> Error "no affinity data"
+    | Some g ->
+      let decl = Structs.find prog.structs typ in
+      let dead = dead_fields prog info g ~static_reads in
+      let live =
+        List.filter
+          (fun fi -> not (List.mem fi dead))
+          (List.init (Array.length decl.fields) Fun.id)
+      in
+      if live = [] then Error "all fields dead"
+      else
+        let rel = Affinity.relative_hotness g in
+        Ok
+          {
+            c_decl = decl;
+            c_info = info;
+            c_graph = g;
+            c_dead = dead;
+            c_live = live;
+            c_rel = rel;
+            c_by_hot =
+              List.stable_sort (fun a b -> compare rel.(b) rel.(a)) live;
+            c_peelable =
+              Transform.peel_feasible prog ~typ ~globals:a.global_ptrs;
+          }
+
+let peel_plan c =
+  Peel
+    { Transform.p_typ = c.c_decl.sname; p_live = c.c_live; p_dead = c.c_dead;
+      p_globals = c.c_info.attrs.global_ptrs }
+
+let split_plan ?order c ~k =
+  let hot = List.filteri (fun i _ -> i < k) c.c_by_hot in
+  Split
+    { Transform.s_typ = c.c_decl.sname;
+      s_hot = Option.value order ~default:hot;
+      s_cold = List.filter (fun fi -> not (List.mem fi hot)) c.c_live;
+      s_dead = c.c_dead }
+
+let rebuild_plan ?order c =
+  Rebuild
+    { Transform.r_typ = c.c_decl.sname;
+      r_order = Option.value order ~default:c.c_by_hot; r_dead = c.c_dead }
+
 let decide ?threshold ?(pool = false) (prog : Ir.program) (leg : Legality.t)
     (aff : Affinity.t) ~scheme : decision list =
   let threshold =
@@ -69,117 +141,55 @@ let decide ?threshold ?(pool = false) (prog : Ir.program) (leg : Legality.t)
      the golden tests / perf baselines pinned to them) are untouched *)
   let shape = lazy (Shape.analyze prog) in
   let decide_one typ : decision =
-    let notes = ref [] in
-    let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-    let finish plan = { d_typ = typ; d_plan = plan; d_notes = List.rev !notes } in
-    let info = Legality.info leg typ in
-    if not (Legality.is_legal leg typ) then begin
-      note "invalid: %s"
-        (String.concat ","
-           (List.map Legality.reason_name (Legality.reasons leg typ)));
-      finish None
-    end
-    else begin
-      let a = info.attrs in
-      let pool_verdict =
-        if not pool then None
+    let finish note plan = { d_typ = typ; d_plan = plan; d_notes = [ note ] } in
+    let pool_verdict =
+      if not (pool && Legality.is_legal leg typ) then None
+      else
+        match Shape.verdict (Lazy.force shape) typ with
+        | Some v when v.Shape.v_poolable -> Some v
+        | Some _ | None -> None
+    in
+    match pool_verdict with
+    | Some v ->
+      finish
+        (Printf.sprintf
+           "poolable recursive type: %d link field(s) (%s), single \
+            allocation site"
+           (List.length v.Shape.v_links)
+           (String.concat "," v.Shape.v_link_names))
+        (Some (Pool { Transform.po_typ = typ; po_links = v.Shape.v_links }))
+    | None -> (
+      match candidate prog leg aff ~static_reads typ with
+      | Error note -> finish note None
+      | Ok c ->
+        let ndead = List.length c.c_dead in
+        if c.c_peelable then
+          finish
+            (Printf.sprintf "peeled into %d pieces%s" (List.length c.c_live)
+               (if ndead = 0 then ""
+                else Printf.sprintf ", %d dead fields removed" ndead))
+            (Some (peel_plan c))
         else
-          match Shape.verdict (Lazy.force shape) typ with
-          | Some v when v.Shape.v_poolable -> Some v
-          | Some _ | None -> None
-      in
-      match pool_verdict with
-      | Some v ->
-        note "poolable recursive type: %d link field(s) (%s), single \
-              allocation site"
-          (List.length v.Shape.v_links)
-          (String.concat "," v.Shape.v_link_names);
-        finish
-          (Some
-             (Pool { Transform.po_typ = typ; po_links = v.Shape.v_links }))
-      | None ->
-      if not a.dyn_alloc then begin
-        note "not dynamically allocated";
-        finish None
-      end
-      else if a.has_global_var || a.has_local_var || a.has_static_array then begin
-        note "has by-value instances";
-        finish None
-      end
-      else if a.realloced then begin
-        note "realloc'd (implementation limitation)";
-        finish None
-      end
-      else begin
-        match Affinity.graph aff typ with
-        | None ->
-          note "no affinity data";
-          finish None
-        | Some g ->
-          let decl = Structs.find prog.structs typ in
-          let nfields = Array.length decl.fields in
-          let dead = dead_fields prog info g ~static_reads in
-          let live =
-            List.filter
-              (fun fi -> not (List.mem fi dead))
-              (List.init nfields Fun.id)
+          let k =
+            List.length (List.filter (fun fi -> c.c_rel.(fi) >= threshold) c.c_live)
           in
-          if live = [] then begin
-            note "all fields dead";
-            finish None
-          end
-          else begin
-            let rel = Affinity.relative_hotness g in
-            let by_hotness_desc fis =
-              List.stable_sort (fun a b -> compare rel.(b) rel.(a)) fis
-            in
-            if
-              Transform.peel_feasible prog ~typ ~globals:a.global_ptrs
-            then begin
-              note "peeled into %d pieces%s" (List.length live)
-                (if dead = [] then ""
-                 else Printf.sprintf ", %d dead fields removed"
-                        (List.length dead));
-              finish
-                (Some
-                   (Peel
-                      { Transform.p_typ = typ; p_live = live; p_dead = dead;
-                        p_globals = a.global_ptrs }))
-            end
-            else begin
-              let cold =
-                List.filter (fun fi -> rel.(fi) < threshold) live
-              in
-              let hot = List.filter (fun fi -> rel.(fi) >= threshold) live in
-              if List.length cold >= 2 && hot <> [] then begin
-                note "split: %d hot, %d cold (T_s=%.1f%%)%s" (List.length hot)
-                  (List.length cold) threshold
-                  (if dead = [] then ""
-                   else Printf.sprintf ", %d dead" (List.length dead));
-                finish
-                  (Some
-                     (Split
-                        { Transform.s_typ = typ; s_hot = by_hotness_desc hot;
-                          s_cold = cold; s_dead = dead }))
-              end
-              else if dead <> [] then begin
-                note "dead field removal only (%d fields)" (List.length dead);
-                finish
-                  (Some
-                     (Rebuild
-                        { Transform.r_typ = typ;
-                          r_order = by_hotness_desc live; r_dead = dead }))
-              end
-              else begin
-                note
-                  "no profitable split (cold=%d, need >= 2; T_s=%.1f%%)"
-                  (List.length cold) threshold;
-                finish None
-              end
-            end
-          end
-      end
-    end
+          let ncold = List.length c.c_live - k in
+          if ncold >= 2 && k > 0 then
+            finish
+              (Printf.sprintf "split: %d hot, %d cold (T_s=%.1f%%)%s" k ncold
+                 threshold
+                 (if ndead = 0 then "" else Printf.sprintf ", %d dead" ndead))
+              (Some (split_plan c ~k))
+          else if ndead > 0 then
+            finish
+              (Printf.sprintf "dead field removal only (%d fields)" ndead)
+              (Some (rebuild_plan c))
+          else
+            finish
+              (Printf.sprintf
+                 "no profitable split (cold=%d, need >= 2; T_s=%.1f%%)" ncold
+                 threshold)
+              None)
   in
   List.map decide_one (Legality.types leg)
 

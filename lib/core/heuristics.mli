@@ -47,15 +47,46 @@ val statically_read : Ir.program -> (string * int, unit) Hashtbl.t
 (** The (struct, field) pairs with at least one tagged load anywhere in
     the program text, regardless of profile weight. *)
 
-val dead_fields :
+type candidate = {
+  c_decl : Structs.decl;
+  c_info : Legality.info;
+  c_graph : Affinity.graph;
+  c_dead : int list;
+      (** removable fields: never read — zero {e weighted} reads {b and}
+          no static load at all (a field read only on never-profiled
+          paths must survive) — not bit-fields, address never passed *)
+  c_live : int list;      (** the other fields, in declaration order *)
+  c_rel : float array;    (** {!Affinity.relative_hotness} *)
+  c_by_hot : int list;    (** [c_live] hottest first (stable) *)
+  c_peelable : bool;      (** {!Transform.peel_feasible} on its anchors *)
+}
+(** A struct the heuristics may transform, with the facts every plan
+    for it is built from. *)
+
+val candidate :
   Ir.program ->
-  Legality.info ->
-  Affinity.graph ->
+  Legality.t ->
+  Affinity.t ->
   static_reads:(string * int, unit) Hashtbl.t ->
-  int list
-(** Removable fields: never read — with zero {e weighted} reads {b and}
-    no static load at all (a field read only on never-profiled paths must
-    survive) — not bit-fields, address never passed. *)
+  string ->
+  (candidate, string) result
+(** The one eligibility policy, shared by {!decide} and the autotuner
+    ([Slo_tune.Tune]): strictly legal, dynamically allocated, no
+    by-value instances, not realloc'd, with affinity data and at least
+    one live field. [Error note] is the refusal {!decide} records in
+    [d_notes]. *)
+
+val peel_plan : candidate -> plan
+(** Peel every live field into its own piece, dropping the dead ones. *)
+
+val split_plan : ?order:int list -> candidate -> k:int -> plan
+(** Keep the [k] hottest live fields in the hot part, laid out in
+    [order] (a permutation of them; default hottest first); the other
+    live fields go cold in declaration order. *)
+
+val rebuild_plan : ?order:int list -> candidate -> plan
+(** Rebuild in place with the live fields in [order] (default hottest
+    first), dropping the dead ones. *)
 
 val decide :
   ?threshold:float ->
@@ -65,13 +96,16 @@ val decide :
   Affinity.t ->
   scheme:Slo_profile.Weights.scheme ->
   decision list
-(** One decision per struct type, sorted by type name. The default
-    threshold comes from {!threshold_for}. [~pool] (default [false])
-    additionally runs {!Shape.analyze} and plans an index-linked pool
-    for every strictly legal type it proves poolable — taking precedence
-    over split/peel/rebuild for that type. It is opt-in so the paper's
-    default decisions (and the golden tests pinned to them) never
-    change. *)
+(** One decision per struct type, sorted by type name. Each eligible
+    {!candidate} is peeled when feasible, else split with [k] the number
+    of live fields at or above the threshold when that leaves [k > 0]
+    hot and at least two cold, else rebuilt hottest first when a field
+    is dead. The default threshold comes from {!threshold_for}. [~pool]
+    (default [false]) additionally runs {!Shape.analyze} and plans an
+    index-linked pool for every strictly legal type it proves poolable
+    — taking precedence over split/peel/rebuild for that type. It is
+    opt-in so the paper's default decisions (and the golden tests
+    pinned to them) never change. *)
 
 val plans : decision list -> plan list
 val apply : Ir.program -> plan list -> unit

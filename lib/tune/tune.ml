@@ -6,7 +6,6 @@ module Affinity = Slo_core.Affinity
 module W = Slo_profile.Weights
 module Backend = Slo_vm.Backend
 module Sampled = Slo_cachesim.Sampled
-module Hierarchy = Slo_cachesim.Hierarchy
 module Pool = Slo_exec.Pool
 module Clock = Slo_util.Clock
 
@@ -21,7 +20,6 @@ type config = {
   jobs : int;
   backend : Backend.t;
   fidelity : Sampled.fidelity;
-  cache : Hierarchy.config;
 }
 
 let default_config ~scheme ~feedback =
@@ -36,7 +34,6 @@ let default_config ~scheme ~feedback =
     jobs = 1;
     backend = Backend.default;
     fidelity = Sampled.sampled_default;
-    cache = Hierarchy.itanium;
   }
 
 type result = {
@@ -146,118 +143,66 @@ let field_orders (g : Affinity.graph) (rel : float array) ~beam fields =
     |> List.filteri (fun i _ -> i < beam)
 
 (* the per-struct alternatives, each one a plan list for that struct
-   ([] = leave it untouched). Eligibility mirrors the heuristics' own
-   decisions: what they refuse to touch, the tuner refuses to touch. *)
+   ([] = leave it untouched): the structs the heuristics may transform,
+   with the heuristics' own plan constructors *)
 let struct_alternatives prog leg aff ~static_reads ~beam typ : H.plan list list
     =
-  let untouched = [ [] ] in
-  if not (Legality.is_legal leg typ) then untouched
-  else begin
-    let info = Legality.info leg typ in
-    let a = info.Legality.attrs in
-    if
-      (not a.Legality.dyn_alloc)
-      || a.has_global_var || a.has_local_var || a.has_static_array
-      || a.realloced
-    then untouched
-    else
-      match Affinity.graph aff typ with
-      | None -> untouched
-      | Some g ->
-        let decl = Structs.find prog.Ir.structs typ in
-        let nfields = Array.length decl.Structs.fields in
-        let dead = H.dead_fields prog info g ~static_reads in
-        let live =
-          List.filter
-            (fun fi -> not (List.mem fi dead))
-            (List.init nfields Fun.id)
-        in
-        if live = [] then untouched
-        else begin
-          let rel = Affinity.relative_hotness g in
-          let by_hot =
-            List.stable_sort (fun a b -> compare rel.(b) rel.(a)) live
-          in
-          let field fi = decl.Structs.fields.(fi) in
-          let with_pads ~typ' fields plan =
-            plan
-            :: List.map
-                 (fun pd_bytes ->
-                   plan @ [ H.Pad { T.pd_typ = typ'; pd_bytes } ])
-                 (pad_classes (fields_size fields))
-          in
-          (* peel: one candidate when structurally feasible *)
-          let peels =
-            if T.peel_feasible prog ~typ ~globals:a.Legality.global_ptrs then
-              [
-                [
-                  H.Peel
-                    { T.p_typ = typ; p_live = live; p_dead = dead;
-                      p_globals = a.Legality.global_ptrs };
-                ];
-              ]
-            else []
-          in
-          (* splits: hot = top-k of the hotness order, cold the rest in
-             declaration order; k leaves at least two cold fields (the
-             link must pay for itself) and one hot *)
-          let splits =
-            List.concat_map
-              (fun k ->
-                let hot_set = List.filteri (fun i _ -> i < k) by_hot in
-                let cold =
-                  List.filter (fun fi -> not (List.mem fi hot_set)) live
-                in
-                List.concat_map
-                  (fun order ->
-                    let split =
-                      H.Split
-                        { T.s_typ = typ; s_hot = order; s_cold = cold;
-                          s_dead = dead }
-                    in
-                    let hot_fields =
-                      List.map field order
-                      @ [
-                          { Structs.name = T.link_field_name;
-                            ty = Irty.Ptr (Irty.Struct (T.cold_name typ));
-                            bits = None };
-                        ]
-                    in
-                    with_pads ~typ':(T.hot_name typ) hot_fields [ split ])
-                  (field_orders g rel ~beam hot_set))
-              (List.init (max 0 (List.length live - 2)) (fun i -> i + 1))
-          in
-          (* rebuild-reorder variants; skip the pure identity *)
-          let decl_live = List.sort compare live in
-          let rebuilds =
-            List.concat_map
-              (fun order ->
-                let rebuild =
-                  H.Rebuild { T.r_typ = typ; r_order = order; r_dead = dead }
-                in
-                with_pads ~typ':typ (List.map field order) [ rebuild ])
-              (field_orders g rel ~beam live)
-            |> List.filter (fun plan ->
-                   plan
-                   <> [ H.Rebuild
-                          { T.r_typ = typ; r_order = decl_live;
-                            r_dead = [] } ])
-          in
-          (* pad-only candidates on the unchanged declaration *)
-          let pad_only =
-            List.map
-              (fun pd_bytes -> [ H.Pad { T.pd_typ = typ; pd_bytes } ])
-              (pad_classes (fields_size (Array.to_list decl.Structs.fields)))
-          in
-          ([] :: peels) @ splits @ rebuilds @ pad_only
-        end
-  end
+  match H.candidate prog leg aff ~static_reads typ with
+  | Error _ -> [ [] ]
+  | Ok c ->
+    let typ = c.H.c_decl.Structs.sname in
+    let field fi = c.c_decl.fields.(fi) in
+    let orders = field_orders c.c_graph c.c_rel ~beam in
+    let with_pads ~typ' fields plan =
+      [ plan ]
+      :: List.map
+           (fun pd_bytes -> [ plan; H.Pad { T.pd_typ = typ'; pd_bytes } ])
+           (pad_classes (fields_size fields))
+    in
+    let peels = if c.c_peelable then [ [ H.peel_plan c ] ] else [] in
+    let link =
+      { Structs.name = T.link_field_name;
+        ty = Irty.Ptr (Irty.Struct (T.cold_name typ)); bits = None }
+    in
+    (* splits: the k hottest fields stay hot, the rest go cold; k leaves
+       at least two cold fields (the link must pay for itself) and one
+       hot *)
+    let splits =
+      List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun order ->
+              with_pads ~typ':(T.hot_name typ)
+                (List.map field order @ [ link ])
+                (H.split_plan c ~k ~order))
+            (orders (List.filteri (fun i _ -> i < k) c.c_by_hot)))
+        (List.init (max 0 (List.length c.c_live - 2)) (fun i -> i + 1))
+    in
+    (* rebuild-reorder variants; with no dead field, declaration order
+       is the untouched program, and its pads are the pad-only ones *)
+    let rebuilds =
+      List.concat_map
+        (fun order ->
+          with_pads ~typ':typ (List.map field order) (H.rebuild_plan c ~order))
+        (List.filter
+           (fun order -> c.c_dead <> [] || order <> c.c_live)
+           (orders c.c_live))
+    in
+    (* pad-only candidates on the unchanged declaration *)
+    let pad_only =
+      List.map
+        (fun pd_bytes -> [ H.Pad { T.pd_typ = typ; pd_bytes } ])
+        (pad_classes (fields_size (Array.to_list c.c_decl.fields)))
+    in
+    ([] :: peels) @ splits @ rebuilds @ pad_only
 
-let enumerate prog cfg =
-  if cfg.beam < 1 then invalid_arg "Tune.enumerate: beam must be >= 1";
+let check_config cfg =
+  if cfg.beam < 1 then invalid_arg "Tune: beam must be >= 1";
   if cfg.max_candidates < 1 then
-    invalid_arg "Tune.enumerate: max_candidates must be >= 1";
-  let leg, aff = D.analyze prog ~scheme:cfg.scheme ~feedback:cfg.feedback in
+    invalid_arg "Tune: max_candidates must be >= 1"
+
+(* the closure over one analysis result *)
+let closure prog cfg leg aff =
   let static_reads = H.statically_read prog in
   let per_struct =
     List.map
@@ -277,6 +222,11 @@ let enumerate prog cfg =
   in
   List.filter (fun plans -> plans <> []) product
   |> List.filteri (fun i _ -> i < cfg.max_candidates)
+
+let enumerate prog cfg =
+  check_config cfg;
+  let leg, aff = D.analyze prog ~scheme:cfg.scheme ~feedback:cfg.feedback in
+  closure prog cfg leg aff
 
 (* ------------------------------------------------------------------ *)
 (* Scoring and search                                                  *)
@@ -300,10 +250,18 @@ let shuffle_in_place seed arr =
   done
 
 let search prog cfg =
+  check_config cfg;
   if cfg.jobs < 1 then invalid_arg "Tune.search: jobs must be >= 1";
   let t0 = Clock.now_ns () in
+  let d = D.decide prog ~scheme:cfg.scheme ~feedback:cfg.feedback in
+  let heuristic = H.plans d.D.decisions in
+  let candidates = Array.of_list (closure prog cfg d.legality d.affinity) in
+  let total = Array.length candidates in
+  (* candidates are explored in a seeded shuffle of the enumeration *)
+  let order = Array.init total Fun.id in
+  shuffle_in_place cfg.seed order;
   let measure ~fidelity p =
-    D.measure ~args:cfg.args ~config:cfg.cache ~backend:cfg.backend ~fidelity p
+    D.measure ~args:cfg.args ~backend:cfg.backend ~fidelity p
   in
   let base = measure ~fidelity:Sampled.Exact prog in
   let expected_exit = base.D.m_result.Slo_vm.Interp.exit_code in
@@ -330,19 +288,10 @@ let search prog cfg =
   (* the incumbent: budget-exempt, scored at exact fidelity. A heuristic
      plan failing its own transform would be a framework bug — let it
      propagate rather than masking it as a rejection. *)
-  let heuristic =
-    H.plans
-      (D.decide prog ~scheme:cfg.scheme
-         ~feedback:cfg.feedback)
-        .D.decisions
-  in
   let heuristic_cycles = exact_score heuristic in
-  let candidates = Array.of_list (enumerate prog cfg) in
-  shuffle_in_place cfg.seed candidates;
-  let total = Array.length candidates in
   (* shared anytime state: workers publish completed scores; the winner
-     is the lexicographic minimum of (cycles, index), so it does not
-     depend on completion order *)
+     is the lexicographic minimum of (cycles, enumeration index), so it
+     depends neither on completion order nor on the shuffle *)
   let best = Atomic.make None in
   let explored = Atomic.make 0 in
   let rejected = Atomic.make 0 in
@@ -356,59 +305,29 @@ let search prog cfg =
     if better && not (Atomic.compare_and_set best cur (Some (cycles, idx)))
     then publish cycles idx
   in
-  let score_candidate idx =
-    (match score ~fidelity:cfg.fidelity candidates.(idx) with
-    | cycles -> publish cycles idx
-    | exception Rejected -> ignore (Atomic.fetch_and_add rejected 1));
-    ignore (Atomic.fetch_and_add explored 1)
-  in
-  let remaining_ms () =
+  let expired () =
     match cfg.budget_ms with
-    | None -> infinity
-    | Some b -> b -. Clock.elapsed_ms ~since:t0
+    | None -> false
+    | Some b -> Clock.elapsed_ms ~since:t0 >= b
   in
-  let complete =
-    if total = 0 then true
-    else if cfg.jobs = 1 then begin
-      (* inline: check the budget between candidates; overrun is at most
-         one candidate's scoring *)
-      let i = ref 0 in
-      while !i < total && remaining_ms () > 0.0 do
-        score_candidate !i;
-        incr i
-      done;
-      !i >= total
-    end
-    else begin
-      (* pool: keep a bounded window in flight and stop submitting on
-         expiry. In-flight futures are always awaited — Pool.shutdown
-         drains the queue anyway, so abandoning them would not return
-         any earlier, and their scores are paid for. *)
-      let pool = Pool.create ~jobs:cfg.jobs in
-      let window = 2 * cfg.jobs in
-      let inflight = Queue.create () in
-      let next = ref 0 in
-      let stopped = ref false in
-      let submit_window () =
-        while
-          (not !stopped) && !next < total && Queue.length inflight < window
-        do
-          let idx = !next in
-          Queue.add (Pool.submit pool (fun () -> score_candidate idx)) inflight;
-          incr next
-        done
-      in
-      submit_window ();
-      while not (Queue.is_empty inflight) do
-        let fut = Queue.pop inflight in
-        (match Pool.await fut with Ok () -> () | Error _ -> ());
-        if remaining_ms () <= 0.0 then stopped := true;
-        submit_window ()
-      done;
-      Pool.shutdown pool;
-      !next >= total && not !stopped
-    end
-  in
+  (* one pool scores every candidate; a job that starts after the
+     budget expired skips its candidate, so the overrun is at most one
+     candidate's scoring per worker. The blocked caller's core goes to
+     the first busy worker, so a one-worker pool leaves the spare core
+     to its measure runs' drains. *)
+  let pool = Pool.create ~jobs:cfg.jobs in
+  Array.iter
+    (fun idx ->
+      ignore
+        (Pool.submit pool (fun () ->
+             if not (expired ()) then begin
+               (match score ~fidelity:cfg.fidelity candidates.(idx) with
+               | cycles -> publish cycles idx
+               | exception Rejected -> Atomic.incr rejected);
+               Atomic.incr explored
+             end)))
+    order;
+  Pool.shutdown pool;
   (* promotion: re-score the sampled winner at exact fidelity; the found
      plan must beat the incumbent exactly, or the incumbent stands *)
   let found, found_cycles =
@@ -438,6 +357,6 @@ let search prog cfg =
     t_explored = Atomic.get explored;
     t_rejected = Atomic.get rejected;
     t_total = total;
-    t_complete = complete;
+    t_complete = Atomic.get explored = total;
     t_wall_ms = Clock.elapsed_ms ~since:t0;
   }

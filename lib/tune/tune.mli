@@ -6,16 +6,17 @@
     struct is small, and the sampled cache simulation is cheap enough to
     search it outright:
 
-    - {b Enumeration} ({!enumerate}): per transformable struct — the same
-      legality gauntlet the heuristics use ({!Slo_core.Legality}
-      witnesses, dynamic allocation, no by-value instances, not
-      realloc'd) — the candidate closure is every split point over the
-      hotness order × a beam of hot-field permutations (hotness order,
-      a greedy affinity chain seeded from {!Slo_core.Affinity.edge_weight},
-      declaration order, adjacent transpositions) × trailing padding
-      class (none / round to power of two / round to cache line), plus
-      the peel when structurally feasible, rebuild-reorder variants, and
-      pad-only candidates. Dead fields are always removed, never
+    - {b Enumeration} ({!enumerate}): per struct that
+      {!Slo_core.Heuristics.candidate} admits — the heuristics' own
+      eligibility policy — the candidate closure is every split point
+      over the hotness order × a beam of hot-field permutations
+      (hotness order, a greedy affinity chain seeded from
+      {!Slo_core.Affinity.edge_weight}, declaration order, adjacent
+      transpositions) × trailing padding class (none / round to power
+      of two / round to cache line), plus the peel when structurally
+      feasible, rebuild-reorder variants, and pad-only candidates, all
+      built with the heuristics' plan constructors. The heuristic plan
+      is one point of this space. Dead fields are always removed, never
       searched. Multi-struct programs take the cartesian product,
       truncated at [max_candidates].
     - {b Scoring}: each candidate is applied to a fresh IR copy
@@ -24,18 +25,20 @@
       (sampled by default). A candidate whose transform fails to verify
       or whose output diverges from the baseline run is rejected, not
       propagated.
-    - {b Search} ({!search}): candidates run on a {!Slo_exec.Pool} of
-      [jobs] worker domains; workers publish into a shared atomic
-      best-so-far, ordered by (cycles, candidate index) so the winner is
-      independent of completion order. The candidate order itself is a
-      deterministic seeded shuffle — byte-identical results at any
-      [jobs] whenever the search runs to completion.
-    - {b Anytime}: [budget_ms] bounds the search, not the request — on
-      expiry no further candidates are dispatched and the best scored so
-      far is returned ([t_complete = false]). The baseline, the
-      heuristic incumbent and the promotion re-score are budget-exempt,
-      so even a zero budget returns the heuristic plan rather than an
-      error.
+    - {b Search} ({!search}): one analysis yields both the heuristic
+      incumbent and the closure. Candidates run on one {!Slo_exec.Pool}
+      of [jobs] worker domains; workers publish into a shared atomic
+      best-so-far, ordered by (cycles, enumeration index) so the winner
+      is independent of completion order. Candidates are explored in a
+      deterministic seeded shuffle of the enumeration; a search that
+      runs to completion returns byte-identical results at any [jobs]
+      and any [seed].
+    - {b Anytime}: [budget_ms] bounds the search, not the request — a
+      candidate whose turn comes after expiry is skipped, and the best
+      scored so far is returned. [t_complete] means every candidate was
+      scored ([t_explored = t_total]). The baseline, the heuristic
+      incumbent and the promotion re-score are budget-exempt, so even a
+      zero budget returns the heuristic plan rather than an error.
     - {b Promotion}: the sampled winner is re-scored at exact fidelity
       and promoted only if strictly cheaper than the exact-scored
       heuristic incumbent; otherwise the heuristic plan is returned.
@@ -48,12 +51,11 @@ type config = {
   args : int list;            (** program arguments for the measure runs *)
   beam : int;                 (** max field permutations per split point / rebuild *)
   max_candidates : int;       (** global candidate cap (product truncation) *)
-  seed : int;                 (** seeds the deterministic candidate shuffle *)
+  seed : int;                 (** seeds the exploration order *)
   budget_ms : float option;   (** anytime search budget, [None] = run to completion *)
-  jobs : int;                 (** worker domains; 1 = search inline, no pool *)
+  jobs : int;                 (** worker domains in the search pool *)
   backend : Slo_vm.Backend.t;
   fidelity : Slo_cachesim.Sampled.fidelity;  (** search-phase fidelity *)
-  cache : Slo_cachesim.Hierarchy.config;
 }
 
 val default_config :
@@ -61,7 +63,8 @@ val default_config :
   feedback:Slo_profile.Feedback.t option ->
   config
 (** beam 4, max_candidates 256, seed 0, no budget, jobs 1, default
-    backend, sampled default fidelity, Itanium hierarchy, no args. *)
+    backend, sampled default fidelity, no args. Every run is measured
+    on {!Slo_core.Driver.measure}'s default hierarchy. *)
 
 type result = {
   t_baseline_cycles : int;     (** untransformed program, exact fidelity *)
@@ -74,7 +77,7 @@ type result = {
   t_explored : int;            (** candidates whose scoring completed *)
   t_rejected : int;            (** of those: verify failures / output mismatches *)
   t_total : int;               (** candidates enumerated *)
-  t_complete : bool;           (** every candidate was scored within budget *)
+  t_complete : bool;           (** every candidate was scored: [t_explored = t_total] *)
   t_wall_ms : float;
 }
 

@@ -4,15 +4,20 @@
    and never contains the empty plan, the pad transform preserves
    program semantics while growing the struct, the search never
    returns a plan scoring worse than the heuristic incumbent, results
-   are byte-identical at --jobs 1 and --jobs N, and a zero budget
-   still yields the heuristic plan (anytime semantics) rather than an
-   error. *)
+   are byte-identical at --jobs 1 and --jobs N and at any seed, and a
+   zero budget still yields the heuristic plan (anytime semantics)
+   rather than an error. Across the roster, the heuristic plan is a
+   candidate and no two candidates are the same program. *)
 
 module D = Slo_core.Driver
 module H = Slo_core.Heuristics
 module T = Slo_core.Transform
 module Tune = Slo_tune.Tune
 module W = Slo_profile.Weights
+module C = Slo_core.Codec
+module Suite = Slo_suite.Suite
+
+let programs = Suite.roster @ Suite.case_studies
 
 (* hot1/hot2 are read every iteration of the hot loop; cold1/cold2 are
    read once at the end, so they are live (not dead) but cold — the
@@ -65,6 +70,50 @@ let enum_truncates () =
   (* the cap takes a prefix of the canonical order *)
   Alcotest.(check bool) "prefix of the full closure" true
     (cands = List.filteri (fun i _ -> i < 3) full)
+
+(* the heuristic decision is one point of the tuner's space *)
+let enum_contains_heuristic () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let prog = D.compile e.source in
+      let h =
+        H.plans (D.decide prog ~scheme:W.ISPBO ~feedback:None).decisions
+      in
+      let all =
+        Tune.enumerate prog { (cfg ()) with Tune.max_candidates = max_int }
+      in
+      if h <> [] && not (List.mem h all) then
+        Alcotest.failf "%s: heuristic plan %s is not a candidate" e.name
+          (String.concat " " (List.map C.plan_to_string h)))
+    programs
+
+(* no two candidates, and no candidate and the untransformed program,
+   print the same IR once registers and blocks are renumbered: the
+   tuner never scores one program twice *)
+let enum_distinct_programs () =
+  let twins =
+    List.concat_map
+      (fun (e : Suite.entry) ->
+        let prog = D.compile e.source in
+        let seen = Hashtbl.create 64 in
+        List.filter_map
+          (fun plans ->
+            let text =
+              Snapshot.canonical
+                (Ir.string_of_program
+                   (D.transform_with_plans ~verify:true prog plans))
+            in
+            let name = String.concat " " (List.map C.plan_to_string plans) in
+            match Hashtbl.find_opt seen text with
+            | Some other ->
+              Some (Printf.sprintf "%s: [%s] = [%s]" e.name other name)
+            | None ->
+              Hashtbl.replace seen text name;
+              None)
+          ([] :: Tune.enumerate prog (cfg ())))
+      programs
+  in
+  Alcotest.(check (list string)) "one program per candidate" [] twins
 
 (* ---------------- pad transform ---------------- *)
 
@@ -119,7 +168,11 @@ let search_deterministic_jobs () =
   Alcotest.(check bool) "same winner" true (r1.Tune.t_found = r2.Tune.t_found);
   Alcotest.(check int) "same cycles" r1.t_found_cycles r2.t_found_cycles;
   Alcotest.(check int) "same heuristic cycles" r1.t_heuristic_cycles
-    r2.t_heuristic_cycles
+    r2.t_heuristic_cycles;
+  (* ties break by enumeration index, not by exploration order *)
+  let r3 = Tune.search prog { (cfg ()) with Tune.seed = 7 } in
+  Alcotest.(check bool) "same winner at another seed" true
+    (r1.Tune.t_found = r3.Tune.t_found)
 
 let search_anytime_zero_budget () =
   let prog = D.compile (hot_cold_src "zb") in
@@ -149,6 +202,10 @@ let () =
         [
           Alcotest.test_case "closure" `Quick enum_closure;
           Alcotest.test_case "truncates" `Quick enum_truncates;
+          Alcotest.test_case "heuristic is a candidate" `Quick
+            enum_contains_heuristic;
+          Alcotest.test_case "distinct programs" `Quick
+            enum_distinct_programs;
         ] );
       ( "pad",
         [
