@@ -28,93 +28,77 @@ type record = {
   r_benchmark : string;
   r_scheme : string option;
   r_error : string option;
-  r_cycles : (int * int) option;
-  r_steps : (int * int) option;
-  r_l1_misses : (int * int) option;
-  r_l2_misses : (int * int) option;
-  r_accesses : (int * int) option;
-  r_speedup_pct : float option;
+  r_measured : (D.measurement * D.measurement) option;
   r_timings : timings;
 }
 
 let timed = Slo_util.Clock.timed
 
 (* ------------------------------------------------------------------ *)
-(* Shared caches. The compile cache is hoisted out of the workers:     *)
-(* [precompile] fills it serially up front and workers only read it;   *)
-(* on-demand fills (test rosters) serialize on the mutex. The profile  *)
-(* memo uses one lock per entry so distinct entries collect in         *)
-(* parallel while a duplicate request blocks instead of recollecting.  *)
+(* The memo. The first caller of a key computes it outside the lock    *)
+(* while later callers of that key wait for the result, so each key   *)
+(* computes once and distinct keys compute in parallel. An exception   *)
+(* is stored like a value and re-raised to every caller.               *)
 (* ------------------------------------------------------------------ *)
 
-let compile_mutex = Mutex.create ()
+type 'v cell = { mutable result : ('v, exn) result option }
 
-let compile_cache : (string, (Ir.program * float, exn) result) Hashtbl.t =
-  Hashtbl.create 16
-
-let compile_uncached (e : Suite.entry) =
-  match timed (fun () -> D.compile ~verify:true e.source) with
-  | p, ms -> Ok (p, ms)
-  | exception exn -> Error exn
-
-let compile (e : Suite.entry) =
-  Mutex.lock compile_mutex;
-  let res =
-    match Hashtbl.find_opt compile_cache e.name with
-    | Some r -> r
-    | None ->
-      let r = compile_uncached e in
-      Hashtbl.replace compile_cache e.name r;
-      r
-  in
-  Mutex.unlock compile_mutex;
-  match res with Ok pm -> pm | Error exn -> raise exn
-
-let precompile entries = List.iter (fun e -> try ignore (compile e) with _ -> ()) entries
-
-type fb_slot = {
-  sl_mutex : Mutex.t;
-  mutable sl_fb : Feedback.t option;
+type ('k, 'v) memo = {
+  lock : Mutex.t;
+  filled : Condition.t;
+  cells : ('k, 'v cell) Hashtbl.t;
 }
 
-let fb_mutex = Mutex.create ()
-let fb_slots : (string, fb_slot) Hashtbl.t = Hashtbl.create 16
+let memo () =
+  { lock = Mutex.create (); filled = Condition.create ();
+    cells = Hashtbl.create 16 }
 
-let train_profile (e : Suite.entry) (prog : Ir.program) =
-  let slot =
-    Mutex.lock fb_mutex;
-    let s =
-      match Hashtbl.find_opt fb_slots e.name with
-      | Some s -> s
-      | None ->
-        let s = { sl_mutex = Mutex.create (); sl_fb = None } in
-        Hashtbl.replace fb_slots e.name s;
-        s
-    in
-    Mutex.unlock fb_mutex;
-    s
+(* the value under [key] and whether this call computed it *)
+let memoized m key f =
+  Mutex.lock m.lock;
+  let cell, fresh =
+    match Hashtbl.find_opt m.cells key with
+    | Some cell -> (cell, false)
+    | None ->
+      let cell = { result = None } in
+      Hashtbl.replace m.cells key cell;
+      (cell, true)
   in
-  Mutex.lock slot.sl_mutex;
-  let result =
-    match slot.sl_fb with
-    | Some fb -> Ok (fb, 0.0)
-    | None -> (
-      match timed (fun () -> fst (Collect.collect ~args:e.train_args prog)) with
-      | fb, ms ->
-        slot.sl_fb <- Some fb;
-        Ok (fb, ms)
-      | exception exn -> Error exn)
-  in
-  Mutex.unlock slot.sl_mutex;
-  match result with Ok r -> r | Error exn -> raise exn
+  if fresh then begin
+    Mutex.unlock m.lock;
+    let r = try Ok (f ()) with exn -> Error exn in
+    Mutex.lock m.lock;
+    cell.result <- Some r;
+    Condition.broadcast m.filled
+  end;
+  while Option.is_none cell.result do
+    Condition.wait m.filled m.lock
+  done;
+  Mutex.unlock m.lock;
+  match Option.get cell.result with
+  | Ok v -> (v, fresh)
+  | Error exn -> raise exn
 
-let reset_caches () =
-  Mutex.lock compile_mutex;
-  Hashtbl.reset compile_cache;
-  Mutex.unlock compile_mutex;
-  Mutex.lock fb_mutex;
-  Hashtbl.reset fb_slots;
-  Mutex.unlock fb_mutex
+(* keyed by source bytes *)
+let compiles : (string, Ir.program * float) memo = memo ()
+
+(* keyed by source bytes x args x instrument *)
+let profiles : (string * int list * bool, Feedback.t * float) memo = memo ()
+
+let compile (e : Suite.entry) =
+  fst
+    (memoized compiles e.source (fun () ->
+         timed (fun () -> D.compile ~verify:true e.source)))
+
+let profile ?args ?(instrument = true) (e : Suite.entry) =
+  let args = Option.value args ~default:e.train_args in
+  match
+    memoized profiles (e.source, args, instrument) (fun () ->
+        let prog, _ = compile e in
+        timed (fun () -> fst (Collect.collect ~args ~instrument prog)))
+  with
+  | (fb, ms), true -> (fb, ms)
+  | (fb, _), false -> (fb, 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Runs                                                                *)
@@ -145,6 +129,67 @@ let short_error msg =
   if String.length msg <= 48 then msg else String.sub msg 0 45 ^ "..."
 
 (* ------------------------------------------------------------------ *)
+(* The row path shared by every table                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* what a finished job adds: its cells, its record's measurements and
+   timings, and an optional warning *)
+type row = {
+  cells : string list;
+  measured : (D.measurement * D.measurement) option;
+  timings : timings;
+  warning : string option;
+}
+
+(* A table line: a job whose result [ok] turns into a row and whose
+   failure [error] turns into ERROR cells and a warning, or a row with
+   no job and no record. *)
+type 'a line =
+  | Job of {
+      bench : string;
+      scheme : string option;
+      future : 'a Pool.future;
+      ok : 'a -> row;
+      error : string -> string list * string;
+    }
+  | Note of string list
+
+(* Await the jobs in roster order, add each row or ERROR row to [t], push
+   each job's record, and return the warnings in order. *)
+let add_rows run t ~experiment lines =
+  List.filter_map
+    (function
+      | Note cells ->
+        Table.add_row t cells;
+        None
+      | Job j ->
+        let record =
+          { r_experiment = experiment; r_benchmark = j.bench;
+            r_scheme = j.scheme; r_error = None; r_measured = None;
+            r_timings = no_timings }
+        in
+        let cells, record, warning =
+          match Pool.await j.future with
+          | Ok x ->
+            let row = j.ok x in
+            ( row.cells,
+              { record with r_measured = row.measured;
+                r_timings = row.timings },
+              row.warning )
+          | Error (err : Pool.error) ->
+            let cells, warning = j.error err.err_exn in
+            (cells, { record with r_error = Some err.err_exn }, Some warning)
+        in
+        Table.add_row t cells;
+        push_record run record;
+        warning)
+    lines
+
+(* the table, then one line each *)
+let render t lines =
+  String.concat "" (Table.render t :: List.map (fun l -> l ^ "\n") lines)
+
+(* ------------------------------------------------------------------ *)
 (* Table 1: types and transformable types (analysis-only rows)         *)
 (* ------------------------------------------------------------------ *)
 
@@ -153,8 +198,7 @@ type t1_row = {
   t1_legal : int;
   t1_ptsto : int;
   t1_relax : int;
-  t1_compile_ms : float;
-  t1_analyze_ms : float;
+  t1_timings : timings;
 }
 
 let t1_job (e : Suite.entry) () =
@@ -178,8 +222,8 @@ let t1_job (e : Suite.entry) () =
     t1_legal = L.legal_count leg;
     t1_ptsto = ptsto;
     t1_relax = L.legal_count ~relax:true leg;
-    t1_compile_ms = t_compile;
-    t1_analyze_ms = t_analyze;
+    t1_timings =
+      { no_timings with t_compile_ms = t_compile; t_analyze_ms = t_analyze };
   }
 
 let table1 run ~roster =
@@ -191,57 +235,35 @@ let table1 run ~roster =
         ("Relax", Table.Right); ("%", Table.Right);
         ("paper L%", Table.Right); ("paper R%", Table.Right) ]
   in
-  (* hoist compilation out of the workers: fill the cache serially here
-     so jobs only read it (a failed compile resurfaces inside the job) *)
-  precompile roster;
-  let futures =
-    List.map (fun e -> (e, Pool.submit run.pool (t1_job e))) roster
-  in
-  let errors = ref [] in
   let sum_l = ref 0.0 and sum_p = ref 0.0 and sum_r = ref 0.0 in
   let n = ref 0 in
-  List.iter
-    (fun ((e : Suite.entry), fut) ->
-      let paper_l, paper_r =
-        match e.paper with
-        | Some p -> (Table.fpct p.p_legal_pct, Table.fpct p.p_relax_pct)
-        | None -> ("-", "-")
-      in
-      match Pool.await fut with
-      | Ok row ->
-        let pct x = 100.0 *. float_of_int x /. float_of_int row.t1_total in
-        sum_l := !sum_l +. pct row.t1_legal;
-        sum_p := !sum_p +. pct row.t1_ptsto;
-        sum_r := !sum_r +. pct row.t1_relax;
-        incr n;
-        Table.add_row t
+  let line (e : Suite.entry) =
+    let paper_l, paper_r =
+      match e.paper with
+      | Some p -> (Table.fpct p.p_legal_pct, Table.fpct p.p_relax_pct)
+      | None -> ("-", "-")
+    in
+    let ok row =
+      let pct x = 100.0 *. float_of_int x /. float_of_int row.t1_total in
+      sum_l := !sum_l +. pct row.t1_legal;
+      sum_p := !sum_p +. pct row.t1_ptsto;
+      sum_r := !sum_r +. pct row.t1_relax;
+      incr n;
+      { cells =
           [ e.name; string_of_int row.t1_total; string_of_int row.t1_legal;
             Table.fpct (pct row.t1_legal); string_of_int row.t1_ptsto;
             Table.fpct (pct row.t1_ptsto); string_of_int row.t1_relax;
             Table.fpct (pct row.t1_relax); paper_l; paper_r ];
-        push_record run
-          {
-            r_experiment = "table1"; r_benchmark = e.name; r_scheme = None;
-            r_error = None; r_cycles = None; r_steps = None;
-            r_l1_misses = None;
-            r_l2_misses = None; r_accesses = None; r_speedup_pct = None;
-            r_timings =
-              { no_timings with t_compile_ms = row.t1_compile_ms;
-                t_analyze_ms = row.t1_analyze_ms };
-          }
-      | Error (err : Pool.error) ->
-        errors := (e.name, err.err_exn) :: !errors;
-        Table.add_row t
-          [ e.name; "ERROR"; "-"; "-"; "-"; "-"; "-"; "-"; paper_l; paper_r ];
-        push_record run
-          {
-            r_experiment = "table1"; r_benchmark = e.name; r_scheme = None;
-            r_error = Some err.err_exn; r_cycles = None; r_steps = None;
-            r_l1_misses = None;
-            r_l2_misses = None; r_accesses = None; r_speedup_pct = None;
-            r_timings = no_timings;
-          })
-    futures;
+        measured = None; timings = row.t1_timings; warning = None }
+    in
+    let error msg =
+      ( [ e.name; "ERROR"; "-"; "-"; "-"; "-"; "-"; "-"; paper_l; paper_r ],
+        Printf.sprintf "!! %s failed: %s" e.name msg )
+    in
+    Job { bench = e.name; scheme = None;
+          future = Pool.submit run.pool (t1_job e); ok; error }
+  in
+  let warnings = add_rows run t ~experiment:"table1" (List.map line roster) in
   Table.add_sep t;
   let avg x = if !n = 0 then 0.0 else !x /. float_of_int !n in
   Table.add_row t
@@ -249,38 +271,17 @@ let table1 run ~roster =
       Table.fpct (avg sum_p); ""; Table.fpct (avg sum_r);
       Table.fpct Suite.paper_avg_legal_pct;
       Table.fpct Suite.paper_avg_relax_pct ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Table.render t);
-  List.iter
-    (fun (name, msg) ->
-      Buffer.add_string buf
-        (Printf.sprintf "!! %s failed: %s\n" name msg))
-    (List.rev !errors);
-  Buffer.contents buf
+  render t warnings
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: transformed types and performance impact (full pipeline)   *)
 (* ------------------------------------------------------------------ *)
 
-type t3_row = {
-  t3_total : int;
-  t3_transformed : int;
-  t3_split_dead : int;
-  t3_speedup_pct : float;
-  t3_cycles : int * int;
-  t3_steps : int * int;
-  t3_l1 : int * int;
-  t3_l2 : int * int;
-  t3_accesses : int * int;
-  t3_mismatch : bool;
-  t3_timings : timings;
-}
-
-let t3_job ~backend ~fidelity (e : Suite.entry) scheme () =
+let t3_job ~backend ~fidelity (e : Suite.entry) scheme ~label ~paper () =
   let prog, t_compile = compile e in
   let feedback, t_profile =
     if W.needs_profile scheme then begin
-      let fb, ms = train_profile e prog in
+      let fb, ms = profile e in
       (Some fb, ms)
     end
     else (None, 0.0)
@@ -300,17 +301,12 @@ let t3_job ~backend ~fidelity (e : Suite.entry) scheme () =
       0 plans
   in
   {
-    t3_total = List.length ev.e_decisions;
-    t3_transformed = List.length plans;
-    t3_split_dead = split_dead;
-    t3_speedup_pct = ev.e_speedup_pct;
-    t3_cycles = (ev.e_before.m_cycles, ev.e_after.m_cycles);
-    t3_steps = (ev.e_before.m_result.steps, ev.e_after.m_result.steps);
-    t3_l1 = (ev.e_before.m_l1_misses, ev.e_after.m_l1_misses);
-    t3_l2 = (ev.e_before.m_l2_misses, ev.e_after.m_l2_misses);
-    t3_accesses = (ev.e_before.m_accesses, ev.e_after.m_accesses);
-    t3_mismatch = ev.e_before.m_result.output <> ev.e_after.m_result.output;
-    t3_timings =
+    cells =
+      [ e.name; label; string_of_int (List.length ev.e_decisions);
+        string_of_int (List.length plans); string_of_int split_dead;
+        Printf.sprintf "%+.1f%%" ev.e_speedup_pct; paper ];
+    measured = Some (ev.e_before, ev.e_after);
+    timings =
       {
         t_compile_ms = t_compile;
         t_profile_ms = t_profile;
@@ -318,6 +314,12 @@ let t3_job ~backend ~fidelity (e : Suite.entry) scheme () =
         t_transform_ms = ev.e_phases.D.ph_transform_ms;
         t_measure_ms = ev.e_phases.D.ph_measure_ms;
       };
+    warning =
+      (if ev.e_before.m_result.output <> ev.e_after.m_result.output then
+         Some
+           (Printf.sprintf "!! OUTPUT MISMATCH on %s — transformation bug"
+              e.name)
+       else None);
   }
 
 let table3 run ~roster =
@@ -338,80 +340,40 @@ let table3 run ~roster =
          else []))
       roster
   in
-  precompile roster;
-  let futures =
-    List.map
-      (fun (e, scheme, label) ->
-        progress "(evaluating %s [%s]...)" e.Suite.name label;
-        ( e, scheme, label,
-          Pool.submit run.pool
-            (t3_job ~backend:run.run_backend ~fidelity:run.run_fidelity e
-               scheme) ))
-      units
-  in
-  let warnings = ref [] in
   let sum_steps = ref 0 and sum_measure_ms = ref 0.0 in
-  List.iter
-    (fun ((e : Suite.entry), scheme, label, fut) ->
-      let paper =
-        match e.paper with Some p -> p.p_perf | None -> "-"
-      in
-      match Pool.await fut with
-      | Ok row ->
-        if row.t3_mismatch then
-          warnings :=
-            Printf.sprintf "!! OUTPUT MISMATCH on %s — transformation bug"
-              e.name
-            :: !warnings;
-        let sb, sa = row.t3_steps in
-        sum_steps := !sum_steps + sb + sa;
-        sum_measure_ms := !sum_measure_ms +. row.t3_timings.t_measure_ms;
-        Table.add_row t
-          [ e.name; label; string_of_int row.t3_total;
-            string_of_int row.t3_transformed;
-            string_of_int row.t3_split_dead;
-            Printf.sprintf "%+.1f%%" row.t3_speedup_pct; paper ];
-        push_record run
-          {
-            r_experiment = "table3"; r_benchmark = e.name;
-            r_scheme = Some (W.name scheme); r_error = None;
-            r_cycles = Some row.t3_cycles; r_steps = Some row.t3_steps;
-            r_l1_misses = Some row.t3_l1;
-            r_l2_misses = Some row.t3_l2;
-            r_accesses = Some row.t3_accesses;
-            r_speedup_pct = Some row.t3_speedup_pct;
-            r_timings = row.t3_timings;
-          }
-      | Error (err : Pool.error) ->
-        warnings :=
-          Printf.sprintf "!! %s [%s] failed: %s" e.name label err.err_exn
-          :: !warnings;
-        Table.add_row t
-          [ e.name; label; "-"; "-"; "-";
-            "ERROR: " ^ short_error err.err_exn; paper ];
-        push_record run
-          {
-            r_experiment = "table3"; r_benchmark = e.name;
-            r_scheme = Some (W.name scheme); r_error = Some err.err_exn;
-            r_cycles = None; r_steps = None; r_l1_misses = None;
-            r_l2_misses = None; r_accesses = None;
-            r_speedup_pct = None; r_timings = no_timings;
-          })
-    futures;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Table.render t);
+  let ok row =
+    Option.iter
+      (fun ((b : D.measurement), (a : D.measurement)) ->
+        sum_steps := !sum_steps + b.m_result.steps + a.m_result.steps)
+      row.measured;
+    sum_measure_ms := !sum_measure_ms +. row.timings.t_measure_ms;
+    row
+  in
+  let line ((e : Suite.entry), scheme, label) =
+    progress "(evaluating %s [%s]...)" e.name label;
+    let paper = match e.paper with Some p -> p.p_perf | None -> "-" in
+    let error msg =
+      ( [ e.name; label; "-"; "-"; "-"; "ERROR: " ^ short_error msg; paper ],
+        Printf.sprintf "!! %s [%s] failed: %s" e.name label msg )
+    in
+    Job { bench = e.name; scheme = Some (W.name scheme);
+          future =
+            Pool.submit run.pool
+              (t3_job ~backend:run.run_backend ~fidelity:run.run_fidelity e
+                 scheme ~label ~paper);
+          ok; error }
+  in
+  let warnings = add_rows run t ~experiment:"table3" (List.map line units) in
   (* the measure phase dominates bench wall-clock; report its aggregate
      VM throughput so backend speedups are visible at a glance *)
-  if !sum_measure_ms > 0.0 then
-    Buffer.add_string buf
-      (Printf.sprintf "measure: %.1f Msteps/s [%s backend, %s]\n"
+  render t
+    (if !sum_measure_ms > 0.0 then
+       Printf.sprintf "measure: %.1f Msteps/s [%s backend, %s]"
          (float_of_int !sum_steps /. !sum_measure_ms /. 1000.0)
          (Backend.to_string run.run_backend)
-         (Sampled.fidelity_name run.run_fidelity));
-  List.iter
-    (fun w -> Buffer.add_string buf (w ^ "\n"))
-    (List.rev !warnings);
-  Buffer.contents buf
+         (Sampled.fidelity_name run.run_fidelity)
+       :: warnings
+     else warnings)
 
 (* ------------------------------------------------------------------ *)
 (* pool: Table-3-class rows for the index-linked pool rewrite. One     *)
@@ -421,18 +383,8 @@ let table3 run ~roster =
 (* why pooling does not apply.                                         *)
 (* ------------------------------------------------------------------ *)
 
-type pool_row = {
-  pl_oracle : string;          (* "ok" or the first failure *)
-  pl_speedup_pct : float;
-  pl_cycles : int * int;
-  pl_steps : int * int;
-  pl_l1 : int * int;
-  pl_l2 : int * int;
-  pl_accesses : int * int;
-  pl_timings : timings;
-}
-
-let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) () =
+let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) ~links
+    () =
   let prog, t_compile = compile e in
   let plan =
     H.Pool { Slo_core.Transform.po_typ = v.Shape.v_typ; po_links = v.v_links }
@@ -448,20 +400,19 @@ let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) () =
         ( D.measure ~args:e.ref_args ~backend ~fidelity prog,
           D.measure ~args:e.ref_args ~backend ~fidelity transformed ))
   in
+  let oracle =
+    if Slo_suite.Oracle.ok oracle then "ok"
+    else
+      match oracle.r_failures with
+      | f :: _ -> Slo_suite.Oracle.string_of_failure f
+      | [] -> "ok"
+  in
   {
-    pl_oracle =
-      (if Slo_suite.Oracle.ok oracle then "ok"
-       else
-         match oracle.r_failures with
-         | f :: _ -> Slo_suite.Oracle.string_of_failure f
-         | [] -> "ok");
-    pl_speedup_pct = D.speedup_pct ~before ~after;
-    pl_cycles = (before.m_cycles, after.m_cycles);
-    pl_steps = (before.m_result.steps, after.m_result.steps);
-    pl_l1 = (before.m_l1_misses, after.m_l1_misses);
-    pl_l2 = (before.m_l2_misses, after.m_l2_misses);
-    pl_accesses = (before.m_accesses, after.m_accesses);
-    pl_timings =
+    cells =
+      [ e.name; v.v_typ; links; oracle;
+        Printf.sprintf "%+.1f%%" (D.speedup_pct ~before ~after) ];
+    measured = Some (before, after);
+    timings =
       {
         t_compile_ms = t_compile;
         t_profile_ms = 0.0;
@@ -469,6 +420,12 @@ let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) () =
         t_transform_ms = t_tr;
         t_measure_ms = t_me;
       };
+    warning =
+      (if oracle <> "ok" then
+         Some
+           (Printf.sprintf "!! ORACLE REFUSED pool of %s.%s: %s" e.name
+              v.v_typ oracle)
+       else None);
   }
 
 let pool_table run ~roster =
@@ -478,7 +435,6 @@ let pool_table run ~roster =
         ("Links", Table.Left); ("Oracle", Table.Left);
         ("Performance", Table.Right) ]
   in
-  precompile roster;
   (* shape verdicts are cheap and deterministic: collect them serially,
      then farm out only the measured (poolable) units *)
   let units =
@@ -492,125 +448,82 @@ let pool_table run ~roster =
         | exception _ -> [])
       roster
   in
-  let futures =
-    List.map
-      (fun ((e : Suite.entry), (v : Shape.verdict)) ->
-        if v.Shape.v_poolable then begin
-          progress "(pooling %s.%s...)" e.name v.v_typ;
-          ( e, v,
-            Some
-              (Pool.submit run.pool
-                 (pool_job ~backend:run.run_backend
-                    ~fidelity:run.run_fidelity e v)) )
-        end
-        else (e, v, None))
-      units
+  let line ((e : Suite.entry), (v : Shape.verdict)) =
+    let links = String.concat "," v.Shape.v_link_names in
+    if v.v_poolable then begin
+      progress "(pooling %s.%s...)" e.name v.v_typ;
+      let error msg =
+        ( [ e.name; v.v_typ; links; "-"; "ERROR: " ^ short_error msg ],
+          Printf.sprintf "!! pool of %s.%s failed: %s" e.name v.v_typ msg )
+      in
+      Job { bench = e.name; scheme = None;
+            future =
+              Pool.submit run.pool
+                (pool_job ~backend:run.run_backend
+                   ~fidelity:run.run_fidelity e v ~links);
+            ok = Fun.id; error }
+    end
+    else
+      let why =
+        match v.v_witnesses with
+        | w :: _ -> Printf.sprintf "not poolable [%s]"
+                      (Shape.reason_name w.Shape.sw_reason)
+        | [] -> "not poolable"
+      in
+      Note [ e.name; v.v_typ; links; why; "-" ]
   in
-  let warnings = ref [] in
-  List.iter
-    (fun ((e : Suite.entry), (v : Shape.verdict), fut) ->
-      let links = String.concat "," v.Shape.v_link_names in
-      match fut with
-      | None ->
-        let why =
-          match v.v_witnesses with
-          | w :: _ -> Printf.sprintf "not poolable [%s]"
-                        (Shape.reason_name w.Shape.sw_reason)
-          | [] -> "not poolable"
-        in
-        Table.add_row t [ e.name; v.v_typ; links; why; "-" ]
-      | Some fut -> (
-        match Pool.await fut with
-        | Ok row ->
-          if row.pl_oracle <> "ok" then
-            warnings :=
-              Printf.sprintf "!! ORACLE REFUSED pool of %s.%s: %s" e.name
-                v.v_typ row.pl_oracle
-              :: !warnings;
-          Table.add_row t
-            [ e.name; v.v_typ; links; row.pl_oracle;
-              Printf.sprintf "%+.1f%%" row.pl_speedup_pct ];
-          push_record run
-            {
-              r_experiment = "pool"; r_benchmark = e.name;
-              r_scheme = None; r_error = None;
-              r_cycles = Some row.pl_cycles; r_steps = Some row.pl_steps;
-              r_l1_misses = Some row.pl_l1; r_l2_misses = Some row.pl_l2;
-              r_accesses = Some row.pl_accesses;
-              r_speedup_pct = Some row.pl_speedup_pct;
-              r_timings = row.pl_timings;
-            }
-        | Error (err : Pool.error) ->
-          warnings :=
-            Printf.sprintf "!! pool of %s.%s failed: %s" e.name v.v_typ
-              err.err_exn
-            :: !warnings;
-          Table.add_row t
-            [ e.name; v.v_typ; links; "-";
-              "ERROR: " ^ short_error err.err_exn ];
-          push_record run
-            {
-              r_experiment = "pool"; r_benchmark = e.name;
-              r_scheme = None; r_error = Some err.err_exn;
-              r_cycles = None; r_steps = None; r_l1_misses = None;
-              r_l2_misses = None; r_accesses = None; r_speedup_pct = None;
-              r_timings = no_timings;
-            }))
-    futures;
-  let buf = Buffer.create 1024 in
-  if units = [] then
-    Buffer.add_string buf "(no self-referential record types in the roster)\n"
-  else Buffer.add_string buf (Table.render t);
-  List.iter
-    (fun w -> Buffer.add_string buf (w ^ "\n"))
-    (List.rev !warnings);
-  Buffer.contents buf
+  let warnings = add_rows run t ~experiment:"pool" (List.map line units) in
+  if units = [] then "(no self-referential record types in the roster)\n"
+  else render t warnings
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_of_pair = function
-  | Some (b, a) -> (Json.Int b, Json.Int a)
-  | None -> (Json.Null, Json.Null)
-
 let json_of_record ?(with_timings = true) r =
   let tm = if with_timings then r.r_timings else no_timings in
-  let cyc_b, cyc_a = json_of_pair r.r_cycles in
-  let stp_b, stp_a = json_of_pair r.r_steps in
-  let l1_b, l1_a = json_of_pair r.r_l1_misses in
-  let l2_b, l2_a = json_of_pair r.r_l2_misses in
-  let acc_b, acc_a = json_of_pair r.r_accesses in
+  let pair name (f : D.measurement -> int) =
+    let b, a =
+      match r.r_measured with
+      | Some (b, a) -> (Json.Int (f b), Json.Int (f a))
+      | None -> (Json.Null, Json.Null)
+    in
+    [ (name ^ "_before", b); (name ^ "_after", a) ]
+  in
+  let steps (m : D.measurement) = m.m_result.steps in
   (* VM throughput of this row's measure phase; derived from a timing, so
      it is nulled alongside them under [~with_timings:false] *)
   let msteps =
-    match r.r_steps with
+    match r.r_measured with
     | Some (b, a) when with_timings && tm.t_measure_ms > 0.0 ->
-      Json.Float (float_of_int (b + a) /. tm.t_measure_ms /. 1000.0)
+      Json.Float
+        (float_of_int (steps b + steps a) /. tm.t_measure_ms /. 1000.0)
     | _ -> Json.Null
   in
   Json.Obj
-    [ ("experiment", Json.String r.r_experiment);
-      ("benchmark", Json.String r.r_benchmark);
-      ("scheme",
-       match r.r_scheme with Some s -> Json.String s | None -> Json.Null);
-      ("error",
-       match r.r_error with Some e -> Json.String e | None -> Json.Null);
-      ("cycles_before", cyc_b); ("cycles_after", cyc_a);
-      ("steps_before", stp_b); ("steps_after", stp_a);
-      ("l1_misses_before", l1_b); ("l1_misses_after", l1_a);
-      ("l2_misses_before", l2_b); ("l2_misses_after", l2_a);
-      ("accesses_before", acc_b); ("accesses_after", acc_a);
-      ("speedup_pct",
-       match r.r_speedup_pct with Some p -> Json.Float p | None -> Json.Null);
-      ("measure_msteps_per_s", msteps);
-      ("timings_ms",
-       Json.Obj
-         [ ("compile", Json.Float tm.t_compile_ms);
-           ("profile", Json.Float tm.t_profile_ms);
-           ("analyze", Json.Float tm.t_analyze_ms);
-           ("transform", Json.Float tm.t_transform_ms);
-           ("measure", Json.Float tm.t_measure_ms) ]) ]
+    ([ ("experiment", Json.String r.r_experiment);
+       ("benchmark", Json.String r.r_benchmark);
+       ("scheme",
+        match r.r_scheme with Some s -> Json.String s | None -> Json.Null);
+       ("error",
+        match r.r_error with Some e -> Json.String e | None -> Json.Null) ]
+    @ pair "cycles" (fun m -> m.m_cycles)
+    @ pair "steps" steps
+    @ pair "l1_misses" (fun m -> m.m_l1_misses)
+    @ pair "l2_misses" (fun m -> m.m_l2_misses)
+    @ pair "accesses" (fun m -> m.m_accesses)
+    @ [ ("speedup_pct",
+         match r.r_measured with
+         | Some (before, after) -> Json.Float (D.speedup_pct ~before ~after)
+         | None -> Json.Null);
+        ("measure_msteps_per_s", msteps);
+        ("timings_ms",
+         Json.Obj
+           [ ("compile", Json.Float tm.t_compile_ms);
+             ("profile", Json.Float tm.t_profile_ms);
+             ("analyze", Json.Float tm.t_analyze_ms);
+             ("transform", Json.Float tm.t_transform_ms);
+             ("measure", Json.Float tm.t_measure_ms) ]) ])
 
 let git_rev () =
   try

@@ -13,49 +13,52 @@
 
 type timings = {
   t_compile_ms : float;   (** parse + typecheck + lower + verify *)
-  t_profile_ms : float;   (** train-profile collection; 0 on cache hit *)
+  t_profile_ms : float;   (** train-profile collection; 0 on a memo hit *)
   t_analyze_ms : float;   (** legality + affinity + decide *)
   t_transform_ms : float; (** copy + apply plans + verify *)
   t_measure_ms : float;   (** before/after VM runs *)
 }
 
 type record = {
-  r_experiment : string;        (** "table1" | "table3" *)
+  r_experiment : string;        (** "table1" | "table3" | "pool" *)
   r_benchmark : string;
-  r_scheme : string option;     (** [None] for analysis-only rows *)
+  r_scheme : string option;     (** [None] for analysis-only and pool rows *)
   r_error : string option;      (** [Some exn] for a crashed job's row *)
-  r_cycles : (int * int) option;       (** before, after *)
-  r_steps : (int * int) option;        (** VM steps before, after *)
-  r_l1_misses : (int * int) option;
-  r_l2_misses : (int * int) option;
-  r_accesses : (int * int) option;
-      (** simulated accesses before, after — the denominator compare.exe
-          needs to turn miss counts into miss rates *)
-  r_speedup_pct : float option;
+  r_measured :
+    (Slo_core.Driver.measurement * Slo_core.Driver.measurement) option;
+      (** before, after; [None] for analysis-only and crashed rows. The
+          JSON row's cycles, steps, misses, accesses (the denominator
+          compare.exe needs to turn miss counts into miss rates) and
+          speedup all derive from it *)
   r_timings : timings;
 }
 
-(* ---------------- shared caches ---------------- *)
+(* ---------------- the memo ---------------- *)
+
+(** Every compile and every profile the harness runs goes through one
+    memo, keyed by the bytes that determine the result, so two entries
+    with the same name and different sources never share a program or a
+    profile. Each key computes once: concurrent callers of a key wait for
+    the first one's result, and distinct keys compute in parallel. A
+    failure is stored and re-raised to every caller. Both are safe to
+    call from worker domains. *)
 
 val compile : Slo_suite.Suite.entry -> Ir.program * float
-(** Memoized [Driver.compile ~verify:true] (every bench run doubles as a
-    verifier sweep); returns the program and the original compile time in
-    ms. Re-raises the stored exception for an entry that failed. Safe to
-    call from worker domains; the cache itself is filled under a mutex
-    (the table runners compile their roster serially first, so the
-    workers only read it). *)
+(** [Driver.compile ~verify:true] of the entry's source (every bench run
+    doubles as a verifier sweep), keyed by the source bytes; returns the
+    program and the original compile time in ms, on a hit too. *)
 
-val train_profile :
-  Slo_suite.Suite.entry -> Ir.program -> Slo_profile.Feedback.t * float
-(** Memoized train-input profile collection ([Collect.collect
-    ~args:e.train_args]), keyed by entry name with a per-entry lock so
-    distinct entries collect in parallel. Returns the feedback and the
-    collection time in ms (0.0 on a cache hit). This is the cache that
-    Table 2 / Figure 2 / the ablation and Table 3's PBO rows share — the
-    mcf train run is collected exactly once per process. *)
-
-val reset_caches : unit -> unit
-(** Drop the compile and profile caches (tests). *)
+val profile :
+  ?args:int list ->
+  ?instrument:bool ->
+  Slo_suite.Suite.entry ->
+  Slo_profile.Feedback.t * float
+(** [Collect.collect ~args ~instrument] on the entry's {!compile}d
+    program, keyed by source bytes x [args] (default the entry's train
+    args) x [instrument] (default [true]). Returns the feedback and the
+    collection time in ms, 0.0 on a hit. Table 2, Figure 2, the
+    ablation, the case studies, Table 3's PBO rows and tunebench share
+    it, so mcf's train run is collected once per process. *)
 
 (* ---------------- runs ---------------- *)
 

@@ -7,8 +7,8 @@
             casestudies timings
    Options:
      --jobs N | -j N   worker domains for the parallel experiments
-                       (table1, table3); default 1
-     --only NAME       restrict table1/table3 to this roster entry
+                       (table1, table3, pool); default 1
+     --only NAME       restrict table1/table3/pool to this roster entry
                        (repeatable)
      --backend B       VM engine for the measurement runs: superblock
                        (the compiled engine; default; closure is
@@ -32,7 +32,6 @@ module H = Slo_core.Heuristics
 module T = Slo_core.Transform
 module Adv = Slo_core.Advisor
 module W = Slo_profile.Weights
-module Collect = Slo_profile.Collect
 module Suite = Slo_suite.Suite
 module Table = Slo_util.Table
 module Stats = Slo_util.Stats
@@ -56,26 +55,6 @@ let table1 run roster =
 (* Table 2: relative field hotness under the weighting schemes         *)
 (* ------------------------------------------------------------------ *)
 
-let mcf_feedbacks = ref None
-
-let get_mcf_feedbacks () =
-  match !mcf_feedbacks with
-  | Some fbs -> fbs
-  | None ->
-    let e = Suite.find "181.mcf" in
-    let prog = compile e in
-    say "(collecting mcf profiles: train, reference, uninstrumented...)";
-    (* the train profile comes from the shared memo, so Table 3's PBO row
-       and the ablation reuse this run instead of re-collecting *)
-    let fb_train, _ = Engine.train_profile e prog in
-    let fb_ref, _ = Collect.collect ~args:e.ref_args prog in
-    let fb_noinstr, _ =
-      Collect.collect ~args:e.train_args ~instrument:false prog
-    in
-    let fbs = (prog, fb_train, fb_ref, fb_noinstr) in
-    mcf_feedbacks := Some fbs;
-    fbs
-
 let field_hotness prog scheme fb =
   let bw = W.block_weights prog scheme ~feedback:fb in
   let aff = A.analyze prog bw in
@@ -97,7 +76,12 @@ let field_dcache_metric prog fb ~latency =
 let table2 () =
   say "== Table 2: Relative field hotness for mcf node_t under the";
   say "==          weighting schemes, with correlation r to PBO ==";
-  let prog, fb_train, fb_ref, fb_noinstr = get_mcf_feedbacks () in
+  let e = Suite.find "181.mcf" in
+  let prog = compile e in
+  say "(collecting mcf profiles: train, reference, uninstrumented...)";
+  let fb_train, _ = Engine.profile e in
+  let fb_ref, _ = Engine.profile ~args:e.ref_args e in
+  let fb_noinstr, _ = Engine.profile ~instrument:false e in
   let columns =
     [ ("PBO", field_hotness prog W.PBO (Some fb_train));
       ("PPBO", field_hotness prog W.PPBO (Some fb_ref));
@@ -226,7 +210,9 @@ let figure1 () =
 
 let figure2 () =
   say "== Figure 2: the advisory tool's output (mcf node_t) ==";
-  let prog, fb_train, _, _ = get_mcf_feedbacks () in
+  let e = Suite.find "181.mcf" in
+  let prog = compile e in
+  let fb_train, _ = Engine.profile e in
   let adv = D.advise prog ~scheme:W.PBO ~feedback:(Some fb_train) in
   print_string (Adv.report ~only:[ "node" ] adv);
   (match Adv.vcg adv "node" with
@@ -249,7 +235,7 @@ let ablation () =
   say "==  time (paper: -9%%) and time+mark (paper: -35%%) out of node ==";
   let e = Suite.find "181.mcf" in
   let prog = compile e in
-  let fb, _ = Engine.train_profile e prog in
+  let fb, _ = Engine.profile e in
   let decided = D.decide prog ~scheme:W.PBO ~feedback:(Some fb) in
   let base_plan =
     match
@@ -299,7 +285,7 @@ let casestudies () =
   (* (a) hot-field grouping guided by the advisor *)
   let e = Suite.find "spec2006.hotgroup" in
   let prog = compile e in
-  let fb, _ = Collect.collect ~args:e.train_args prog in
+  let fb, _ = Engine.profile e in
   let decided = D.decide prog ~scheme:W.PBO ~feedback:(Some fb) in
   let g = Option.get (A.graph decided.affinity "bigobj") in
   let rel = A.relative_hotness g in
@@ -337,7 +323,7 @@ let casestudies () =
   (* (b) the two-field peeling case *)
   let e2 = Suite.find "spec2006.peel2" in
   let prog2 = compile e2 in
-  let fb2, _ = Collect.collect ~args:e2.train_args prog2 in
+  let fb2, _ = Engine.profile e2 in
   let ev = D.evaluate ~args:e2.ref_args ~scheme:W.PBO ~feedback:(Some fb2) prog2 in
   say "  two-field record peeling:  %+.1f%% (paper: ~+40%%) [%s]"
     ev.e_speedup_pct

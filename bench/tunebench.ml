@@ -126,7 +126,7 @@ let () =
   let search_entry ~jobs (e : Suite.entry) =
     let prog, _ = Engine.compile e in
     let feedback =
-      if W.needs_profile scheme then Some (fst (Engine.train_profile e prog))
+      if W.needs_profile scheme then Some (fst (Engine.profile e))
       else None
     in
     (* score on the train input, like the paper's profile-guided flow:

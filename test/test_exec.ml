@@ -170,7 +170,7 @@ let pool_returns_reservation () =
 
 (* A tiny hot/cold benchmark in the shape of Figure 1, small enough that
    a full evaluate (profile + before/after measurement) is fast. *)
-let mini_src name =
+let mini_src ?(n = 512) name =
   Printf.sprintf
     "struct %s { long hot1; double cold1; long hot2; double cold2; };\n\
      struct %s *arr;\n\
@@ -181,14 +181,14 @@ let mini_src name =
      double use_cold() { long i; double s = 0.0;\n\
      for (i = 0; i < n; i = i + 64) { s = s + arr[i].cold1 + arr[i].cold2; }\n\
      return s; }\n\
-     int main() { long it; long s = 0; double c = 0.0; n = 512;\n\
+     int main() { long it; long s = 0; double c = 0.0; n = %d;\n\
      arr = (struct %s*)malloc(n * sizeof(struct %s));\n\
      for (it = 0; it < n; it++) { arr[it].hot1 = it; arr[it].hot2 = 2*it;\n\
      arr[it].cold1 = it * 0.5; arr[it].cold2 = it * 0.25; }\n\
      for (it = 0; it < 20; it++) { s = s + use_hot();\n\
      if (it %% 5 == 0) { c = c + use_cold(); } }\n\
      printf(\"%%ld %%g\\n\", s, c); return 0; }\n"
-    name name name name
+    name name n name name
 
 let mk_entry name : Slo_suite.Suite.entry =
   {
@@ -202,7 +202,6 @@ let mk_entry name : Slo_suite.Suite.entry =
 let mini_roster = List.map mk_entry [ "mini-a"; "mini-b"; "mini-c" ]
 
 let run_tables ?backend ~jobs roster =
-  Engine.reset_caches ();
   let run = Engine.create_run ?backend ~jobs () in
   let t1 = Engine.table1 run ~roster in
   let t3 = Engine.table3 run ~roster in
@@ -254,7 +253,6 @@ let engine_crash_is_error_row () =
     { (mk_entry "mini-broken") with source = "int main() { return 0 }" }
   in
   let roster = [ List.hd mini_roster; broken ] in
-  Engine.reset_caches ();
   let run = Engine.create_run ~jobs:2 () in
   let t3 = Engine.table3 run ~roster in
   let recs = Engine.records run in
@@ -267,11 +265,55 @@ let engine_crash_is_error_row () =
     (List.for_all (fun r -> r.Engine.r_benchmark = "mini-broken") errs);
   Alcotest.(check bool) "good entry still measured" true
     (List.exists
-       (fun r -> r.Engine.r_benchmark = "mini-a" && r.Engine.r_cycles <> None)
+       (fun r ->
+         r.Engine.r_benchmark = "mini-a" && r.Engine.r_measured <> None)
        recs)
 
+(* the memo keys a compile and a profile by the source bytes, not the
+   entry name: a second entry under a used name gets its own program and
+   profile, and its rows are those of its source under a fresh name *)
+let engine_keyed_by_source () =
+  let src = mini_src ~n:256 "mini_reused" in
+  let table3 roster =
+    let run = Engine.create_run ~jobs:2 () in
+    let (_ : string) = Engine.table3 run ~roster in
+    let recs = Engine.records run in
+    Engine.finish run;
+    strip_timings
+      (List.map (fun r -> { r with Engine.r_benchmark = "?" }) recs)
+  in
+  let first = table3 [ mk_entry "mini-reused" ] in
+  let reused = table3 [ { (mk_entry "mini-reused") with source = src } ] in
+  let fresh = table3 [ { (mk_entry "mini-fresh") with source = src } ] in
+  Alcotest.(check bool) "the two sources measure differently" false
+    (first = fresh);
+  Alcotest.(check (list string)) "reused name, rows of its own source" fresh
+    reused
+
+(* four domains ask for one train profile at once: one collects it, the
+   other three wait and get the same feedback at no collection time *)
+let engine_profile_single_flight () =
+  let e = mk_entry "mini-flight" in
+  let started = Atomic.make 0 in
+  let ask () =
+    Atomic.incr started;
+    while Atomic.get started < 4 do
+      Domain.cpu_relax ()
+    done;
+    Engine.profile e
+  in
+  let results =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn ask))
+  in
+  Alcotest.(check int) "one call collected" 1
+    (List.length (List.filter (fun (_, ms) -> ms > 0.0) results));
+  let fbs =
+    List.map (fun (fb, _) -> Slo_profile.Feedback.to_string fb) results
+  in
+  Alcotest.(check bool) "equal feedback" true
+    (List.for_all (String.equal (List.hd fbs)) fbs)
+
 let engine_json_artifact () =
-  Engine.reset_caches ();
   let run = Engine.create_run ~jobs:2 () in
   let (_ : string) = Engine.table3 run ~roster:[ List.hd mini_roster ] in
   let path = Filename.temp_file "slo_bench" ".json" in
@@ -324,5 +366,8 @@ let () =
           Alcotest.test_case "crash is error row" `Quick
             engine_crash_is_error_row;
           Alcotest.test_case "json artifact" `Quick engine_json_artifact;
+          Alcotest.test_case "keyed by source" `Quick engine_keyed_by_source;
+          Alcotest.test_case "profile single flight" `Quick
+            engine_profile_single_flight;
         ] );
     ]
