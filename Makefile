@@ -73,9 +73,10 @@ perf-gate:
 	  _artifacts/BENCH-perfgate-3.json
 
 # the advice daemon end to end: start it on a scratch socket, drive one
-# advise + one bench + stats through the CLI client, shut it down
-# cleanly, then hammer it with the load generator and require a warm
-# cache (SERVE.json lands in _artifacts/)
+# advise + one bench + stats through the CLI client, plus a bench miss
+# whose 1 ms deadline must expire (client exit 3, [timeout]) while the
+# shutdown after it still drains, then hammer it with the load
+# generator and require a warm cache (SERVE.json lands in _artifacts/)
 serve-smoke:
 	dune build bin/slopt.exe bench/loadgen.exe
 	set -e; \
@@ -86,6 +87,9 @@ serve-smoke:
 	trap 'kill $$SRV 2>/dev/null || true' EXIT; \
 	$$SLOPT client advise --socket $$SOCK --name 179.art; \
 	$$SLOPT client bench --socket $$SOCK --name 179.art; \
+	rc=0; $$SLOPT client bench --socket $$SOCK --name 179.art --scheme spbo \
+	  --deadline-ms 1 || rc=$$?; \
+	test $$rc -eq 3; \
 	$$SLOPT client stats --socket $$SOCK; \
 	$$SLOPT client shutdown --socket $$SOCK; \
 	wait $$SRV; \

@@ -113,37 +113,6 @@ let await fut =
   | Failed e -> Error e
   | Pending -> assert false
 
-(* Condition.wait has no timed variant in the stdlib, so the deadline
-   wait polls the future state at a granularity well below any deadline
-   a caller would care about (0.2 ms). Each sleep releases the runtime
-   lock, so pollers do not starve the workers. *)
-let poll_interval_s = 0.0002
-
-let await_timeout fut ~timeout_ms =
-  (* monotonic, not wall-clock: an NTP step must not expire (or extend)
-     a deadline *)
-  let t0 = Slo_util.Clock.now_ns () in
-  let remaining_ms () = timeout_ms -. Slo_util.Clock.elapsed_ms ~since:t0 in
-  let rec go () =
-    let st =
-      Mutex.lock fut.f_mutex;
-      let st = fut.f_state in
-      Mutex.unlock fut.f_mutex;
-      st
-    in
-    match st with
-    | Done v -> Some (Ok v)
-    | Failed e -> Some (Error e)
-    | Pending ->
-      let left = remaining_ms () in
-      if left <= 0.0 then None
-      else begin
-        Unix.sleepf (min poll_interval_s (left /. 1000.0));
-        go ()
-      end
-  in
-  go ()
-
 let shutdown t =
   Mutex.lock t.q_mutex;
   t.closed <- true;

@@ -5,11 +5,14 @@
     independent jobs, await their results {e in submission order} so that
     rendered output is deterministic regardless of worker count, and turn
     a crashed job into a structured {!error} value instead of killing the
-    run or hanging the queue.
+    run or hanging the queue. A wait has no deadline: a caller that needs
+    one keeps its own clock, as the advice daemon does, whose jobs
+    deliver their results to their requests themselves and whose
+    futures nobody awaits.
 
-    Jobs must be pure with respect to shared state: they may read data
-    structures owned by the submitting domain (the bench engine shares
-    compiled, read-only IR this way) but must not mutate them. *)
+    Jobs must not mutate shared state without their own locking: they
+    may read data structures owned by the submitting domain (the bench
+    engine shares compiled, read-only IR this way). *)
 
 type error = {
   err_exn : string;       (** [Printexc.to_string] of the exception *)
@@ -48,23 +51,6 @@ val submit : t -> (unit -> 'a) -> 'a future
 val await : 'a future -> ('a, error) result
 (** Block until the job has run. May be called from any domain, any
     number of times. *)
-
-val await_timeout : 'a future -> timeout_ms:float -> ('a, error) result option
-(** [await_timeout fut ~timeout_ms] blocks until the job has run, but at
-    most [timeout_ms] milliseconds; [None] means the deadline expired
-    first.
-
-    Cancellation-on-deadline semantics: the deadline cancels the
-    {e wait}, never the {e job}. A job already running on a worker
-    domain cannot be interrupted, so after a [None] the job keeps
-    executing, its eventual result is stored in the future as usual
-    (a later {!await} or {!await_timeout} on the same future can still
-    retrieve it — this is how the advice server turns an abandoned
-    computation into a cache entry for the next request), and the
-    worker moves on afterwards. A job that crashes before the deadline
-    reports [Some (Error _)], exactly like {!await}; a crash {e after}
-    an expired deadline is only visible to callers still holding the
-    future. [timeout_ms <= 0.0] is an immediate poll. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join all worker domains. Jobs already submitted

@@ -50,6 +50,18 @@ let default_config ~socket_path =
    traffic reused one, and each weighed about ten replies. *)
 type cached = { rk : string; body : string }
 
+(* A request parked on a pending computation. The job answers it with
+   its reply, or the deadline clock with a [timeout], whichever comes
+   first; [w_done] lets only the first one through. [w_finish] renders
+   the reply and finishes the request with it. *)
+type waiter = {
+  w_done : bool Atomic.t;
+  w_finish : ?entry:string -> P.reply -> unit;
+}
+
+let answer w ?entry reply =
+  if not (Atomic.exchange w.w_done true) then w.w_finish ?entry reply
+
 type listener = {
   l_fd : Unix.file_descr;
   l_poke : Unix.sockaddr; (* where a throwaway connect wakes accept *)
@@ -63,17 +75,22 @@ type t = {
   hi_mark : int;
   lo_mark : int;
   stopping : bool Atomic.t;
-  (* self-pipe: [request_stop] (possibly inside a signal handler, where
-     taking a mutex could self-deadlock) writes one byte; [run]'s main
-     thread blocks reading it *)
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
+  (* self-pipe waking the deadline clock on [run]'s main thread: one
+     byte per stop request, newly armed deadline, or last in-flight
+     reply of a drain. [request_stop] writes it possibly inside a signal
+     handler, where taking a mutex could self-deadlock. The write end
+     does not block: a full pipe has woken the clock already. *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
   lock : Mutex.t; (* guards every mutable field below *)
-  drained : Condition.t; (* broadcast when inflight drops to 0 *)
   cache : (string, cached) Lru.t;
   disk : Diskcache.t option;
-  (* a success's cached-marked bytes ride along with its reply *)
-  pending : (string, (P.reply * string option) Pool.future) Hashtbl.t;
+  (* the waiters of each computation on the pool, newest first; the
+     number of entries is the backlog that shedding reads *)
+  pending : (string, waiter list) Hashtbl.t;
+  (* armed deadlines: when each was armed, its length in ms and its
+     waiter; the clock drops answered ones whenever it wakes *)
+  mutable armed : (int64 * float * waiter) list;
   req_counts : (string, int) Hashtbl.t;
   err_counts : (string, int) Hashtbl.t;
   hist : Histogram.t;
@@ -82,7 +99,6 @@ type t = {
   mutable compiles : int; (* reported on the wire as [ir_misses] *)
   mutable disk_hits : int;
   mutable disk_misses : int;
-  mutable queued : int; (* compute jobs submitted, not yet finished *)
   mutable shedding : bool;
   mutable inflight : int;
   mutable conns : (int * Unix.file_descr) list;
@@ -253,27 +269,24 @@ let compute t req =
       }
   | P.Stats | P.Shutdown -> invalid_arg "Server.compute"
 
-(* queued-job bookkeeping: the watermark pair is a hysteresis band so
-   the shedding decision does not flap once per job around one
+(* re-read the backlog, the number of [pending] computations, after an
+   entry is added or removed: the watermark pair is a hysteresis band
+   so the shedding decision does not flap once per job around one
    threshold *)
-let note_submitted t =
+let note_backlog t =
   (* caller holds t.lock *)
-  t.queued <- t.queued + 1;
-  if (not t.shedding) && t.queued >= t.hi_mark then begin
+  let queued = Hashtbl.length t.pending in
+  if (not t.shedding) && queued >= t.hi_mark then begin
     t.shedding <- true;
     t.cfg.log
       (Printf.sprintf "overload: %d jobs queued (high watermark %d), \
-                       shedding bench" t.queued t.hi_mark)
+                       shedding bench" queued t.hi_mark)
   end
-
-let note_finished t =
-  (* caller holds t.lock *)
-  t.queued <- t.queued - 1;
-  if t.shedding && t.queued <= t.lo_mark then begin
+  else if t.shedding && queued <= t.lo_mark then begin
     t.shedding <- false;
     t.cfg.log
       (Printf.sprintf "overload: backlog at %d (low watermark %d), \
-                       admitting bench again" t.queued t.lo_mark)
+                       admitting bench again" queued t.lo_mark)
   end
 
 (* a failing pipeline stage is the request's fault, not the worker's:
@@ -302,9 +315,10 @@ let add_reply t key ~rk body =
 
 (* Everything a request can legitimately fail with becomes a structured
    error reply; only true surprises surface as [worker_crash]. The job
-   always cleans its [pending] slot, and caches a success's cached-marked
-   bytes in the same locked section, so a request never finds neither;
-   the bytes also go to disk when a disk cache is configured. *)
+   always takes its [pending] entry, and caches a success's
+   cached-marked bytes in the same locked section, so a request never
+   finds neither; the bytes also go to disk when a disk cache is
+   configured. Then it answers every waiter the deadline clock has not. *)
 let job t ~key req () =
   let reply, entry =
     match D.guard (fun () -> compute t req) with
@@ -313,25 +327,33 @@ let job t ~key req () =
       (P.R_error { code = error_code e; message = D.render_error e }, None)
     | exception e -> (err P.Worker_crash "%s" (Printexc.to_string e), None)
   in
-  locked t (fun () ->
-      Hashtbl.remove t.pending key;
-      note_finished t;
-      Option.iter (fun body -> add_reply t key ~rk:(kind_name req) body) entry);
+  let waiters =
+    locked t (fun () ->
+        let ws = Hashtbl.find t.pending key in
+        Hashtbl.remove t.pending key;
+        note_backlog t;
+        Option.iter (fun body -> add_reply t key ~rk:(kind_name req) body) entry;
+        ws)
+  in
   (match (t.disk, entry) with
   | Some d, Some body -> Diskcache.store d ~key body
   | _ -> ());
-  (reply, entry)
+  List.iter (fun w -> answer w ?entry reply) (List.rev waiters)
 
 (* ------------------------------------------------------------------ *)
-(* Request handling (runs on connection reader + waiter threads)       *)
+(* Request handling (runs on connection reader threads)                *)
 (* ------------------------------------------------------------------ *)
 
 (* a request is answered from the cache, answered now with an error,
-   or pending on the pool *)
+   or parked on a pending computation, which answers it *)
 type outcome =
   | Hit of string (* cached-marked reply bytes *)
   | Now of P.reply
-  | Wait of (P.reply * string option) Pool.future * float option (* deadline *)
+  | Parked
+
+let wake t =
+  try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+  with Unix.Unix_error _ -> ()
 
 (* caller holds t.lock *)
 let find_reply t key =
@@ -360,9 +382,10 @@ let probe_disk t ~key ~rk =
         locked t (fun () -> t.disk_misses <- t.disk_misses + 1);
         None))
 
-(* [req] is the normal form {!identity} returned with [key]; [deadline]
-   bounds the wait for a pool job *)
-let serve_compute t ~key ~deadline req =
+(* [req] is the normal form {!identity} returned with [key]. On a miss
+   [w] joins the computation's waiters, and a [deadline] (ms) is armed
+   on the clock. *)
+let serve_compute t ~key ~deadline req w =
   let mem =
     locked t (fun () ->
         match find_reply t key with
@@ -379,6 +402,16 @@ let serve_compute t ~key ~deadline req =
     match probe_disk t ~key ~rk:(kind_name req) with
     | Some body -> Hit body
     | None ->
+      let park waiters =
+        (* caller holds t.lock *)
+        Hashtbl.replace t.pending key (w :: waiters);
+        Option.iter
+          (fun ms ->
+            t.armed <- (Clock.now_ns (), ms, w) :: t.armed;
+            wake t)
+          deadline;
+        Parked
+      in
       locked t (fun () ->
           (* recheck: a coalesced job or another connection's disk load
              may have filled the slot during the disk probe *)
@@ -386,7 +419,7 @@ let serve_compute t ~key ~deadline req =
           | Some body -> Hit body
           | None -> (
             match Hashtbl.find_opt t.pending key with
-            | Some f -> Wait (f, deadline)
+            | Some waiters -> park waiters
             | None ->
               let sheddable =
                 match req with P.Bench _ | P.Tune _ -> true | _ -> false
@@ -397,14 +430,14 @@ let serve_compute t ~key ~deadline req =
                      "overloaded: %d compute jobs queued; bench and tune \
                       requests are shed until the backlog clears (cached \
                       replies are still served)"
-                     t.queued)
+                     (Hashtbl.length t.pending))
               else begin
-                (* submit and register in one section: a job that
-                   finishes first must find its slot to clear *)
-                let f = Pool.submit t.pool (job t ~key req) in
-                Hashtbl.add t.pending key f;
-                note_submitted t;
-                Wait (f, deadline)
+                (* submit and park in one section: a job that finishes
+                   first must find its waiter to answer *)
+                ignore (Pool.submit t.pool (job t ~key req));
+                let parked = park [] in
+                note_backlog t;
+                parked
               end)))
 
 let build_stats t =
@@ -428,7 +461,7 @@ let build_stats t =
           s_cache_bytes = Lru.bytes t.cache;
           s_cache_evictions = Lru.evictions t.cache;
           s_inflight = t.inflight;
-          s_queued = t.queued;
+          s_queued = Hashtbl.length t.pending;
           s_shedding = t.shedding;
           s_conns = List.length t.conns;
           s_latency =
@@ -444,8 +477,8 @@ let build_stats t =
 (* [request_stop] may run inside the SIGTERM handler, which OCaml
    executes at a poll point on an arbitrary thread — possibly one that
    already holds [t.lock]. It must therefore never take a mutex: it
-   only flips the atomic flag and wakes the acceptors, and [run]'s main
-   thread notices via [Domain.join] returning. *)
+   only flips the atomic flag, wakes the acceptors, and wakes [run]'s
+   main thread through the self-pipe. *)
 let request_stop t =
   if not (Atomic.exchange t.stopping true) then begin
     t.cfg.log "drain requested";
@@ -469,8 +502,7 @@ let request_stop t =
           with Unix.Unix_error _ -> ()
         done)
       t.listeners;
-    (try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
-     with Unix.Unix_error _ -> ())
+    wake t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -549,17 +581,20 @@ let render t reply =
    record, slot release. [entry] is a success's cached-marked bytes;
    [frame_key], when given, the id-stripped request bytes that key them
    besides the normal form, so a byte-identical repeat skips the JSON
-   parse. Runs on the reader thread (fast paths) or on a waiter thread
-   (pool-scheduled requests). *)
+   parse. Runs on the reader thread (fast paths), on the pool worker
+   that computed the reply, or on the deadline clock. *)
 let finish t conn ~t0 ~id ?frame_key ~rk ?entry body =
   (match (frame_key, entry) with
   | Some fk, Some e -> locked t (fun () -> add_reply t fk ~rk e)
   | _ -> ());
   ignore (send_raw conn ?id body);
-  locked t (fun () ->
-      Histogram.record t.hist (Clock.elapsed_ms ~since:t0);
-      t.inflight <- t.inflight - 1;
-      if t.inflight = 0 then Condition.broadcast t.drained);
+  let drained =
+    locked t (fun () ->
+        Histogram.record t.hist (Clock.elapsed_ms ~since:t0);
+        t.inflight <- t.inflight - 1;
+        t.inflight = 0)
+  in
+  if drained && Atomic.get t.stopping then wake t;
   Semaphore.Counting.release conn.c_window
 
 (* decode and dispatch one already-admitted frame. [fast] carries the
@@ -600,11 +635,10 @@ let handle_frame t conn ~t0 ~fast payload =
             | _ -> None
           in
           let finish = finish t conn ~t0 ~id ?frame_key ~rk in
-          (* [deadline_ms] bounds the wait; on tune it is the anytime
-             search budget, enforced inside the search itself — the
-             waiter must await unboundedly, or a tight budget would race
-             the transport timeout instead of returning the best-so-far
-             plan *)
+          (* the clock answers [deadline_ms] on advise, bench and check
+             with a timeout. On tune it is the anytime search budget,
+             enforced inside the search itself: a tight budget must
+             return the best-so-far plan, not race a timeout *)
           let deadline =
             match req with
             | P.Advise { deadline_ms; _ }
@@ -613,31 +647,14 @@ let handle_frame t conn ~t0 ~fast payload =
               deadline_ms
             | _ -> None
           in
-          match serve_compute t ~key ~deadline normal with
+          let w =
+            { w_done = Atomic.make false;
+              w_finish = (fun ?entry reply -> finish ?entry (render t reply)) }
+          in
+          match serve_compute t ~key ~deadline normal w with
           | Hit body -> finish ~entry:body body
           | Now reply -> finish (render t reply)
-          | Wait (fut, deadline) ->
-            (* complete out of order on a waiter thread; the reader goes
-               back to the socket immediately *)
-            ignore
-              (Thread.create
-                 (fun () ->
-                   match
-                     match deadline with
-                     | None -> Some (Pool.await fut)
-                     | Some ms -> Pool.await_timeout fut ~timeout_ms:ms
-                   with
-                   | None ->
-                     finish
-                       (render t
-                          (err P.Timeout
-                             "deadline of %gms expired; the computation \
-                              continues and will be cached"
-                             (Option.get deadline)))
-                   | Some (Ok (reply, entry)) -> finish ?entry (render t reply)
-                   | Some (Error (e : Pool.error)) ->
-                     finish (render t (err P.Worker_crash "%s" e.Pool.err_exn)))
-                 ())))))
+          | Parked -> ()))))
 
 let conn_loop t id conn =
   let writer = Thread.create writer_loop conn in
@@ -778,11 +795,48 @@ let accept_loop t l =
   in
   go ()
 
+(* The deadline clock, on [run]'s main thread: answer every armed
+   waiter whose deadline has passed with a timeout, then sleep on the
+   self-pipe until the earliest remaining deadline. The job keeps
+   running and caches its result. Returns once a drain has been
+   requested and no request is in flight, so deadlines keep firing
+   while the daemon drains. *)
+let clock t =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    let now = Clock.now_ns () in
+    let left (armed_at, ms, _) = ms -. Clock.span_ms armed_at now in
+    let expired, next, drained =
+      locked t (fun () ->
+          let live =
+            List.filter (fun (_, _, w) -> not (Atomic.get w.w_done)) t.armed
+          in
+          let expired, live = List.partition (fun a -> left a <= 0.0) live in
+          t.armed <- live;
+          ( expired,
+            List.fold_left (fun m a -> Float.min m (left a)) Float.infinity live,
+            Atomic.get t.stopping && t.inflight = 0 ))
+    in
+    List.iter
+      (fun (_, ms, w) ->
+        answer w
+          (err P.Timeout
+             "deadline of %gms expired; the computation continues and will \
+              be cached"
+             ms))
+      expired;
+    if not drained then begin
+      let timeout = if next = Float.infinity then -1.0 else next /. 1000.0 in
+      (match Unix.select [ t.wake_r ] [] [] timeout with
+      | [], _, _ -> ()
+      | _ -> ignore (Unix.read t.wake_r buf 0 (Bytes.length buf))
+      | exception Unix.Unix_error (EINTR, _, _) -> ());
+      go ()
+    end
+  in
+  go ()
+
 let drain t shard_domains =
-  locked t (fun () ->
-      while t.inflight > 0 do
-        Condition.wait t.drained t.lock
-      done);
   (* Every in-flight reply has been written. Shut down the read half of
      every connection so idle reader threads wake with EOF and exit —
      this must happen BEFORE joining the shard domains: reader threads
@@ -801,8 +855,8 @@ let drain t shard_domains =
   List.iter
     (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ())
     t.listeners;
-  (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
+  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
+  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ());
   t.cfg.log "drained"
 
@@ -901,7 +955,8 @@ let run cfg =
         (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
         raise e)
   in
-  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
@@ -910,13 +965,13 @@ let run cfg =
       hi_mark;
       lo_mark;
       stopping = Atomic.make false;
-      stop_r;
-      stop_w;
+      wake_r;
+      wake_w;
       lock = Mutex.create ();
-      drained = Condition.create ();
       cache = Lru.create ~capacity_bytes:(cfg.cache_mb * 1024 * 1024);
       disk = Option.map (fun dir -> Diskcache.create ~dir) cfg.cache_dir;
       pending = Hashtbl.create 16;
+      armed = [];
       req_counts = Hashtbl.create 8;
       err_counts = Hashtbl.create 8;
       hist = Histogram.create ();
@@ -925,7 +980,6 @@ let run cfg =
       compiles = 0;
       disk_hits = 0;
       disk_misses = 0;
-      queued = 0;
       shedding = false;
       inflight = 0;
       conns = [];
@@ -957,14 +1011,7 @@ let run cfg =
         List.init cfg.shards (fun _ -> Domain.spawn (fun () -> accept_loop t l)))
       t.listeners
   in
-  (* block until [request_stop] (signal handler or shutdown request)
-     writes the stop byte, then tear down *)
-  let buf = Bytes.create 1 in
-  let rec wait_stop () =
-    match Unix.read t.stop_r buf 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error (EINTR, _, _) ->
-      if not (Atomic.get t.stopping) then wait_stop ()
-  in
-  wait_stop ();
+  (* fire deadlines until [request_stop] (signal handler or shutdown
+     request) and the in-flight replies are done, then tear down *)
+  clock t;
   drain t shard_domains

@@ -27,15 +27,16 @@
 
     Misses are scheduled onto a {!Slo_exec.Pool} of worker domains, and
     identical concurrent requests coalesce onto one in-flight
-    computation.
+    computation, which answers every request waiting on it.
 
     Concurrency model: each listener's accept loop is replicated across
     [shards] domains; a connection is owned by the domain that accepted
     it, so frame reading and JSON parsing of different connections run
     in parallel. Per connection, one reader thread reads frames and
-    serves fast-path replies inline; requests that go to the compute
-    pool are completed by a per-request waiter thread, so {e replies
-    may complete out of order} (correlated by request id) and a slow
+    serves fast-path replies inline, and one writer thread writes the
+    replies; requests that go to the compute pool are answered by the
+    job that computes them, or by the deadline clock, so {e replies may
+    complete out of order} (correlated by request id) and a slow
     [bench] never blocks a cached [advise] behind it. The reader admits
     at most [window] requests in flight per connection — beyond that it
     stops reading, which is the protocol's backpressure.
@@ -43,8 +44,9 @@
     Robustness semantics:
 
     - {b deadlines}: a request's [deadline_ms] bounds the wait, not the
-      computation — on expiry the client gets a [timeout] error while
-      the job runs on and its result still enters the cache. Deadlines
+      computation — on expiry the client gets a [timeout] error, sent
+      by one deadline clock on {!run}'s calling thread, while the job
+      runs on and its result still enters the cache. Deadlines
       and latency histograms use the monotonic clock
       ({!Slo_util.Clock}); wall time is kept only for [started]/uptime.
     - {b structured errors}: Mini-C parse, typecheck, lowering/verifier

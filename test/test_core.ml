@@ -604,36 +604,6 @@ let feedback_rule () =
   Alcotest.(check bool) "pbo: the collected profile" true
     (D.feedback_for prog ~scheme:W.PBO = Some collected)
 
-(* ------------------------- GVL ------------------------- *)
-
-let gvl_reorders_globals () =
-  let src =
-    "long cold1; long hotg; long cold2;\n\
-     struct s { long v; };\n\
-     struct s boxy;\n\
-     int main() { int i; long a = 0;\n\
-     boxy.v = 1;\n\
-     cold1 = 1; cold2 = 2;\n\
-     for (i = 0; i < 1000; i++) { hotg = hotg + i; a = a + hotg; }\n\
-     return (int)((a + cold1 + cold2 + boxy.v) % 97); }"
-  in
-  let prog = lower src in
-  let before = Slo_vm.Interp.run_program prog in
-  let bw = W.block_weights prog W.ISPBO ~feedback:None in
-  let hot = Slo_core.Gvl.hotness prog bw in
-  Alcotest.(check string) "hotg is hottest" "hotg" (fst (List.hd hot));
-  Slo_core.Gvl.reorder prog bw;
-  (match prog.Ir.globals with
-  | (first, _, _) :: _ -> Alcotest.(check string) "hotg first" "hotg" first
-  | [] -> Alcotest.fail "no globals");
-  (* aggregates sort after scalars *)
-  let names = List.map (fun (n, _, _) -> n) prog.Ir.globals in
-  Alcotest.(check bool) "struct global last" true
-    (List.nth names (List.length names - 1) = "boxy");
-  let after = Slo_vm.Interp.run_program prog in
-  Alcotest.(check string) "semantics preserved" before.output after.output;
-  Alcotest.(check int) "same exit" before.exit_code after.exit_code
-
 (* ------------------------- advisor ------------------------- *)
 
 let advisor_report () =
@@ -901,8 +871,6 @@ let () =
           Alcotest.test_case "stage errors" `Quick stage_errors;
           Alcotest.test_case "feedback rule" `Quick feedback_rule;
         ] );
-      ( "gvl",
-        [ Alcotest.test_case "reorder" `Quick gvl_reorders_globals ] );
       ( "advisor",
         [ Alcotest.test_case "report+vcg" `Quick advisor_report ] );
       ( "codec",

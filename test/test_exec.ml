@@ -52,32 +52,6 @@ let pool_lifecycle () =
   | _ -> Alcotest.fail "submit after shutdown accepted");
   Alcotest.(check bool) "default_jobs positive" true (Pool.default_jobs () >= 1)
 
-let pool_await_timeout () =
-  let p = Pool.create ~jobs:1 in
-  (* expired: the job outlives the deadline, so the wait is cancelled *)
-  let slow = Pool.submit p (fun () -> Unix.sleepf 0.25; "slow") in
-  Alcotest.(check bool) "deadline expires" true
-    (Pool.await_timeout slow ~timeout_ms:20.0 = None);
-  (* cancellation-on-deadline cancels only the wait, never the job: the
-     result still lands in the future and a later await retrieves it *)
-  Alcotest.(check bool) "result survives the timeout" true
-    (Pool.await slow = Ok "slow");
-  Alcotest.(check bool) "await_timeout after completion" true
-    (Pool.await_timeout slow ~timeout_ms:1.0 = Some (Ok "slow"));
-  (* just in time: a fast job beats a generous deadline *)
-  let fast = Pool.submit p (fun () -> 42) in
-  Alcotest.(check bool) "fast job inside deadline" true
-    (Pool.await_timeout fast ~timeout_ms:5000.0 = Some (Ok 42));
-  (* a crashed job reports Error through the timed wait too *)
-  let bad = Pool.submit p (fun () -> failwith "bang") in
-  (match Pool.await_timeout bad ~timeout_ms:5000.0 with
-  | Some (Error e) ->
-    Alcotest.(check bool) "crash surfaces through timed wait" true
-      (Astring.String.is_infix ~affix:"bang" e.Pool.err_exn)
-  | Some (Ok _) -> Alcotest.fail "crashed job returned Ok"
-  | None -> Alcotest.fail "crashed job timed out instead of failing");
-  Pool.shutdown p
-
 (* ---------------- domain budget ---------------- *)
 
 module Cores = Slo_exec.Cores
@@ -347,7 +321,6 @@ let () =
           Alcotest.test_case "ordered results" `Quick pool_ordered;
           Alcotest.test_case "crash isolated" `Quick pool_error_isolated;
           Alcotest.test_case "lifecycle" `Quick pool_lifecycle;
-          Alcotest.test_case "await timeout" `Quick pool_await_timeout;
         ] );
       ( "cores",
         [

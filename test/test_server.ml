@@ -132,6 +132,13 @@ let advise ?scheme ?(pool = false) ?deadline_ms src =
 let bench ?scheme ?backend ?(pool = false) ?deadline_ms src =
   P.Bench { src; scheme; backend; args = []; pool; deadline_ms }
 
+let wire reply = Json.to_string (P.json_of_reply reply)
+
+let stats conn =
+  match Client.rpc conn P.Stats with
+  | P.R_stats s -> s
+  | r -> Alcotest.failf "stats failed: %s" (wire r)
+
 let expect_error name code reply =
   match reply with
   | P.R_error e ->
@@ -740,7 +747,6 @@ let e2e_structured_errors () =
 let e2e_daemon_is_library () =
   let module D = Slo_core.Driver in
   let module Suite = Slo_suite.Suite in
-  let wire reply = Json.to_string (P.json_of_reply reply) in
   with_server ~jobs:2 (fun ~connect ~close _socket ->
       let conn = connect () in
       List.iter
@@ -823,6 +829,98 @@ let e2e_deadline () =
       (match Client.rpc conn (advise (hot_cold_src "dl2")) with
       | P.R_advise _ -> ()
       | _ -> Alcotest.fail "request after timeout failed");
+      close conn)
+
+(* poll [stats] until the number of pending computations satisfies [ok] *)
+let await_queued conn ok =
+  let rec go attempts =
+    if attempts = 0 then Alcotest.fail "pending computations never settled";
+    if not (ok (stats conn).s_queued) then begin
+      Unix.sleepf 0.005;
+      go (attempts - 1)
+    end
+  in
+  go 2000
+
+(* two identical cold requests pipelined on one connection: the second
+   arrives while the first computes, joins it, and both get the one
+   computation's reply *)
+let e2e_coalescing () =
+  with_server ~jobs:1 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let req = bench ~scheme:"spbo" (slow_src "coal") in
+      Client.send conn ~id:1 req;
+      Client.send conn ~id:2 req;
+      let r1 = Client.recv conn and r2 = Client.recv conn in
+      (match List.sort compare [ r1; r2 ] with
+      | [ (Some 1, (P.R_bench { b_cached = false; _ } as a)); (Some 2, b) ] ->
+        Alcotest.(check string) "one reply, two ids" (wire a) (wire b)
+      | _ ->
+        Alcotest.failf "replies: %s / %s" (wire (snd r1)) (wire (snd r2)));
+      let s = stats conn in
+      Alcotest.(check (pair int int)) "one compile, two misses" (1, 2)
+        (s.s_ir_misses, s.s_result_misses);
+      close conn)
+
+(* a deadline answers the request once, with [timeout], and the job runs
+   on: its reply is cached for the next request *)
+let e2e_deadline_result_cached () =
+  with_server ~jobs:2 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let src = slow_src "dlc" in
+      Client.send conn ~id:1 (bench ~deadline_ms:1.0 src);
+      (match Client.recv conn with
+      | Some 1, r -> expect_error "deadline" P.Timeout r
+      | _ -> Alcotest.fail "no timeout for request 1");
+      await_queued conn (( = ) 0);
+      (* the next frame answers the next request: no second reply for
+         the timed-out one *)
+      Client.send conn ~id:2 (bench src);
+      (match Client.recv conn with
+      | Some 2, P.R_bench { b_cached; _ } ->
+        Alcotest.(check bool) "served from the cache" true b_cached
+      | id, r ->
+        Alcotest.failf "frame after the timeout: %s %s"
+          (Option.fold ~none:"-" ~some:string_of_int id) (wire r));
+      let s = stats conn in
+      Alcotest.(check (pair int int)) "one compile, none queued" (1, 0)
+        (s.s_ir_misses, s.s_queued);
+      close conn)
+
+(* a reply that beats its deadline is the request's only answer: once
+   the deadline has passed, the next frame is the next request's *)
+let e2e_deadline_answered_once () =
+  with_server (fun ~connect ~close _socket ->
+      let conn = connect () in
+      Client.send conn ~id:1
+        (P.Check
+           { src = hot_cold_src "once"; relax = false;
+             deadline_ms = Some 250.0 });
+      (match Client.recv conn with
+      | Some 1, P.R_check _ -> ()
+      | _, r -> Alcotest.failf "check: %s" (wire r));
+      Unix.sleepf 0.4;
+      Client.send conn ~id:2 P.Stats;
+      (match Client.recv conn with
+      | Some 2, P.R_stats _ -> ()
+      | id, r ->
+        Alcotest.failf "frame after the deadline: %s %s"
+          (Option.fold ~none:"-" ~some:string_of_int id) (wire r));
+      close conn)
+
+(* a deadline that falls while the daemon drains still fires *)
+let e2e_deadline_during_drain () =
+  with_server (fun ~connect ~close _socket ->
+      let conn = connect () and ctl = connect () in
+      Client.send conn ~id:1 (bench ~deadline_ms:50.0 (slow_src "dd"));
+      await_queued ctl (fun n -> n > 0);
+      (match Client.rpc ctl P.Shutdown with
+      | P.R_shutdown -> ()
+      | r -> Alcotest.failf "shutdown: %s" (wire r));
+      (match Client.recv conn with
+      | Some 1, r -> expect_error "deadline during drain" P.Timeout r
+      | _ -> Alcotest.fail "no reply for the bench");
+      close ctl;
       close conn)
 
 let e2e_overloaded () =
@@ -1224,6 +1322,13 @@ let () =
           Alcotest.test_case "daemon is the library" `Quick
             e2e_daemon_is_library;
           Alcotest.test_case "deadline" `Quick e2e_deadline;
+          Alcotest.test_case "coalescing" `Quick e2e_coalescing;
+          Alcotest.test_case "deadline result cached" `Quick
+            e2e_deadline_result_cached;
+          Alcotest.test_case "deadline answered once" `Quick
+            e2e_deadline_answered_once;
+          Alcotest.test_case "deadline fires during drain" `Quick
+            e2e_deadline_during_drain;
           Alcotest.test_case "connection limit" `Quick e2e_overloaded;
           Alcotest.test_case "shutdown drains" `Quick e2e_shutdown_drains;
           Alcotest.test_case "sigterm drains" `Quick e2e_sigterm_drains;
