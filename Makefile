@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate serve-smoke serve-load tune-smoke lint perf loc clean
+.PHONY: all build test fuzz bench bench-smoke accuracy perf-gate serve-smoke serve-load tune-smoke lint loc clean
 
 # worker domains for the bench harness
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
@@ -22,25 +22,24 @@ fuzz:
 bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)
 
-# a fast slice for CI: Table 1 plus one Table 3 row under each VM
-# backend and each fidelity. The compare steps fail if the walk and
-# superblock artifacts disagree on anything but wall-clock (strict
-# mode, equal fidelities), or if the sampled artifact strays outside
-# the accuracy bounds against the exact one (accuracy mode)
+# a fast slice for CI: Table 1, one Table 3 row at each fidelity, and
+# the engine oracle on that row. The compare step fails if the sampled
+# artifact strays outside the accuracy bounds against the exact one
+# (accuracy mode); the backends step fails if the tree-walking
+# reference and the compiled engine differ in output, steps, event
+# stream or any cache counter on 179.art's original or PBO-planned
+# program at ref args
 bench-smoke:
 	dune exec bench/main.exe -- table1 --jobs 2 \
 	  --out _artifacts/BENCH-table1.json
 	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
-	  --backend walk --out _artifacts/BENCH-table3-walk.json
+	  --out _artifacts/BENCH-table3-smoke.json
 	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
-	  --backend superblock --out _artifacts/BENCH-table3-smoke.json
-	dune exec bench/main.exe -- table3 --only 179.art --jobs 2 \
-	  --backend superblock --fidelity sampled \
-	  --out _artifacts/BENCH-table3-sampled.json
-	dune exec bench/compare.exe -- _artifacts/BENCH-table3-walk.json \
-	  _artifacts/BENCH-table3-smoke.json
+	  --fidelity sampled --out _artifacts/BENCH-table3-sampled.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-table3-smoke.json \
 	  _artifacts/BENCH-table3-sampled.json
+	dune exec bench/main.exe -- backends --only 179.art \
+	  --out _artifacts/BENCH-backends.json
 
 # the full-size roster accuracy gate: Table 3 on the compiled engine
 # at exact and at sampled fidelity, then compare.exe's accuracy mode
@@ -56,7 +55,7 @@ accuracy:
 	  _artifacts/BENCH-accuracy-sampled.json
 
 # measure-phase throughput and profile-time gate: three fresh
-# full-roster exact superblock runs against the committed baseline
+# full-roster exact runs against the committed baseline
 # (ci/PERF-BASELINE.json), failing when the median of the three
 # regresses by >20% in aggregate measure_msteps_per_s or in total
 # profile time; one run caught by a load spike does not decide it.
@@ -64,8 +63,7 @@ accuracy:
 # overlap.
 perf-gate:
 	for i in 1 2 3; do \
-	  dune exec bench/main.exe -- table3 --jobs 1 \
-	    --backend superblock --fidelity exact \
+	  dune exec bench/main.exe -- table3 --jobs 1 --fidelity exact \
 	    --out _artifacts/BENCH-perfgate-$$i.json || exit 1; \
 	done
 	dune exec bench/perfgate.exe -- ci/PERF-BASELINE.json \
@@ -144,22 +142,6 @@ lint:
 	_build/default/bin/slopt.exe check examples/check_demo.mc \
 	  examples/pool_demo.mc --roster \
 	  --golden ci/lint-golden.txt --sarif _artifacts/LINT.sarif
-
-# measure-phase speedup ladder: the full Table 3 under the walk,
-# superblock-exact and superblock-sampled configurations, then the
-# walk/exact (strict) and exact/sampled (accuracy) ratios
-perf:
-	dune exec bench/main.exe -- table3 --jobs 1 \
-	  --backend walk --out _artifacts/BENCH-walk.json
-	dune exec bench/main.exe -- table3 --jobs 1 \
-	  --backend superblock --out _artifacts/BENCH-superblock.json
-	dune exec bench/main.exe -- table3 --jobs 1 \
-	  --backend superblock --fidelity sampled \
-	  --out _artifacts/BENCH-sampled.json
-	dune exec bench/compare.exe -- _artifacts/BENCH-walk.json \
-	  _artifacts/BENCH-superblock.json
-	dune exec bench/compare.exe -- _artifacts/BENCH-superblock.json \
-	  _artifacts/BENCH-sampled.json
 
 # tracked line count per top-level source directory, the net line
 # count a change is measured by; from git ls-files, so build outputs

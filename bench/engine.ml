@@ -106,16 +106,14 @@ let profile ?args ?(instrument = true) (e : Suite.entry) =
 
 type run = {
   pool : Pool.t;
-  run_backend : Backend.t;
   run_fidelity : Sampled.fidelity;
   mutable recs : record list; (* reversed *)
   t_start : int64; (* monotonic, Slo_util.Clock *)
 }
 
-let create_run ?(backend = Backend.default) ?(fidelity = Sampled.Exact) ~jobs
-    () =
-  { pool = Pool.create ~jobs; run_backend = backend; run_fidelity = fidelity;
-    recs = []; t_start = Slo_util.Clock.now_ns () }
+let create_run ?(fidelity = Sampled.Exact) ~jobs () =
+  { pool = Pool.create ~jobs; run_fidelity = fidelity; recs = [];
+    t_start = Slo_util.Clock.now_ns () }
 
 let jobs run = Pool.jobs run.pool
 let records run = List.rev run.recs
@@ -277,7 +275,7 @@ let table1 run ~roster =
 (* Table 3: transformed types and performance impact (full pipeline)   *)
 (* ------------------------------------------------------------------ *)
 
-let t3_job ~backend ~fidelity (e : Suite.entry) scheme ~label ~paper () =
+let t3_job ~fidelity (e : Suite.entry) scheme ~label ~paper () =
   let prog, t_compile = compile e in
   let feedback, t_profile =
     if W.needs_profile scheme then begin
@@ -287,8 +285,7 @@ let t3_job ~backend ~fidelity (e : Suite.entry) scheme ~label ~paper () =
     else (None, 0.0)
   in
   let ev =
-    D.evaluate ~args:e.ref_args ~verify:true ~backend ~fidelity ~scheme
-      ~feedback prog
+    D.evaluate ~args:e.ref_args ~verify:true ~fidelity ~scheme ~feedback prog
   in
   let plans = H.plans ev.e_decisions in
   let split_dead =
@@ -359,18 +356,17 @@ let table3 run ~roster =
     Job { bench = e.name; scheme = Some (W.name scheme);
           future =
             Pool.submit run.pool
-              (t3_job ~backend:run.run_backend ~fidelity:run.run_fidelity e
-                 scheme ~label ~paper);
+              (t3_job ~fidelity:run.run_fidelity e scheme ~label ~paper);
           ok; error }
   in
   let warnings = add_rows run t ~experiment:"table3" (List.map line units) in
   (* the measure phase dominates bench wall-clock; report its aggregate
-     VM throughput so backend speedups are visible at a glance *)
+     VM throughput so measure-phase speedups are visible at a glance *)
   render t
     (if !sum_measure_ms > 0.0 then
        Printf.sprintf "measure: %.1f Msteps/s [%s backend, %s]"
          (float_of_int !sum_steps /. !sum_measure_ms /. 1000.0)
-         (Backend.to_string run.run_backend)
+         (Backend.to_string Backend.default)
          (Sampled.fidelity_name run.run_fidelity)
        :: warnings
      else warnings)
@@ -383,8 +379,7 @@ let table3 run ~roster =
 (* why pooling does not apply.                                         *)
 (* ------------------------------------------------------------------ *)
 
-let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) ~links
-    () =
+let pool_job ~fidelity (e : Suite.entry) (v : Shape.verdict) ~links () =
   let prog, t_compile = compile e in
   let plan =
     H.Pool { Slo_core.Transform.po_typ = v.Shape.v_typ; po_links = v.v_links }
@@ -397,8 +392,8 @@ let pool_job ~backend ~fidelity (e : Suite.entry) (v : Shape.verdict) ~links
   in
   let (before, after), t_me =
     timed (fun () ->
-        ( D.measure ~args:e.ref_args ~backend ~fidelity prog,
-          D.measure ~args:e.ref_args ~backend ~fidelity transformed ))
+        ( D.measure ~args:e.ref_args ~fidelity prog,
+          D.measure ~args:e.ref_args ~fidelity transformed ))
   in
   let oracle =
     if Slo_suite.Oracle.ok oracle then "ok"
@@ -459,8 +454,7 @@ let pool_table run ~roster =
       Job { bench = e.name; scheme = None;
             future =
               Pool.submit run.pool
-                (pool_job ~backend:run.run_backend
-                   ~fidelity:run.run_fidelity e v ~links);
+                (pool_job ~fidelity:run.run_fidelity e v ~links);
             ok = Fun.id; error }
     end
     else
@@ -534,8 +528,9 @@ let git_rev () =
   with _ -> "unknown"
 
 let write_json run ~path =
-  (* [sampled_skip] stays in schema 3 so artifacts keep comparing
-     against older ones: 0 (full warming, the only sampled layout) *)
+  (* [sampled_skip] and [backend] stay in schema 3 so artifacts keep
+     comparing against older ones: 0 (full warming, the only sampled
+     layout) and the compiled engine, the only one that measures *)
   let window, stride, skip =
     match run.run_fidelity with
     | Sampled.Exact -> (Json.Null, Json.Null, Json.Null)
@@ -547,7 +542,7 @@ let write_json run ~path =
       [ ("schema_version", Json.Int 3);
         ("tool", Json.String "slo-bench");
         ("git_rev", Json.String (git_rev ()));
-        ("backend", Json.String (Backend.to_string run.run_backend));
+        ("backend", Json.String (Backend.to_string Backend.default));
         ("fidelity", Json.String (Sampled.fidelity_name run.run_fidelity));
         ("sampled_window", window);
         ("sampled_stride", stride);

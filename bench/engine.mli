@@ -65,17 +65,14 @@ val profile :
 type run
 
 val create_run :
-  ?backend:Slo_vm.Backend.t ->
   ?fidelity:Slo_cachesim.Sampled.fidelity ->
   jobs:int ->
   unit ->
   run
-(** Start a run backed by a fresh pool of [jobs] worker domains.
-    [backend] selects the VM engine for every measurement run (default
-    {!Slo_vm.Backend.default}, the compiled one); all backends
-    produce identical counters, so the choice only affects wall-clock
-    speed — which the per-row [measure_msteps_per_s] and the table3
-    throughput summary make visible. [fidelity] (default exact) selects
+(** Start a run backed by a fresh pool of [jobs] worker domains. Every
+    measurement runs on the compiled VM engine; the per-row
+    [measure_msteps_per_s] and the table3 throughput summary report its
+    speed. [fidelity] (default exact) selects
     the cache-simulation fidelity of every measurement
     ({!Slo_core.Driver.measure}); sampled runs trade bounded counter
     accuracy for measure-phase throughput, and [compare.exe] switches

@@ -126,7 +126,6 @@ let bench_req ?args (e : Suite.entry) =
     {
       src = e.source;
       scheme = Some (Codec.scheme_name W.SPBO);
-      backend = None;
       args = Option.value ~default:e.train_args args;
       pool = false;
       deadline_ms = deadline ();

@@ -4,16 +4,17 @@
      dune exec bench/main.exe                     -- everything, serially
      dune exec bench/main.exe -- table1 --jobs 8  -- one experiment, 8 workers
    Targets: table1 table2 table3 pool figure1 figure2 ablation overhead
-            casestudies timings
+            casestudies backends
+   With no target, all but backends run. backends runs each entry's
+   original and PBO-planned program at ref args on both VM engines,
+   the tree-walking reference included, and exits 1 on any mismatch;
+   the walker is the slow engine, so it runs only when named (CI runs
+   it with --only 179.art).
    Options:
      --jobs N | -j N   worker domains for the parallel experiments
                        (table1, table3, pool); default 1
-     --only NAME       restrict table1/table3/pool to this roster entry
-                       (repeatable)
-     --backend B       VM engine for the measurement runs: superblock
-                       (the compiled engine; default; closure is
-                       another name for it) or walk (the tree-walking
-                       reference)
+     --only NAME       restrict table1/table3/pool/backends to this
+                       roster entry (repeatable)
      --fidelity F      cache-simulation fidelity: exact (default),
                        sampled or sampled:WINDOW,STRIDE — sampled runs
                        simulate windows in detail and warm the rest,
@@ -26,7 +27,6 @@
    speedup, per-phase timings, jobs, git rev) to the --out file. *)
 
 module D = Slo_core.Driver
-module L = Slo_core.Legality
 module A = Slo_core.Affinity
 module H = Slo_core.Heuristics
 module T = Slo_core.Transform
@@ -151,6 +151,42 @@ let pool run roster =
   say "";
   say "(one row per self-referential record; poolable ones are rewritten,";
   say " oracle-validated and measured, refuted ones show the witness)";
+  say ""
+
+(* ------------------------------------------------------------------ *)
+(* backends: the tree-walking reference against the compiled engine    *)
+(* ------------------------------------------------------------------ *)
+
+(* set by a mismatch; the process exits 1 after the artifact is written *)
+let engines_differ = ref false
+
+(* each entry's original program and its PBO-planned one (Table 3's
+   PBO row) at ref args under the Itanium hierarchy, through the
+   differential oracle: output, steps, the event stream's count and
+   digest, and every cache counter must agree *)
+let backends roster =
+  say "== VM engines: walk reference vs compiled, ref args ==";
+  List.iter
+    (fun (e : Suite.entry) ->
+      let prog = compile e in
+      let fb, _ = Engine.profile e in
+      let d = D.decide prog ~scheme:W.PBO ~feedback:(Some fb) in
+      let planned =
+        D.transform_with_plans ~verify:true prog (H.plans d.decisions)
+      in
+      List.iter
+        (fun (label, p) ->
+          match Slo_suite.Oracle.compare_backends ~args:e.ref_args p with
+          | [] -> say "  %-20s %-8s agree" e.name label
+          | ms ->
+            engines_differ := true;
+            say "  %-20s %-8s MISMATCH" e.name label;
+            List.iter
+              (fun m ->
+                say "    %s" (Slo_suite.Oracle.string_of_backend_mismatch m))
+              ms)
+        [ ("original", prog); ("PBO", planned) ])
+    roster;
   say ""
 
 (* ------------------------------------------------------------------ *)
@@ -331,7 +367,7 @@ let casestudies () =
   say ""
 
 (* ------------------------------------------------------------------ *)
-(* Compile-time overhead (2.5) and Bechamel phase timings              *)
+(* Compile-time overhead (2.5)                                         *)
 (* ------------------------------------------------------------------ *)
 
 let timed = Slo_util.Clock.timed
@@ -365,52 +401,6 @@ let overhead () =
   print_string (Table.render t);
   say ""
 
-let timings () =
-  say "== Bechamel micro-timings of the analysis phases (mcf) ==";
-  let e = Suite.find "181.mcf" in
-  let prog = compile e in
-  let open Bechamel in
-  let tests =
-    [ Test.make ~name:"table1:legality"
-        (Staged.stage (fun () -> ignore (L.analyze prog)));
-      Test.make ~name:"table2:affinity+ISPBO"
-        (Staged.stage (fun () ->
-             let bw = W.block_weights prog W.ISPBO ~feedback:None in
-             ignore (A.analyze prog bw)));
-      Test.make ~name:"table3:plan+transform"
-        (Staged.stage (fun () ->
-             let d = D.decide prog ~scheme:W.ISPBO ~feedback:None in
-             let plans = H.plans d.decisions in
-             ignore (D.transform_with_plans prog plans)));
-      Test.make ~name:"pointsto"
-        (Staged.stage (fun () -> ignore (Slo_pointsto.Pointsto.analyze prog)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false
-        ~predictors:[| Measure.run |]
-    in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            say "  %-28s %10.1f us/run" name (est /. 1000.0)
-          | Some _ | None -> say "  %-28s (no estimate)" name)
-        results)
-    tests;
-  say ""
-
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -418,16 +408,14 @@ let timings () =
 let usage () =
   prerr_endline
     "usage: main.exe [TARGET...] [--jobs N|-j N] [--only NAME]\n\
-     \       [--backend superblock|walk]\n\
      \       [--fidelity exact|sampled|sampled:W,S] [--out FILE]\n\
      targets: table1 table2 table3 pool figure1 figure2 ablation overhead\n\
-     \         casestudies timings";
+     \         casestudies backends";
   exit 2
 
 let () =
   let jobs = ref 1 in
   let only = ref [] in
-  let backend = ref Slo_vm.Backend.default in
   let fidelity = ref Slo_cachesim.Sampled.Exact in
   let out = ref (Filename.concat "_artifacts" "BENCH.json") in
   let targets = ref [] in
@@ -439,15 +427,9 @@ let () =
       | _ ->
         Printf.eprintf "bad --jobs value %S\n" v;
         exit 2)
-    | [ "--jobs" ] | [ "-j" ] | [ "--only" ] | [ "--out" ] | [ "--backend" ]
-    | [ "--fidelity" ] ->
+    | [ "--jobs" ] | [ "-j" ] | [ "--only" ] | [ "--out" ] | [ "--fidelity" ]
+      ->
       usage ()
-    | "--backend" :: v :: rest -> (
-      match Slo_vm.Backend.of_string v with
-      | Some b -> backend := b; parse rest
-      | None ->
-        Printf.eprintf "bad --backend value %S (superblock|walk)\n" v;
-        exit 2)
     | "--fidelity" :: v :: rest -> (
       match Slo_cachesim.Sampled.fidelity_of_string v with
       | Ok f -> fidelity := f; parse rest
@@ -459,7 +441,7 @@ let () =
     | t :: rest ->
       (match t with
       | "table1" | "table2" | "table3" | "pool" | "figure1" | "figure2"
-      | "ablation" | "casestudies" | "overhead" | "timings" ->
+      | "ablation" | "casestudies" | "overhead" | "backends" ->
         targets := t :: !targets
       | other ->
         Printf.eprintf "unknown target %S\n" other;
@@ -481,9 +463,7 @@ let () =
         names;
       List.filter (fun (e : Suite.entry) -> List.mem e.name names) Suite.roster
   in
-  let run =
-    Engine.create_run ~backend:!backend ~fidelity:!fidelity ~jobs:!jobs ()
-  in
+  let run = Engine.create_run ~fidelity:!fidelity ~jobs:!jobs () in
   let dispatch = function
     | "table1" -> table1 run roster
     | "table2" -> table2 ()
@@ -494,17 +474,18 @@ let () =
     | "ablation" -> ablation ()
     | "casestudies" -> casestudies ()
     | "overhead" -> overhead ()
-    | "timings" -> timings ()
+    | "backends" -> backends roster
     | _ -> assert false
   in
   let targets =
     match List.rev !targets with
     | [] ->
       [ "table1"; "table2"; "figure1"; "figure2"; "table3"; "pool";
-        "ablation"; "casestudies"; "overhead"; "timings" ]
+        "ablation"; "casestudies"; "overhead" ]
     | ts -> ts
   in
   List.iter dispatch targets;
   Engine.write_json run ~path:!out;
   say "(machine-readable results written to %s)" !out;
-  Engine.finish run
+  Engine.finish run;
+  if !engines_differ then exit 1

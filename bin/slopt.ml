@@ -95,24 +95,6 @@ let weighting_term =
   in
   Term.(const resolve $ profile_arg $ scheme_arg)
 
-let backend_conv =
-  let parse s =
-    match Slo_vm.Backend.of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown VM engine %S" s))
-  in
-  let print ppf b = Format.pp_print_string ppf (Slo_vm.Backend.to_string b) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(value & opt backend_conv Slo_vm.Backend.default
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"VM execution engine: $(b,superblock) (the compiled engine, \
-                 default; $(b,closure) is accepted as another name for it) \
-                 or $(b,walk) (the tree-walking reference interpreter). \
-                 Both produce identical output and counters; only \
-                 wall-clock speed differs.")
-
 let fidelity_conv =
   let parse s =
     match Slo_cachesim.Sampled.fidelity_of_string s with
@@ -234,10 +216,8 @@ let transform_cmd =
           $ verify_arg)
 
 let run_cmd =
-  let run file args backend fidelity =
-    let m =
-      guarded file (fun () -> D.measure ~args ~backend ~fidelity (load file))
-    in
+  let run file args fidelity =
+    let m = guarded file (fun () -> D.measure ~args ~fidelity (load file)) in
     print_string m.m_result.output;
     Printf.printf
       "exit=%d steps=%d cycles=%d l1miss=%d l2miss=%d accesses=%d\n"
@@ -246,16 +226,15 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute under the Itanium-like cache simulator")
-    Term.(const run $ file_arg $ args_arg $ backend_arg $ fidelity_arg)
+    Term.(const run $ file_arg $ args_arg $ fidelity_arg)
 
 let bench_cmd =
-  let run file args weighting pool verify backend fidelity =
+  let run file args weighting pool verify fidelity =
     let ev =
       guarded file (fun () ->
           let prog = load ~verify file in
           let scheme, feedback = weighting ~args prog in
-          D.evaluate ~args ~pool ~verify ~backend ~fidelity ~scheme ~feedback
-            prog)
+          D.evaluate ~args ~pool ~verify ~fidelity ~scheme ~feedback prog)
     in
     List.iter
       (fun p -> Printf.printf "plan: %s\n" (H.plan_summary p))
@@ -268,7 +247,7 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Measure original vs transformed program")
     Term.(const run $ file_arg $ args_arg $ weighting_term $ pool_arg
-          $ verify_arg $ backend_arg $ fidelity_arg)
+          $ verify_arg $ fidelity_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune: search the plan space with the cachesim as cost oracle        *)
@@ -328,7 +307,7 @@ let print_plans ~label plans cycles baseline =
       plans
 
 let tune_cmd =
-  let run file args weighting jobs backend fidelity budget beam seed =
+  let run file args weighting jobs fidelity budget beam seed =
     if jobs < 1 || beam < 1 then
       die ~code:2 "ERROR: --jobs and --beam must be >= 1";
     let r =
@@ -337,8 +316,7 @@ let tune_cmd =
           let scheme, feedback = weighting ~args prog in
           Tune.search prog
             { (Tune.default_config ~scheme ~feedback) with
-              Tune.args; jobs; backend; fidelity; budget_ms = budget; beam;
-              seed })
+              Tune.args; jobs; fidelity; budget_ms = budget; beam; seed })
     in
     print_plans ~label:"heuristic" r.Tune.t_heuristic r.t_heuristic_cycles
       r.t_baseline_cycles;
@@ -360,8 +338,7 @@ let tune_cmd =
              never worse than the heuristic plan, which is always scored \
              as the incumbent.")
     Term.(const run $ file_arg $ args_arg $ weighting_term $ jobs_arg
-          $ backend_arg $ tune_fidelity_arg $ budget_arg $ beam_arg
-          $ seed_arg)
+          $ tune_fidelity_arg $ budget_arg $ beam_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check: source-located diagnostics and SARIF export                  *)
@@ -681,13 +658,6 @@ let unexpected () =
   prerr_endline "ERROR: unexpected reply kind";
   exit 3
 
-let backend_name_arg =
-  Arg.(value & opt (some string) None
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"VM engine for the measurement runs: superblock (the \
-                 compiled engine; closure is another name for it) or \
-                 walk.")
-
 let scheme_name_arg =
   Arg.(value & opt (some string) None
        & info [ "scheme" ] ~docv:"SCHEME"
@@ -713,12 +683,11 @@ let client_advise_cmd =
           $ scheme_name_arg $ client_args_arg $ pool_arg $ deadline_arg)
 
 let client_bench_cmd =
-  let run socket wait file name scheme backend args pool deadline =
+  let run socket wait file name scheme args pool deadline =
     let src, args = resolve_src file name args in
     match
       rpc socket wait
-        (Proto.Bench
-           { src; scheme; backend; args; pool; deadline_ms = deadline })
+        (Proto.Bench { src; scheme; args; pool; deadline_ms = deadline })
     with
     | Proto.R_bench b ->
       if b.b_cached then prerr_endline "(served from cache)";
@@ -730,8 +699,7 @@ let client_bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Request a before/after measurement")
     Term.(const run $ socket_arg $ wait_arg $ src_file_arg $ name_arg
-          $ scheme_name_arg $ backend_name_arg $ client_args_arg $ pool_arg
-          $ deadline_arg)
+          $ scheme_name_arg $ client_args_arg $ pool_arg $ deadline_arg)
 
 (* the daemon labels wire-shipped sources "<input>"; give the lines the
    real name when the client knows one *)
@@ -797,11 +765,11 @@ let client_tune_cmd =
                    search: a tight budget returns the best plan found so \
                    far ($(i,complete: false)), never a $(i,timeout) error.")
   in
-  let run socket wait file name scheme backend args beam budget =
+  let run socket wait file name scheme args beam budget =
     let src, args = resolve_src file name args in
     match
       rpc socket wait
-        (Proto.Tune { src; scheme; backend; args; beam; deadline_ms = budget })
+        (Proto.Tune { src; scheme; args; beam; deadline_ms = budget })
     with
     | Proto.R_tune t ->
       if t.t_cached then prerr_endline "(served from cache)";
@@ -824,8 +792,8 @@ let client_tune_cmd =
        ~doc:"Request an anytime layout-plan search; the reply always \
              carries a plan at least as good as the heuristic one")
     Term.(const run $ socket_arg $ wait_arg $ src_file_arg $ name_arg
-          $ scheme_name_arg $ backend_name_arg $ client_args_arg
-          $ client_beam_arg $ client_budget_arg)
+          $ scheme_name_arg $ client_args_arg $ client_beam_arg
+          $ client_budget_arg)
 
 let client_stats_cmd =
   let run socket wait =

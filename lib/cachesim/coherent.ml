@@ -1,28 +1,28 @@
+(* the false-sharing experiment's geometry: 64-byte lines, 256 lines
+   per core, a 60-cycle invalidation-refill latency *)
+let line = 64
+let nlines = 256
+let coherence_lat = 60
+
 type t = {
-  line : int;
-  nlines : int;
-  coherence_lat : int;
   present : bool array array;  (* core -> line slot (direct mapped) *)
   tags : int array array;
   mutable invals : int;
   mutable latency : int;
 }
 
-let create ?(line = 64) ?(lines_per_core = 256) ?(coherence_lat = 60) () =
+let create () =
   {
-    line; nlines = lines_per_core; coherence_lat;
-    present = [| Array.make lines_per_core false;
-                 Array.make lines_per_core false |];
-    tags = [| Array.make lines_per_core (-1);
-              Array.make lines_per_core (-1) |];
+    present = [| Array.make nlines false; Array.make nlines false |];
+    tags = [| Array.make nlines (-1); Array.make nlines (-1) |];
     invals = 0;
     latency = 0;
   }
 
 let access t ~core ~addr ~write =
   if core < 0 || core > 1 then invalid_arg "Coherent.access: core must be 0/1";
-  let line_no = addr / t.line in
-  let slot = line_no mod t.nlines in
+  let line_no = addr / line in
+  let slot = line_no mod nlines in
   let other = 1 - core in
   let mine_hit = t.present.(core).(slot) && t.tags.(core).(slot) = line_no in
   let theirs = t.present.(other).(slot) && t.tags.(other).(slot) = line_no in
@@ -36,7 +36,7 @@ let access t ~core ~addr ~write =
       end;
       t.present.(core).(slot) <- true;
       t.tags.(core).(slot) <- line_no;
-      if theirs then t.coherence_lat else t.coherence_lat
+      coherence_lat
     end
   in
   (* a write to a line the other core still reads also invalidates *)

@@ -12,9 +12,9 @@
 
 type t
 
-val create : ?line:int -> ?lines_per_core:int -> ?coherence_lat:int -> unit -> t
-(** Defaults: 64-byte lines, 256 lines per core, 60-cycle
-    invalidation-refill latency. *)
+val create : unit -> t
+(** 64-byte lines, 256 lines per core, 60-cycle invalidation-refill
+    latency. *)
 
 val access : t -> core:int -> addr:int -> write:bool -> int
 (** Returns the latency of the access (1 on a private hit). [core] is 0

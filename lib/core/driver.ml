@@ -53,8 +53,7 @@ let compile ?(verify = false) source =
   prog
 
 let measure ?(args = []) ?(config = Hierarchy.itanium)
-    ?(backend = Backend.default) ?(fidelity = Sampled.Exact) ?pipeline
-    (prog : Ir.program) : measurement =
+    ?(fidelity = Sampled.Exact) ?pipeline (prog : Ir.program) : measurement =
   (* the VM appends packed events to a ring and the drain runs whole
      batches through the simulator: the hierarchy itself (exact), or
      the sampler's detailed windows and warm remainder (sampled), whose
@@ -90,7 +89,7 @@ let measure ?(args = []) ?(config = Hierarchy.itanium)
   in
   readout
     (Slo_cachesim.Drainer.run ?pipeline ~drain (fun ring ->
-         Backend.run ~args (Backend.create ~ring backend prog)))
+         Backend.run ~args (Backend.create ~ring Backend.default prog)))
 
 let analyze (prog : Ir.program) ~scheme ~feedback =
   let leg = Legality.analyze prog in
@@ -165,9 +164,8 @@ let speedup_pct ~before ~after =
 let timed = Slo_util.Clock.timed
 
 let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?pool
-    ?(verify = false) ?(backend = Backend.default)
-    ?(fidelity = Sampled.Exact) ~scheme ~feedback (prog : Ir.program) :
-    evaluation =
+    ?(verify = false) ?(fidelity = Sampled.Exact) ~scheme ~feedback
+    (prog : Ir.program) : evaluation =
   let d, t_an =
     timed (fun () -> decide ?pool prog ~scheme ~feedback)
   in
@@ -175,7 +173,7 @@ let evaluate ?(args = []) ?(config = Hierarchy.itanium) ?pool
   let transformed, t_tr =
     timed (fun () -> transform_with_plans ~verify prog plans)
   in
-  let measure = measure ~args ~config ~backend ~fidelity in
+  let measure = measure ~args ~config ~fidelity in
   let (before, after), t_me =
     timed (fun () ->
         if plans = [] then begin

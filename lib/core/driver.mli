@@ -63,15 +63,15 @@ val compile : ?verify:bool -> string -> Ir.program
 val measure :
   ?args:int list ->
   ?config:Slo_cachesim.Hierarchy.config ->
-  ?backend:Slo_vm.Backend.t ->
   ?fidelity:Slo_cachesim.Sampled.fidelity ->
   ?pipeline:bool ->
   Ir.program ->
   measurement
-(** Run under the cache hierarchy and report cycles/miss counters.
-    [backend] selects the VM engine (default {!Slo_vm.Backend.default},
-    the compiled one); all backends yield identical measurements, the
-    choice only affects wall-clock speed.
+(** Run on the compiled VM engine ({!Slo_vm.Backend.default}) under
+    the cache hierarchy and report cycles/miss counters. The
+    tree-walker is not selectable here: it yields identical
+    measurements only slower, so it is kept as the differential
+    oracle's reference ([Slo_suite.Oracle.compare_backends]).
 
     [pipeline] forces the drain of the ring batches onto a worker
     domain overlapped with VM execution ([true]) or inline ([false]),
@@ -139,7 +139,6 @@ val evaluate :
   ?config:Slo_cachesim.Hierarchy.config ->
   ?pool:bool ->
   ?verify:bool ->
-  ?backend:Slo_vm.Backend.t ->
   ?fidelity:Slo_cachesim.Sampled.fidelity ->
   scheme:Slo_profile.Weights.scheme ->
   feedback:Slo_profile.Feedback.t option ->
@@ -150,9 +149,8 @@ val evaluate :
     shape-proven recursive types are planned as index-linked pools.
     The two runs are measured in order, original first, so when both
     fault the original's fault is raised; each run's drain takes a
-    spare core when one is free (see {!measure}). [backend] selects the VM
-    engine used for both measurement runs (default the compiled one)
-    and [fidelity] their simulation fidelity (default exact — see
+    spare core when one is free (see {!measure}). [fidelity] selects
+    their simulation fidelity (default exact — see
     {!measure}; sampled fidelity affects only the measurement numbers,
     never the analysis or the transformation). When no decision carries a plan the
     transformed program is an unmodified copy, so it is not measured

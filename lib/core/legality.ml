@@ -96,7 +96,11 @@ let relaxable = function
   | CSTT | CSTF | ATKN -> true
   | LIBC | IND | SMAL | MSET | NEST | SIZEOF -> false
 
-let analyze ?(smal_threshold = 1) (prog : Ir.program) : t =
+(* the paper's SMAL threshold A: "allocation sites allocating arrays of
+   size 1" *)
+let smal_threshold = 1
+
+let analyze (prog : Ir.program) : t =
   let t = { table = Hashtbl.create 32 } in
   Structs.iter
     (fun d ->

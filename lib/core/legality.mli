@@ -79,10 +79,10 @@ type info = {
 
 type t
 
-val analyze : ?smal_threshold:int -> Ir.program -> t
+val analyze : Ir.program -> t
 (** Run the FE pass over every function and the IPA aggregation. The
-    default SMAL threshold is 1 ("allocation sites allocating arrays of
-    size 1"). *)
+    SMAL threshold is the paper's A = 1 ("allocation sites allocating
+    arrays of size 1"). *)
 
 val info : t -> string -> info
 (** Raises [Not_found] for undefined types. *)

@@ -12,8 +12,8 @@ type run_stats = {
 }
 
 let collect ?(args = []) ?(instrument = true)
-    ?(config = Hierarchy.itanium) ?(sample_period = 251)
-    ?(backend = Backend.default) ?pipeline (prog : Ir.program) =
+    ?(config = Hierarchy.itanium) ?(sample_period = 251) ?pipeline
+    (prog : Ir.program) =
   let hier = Hierarchy.create config in
   (* instrumentation perturbs sampling alignment a little: model it as a
      phase offset (the paper measures the effect as correlation 0.996
@@ -27,7 +27,8 @@ let collect ?(args = []) ?(instrument = true)
   let result =
     Drainer.run ?pipeline
       ~drain:(fun addrs metas n -> Hierarchy.drain_quiet hier addrs metas 0 n)
-      (fun ring -> Backend.run ~args (Backend.create ~ring ?edges backend prog))
+      (fun ring ->
+        Backend.run ~args (Backend.create ~ring ?edges Backend.default prog))
   in
   (* assemble the feedback file *)
   let fb = Feedback.create () in

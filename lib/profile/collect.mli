@@ -25,15 +25,15 @@ val collect :
   ?instrument:bool ->
   ?config:Slo_cachesim.Hierarchy.config ->
   ?sample_period:int ->
-  ?backend:Slo_vm.Backend.t ->
   ?pipeline:bool ->
   Ir.program ->
   Feedback.t * run_stats
-(** Defaults: [instrument = true], Itanium-like hierarchy, period 251,
-    the compiled VM engine ({!Slo_vm.Backend.default}). Both backends
-    count the same edges and drive the same memory-event stream, so the feedback, the
-    PMU event count and the hierarchy counters are backend independent
-    (pinned per roster program by [test_profile]).
+(** Defaults: [instrument = true], Itanium-like hierarchy, period 251.
+    The run is on the compiled VM engine ({!Slo_vm.Backend.default});
+    the tree-walker counts the same edges and drives the same
+    memory-event stream (pinned by [test_vm] and the differential
+    oracle), so it would collect the same feedback. The feedback digests
+    are pinned per roster program by [test_profile].
 
     [pipeline] drains the ring, PMU sampling included, on a worker
     domain ([true]) or inline ([false]) via {!Slo_cachesim.Drainer.run};

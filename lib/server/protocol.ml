@@ -38,7 +38,6 @@ type request =
   | Bench of {
       src : string;
       scheme : string option;
-      backend : string option;
       args : int list;
       pool : bool;
       deadline_ms : float option;
@@ -47,7 +46,6 @@ type request =
   | Tune of {
       src : string;
       scheme : string option;
-      backend : string option;
       args : int list;
       beam : int option;
       deadline_ms : float option;
@@ -197,18 +195,12 @@ let with_id ?id j =
   | _ -> j
 
 let json_of_request_body = function
-  | Advise { src; scheme; args; pool; deadline_ms } ->
+  | (Advise { src; scheme; args; pool; deadline_ms }
+    | Bench { src; scheme; args; pool; deadline_ms }) as r ->
+    let kind = match r with Advise _ -> "advise" | _ -> "bench" in
     Json.Obj
-      ([ ("kind", Json.String "advise"); ("src", Json.String src) ]
+      ([ ("kind", Json.String kind); ("src", Json.String src) ]
       @ opt_field "scheme" (fun s -> Json.String s) scheme
-      @ list_field "args" (fun i -> Json.Int i) args
-      @ pool_field pool
-      @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
-  | Bench { src; scheme; backend; args; pool; deadline_ms } ->
-    Json.Obj
-      ([ ("kind", Json.String "bench"); ("src", Json.String src) ]
-      @ opt_field "scheme" (fun s -> Json.String s) scheme
-      @ opt_field "backend" (fun s -> Json.String s) backend
       @ list_field "args" (fun i -> Json.Int i) args
       @ pool_field pool
       @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
@@ -217,11 +209,10 @@ let json_of_request_body = function
       ([ ("kind", Json.String "check"); ("src", Json.String src) ]
       @ (if relax then [ ("relax", Json.Bool true) ] else [])
       @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
-  | Tune { src; scheme; backend; args; beam; deadline_ms } ->
+  | Tune { src; scheme; args; beam; deadline_ms } ->
     Json.Obj
       ([ ("kind", Json.String "tune"); ("src", Json.String src) ]
       @ opt_field "scheme" (fun s -> Json.String s) scheme
-      @ opt_field "backend" (fun s -> Json.String s) backend
       @ list_field "args" (fun i -> Json.Int i) args
       @ opt_field "beam" (fun b -> Json.Int b) beam
       @ opt_field "deadline_ms" (fun f -> Json.Float f) deadline_ms)
@@ -278,9 +269,7 @@ let request_of_json j =
           | None -> Ok false
         in
         if k = Some "advise" then Ok (Advise { src; scheme; args; pool; deadline_ms })
-        else
-          let* backend = get_string j "backend" in
-          Ok (Bench { src; scheme; backend; args; pool; deadline_ms }))
+        else Ok (Bench { src; scheme; args; pool; deadline_ms }))
     | Some "check" -> (
       let* src = get_string j "src" in
       match src with
@@ -300,7 +289,6 @@ let request_of_json j =
       | None -> Error "missing \"src\""
       | Some src ->
         let* scheme = get_string j "scheme" in
-        let* backend = get_string j "backend" in
         let* args = get_int_list j "args" in
         let* beam =
           match Json.member "beam" j with
@@ -309,7 +297,7 @@ let request_of_json j =
           | None -> Ok None
         in
         let* deadline_ms = get_number j "deadline_ms" in
-        Ok (Tune { src; scheme; backend; args; beam; deadline_ms }))
+        Ok (Tune { src; scheme; args; beam; deadline_ms }))
     | Some "stats" -> Ok Stats
     | Some "shutdown" -> Ok Shutdown
     | Some k -> Error (Printf.sprintf "unknown kind %S" k))

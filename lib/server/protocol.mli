@@ -27,7 +27,7 @@
 
     {[ {"kind":"advise","src":"struct s {...};...","scheme":"ispbo",
         "args":[3],"deadline_ms":250.0}
-       {"kind":"bench","src":"...","scheme":"spbo","backend":"closure"}
+       {"kind":"bench","src":"...","scheme":"spbo","pool":true}
        {"kind":"check","src":"...","relax":true}
        {"kind":"tune","src":"...","scheme":"ispbo","beam":4,
         "deadline_ms":500.0}
@@ -35,10 +35,13 @@
        {"kind":"shutdown"} ]}
 
     [src] carries Mini-C source inline — the daemon is content-addressed,
-    there are no file paths in the protocol. [scheme] and [backend] are
-    spelled like the CLI flags ([backend] ["closure"] is another name
-    for ["superblock"], the compiled engine); the server validates them
-    and answers [bad_request] for unknown spellings.
+    there are no file paths in the protocol. [scheme] is spelled like
+    the CLI flag; the server validates it and answers [bad_request] for
+    an unknown spelling. The decoder ignores fields it does not know. A
+    [backend] field, which older clients send on [bench] and [tune], is
+    one of them: every run is on the compiled VM engine, so such a frame
+    gets the reply, and shares the cache entry, of the same frame
+    without it.
 
     {2 Replies}
 
@@ -48,7 +51,7 @@
     the stream offset is unreliable and the server closes). *)
 
 type error_code =
-  | Bad_request     (** malformed JSON, unknown kind/scheme/backend *)
+  | Bad_request     (** malformed JSON, unknown kind or scheme *)
   | Parse_error     (** Mini-C lexing or parsing failed *)
   | Type_error      (** Mini-C type checking failed *)
   | Legality_error  (** lowering unsupported, or the IR verifier failed *)
@@ -75,7 +78,6 @@ type request =
   | Bench of {
       src : string;
       scheme : string option;
-      backend : string option;      (** default the VM default *)
       args : int list;
       pool : bool;                  (** as on [Advise]: plan index-linked
                                         pools before measuring (default
@@ -91,7 +93,6 @@ type request =
   | Tune of {
       src : string;
       scheme : string option;
-      backend : string option;
       args : int list;
       beam : int option;            (** permutation beam, default the tuner's *)
       deadline_ms : float option;

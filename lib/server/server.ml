@@ -148,15 +148,9 @@ let resolve_scheme = function
            name)
     | Ok scheme -> Ok scheme)
 
-let resolve_backend = function
-  | None -> Ok Slo_vm.Backend.default
-  | Some name ->
-    Option.to_result (Slo_vm.Backend.of_string name)
-      ~none:(err P.Bad_request "unknown backend %S" name)
-
-(* A compute request's cache identity: its normal form — scheme and
-   backend resolved and written back in their canonical spellings, each
-   omitted at its default; the deadline dropped, except on tune, where
+(* A compute request's cache identity: its normal form — scheme
+   resolved and written back in its canonical spelling, omitted at its
+   default; the deadline dropped, except on tune, where
    it is the search budget and shapes the answer; no id — serialized by
    the wire codec. Two requests share a cached reply exactly when these
    bytes are equal, so every field the codec carries is part of the
@@ -167,25 +161,22 @@ let resolve_backend = function
    under the same bound as a frame. *)
 let identity req =
   let ( let* ) = Result.bind in
-  let scheme, backend =
+  let scheme =
     match req with
-    | P.Advise { scheme; _ } -> (scheme, None)
-    | P.Bench { scheme; backend; _ } | P.Tune { scheme; backend; _ } ->
-      (scheme, backend)
-    | P.Check _ | P.Stats | P.Shutdown -> (None, None)
+    | P.Advise { scheme; _ } | P.Bench { scheme; _ } | P.Tune { scheme; _ } ->
+      scheme
+    | P.Check _ | P.Stats | P.Shutdown -> None
   in
   let* scheme = resolve_scheme scheme in
-  let* backend = resolve_backend backend in
-  let canon default name v = if v = default then None else Some (name v) in
-  let sname = canon W.ISPBO Codec.scheme_name scheme
-  and bname = canon Slo_vm.Backend.default Slo_vm.Backend.to_string backend in
+  let sname =
+    if scheme = W.ISPBO then None else Some (Codec.scheme_name scheme)
+  in
   let normal =
     match req with
     | P.Advise a -> P.Advise { a with scheme = sname; deadline_ms = None }
-    | P.Bench b ->
-      P.Bench { b with scheme = sname; backend = bname; deadline_ms = None }
+    | P.Bench b -> P.Bench { b with scheme = sname; deadline_ms = None }
     | P.Check c -> P.Check { c with deadline_ms = None }
-    | P.Tune x -> P.Tune { x with scheme = sname; backend = bname }
+    | P.Tune x -> P.Tune { x with scheme = sname }
     | P.Stats | P.Shutdown -> req
   in
   let key = Json.to_string ~indent:false (P.json_of_request normal) in
@@ -201,14 +192,17 @@ let identity req =
    lines with the real path when it has one *)
 let wire_uri = "<input>"
 
-(* [req] is a normal form ({!identity}), whose canonical spellings
-   always resolve *)
+(* [req] is a normal form ({!identity}), whose canonical spelling
+   always resolves *)
 let compute t req =
-  let resolved = function Ok v -> v | Error _ -> invalid_arg "Server.compute" in
-  let backend_of b = resolved (resolve_backend b) in
   (* the program, scheme and feedback a profile-guided request runs on *)
   let profiled src scheme args =
-    let prog = compile t src and scheme = resolved (resolve_scheme scheme) in
+    let scheme =
+      match resolve_scheme scheme with
+      | Ok s -> s
+      | Error _ -> invalid_arg "Server.compute"
+    in
+    let prog = compile t src in
     (prog, scheme, D.feedback_for ~args prog ~scheme)
   in
   match req with
@@ -223,7 +217,7 @@ let compute t req =
         c_invalidating = Slo_advice.Advice.invalidating_count diags;
         c_cached = false;
       }
-  | P.Tune { src; args; beam; deadline_ms = budget_ms; scheme; backend } ->
+  | P.Tune { src; args; beam; deadline_ms = budget_ms; scheme } ->
     (* jobs=1: a busy daemon gets its parallelism from concurrent tune
        requests occupying pool workers, not from one request
        oversubscribing the domains — and the search is deterministic at
@@ -232,7 +226,7 @@ let compute t req =
     let cfg = Tune.default_config ~scheme ~feedback in
     let cfg =
       { cfg with
-        Tune.args; backend = backend_of backend; budget_ms;
+        Tune.args; budget_ms;
         beam = Option.value ~default:cfg.Tune.beam beam }
     in
     let r = Tune.search prog cfg in
@@ -253,12 +247,9 @@ let compute t req =
     let prog, scheme, feedback = profiled src scheme args in
     let adv = D.advise ~pool prog ~scheme ~feedback in
     P.R_advise { a_report = Adv.report adv; a_cached = false }
-  | P.Bench { src; args; pool; scheme; backend; _ } ->
+  | P.Bench { src; args; pool; scheme; _ } ->
     let prog, scheme, feedback = profiled src scheme args in
-    let ev =
-      D.evaluate ~args ~pool ~verify:true ~backend:(backend_of backend) ~scheme
-        ~feedback prog
-    in
+    let ev = D.evaluate ~args ~pool ~verify:true ~scheme ~feedback prog in
     P.R_bench
       {
         b_cycles_before = ev.D.e_before.D.m_cycles;

@@ -8,8 +8,8 @@
 
     - request bytes → serialized reply (the in-memory LRU). A reply is
       keyed by its request's {e normal form}: the request as the wire
-      codec writes it, with scheme and backend in their canonical
-      spellings and omitted at their defaults, the deadline dropped
+      codec writes it, with the scheme in its canonical spelling and
+      omitted at its default, the deadline dropped
       (except on [tune], where it is the search budget) and no id, so
       requests share a reply exactly when their normal forms are
       byte-equal. The id-stripped bytes a frame arrived with key the

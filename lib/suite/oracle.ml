@@ -114,8 +114,7 @@ let field_names (prog : Ir.program) =
     prog.structs;
   names
 
-let diff ?(args = []) ?(check_accesses = true) ~original ~transformed () :
-    report =
+let diff ?(args = []) ~original ~transformed () : report =
   let failures = ref [] in
   let push f = failures := f :: !failures in
   (match Verify.program original with
@@ -137,33 +136,30 @@ let diff ?(args = []) ?(check_accesses = true) ~original ~transformed () :
         push (Exit_code_differs (before.exit_code, after.exit_code));
       if not (String.equal before.output after.output) then
         push (Output_differs (before.output, after.output));
-      if check_accesses then begin
-        (* compare every field name live on both sides; removed (dead)
-           fields exist only before, synthetic fields only after *)
-        let live_after = field_names transformed in
-        let names =
-          Hashtbl.fold (fun n _ acc -> n :: acc) (field_names original) []
-          |> List.filter (Hashtbl.mem live_after)
-          |> List.sort String.compare
-        in
-        List.iter
-          (fun n ->
-            let b = Option.value ~default:0 (Hashtbl.find_opt counts_b n) in
-            let a = Option.value ~default:0 (Hashtbl.find_opt counts_a n) in
-            if b <> a then push (Access_count_differs (n, b, a)))
-          names
-      end;
+      (* compare every field name live on both sides; removed (dead)
+         fields exist only before, synthetic fields only after *)
+      let live_after = field_names transformed in
+      let names =
+        Hashtbl.fold (fun n _ acc -> n :: acc) (field_names original) []
+        |> List.filter (Hashtbl.mem live_after)
+        |> List.sort String.compare
+      in
+      List.iter
+        (fun n ->
+          let b = Option.value ~default:0 (Hashtbl.find_opt counts_b n) in
+          let a = Option.value ~default:0 (Hashtbl.find_opt counts_a n) in
+          if b <> a then push (Access_count_differs (n, b, a)))
+        names;
       { r_before = Some before; r_after = Some after;
         r_failures = List.rev !failures }
   end
 
-let run ?args ?check_accesses (prog : Ir.program) (plans : H.plan list) :
-    report =
-  diff ?args ?check_accesses ~original:prog
+let run ?args (prog : Ir.program) (plans : H.plan list) : report =
+  diff ?args ~original:prog
     ~transformed:(D.transform_with_plans prog plans) ()
 
-let run_source ?args ?check_accesses source plans : report =
-  run ?args ?check_accesses (D.compile source) plans
+let run_source ?args source plans : report =
+  run ?args (D.compile source) plans
 
 (* ------------------------------------------------------------------ *)
 (* Backend equivalence                                                 *)

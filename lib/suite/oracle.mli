@@ -33,18 +33,15 @@ val describe : report -> string
 
 val diff :
   ?args:int list ->
-  ?check_accesses:bool ->
   original:Ir.program ->
   transformed:Ir.program ->
   unit ->
   report
-(** Compare two already-built programs. [check_accesses] (default true)
-    enables the per-field conservation check; disable it for pipelines
-    that may legitimately remove unused loads. *)
+(** Compare two already-built programs: verification, exit code,
+    output, and per-field access conservation. *)
 
 val run :
   ?args:int list ->
-  ?check_accesses:bool ->
   Ir.program ->
   Slo_core.Heuristics.plan list ->
   report
@@ -52,7 +49,6 @@ val run :
 
 val run_source :
   ?args:int list ->
-  ?check_accesses:bool ->
   string ->
   Slo_core.Heuristics.plan list ->
   report

@@ -4,7 +4,6 @@ module T = Slo_core.Transform
 module Legality = Slo_core.Legality
 module Affinity = Slo_core.Affinity
 module W = Slo_profile.Weights
-module Backend = Slo_vm.Backend
 module Sampled = Slo_cachesim.Sampled
 module Pool = Slo_exec.Pool
 module Clock = Slo_util.Clock
@@ -18,7 +17,6 @@ type config = {
   seed : int;
   budget_ms : float option;
   jobs : int;
-  backend : Backend.t;
   fidelity : Sampled.fidelity;
 }
 
@@ -32,7 +30,6 @@ let default_config ~scheme ~feedback =
     seed = 0;
     budget_ms = None;
     jobs = 1;
-    backend = Backend.default;
     fidelity = Sampled.sampled_default;
   }
 
@@ -260,9 +257,7 @@ let search prog cfg =
   (* candidates are explored in a seeded shuffle of the enumeration *)
   let order = Array.init total Fun.id in
   shuffle_in_place cfg.seed order;
-  let measure ~fidelity p =
-    D.measure ~args:cfg.args ~backend:cfg.backend ~fidelity p
-  in
+  let measure ~fidelity p = D.measure ~args:cfg.args ~fidelity p in
   let base = measure ~fidelity:Sampled.Exact prog in
   let expected_exit = base.D.m_result.Slo_vm.Interp.exit_code in
   let expected_output = base.D.m_result.Slo_vm.Interp.output in

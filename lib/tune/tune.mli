@@ -54,7 +54,6 @@ type config = {
   seed : int;                 (** seeds the exploration order *)
   budget_ms : float option;   (** anytime search budget, [None] = run to completion *)
   jobs : int;                 (** worker domains in the search pool *)
-  backend : Slo_vm.Backend.t;
   fidelity : Slo_cachesim.Sampled.fidelity;  (** search-phase fidelity *)
 }
 
@@ -62,9 +61,9 @@ val default_config :
   scheme:Slo_profile.Weights.scheme ->
   feedback:Slo_profile.Feedback.t option ->
   config
-(** beam 4, max_candidates 256, seed 0, no budget, jobs 1, default
-    backend, sampled default fidelity, no args. Every run is measured
-    on {!Slo_core.Driver.measure}'s default hierarchy. *)
+(** beam 4, max_candidates 256, seed 0, no budget, jobs 1, sampled
+    default fidelity, no args. Every run is measured on
+    {!Slo_core.Driver.measure}'s compiled engine and default hierarchy. *)
 
 type result = {
   t_baseline_cycles : int;     (** untransformed program, exact fidelity *)

@@ -5,10 +5,9 @@
    closures with straight-line jump chains fused into superblocks. The
    two are observationally identical — same output bytes, step counts,
    event streams and error messages — which the differential tests
-   enforce, so [Superblock] is the default everywhere and [Walk]
-   remains the semantic baseline the fast paths are checked against.
-   ["closure"], the name of the compiled engine before superblock
-   fusion became unconditional, still parses to it. *)
+   enforce, so [Superblock] is the only engine the pipeline runs and
+   [Walk] remains the semantic baseline the differential oracle checks
+   it against. *)
 
 exception Runtime_error = Rt.Runtime_error
 
@@ -20,11 +19,6 @@ let default = Superblock
 let all = [ Walk; Superblock ]
 
 let to_string = function Walk -> "walk" | Superblock -> "superblock"
-
-let of_string = function
-  | "walk" -> Some Walk
-  | "superblock" | "closure" -> Some Superblock
-  | _ -> None
 
 type vm = Vwalk of Interp.t | Vcompiled of Compile.t
 

@@ -6,8 +6,12 @@
     therefore identical cache-simulation counters) — a property pinned
     by the differential tests. [Superblock] is the default and the only
     compiled engine: register-direct closures with unconditional-jump
-    chains, address producers and block tails fused. [Walk] is the
-    semantic baseline. *)
+    chains, address producers and block tails fused. Every path above
+    the VM (measure, profile collection, the tuner, the bench harness,
+    the CLI and the daemon) runs [default]; nothing there selects an
+    engine. [Walk] is the semantic baseline, run only by the
+    differential oracle ([Slo_suite.Oracle.compare_backends]) and the
+    VM tests. *)
 
 exception Runtime_error of string
 
@@ -25,13 +29,8 @@ val default : t
 val all : t list
 
 val to_string : t -> string
-(** ["walk"] / ["superblock"] — the CLI spelling. *)
-
-val of_string : string -> t option
-(** The inverse of {!to_string}; ["closure"], the compiled engine's
-    name before superblock fusion became unconditional, also parses to
-    [Superblock], so scripts and daemon clients that spell it keep
-    working. *)
+(** ["walk"] / ["superblock"]: the name in test labels, mismatch
+    reports and BENCH.json's [backend] key. *)
 
 type vm
 

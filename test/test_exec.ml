@@ -175,8 +175,8 @@ let mk_entry name : Slo_suite.Suite.entry =
 
 let mini_roster = List.map mk_entry [ "mini-a"; "mini-b"; "mini-c" ]
 
-let run_tables ?backend ~jobs roster =
-  let run = Engine.create_run ?backend ~jobs () in
+let run_tables ~jobs roster =
+  let run = Engine.create_run ~jobs () in
   let t1 = Engine.table1 run ~roster in
   let t3 = Engine.table3 run ~roster in
   let recs = Engine.records run in
@@ -206,21 +206,6 @@ let engine_jobs_equivalence () =
     (strip_timings ra) (strip_timings rb);
   Alcotest.(check bool) "rows for every unit" true
     (List.length ra = 2 * List.length mini_roster)
-
-(* the bench-smoke CI check in executable form: the walk and compiled
-   backends must produce identical tables and identical JSON rows once
-   the wall-clock-dependent fields (timings, throughput) are stripped *)
-let engine_backend_equivalence () =
-  let _, t3w, rw =
-    run_tables ~backend:Slo_vm.Backend.Walk ~jobs:1 mini_roster
-  in
-  let _, t3c, rc =
-    run_tables ~backend:Slo_vm.Backend.Superblock ~jobs:1 mini_roster
-  in
-  Alcotest.(check string) "table3 identical across backends"
-    (strip_throughput t3w) (strip_throughput t3c);
-  Alcotest.(check (list string)) "JSON rows identical modulo timings"
-    (strip_timings rw) (strip_timings rc)
 
 let engine_crash_is_error_row () =
   let broken =
@@ -334,8 +319,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "jobs equivalence" `Quick engine_jobs_equivalence;
-          Alcotest.test_case "backend equivalence" `Quick
-            engine_backend_equivalence;
           Alcotest.test_case "crash is error row" `Quick
             engine_crash_is_error_row;
           Alcotest.test_case "json artifact" `Quick engine_json_artifact;

@@ -115,11 +115,11 @@ let pbo_matches_truth () =
 
 (* A collection run as one string: the feedback file, the PMU event
    count, every hierarchy counter, the steps and the output. *)
-let collect_canon ~instrument ~pipeline backend (e : Slo_suite.Suite.entry) =
+let collect_canon ~instrument ~pipeline (e : Slo_suite.Suite.entry) =
   let prog = Slo_core.Driver.compile e.source in
   let args = List.map (fun a -> max 1 (a / 8)) e.train_args in
   let fb, (rs : Collect.run_stats) =
-    Collect.collect ~args ~instrument ~backend ~pipeline prog
+    Collect.collect ~args ~instrument ~pipeline prog
   in
   let module H = Slo_cachesim.Hierarchy in
   let module C = Slo_cachesim.Cache in
@@ -167,36 +167,23 @@ let seed_digests =
      "5837a93a53cb92797f9f8645585fb706");
   ]
 
-(* both backends collect the same run, and it is the run the
-   per-access collector collected; the compiled engine's runs drain
-   both inline and on the worker domain, on every host *)
+(* the compiled engine collects the run the per-access collector
+   collected, draining both inline and on the worker domain, on every
+   host *)
 let feedback_identity (name, instrumented, plain) () =
   let e = Slo_suite.Suite.find name in
   let digest s = Digest.to_hex (Digest.string s) in
-  let run ~instrument ~pipeline b =
-    ( Printf.sprintf "%s pipeline=%b" (Slo_vm.Backend.to_string b) pipeline,
-      collect_canon ~instrument ~pipeline b e )
-  in
-  let compiled ~instrument =
-    List.map
-      (fun pipeline -> run ~instrument ~pipeline Slo_vm.Backend.Superblock)
-      [ false; true ]
-  in
-  let runs =
-    run ~instrument:true ~pipeline:false Slo_vm.Backend.Walk
-    :: compiled ~instrument:true
-  in
-  let _, walk = List.hd runs in
   List.iter
-    (fun (run, s) ->
-      Alcotest.(check string) (run ^ " = walk") walk s;
-      Alcotest.(check string) (run ^ " = old collector") instrumented (digest s))
-    runs;
-  List.iter
-    (fun (run, s) ->
-      Alcotest.(check string) ("uninstrumented " ^ run ^ " = old collector")
-        plain (digest s))
-    (compiled ~instrument:false)
+    (fun pipeline ->
+      List.iter
+        (fun (instrument, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "instrument=%b pipeline=%b = old collector"
+               instrument pipeline)
+            expected
+            (digest (collect_canon ~instrument ~pipeline e)))
+        [ (true, instrumented); (false, plain) ])
+    [ false; true ]
 
 (* -------------------- faults through the drain -------------------- *)
 

@@ -340,10 +340,9 @@ let roster_accuracy (e : Suite.entry) () =
   let exact =
     D.evaluate ~args ~config:Hierarchy.small ~scheme:W.ISPBO ~feedback:None prog
   in
-  (* the production configuration: superblock backend + sampled windows *)
+  (* the production configuration: the compiled engine + sampled windows *)
   let sampled =
-    D.evaluate ~args ~config:Hierarchy.small
-      ~backend:Slo_vm.Backend.Superblock ~fidelity:test_fidelity
+    D.evaluate ~args ~config:Hierarchy.small ~fidelity:test_fidelity
       ~scheme:W.ISPBO ~feedback:None prog
   in
   let check_side label (x : D.measurement) (s : D.measurement) =
@@ -386,8 +385,7 @@ let roster_pipelined_measure fidelity (e : Suite.entry) () =
   let prog = D.compile e.source in
   let args = tiny_args e in
   let m ~pipeline =
-    D.measure ~args ~config:Hierarchy.small
-      ~backend:Slo_vm.Backend.Superblock ~fidelity ~pipeline prog
+    D.measure ~args ~config:Hierarchy.small ~fidelity ~pipeline prog
   in
   let s = m ~pipeline:false and p = m ~pipeline:true in
   Alcotest.(check string) "output" s.D.m_result.output p.D.m_result.output;

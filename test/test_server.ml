@@ -129,10 +129,21 @@ let with_server ?(jobs = 1) ?(max_conns = 16) ?(handle_sigterm = false)
 let advise ?scheme ?(pool = false) ?deadline_ms src =
   P.Advise { src; scheme; args = []; pool; deadline_ms }
 
-let bench ?scheme ?backend ?(pool = false) ?deadline_ms src =
-  P.Bench { src; scheme; backend; args = []; pool; deadline_ms }
+let bench ?scheme ?(pool = false) ?deadline_ms src =
+  P.Bench { src; scheme; args = []; pool; deadline_ms }
 
 let wire reply = Json.to_string (P.json_of_reply reply)
+
+(* one raw frame's reply bytes, its id stripped *)
+let call_raw conn payload =
+  Client.send_raw conn payload;
+  let reply = Client.recv_raw conn in
+  match P.strip_id reply with Some (_, rest) -> rest | None -> reply
+
+(* a computed reply's bytes as a cache hit serves them *)
+let cached_as bytes =
+  Astring.String.concat ~sep:"\"cached\":true"
+    (Astring.String.cuts ~sep:"\"cached\":false" bytes)
 
 let stats conn =
   match Client.rpc conn P.Stats with
@@ -237,7 +248,6 @@ let codec_requests () =
        {
          src = "y";
          scheme = Some "fco";
-         backend = Some "closure";
          args = [];
          pool = false;
          deadline_ms = None;
@@ -255,7 +265,6 @@ let codec_requests () =
        {
          src = "w";
          scheme = Some "ispbo";
-         backend = None;
          args = [ 7 ];
          beam = Some 2;
          deadline_ms = Some 500.0;
@@ -265,7 +274,6 @@ let codec_requests () =
        {
          src = "w";
          scheme = None;
-         backend = Some "walk";
          args = [];
          beam = None;
          deadline_ms = None;
@@ -591,37 +599,47 @@ let e2e_cold_sources_keep_replies () =
       | _ -> Alcotest.fail "stats failed");
       close conn)
 
-(* "closure", the compiled engine's name before superblock fusion became
-   unconditional, is still a valid spelling: a fresh daemon measures a
-   "closure" and a "superblock" request to the same reply, and one cache
-   entry serves both spellings *)
-let e2e_bench_closure_spelling () =
-  let src = hot_cold_src "spell" in
-  let fields = function
-    | P.R_bench b ->
-      (b.b_cycles_before, b.b_cycles_after, b.b_speedup_pct, b.b_plans,
-       b.b_cached)
-    | r -> Alcotest.failf "bench failed: %s" (Json.to_string (P.json_of_reply r))
-  in
-  let fresh backend =
-    with_server (fun ~connect ~close _socket ->
-        let conn = connect () in
-        let first = fields (Client.rpc conn (bench ~scheme:"spbo" ~backend src)) in
-        let other = if backend = "closure" then "superblock" else "closure" in
-        let again = fields (Client.rpc conn (bench ~scheme:"spbo" ~backend:other src)) in
-        close conn;
-        (first, again))
-  in
-  let c, c_then_s = fresh "closure" in
-  let s, s_then_c = fresh "superblock" in
-  let same = Alcotest.(check bool) in
-  same "closure and superblock replies identical" true (c = s);
-  let uncached (b, a, sp, pl, _) = (b, a, sp, pl) in
-  let cached (_, _, _, _, k) = k in
-  same "the other spelling hits the same entry" true
-    (cached c_then_s && cached s_then_c);
-  same "cached replies identical" true
-    (uncached c_then_s = uncached c && uncached s_then_c = uncached s)
+(* a "backend" field, which older clients send on bench and tune, is
+   ignored like any unknown field: a frame carrying it, in a real
+   engine's spelling or a bogus one, gets the field-less frame's reply
+   bytes from the same cache entry, with no second computation *)
+let e2e_backend_field_ignored () =
+  with_server ~jobs:2 (fun ~connect ~close _socket ->
+      let conn = connect () in
+      let src = hot_cold_src "engine" in
+      let call = call_raw conn in
+      (* the request's frame with [extra] fields appended *)
+      let frame extra req =
+        match P.json_of_request req with
+        | Json.Obj fields ->
+          Json.to_string ~indent:false (Json.Obj (fields @ extra))
+        | _ -> assert false
+      in
+      let tune =
+        P.Tune { src; scheme = Some "spbo"; args = []; beam = None;
+                 deadline_ms = Some 0.001 }
+      in
+      List.iter
+        (fun (kind, req) ->
+          let first = call (frame [] req) in
+          Alcotest.(check bool) (kind ^ " is computed") true
+            (Astring.String.is_infix ~affix:"\"ok\":true" first
+            && Astring.String.is_infix ~affix:"\"cached\":false" first);
+          List.iter
+            (fun engine ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s with backend %S" kind engine)
+                (cached_as first)
+                (call (frame [ ("backend", Json.String engine) ] req)))
+            [ "walk"; "no-such-engine" ])
+        [ ("bench", bench ~scheme:"spbo" src); ("tune", tune) ];
+      (match Client.rpc conn P.Stats with
+      | P.R_stats s ->
+        Alcotest.(check (pair int int)) "result hits, misses" (4, 2)
+          (s.s_result_hits, s.s_result_misses);
+        Alcotest.(check int) "one compile per kind" 2 s.s_ir_misses
+      | _ -> Alcotest.fail "stats failed");
+      close conn)
 
 let e2e_check () =
   with_server (fun ~connect ~close _socket ->
@@ -673,8 +691,7 @@ let e2e_tune () =
       let conn = connect () in
       let src = hot_cold_src "tun" in
       let tune ?beam ?deadline_ms () =
-        P.Tune { src; scheme = Some "ispbo"; backend = None; args = [];
-                 beam; deadline_ms }
+        P.Tune { src; scheme = Some "ispbo"; args = []; beam; deadline_ms }
       in
       (* a budget far too tight for any candidate: anytime semantics
          mean the best-so-far (the heuristic incumbent) comes back as a
@@ -798,9 +815,8 @@ let e2e_daemon_is_library () =
                 (wire
                    (Client.rpc conn
                       (P.Bench
-                         { src = e.source; scheme = Some scheme_name;
-                           backend = None; args; pool = false;
-                           deadline_ms = None }))))
+                         { src = e.source; scheme = Some scheme_name; args;
+                           pool = false; deadline_ms = None }))))
             [ "ispbo"; "spbo"; "pbo" ])
         [ "179.art"; "gobmk"; "sphinx" ];
       List.iter
@@ -1095,16 +1111,8 @@ let e2e_request_identity () =
             (s.s_result_hits, s.s_result_misses)
         | _ -> Alcotest.fail "stats failed"
       in
-      let call payload =
-        Client.send_raw conn payload;
-        let reply = Client.recv_raw conn in
-        match P.strip_id reply with Some (_, rest) -> rest | None -> reply
-      in
+      let call = call_raw conn in
       let frame req = Json.to_string ~indent:false (P.json_of_request req) in
-      let cached_as bytes =
-        Astring.String.concat ~sep:"\"cached\":true"
-          (Astring.String.cuts ~sep:"\"cached\":false" bytes)
-      in
       let miss label req =
         let reply = call (frame req) in
         incr misses;
@@ -1121,7 +1129,7 @@ let e2e_request_identity () =
         Alcotest.(check string) (label ^ " bytes") (cached_as first) reply
       in
       let tune ?beam budget =
-        P.Tune { src; scheme = None; backend = None; args = []; beam;
+        P.Tune { src; scheme = None; args = []; beam;
                  deadline_ms = Some budget }
       in
       let first = miss "scheme omitted" (advise src) in
@@ -1137,9 +1145,7 @@ let e2e_request_identity () =
         (miss "args"
            (P.Advise { src; scheme = None; args = [ 3 ]; pool = false;
                        deadline_ms = None }));
-      let b = miss "bench" (bench src) in
-      hit "bench, backend spelled out" b (frame (bench ~backend:"superblock" src));
-      ignore (miss "backend" (bench ~backend:"walk" src));
+      ignore (miss "bench" (bench src));
       ignore (miss "bench pool" (bench ~pool:true src));
       ignore (miss "check" (P.Check { src; relax = false; deadline_ms = None }));
       ignore (miss "relax" (P.Check { src; relax = true; deadline_ms = None }));
@@ -1314,8 +1320,8 @@ let () =
           Alcotest.test_case "bench with pooling" `Quick e2e_bench_pool;
           Alcotest.test_case "cold sources do not evict replies" `Quick
             e2e_cold_sources_keep_replies;
-          Alcotest.test_case "bench closure spelling" `Quick
-            e2e_bench_closure_spelling;
+          Alcotest.test_case "backend field ignored" `Quick
+            e2e_backend_field_ignored;
           Alcotest.test_case "check + cache" `Quick e2e_check;
           Alcotest.test_case "tune anytime + cache" `Quick e2e_tune;
           Alcotest.test_case "structured errors" `Quick e2e_structured_errors;

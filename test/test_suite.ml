@@ -42,30 +42,37 @@ let legality_shape (e : Suite.entry) () =
       true
       (Float.abs (pct relax -. p.p_relax_pct) <= 16.0)
 
+(* the program ISPBO's plans make of [prog] *)
+let ispbo_transformed prog =
+  let leg, aff = D.analyze prog ~scheme:W.ISPBO ~feedback:None in
+  D.transform_with_plans prog (H.plans (H.decide prog leg aff ~scheme:W.ISPBO))
+
 let transform_preserves (e : Suite.entry) () =
   let prog = D.compile e.source in
   let args = tiny_args e in
-  let leg, aff = D.analyze prog ~scheme:W.ISPBO ~feedback:None in
-  let plans = H.plans (H.decide prog leg aff ~scheme:W.ISPBO) in
   let before = Slo_vm.Interp.run_program ~args prog in
-  let transformed = D.transform_with_plans prog plans in
-  let after = Slo_vm.Interp.run_program ~args transformed in
+  let after = Slo_vm.Interp.run_program ~args (ispbo_transformed prog) in
   Alcotest.(check string) "output preserved" before.output after.output
 
 (* the compiled engine is pinned to the tree-walking reference on every
-   roster program: identical output, steps, event stream and cache
-   counters under the same (small) hierarchy *)
+   roster program, original and ISPBO-transformed: identical output,
+   steps, event stream and cache counters under the same (small)
+   hierarchy *)
 let backends_agree (e : Suite.entry) () =
   let prog = D.compile e.source in
-  match
-    Slo_suite.Oracle.compare_backends ~args:(tiny_args e)
-      ~config:Slo_cachesim.Hierarchy.small prog
-  with
-  | [] -> ()
-  | ms ->
-    Alcotest.fail
-      (String.concat "\n"
-         (List.map Slo_suite.Oracle.string_of_backend_mismatch ms))
+  List.iter
+    (fun (label, p) ->
+      match
+        Slo_suite.Oracle.compare_backends ~args:(tiny_args e)
+          ~config:Slo_cachesim.Hierarchy.small p
+      with
+      | [] -> ()
+      | ms ->
+        Alcotest.fail
+          (String.concat "\n"
+             (label
+             :: List.map Slo_suite.Oracle.string_of_backend_mismatch ms)))
+    [ ("original", prog); ("ISPBO-transformed", ispbo_transformed prog) ]
 
 let expected_transforms () =
   (* the paper's headline transformations happen *)

@@ -5,9 +5,8 @@
    suite doubles as a per-feature backend-equivalence check (the
    differential oracle in test_suite/test_fuzz covers whole programs;
    this pins each language feature individually). The compiled engine
-   runs twice: once as [Superblock] and once reached through its
-   legacy spelling ["closure"], which scripts and daemon clients still
-   send. *)
+   runs twice: once as [Superblock] and once as [Backend.default], the
+   engine every pipeline path runs. *)
 
 module Memory = Slo_vm.Memory
 module Backend = Slo_vm.Backend
@@ -535,8 +534,9 @@ let hooks_cases b =
     Alcotest.test_case "edge counters" `Quick (edge_counters b);
   ]
 
-(* the compiled engine as a client spelling it "closure" selects it *)
-let legacy = Option.get (Backend.of_string "closure")
+(* the engine every pipeline path runs, under the suite name it had
+   when clients could still spell it "closure" *)
+let pipeline_engine = Backend.default
 
 let () =
   Alcotest.run "vm"
@@ -548,9 +548,9 @@ let () =
           Alcotest.test_case "strings" `Quick mem_strings;
         ] );
       ("semantics[walk]", semantics_cases Backend.Walk);
-      ("semantics[closure]", semantics_cases legacy);
+      ("semantics[closure]", semantics_cases pipeline_engine);
       ("semantics[superblock]", semantics_cases Backend.Superblock);
       ("hooks[walk]", hooks_cases Backend.Walk);
-      ("hooks[closure]", hooks_cases legacy);
+      ("hooks[closure]", hooks_cases pipeline_engine);
       ("hooks[superblock]", hooks_cases Backend.Superblock);
     ]
