@@ -65,6 +65,43 @@ let lex_errors () =
   | exception Lexer.Error _ -> ()
   | _ -> Alcotest.fail "expected error on unterminated string"
 
+(* where input ends mid-construct, and other corners of the hand-written
+   scanner: the exact message and location of each error, and the tokens
+   of each accepted input with their locations *)
+let lex_edges () =
+  let loc line col = Slo_minic.Loc.make ~line ~col in
+  let raises name msg l src =
+    Alcotest.check_raises name (Lexer.Error (msg, l)) (fun () ->
+        ignore (Lexer.tokenize src))
+  in
+  let lexes name want src =
+    check string name want
+      (String.concat " "
+         (List.map
+            (fun (t, l) -> Token.to_string t ^ "@" ^ Slo_minic.Loc.to_string l)
+            (Lexer.tokenize src)))
+  in
+  raises "NUL byte" "unexpected character '\\000'" (loc 1 2) "a\000b";
+  lexes "// at end of input" "x@1:1 <eof>@1:7" "x // c";
+  lexes "# at end of input" "x@1:1 <eof>@1:6" "x # c";
+  raises "/* ... * at end of input" "unterminated comment" (loc 2 1) "x\n/* abc *";
+  (* an exponent with no digits is not part of the number *)
+  lexes "1e" "1@1:1 e@1:2 <eof>@1:3" "1e";
+  lexes "1e+" "1@1:1 e@1:2 +@1:3 <eof>@1:4" "1e+";
+  lexes "1.5e" "1.5@1:1 e@1:4 <eof>@1:5" "1.5e";
+  (* a hex prefix with no digits is handed to Int64.of_string as is *)
+  Alcotest.check_raises "0x" (Failure "Int64.of_string") (fun () ->
+      ignore (Lexer.tokenize "0x"));
+  raises "char literal at end of input" "unterminated character literal"
+    (loc 1 1) "'a";
+  raises "quote at end of input" "unterminated character literal" (loc 1 1) "'";
+  raises "escape at end of input" "unterminated escape" (loc 1 1) "'\\";
+  raises "bad escape" "bad escape '\\q'" (loc 1 1) "'\\q'";
+  raises ".." "expected '...'" (loc 1 1) "..";
+  raises "1.." "expected '...'" (loc 1 2) "1..";
+  lexes "CRLF" "a@1:1 b@2:1 c@3:3 <eof>@3:4" "a\r\nb\r\n  c";
+  raises "CRLF location" "expected '...'" (loc 3 3) "a\r\n\r\n  ..b"
+
 (* ---------------- parser ---------------- *)
 
 let parse_ok src = Parser.parse src
@@ -341,6 +378,7 @@ let () =
           Alcotest.test_case "operators" `Quick lex_operators;
           Alcotest.test_case "positions" `Quick lex_positions;
           Alcotest.test_case "errors" `Quick lex_errors;
+          Alcotest.test_case "edge cases" `Quick lex_edges;
         ] );
       ( "parser",
         [

@@ -1,6 +1,8 @@
 (* Snapshot of the static analyses on every roster and case-study
    program: the block weights each static scheme assigns, the points-to
-   verdict and provenance chain of every struct, and the advice summary.
+   verdict and provenance chain of every struct (of the program as
+   compiled and as the ISPBO decisions transform it), every dead store,
+   and the advice summary.
 
    The weights are printed with %h, so a rewrite of the frequency solve
    that changes a single bit of one block's weight shows up here; the
@@ -13,6 +15,7 @@
        > test/static_snapshot.expected *)
 
 module D = Slo_core.Driver
+module H = Slo_core.Heuristics
 module W = Slo_profile.Weights
 module P = Slo_pointsto.Pointsto
 module Suite = Slo_suite.Suite
@@ -36,17 +39,32 @@ let snapshot (e : Suite.entry) =
                   (Array.map (Printf.sprintf " %h") (Hashtbl.find w f.fname)))))
         prog.funcs)
     schemes;
-  let pts = P.analyze prog in
+  let points_to tag (prog : Ir.program) =
+    let pts = P.analyze prog in
+    List.iter
+      (fun s ->
+        line "%sstruct %s: collapsed=%b exposed=[%s]" tag s (P.collapsed pts s)
+          (String.concat "," (List.map string_of_int (P.exposed_fields pts s)));
+        List.iter
+          (fun (ev : P.event) ->
+            line "  why %s #%d %s: %s" ev.ev_fn ev.ev_iid
+              (Ir.Loc.to_string ev.ev_loc) ev.ev_what)
+          (P.why_collapsed pts s))
+      (Structs.names prog.structs)
+  in
+  points_to "" prog;
+  let ispbo = D.decide prog ~scheme:W.ISPBO ~feedback:None in
+  points_to "ispbo " (D.transform_with_plans prog (H.plans ispbo.decisions));
   List.iter
-    (fun s ->
-      line "struct %s: collapsed=%b exposed=[%s]" s (P.collapsed pts s)
-        (String.concat "," (List.map string_of_int (P.exposed_fields pts s)));
-      List.iter
-        (fun (ev : P.event) ->
-          line "  why %s #%d %s: %s" ev.ev_fn ev.ev_iid
-            (Ir.Loc.to_string ev.ev_loc) ev.ev_what)
-        (P.why_collapsed pts s))
-    (Structs.names prog.structs);
+    (fun (d : Deadstore.store) ->
+      let field =
+        match Structs.find_opt prog.structs d.ds_struct with
+        | Some sd -> sd.fields.(d.ds_field).name
+        | None -> string_of_int d.ds_field
+      in
+      line "deadstore %s #%d %s.%s never_read=%b" d.ds_fn d.ds_iid d.ds_struct
+        field d.ds_never_read)
+    (Deadstore.analyze prog);
   List.iter (line "advice %s") (Slo_advice.Advice.summary (Slo_advice.Advice.check prog));
   Buffer.contents b
 
