@@ -38,8 +38,7 @@ bench-smoke:
 	  --fidelity sampled --out _artifacts/BENCH-table3-sampled.json
 	dune exec bench/compare.exe -- _artifacts/BENCH-table3-smoke.json \
 	  _artifacts/BENCH-table3-sampled.json
-	dune exec bench/main.exe -- backends --only 179.art \
-	  --out _artifacts/BENCH-backends.json
+	dune exec bench/main.exe -- backends --only 179.art
 
 # the full-size roster accuracy gate: Table 3 on the compiled engine
 # at exact and at sampled fidelity, then compare.exe's accuracy mode

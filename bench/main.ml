@@ -23,8 +23,11 @@
      --out FILE        where to write the machine-readable results
                        (default _artifacts/BENCH.json)
 
-   Every run writes machine-readable per-row results (cycles, misses,
-   speedup, per-phase timings, jobs, git rev) to the --out file. *)
+   A run that includes table1, table3 or pool writes machine-readable
+   per-row results (cycles, misses, speedup, per-phase timings, jobs,
+   git rev) to the --out file; other runs write no file. The overhead
+   target also prints each static-chain layer's milliseconds and
+   megabytes allocated per round of the 14 programs. *)
 
 module D = Slo_core.Driver
 module A = Slo_core.Affinity
@@ -372,6 +375,52 @@ let casestudies () =
 
 let timed = Slo_util.Clock.timed
 
+(* The static chain's layers one by one: each runs [layer_rounds]
+   rounds over the 14 programs (after one warm-up round), and reports
+   the median round's milliseconds with the fastest and slowest rounds,
+   and the bytes it allocates per round (minor and major heap). The
+   front-end layers start from the source text, the rest from the
+   compiled program. *)
+let layer_rounds = 100
+
+let layer_costs () =
+  say "== Static chain per layer: one round = the 14 roster and case-study";
+  say "==          programs, median of %d rounds ==" layer_rounds;
+  let sources =
+    List.map (fun (e : Suite.entry) -> e.source) (Suite.roster @ Suite.case_studies)
+  in
+  let progs = List.map (fun src -> D.compile src) sources in
+  let t =
+    Table.create
+      [ ("Layer", Table.Left); ("ms/round", Table.Right);
+        ("min-max[ms]", Table.Right); ("MB/round", Table.Right) ]
+  in
+  let layer name inputs f =
+    let round () = List.iter (fun x -> ignore (Sys.opaque_identity (f x))) inputs in
+    round ();
+    let ms = Array.make layer_rounds 0.0 in
+    let bytes0 = Gc.allocated_bytes () in
+    for k = 0 to layer_rounds - 1 do
+      ms.(k) <- snd (timed round)
+    done;
+    let mb = (Gc.allocated_bytes () -. bytes0) /. float_of_int layer_rounds /. 1e6 in
+    Array.sort compare ms;
+    Table.add_row t
+      [ name;
+        Printf.sprintf "%.2f" ms.(layer_rounds / 2);
+        Printf.sprintf "%.2f-%.2f" ms.(0) ms.(layer_rounds - 1);
+        Printf.sprintf "%.2f" mb ]
+  in
+  layer "tokenize" sources Slo_minic.Lexer.tokenize;
+  layer "parse (with tokenize)" sources Slo_minic.Parser.parse;
+  layer "Verify" progs Verify.check;
+  layer "Legality" progs Slo_core.Legality.analyze;
+  layer "Pointsto" progs Slo_pointsto.Pointsto.analyze;
+  layer "Deadstore" progs Deadstore.analyze;
+  layer "Shape" progs Shape.analyze;
+  print_string (Table.render t);
+  say ""
+
 let overhead () =
   say "== Compile-time overhead (2.5): layout analysis vs base compile ==";
   say "   (paper: FE ~2.5%%, IPA < 4%%, BE ~1%%)";
@@ -399,7 +448,8 @@ let overhead () =
           Printf.sprintf "%.1f%%" (100.0 *. t_be /. t_compile) ])
     Suite.roster;
   print_string (Table.render t);
-  say ""
+  say "";
+  layer_costs ()
 
 (* ------------------------------------------------------------------ *)
 (* Entry                                                               *)
@@ -485,7 +535,12 @@ let () =
     | ts -> ts
   in
   List.iter dispatch targets;
-  Engine.write_json run ~path:!out;
-  say "(machine-readable results written to %s)" !out;
+  (* only the row targets fill the artifact; any other run would replace
+     an earlier one's rows with none *)
+  if List.exists (fun t -> List.mem t [ "table1"; "table3"; "pool" ]) targets
+  then begin
+    Engine.write_json run ~path:!out;
+    say "(machine-readable results written to %s)" !out
+  end;
   Engine.finish run;
   if !engines_differ then exit 1
