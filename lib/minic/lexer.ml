@@ -1,7 +1,10 @@
 exception Error of string * Loc.t
 
+(* The scanner reads [src] by index: every read is guarded by an
+   explicit [pos < len] test, so no character is ever boxed. *)
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of beginning of current line *)
@@ -9,207 +12,199 @@ type state = {
 
 let loc st = Loc.make ~line:st.line ~col:(st.pos - st.bol + 1)
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* the character [k] places ahead is [c] (false past the end) *)
+let is_at st k c = st.pos + k < st.len && st.src.[st.pos + k] = c
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
+(* step over one character that may be a newline; [skip] steps over one
+   known not to be *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if st.pos < st.len && st.src.[st.pos] = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  end;
   st.pos <- st.pos + 1
+
+let skip st = st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || is_digit c
 
-let keyword_table : (string * Token.t) list =
-  [
-    ("void", KW_VOID); ("char", KW_CHAR); ("short", KW_SHORT);
-    ("int", KW_INT); ("long", KW_LONG); ("float", KW_FLOAT);
-    ("double", KW_DOUBLE); ("struct", KW_STRUCT); ("typedef", KW_TYPEDEF);
-    ("extern", KW_EXTERN); ("if", KW_IF); ("else", KW_ELSE);
-    ("while", KW_WHILE); ("do", KW_DO); ("for", KW_FOR);
-    ("return", KW_RETURN); ("break", KW_BREAK); ("continue", KW_CONTINUE);
-    ("sizeof", KW_SIZEOF);
-    (* accepted and ignored qualifiers are handled in the parser; [const],
-       [unsigned], [static] and [register] are lexed as plain identifiers *)
-  ]
+(* step over characters while [p] holds of the current one *)
+let skip_while st p =
+  while st.pos < st.len && p st.src.[st.pos] do
+    skip st
+  done
 
-let skip_ws_and_comments st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\r' | '\n') ->
+let keywords : (string, Token.t) Hashtbl.t =
+  let t = Hashtbl.create 32 in
+  List.iter
+    (fun (s, kw) -> Hashtbl.replace t s kw)
+    [
+      ("void", Token.KW_VOID); ("char", KW_CHAR); ("short", KW_SHORT);
+      ("int", KW_INT); ("long", KW_LONG); ("float", KW_FLOAT);
+      ("double", KW_DOUBLE); ("struct", KW_STRUCT); ("typedef", KW_TYPEDEF);
+      ("extern", KW_EXTERN); ("if", KW_IF); ("else", KW_ELSE);
+      ("while", KW_WHILE); ("do", KW_DO); ("for", KW_FOR);
+      ("return", KW_RETURN); ("break", KW_BREAK); ("continue", KW_CONTINUE);
+      ("sizeof", KW_SIZEOF);
+      (* accepted and ignored qualifiers are handled in the parser; [const],
+         [unsigned], [static] and [register] are lexed as plain identifiers *)
+    ];
+  t
+
+let rec skip_ws_and_comments st =
+  if st.pos < st.len then
+    match st.src.[st.pos] with
+    | ' ' | '\t' | '\r' | '\n' ->
       advance st;
-      go ()
-    | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
+      skip_ws_and_comments st
+    | '/' when is_at st 1 '/' ->
+      skip_while st (fun c -> c <> '\n');
+      skip_ws_and_comments st
+    | '/' when is_at st 1 '*' ->
+      let start = loc st in
+      st.pos <- st.pos + 2;
+      while not (is_at st 0 '*' && is_at st 1 '/') do
+        if st.pos >= st.len then raise (Error ("unterminated comment", start));
         advance st
       done;
-      go ()
-    | Some '/' when peek2 st = Some '*' ->
-      let start = loc st in
-      advance st;
-      advance st;
-      let rec in_comment () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-          advance st;
-          advance st
-        | Some _, _ ->
-          advance st;
-          in_comment ()
-        | None, _ -> raise (Error ("unterminated comment", start))
-      in
-      in_comment ();
-      go ()
-    | Some '#' ->
+      st.pos <- st.pos + 2;
+      skip_ws_and_comments st
+    | '#' ->
       (* preprocessor-style lines (e.g. #include) are skipped verbatim so
          that benchmark sources can keep familiar headers *)
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ()
+      skip_while st (fun c -> c <> '\n');
+      skip_ws_and_comments st
+    | _ -> ()
 
 let lex_number st =
   let start = st.pos in
   let l = loc st in
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then (
-    advance st;
-    advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done;
+  if is_at st 0 '0' && (is_at st 1 'x' || is_at st 1 'X') then begin
+    st.pos <- st.pos + 2;
+    skip_while st is_hex;
     let s = String.sub st.src start (st.pos - start) in
-    (Token.INT_LIT (Int64.of_string s), l))
+    (Token.INT_LIT (Int64.of_string s), l)
+  end
   else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
+    skip_while st is_digit;
     let is_float = ref false in
-    (if peek st = Some '.'
-        && (match peek2 st with Some c -> is_digit c | None -> false)
-     then (
-       is_float := true;
-       advance st;
-       while (match peek st with Some c -> is_digit c | None -> false) do
-         advance st
-       done));
-    (match peek st with
-    | Some ('e' | 'E') ->
+    if is_at st 0 '.' && st.pos + 1 < st.len && is_digit st.src.[st.pos + 1]
+    then begin
+      is_float := true;
+      skip st;
+      skip_while st is_digit
+    end;
+    (* an exponent without digits is not part of the number *)
+    if is_at st 0 'e' || is_at st 0 'E' then begin
       let save = st.pos in
-      advance st;
-      (match peek st with
-      | Some ('+' | '-') -> advance st
-      | Some _ | None -> ());
-      if match peek st with Some c -> is_digit c | None -> false then (
+      skip st;
+      if is_at st 0 '+' || is_at st 0 '-' then skip st;
+      if st.pos < st.len && is_digit st.src.[st.pos] then begin
         is_float := true;
-        while (match peek st with Some c -> is_digit c | None -> false) do
-          advance st
-        done)
+        skip_while st is_digit
+      end
       else st.pos <- save
-    | Some _ | None -> ());
+    end;
     let s = String.sub st.src start (st.pos - start) in
     if !is_float then (Token.FLOAT_LIT (float_of_string s), l)
     else (Token.INT_LIT (Int64.of_string s), l)
   end
 
 let lex_escape st l =
-  match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '0' -> advance st; '\000'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some c -> raise (Error (Printf.sprintf "bad escape '\\%c'" c, l))
-  | None -> raise (Error ("unterminated escape", l))
+  if st.pos >= st.len then raise (Error ("unterminated escape", l));
+  let c =
+    match st.src.[st.pos] with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | 'r' -> '\r'
+    | '0' -> '\000'
+    | ('\\' | '\'' | '"') as c -> c
+    | c -> raise (Error (Printf.sprintf "bad escape '\\%c'" c, l))
+  in
+  skip st;
+  c
 
 let lex_string st =
   let l = loc st in
-  advance st;
+  skip st;
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
+    if st.pos >= st.len then raise (Error ("unterminated string literal", l));
+    match st.src.[st.pos] with
+    | '"' -> skip st
+    | '\\' ->
+      skip st;
       Buffer.add_char buf (lex_escape st l);
       go ()
-    | Some c ->
+    | c ->
       advance st;
       Buffer.add_char buf c;
       go ()
-    | None -> raise (Error ("unterminated string literal", l))
   in
   go ();
   (Token.STR_LIT (Buffer.contents buf), l)
 
 let lex_char st =
   let l = loc st in
-  advance st;
+  skip st;
+  if st.pos >= st.len then raise (Error ("unterminated character literal", l));
   let c =
-    match peek st with
-    | Some '\\' ->
-      advance st;
+    match st.src.[st.pos] with
+    | '\\' ->
+      skip st;
       lex_escape st l
-    | Some c ->
+    | c ->
       advance st;
       c
-    | None -> raise (Error ("unterminated character literal", l))
   in
-  (match peek st with
-  | Some '\'' -> advance st
-  | Some _ | None -> raise (Error ("unterminated character literal", l)));
+  if is_at st 0 '\'' then skip st
+  else raise (Error ("unterminated character literal", l));
   (Token.INT_LIT (Int64.of_int (Char.code c)), l)
 
 let lex_ident st =
   let start = st.pos in
   let l = loc st in
-  while (match peek st with Some c -> is_ident c | None -> false) do
-    advance st
-  done;
+  skip_while st is_ident;
   let s = String.sub st.src start (st.pos - start) in
-  match List.assoc_opt s keyword_table with
-  | Some kw -> (kw, l)
-  | None -> (Token.IDENT s, l)
-
-let op2 st (t : Token.t) = advance st; advance st; t
+  match Hashtbl.find keywords s with
+  | kw -> (kw, l)
+  | exception Not_found -> (Token.IDENT s, l)
 
 let lex_op st : Token.t * Loc.t =
   let l = loc st in
+  let c = st.src.[st.pos] in
+  (* no two-character operator ends in NUL, so it stands in for the end *)
+  let c2 = if st.pos + 1 < st.len then st.src.[st.pos + 1] else '\000' in
+  let op2 (t : Token.t) =
+    st.pos <- st.pos + 2;
+    t
+  in
   let t : Token.t =
-    match (peek st, peek2 st) with
-    | Some '-', Some '>' -> op2 st ARROW
-    | Some '+', Some '+' -> op2 st PLUSPLUS
-    | Some '-', Some '-' -> op2 st MINUSMINUS
-    | Some '+', Some '=' -> op2 st PLUSEQ
-    | Some '-', Some '=' -> op2 st MINUSEQ
-    | Some '*', Some '=' -> op2 st STAREQ
-    | Some '/', Some '=' -> op2 st SLASHEQ
-    | Some '=', Some '=' -> op2 st EQ
-    | Some '!', Some '=' -> op2 st NE
-    | Some '<', Some '=' -> op2 st LE
-    | Some '>', Some '=' -> op2 st GE
-    | Some '<', Some '<' -> op2 st SHL
-    | Some '>', Some '>' -> op2 st SHR
-    | Some '&', Some '&' -> op2 st AMPAMP
-    | Some '|', Some '|' -> op2 st BARBAR
-    | Some '.', Some '.' ->
-      advance st; advance st;
-      (match peek st with
-      | Some '.' -> advance st; ELLIPSIS
-      | Some _ | None -> raise (Error ("expected '...'", l)))
-    | Some c, _ ->
-      advance st;
+    match (c, c2) with
+    | '-', '>' -> op2 ARROW
+    | '+', '+' -> op2 PLUSPLUS
+    | '-', '-' -> op2 MINUSMINUS
+    | '+', '=' -> op2 PLUSEQ
+    | '-', '=' -> op2 MINUSEQ
+    | '*', '=' -> op2 STAREQ
+    | '/', '=' -> op2 SLASHEQ
+    | '=', '=' -> op2 EQ
+    | '!', '=' -> op2 NE
+    | '<', '=' -> op2 LE
+    | '>', '=' -> op2 GE
+    | '<', '<' -> op2 SHL
+    | '>', '>' -> op2 SHR
+    | '&', '&' -> op2 AMPAMP
+    | '|', '|' -> op2 BARBAR
+    | '.', '.' ->
+      st.pos <- st.pos + 2;
+      if is_at st 0 '.' then (skip st; ELLIPSIS)
+      else raise (Error ("expected '...'", l))
+    | c, _ ->
+      skip st;
       (match c with
       | '(' -> LPAREN | ')' -> RPAREN | '{' -> LBRACE | '}' -> RBRACE
       | '[' -> LBRACKET | ']' -> RBRACKET | ';' -> SEMI | ',' -> COMMA
@@ -218,20 +213,20 @@ let lex_op st : Token.t * Loc.t =
       | '%' -> PERCENT | '=' -> ASSIGN | '<' -> LT | '>' -> GT
       | '!' -> BANG | '&' -> AMP | '|' -> BAR | '^' -> CARET | '~' -> TILDE
       | c -> raise (Error (Printf.sprintf "unexpected character %C" c, l)))
-    | None, _ -> EOF
   in
   (t, l)
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
+  let st = { src; len = String.length src; pos = 0; line = 1; bol = 0 } in
   let rec go acc =
     skip_ws_and_comments st;
-    match peek st with
-    | None -> List.rev ((Token.EOF, loc st) :: acc)
-    | Some c when is_digit c -> go (lex_number st :: acc)
-    | Some c when is_ident_start c -> go (lex_ident st :: acc)
-    | Some '"' -> go (lex_string st :: acc)
-    | Some '\'' -> go (lex_char st :: acc)
-    | Some _ -> go (lex_op st :: acc)
+    if st.pos >= st.len then List.rev ((Token.EOF, loc st) :: acc)
+    else
+      let c = src.[st.pos] in
+      if is_digit c then go (lex_number st :: acc)
+      else if is_ident_start c then go (lex_ident st :: acc)
+      else if c = '"' then go (lex_string st :: acc)
+      else if c = '\'' then go (lex_char st :: acc)
+      else go (lex_op st :: acc)
   in
   go []

@@ -17,18 +17,25 @@ let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
 let error st msg = raise (Error (msg, cur_loc st))
 
+(* [expect], [accept] and the [==] tests below take constant tokens
+   only, which physical equality decides *)
 let expect st (t : Token.t) =
-  if cur st = t then advance st
+  if cur st == t then advance st
   else
     error st
       (Printf.sprintf "expected '%s' but found '%s'" (Token.to_string t)
          (Token.to_string (cur st)))
 
 let accept st (t : Token.t) =
-  if cur st = t then (
+  if cur st == t then (
     advance st;
     true)
   else false
+
+let skip_consts st =
+  while match cur st with IDENT "const" -> advance st; true | _ -> false do
+    ()
+  done
 
 let expect_ident st =
   match cur st with
@@ -61,7 +68,7 @@ let is_type_start st =
 (* base type: scalar keyword, [struct tag], or typedef name; followed by
    any number of [*] *)
 let rec parse_type st : Ast.ty =
-  while accept st (IDENT "const") do () done;
+  skip_consts st;
   let base =
     match cur st with
     | KW_VOID -> advance st; Ast.Tvoid
@@ -96,7 +103,7 @@ and parse_pointers st base =
 
 (* [ (type) ] is a cast iff the token after '(' starts a type *)
 let starts_cast st =
-  cur st = Token.LPAREN
+  cur st == Token.LPAREN
   &&
   match peek_n st 1 with
   | KW_VOID | KW_CHAR | KW_SHORT | KW_INT | KW_LONG | KW_FLOAT | KW_DOUBLE
@@ -152,10 +159,11 @@ and parse_cond st =
   end
   else c
 
-and parse_binary_level st ops next =
+(* [op] maps a token to the operator of this precedence level *)
+and parse_binary_level st op next =
   let lhs = ref (next st) in
   let rec go () =
-    match List.assoc_opt (cur st) ops with
+    match op (cur st) with
     | Some op ->
       let l = cur_loc st in
       advance st;
@@ -168,32 +176,60 @@ and parse_binary_level st ops next =
   !lhs
 
 and parse_logor st =
-  parse_binary_level st [ (Token.BARBAR, Ast.Or) ] parse_logand
+  parse_binary_level st
+    (function Token.BARBAR -> Some Ast.Or | _ -> None)
+    parse_logand
 
 and parse_logand st =
-  parse_binary_level st [ (Token.AMPAMP, Ast.And) ] parse_bitor
+  parse_binary_level st
+    (function Token.AMPAMP -> Some Ast.And | _ -> None)
+    parse_bitor
 
-and parse_bitor st = parse_binary_level st [ (Token.BAR, Ast.Bor) ] parse_bitxor
-and parse_bitxor st = parse_binary_level st [ (Token.CARET, Ast.Bxor) ] parse_bitand
-and parse_bitand st = parse_binary_level st [ (Token.AMP, Ast.Band) ] parse_equality
+and parse_bitor st =
+  parse_binary_level st (function Token.BAR -> Some Ast.Bor | _ -> None) parse_bitxor
+
+and parse_bitxor st =
+  parse_binary_level st
+    (function Token.CARET -> Some Ast.Bxor | _ -> None)
+    parse_bitand
+
+and parse_bitand st =
+  parse_binary_level st
+    (function Token.AMP -> Some Ast.Band | _ -> None)
+    parse_equality
 
 and parse_equality st =
-  parse_binary_level st [ (Token.EQ, Ast.Eq); (Token.NE, Ast.Ne) ] parse_relational
+  parse_binary_level st
+    (function Token.EQ -> Some Ast.Eq | Token.NE -> Some Ast.Ne | _ -> None)
+    parse_relational
 
 and parse_relational st =
   parse_binary_level st
-    [ (Token.LT, Ast.Lt); (Token.LE, Ast.Le); (Token.GT, Ast.Gt); (Token.GE, Ast.Ge) ]
+    (function
+      | Token.LT -> Some Ast.Lt
+      | Token.LE -> Some Ast.Le
+      | Token.GT -> Some Ast.Gt
+      | Token.GE -> Some Ast.Ge
+      | _ -> None)
     parse_shift
 
 and parse_shift st =
-  parse_binary_level st [ (Token.SHL, Ast.Shl); (Token.SHR, Ast.Shr) ] parse_additive
+  parse_binary_level st
+    (function Token.SHL -> Some Ast.Shl | Token.SHR -> Some Ast.Shr | _ -> None)
+    parse_additive
 
 and parse_additive st =
-  parse_binary_level st [ (Token.PLUS, Ast.Add); (Token.MINUS, Ast.Sub) ] parse_multiplicative
+  parse_binary_level st
+    (function Token.PLUS -> Some Ast.Add | Token.MINUS -> Some Ast.Sub | _ -> None)
+    parse_multiplicative
 
 and parse_multiplicative st =
   parse_binary_level st
-    [ (Token.STAR, Ast.Mul); (Token.SLASH, Ast.Div); (Token.PERCENT, Ast.Mod) ]
+    (function
+      | Token.STAR -> Some Ast.Mul
+      | Token.SLASH -> Some Ast.Div
+      | Token.PERCENT -> Some Ast.Mod
+      | _ -> None)
     parse_unary
 
 and parse_unary st =
@@ -306,7 +342,7 @@ and parse_postfix st =
   !e
 
 and parse_args st =
-  if cur st = Token.RPAREN then []
+  if cur st == Token.RPAREN then []
   else begin
     let rec go acc =
       let a = parse_assign st in
@@ -397,7 +433,7 @@ let rec parse_stmt st : Ast.stmt list =
     advance st;
     expect st LPAREN;
     let init =
-      if cur st = Token.SEMI then None
+      if cur st == Token.SEMI then None
       else if is_type_start st then Some (parse_local_decl st)
       else begin
         let e = parse_expr st in
@@ -407,15 +443,15 @@ let rec parse_stmt st : Ast.stmt list =
     (match init with
     | Some { Ast.sdesc = Ast.Sdecl _; _ } -> () (* decl consumed its ';' *)
     | Some _ | None -> expect st SEMI);
-    let cond = if cur st = Token.SEMI then None else Some (parse_expr st) in
+    let cond = if cur st == Token.SEMI then None else Some (parse_expr st) in
     expect st SEMI;
-    let step = if cur st = Token.RPAREN then None else Some (parse_expr st) in
+    let step = if cur st == Token.RPAREN then None else Some (parse_expr st) in
     expect st RPAREN;
     let body = parse_stmt st in
     [ Ast.mk_stmt l (Ast.Sfor (init, cond, step, body)) ]
   | KW_RETURN ->
     advance st;
-    let e = if cur st = Token.SEMI then None else Some (parse_expr st) in
+    let e = if cur st == Token.SEMI then None else Some (parse_expr st) in
     expect st SEMI;
     [ Ast.mk_stmt l (Ast.Sreturn e) ]
   | KW_BREAK ->
@@ -446,7 +482,7 @@ and parse_local_decl st : Ast.stmt =
   let l = cur_loc st in
   let base_start = st.pos in
   ignore base_start;
-  while accept st (IDENT "const") do () done;
+  skip_consts st;
   let base =
     match cur st with
     | KW_VOID -> advance st; Ast.Tvoid
@@ -527,7 +563,7 @@ let parse_struct_body st tag =
 let parse_params st =
   expect st LPAREN;
   if accept st RPAREN then ([], false)
-  else if cur st = Token.KW_VOID && peek_n st 1 = Token.RPAREN then begin
+  else if cur st == Token.KW_VOID && peek_n st 1 == Token.RPAREN then begin
     advance st;
     advance st;
     ([], false)
@@ -564,7 +600,7 @@ let parse_toplevel st : Ast.decl list =
   match cur st with
   | KW_TYPEDEF ->
     advance st;
-    if cur st = Token.KW_STRUCT then begin
+    if cur st == Token.KW_STRUCT then begin
       advance st;
       (* [typedef struct Tag { ... } name;] or [typedef struct Tag name;] *)
       let tag =
@@ -575,7 +611,7 @@ let parse_toplevel st : Ast.decl list =
         | LBRACE -> None
         | _ -> error st "expected struct tag or '{'"
       in
-      if cur st = Token.LBRACE then begin
+      if cur st == Token.LBRACE then begin
         let tag_name =
           match tag with Some s -> s | None -> "__anon" ^ string_of_int st.pos
         in
@@ -597,7 +633,7 @@ let parse_toplevel st : Ast.decl list =
     else begin
       let base = parse_type st in
       (* function-pointer typedef: [typedef ret ( * name)(params);] *)
-      if cur st = Token.LPAREN then begin
+      if cur st == Token.LPAREN then begin
         advance st;
         expect st STAR;
         let name = expect_ident st in
@@ -615,13 +651,13 @@ let parse_toplevel st : Ast.decl list =
         [ Ast.Dtypedef (name, base) ]
       end
     end
-  | KW_STRUCT when peek_n st 2 = Token.LBRACE ->
+  | KW_STRUCT when peek_n st 2 == Token.LBRACE ->
     advance st;
     let tag = expect_ident st in
     let sd = parse_struct_body st tag in
     expect st SEMI;
     [ Ast.Dstruct sd ]
-  | KW_STRUCT when peek_n st 2 = Token.SEMI ->
+  | KW_STRUCT when peek_n st 2 == Token.SEMI ->
     (* forward declaration [struct S;] — no-op *)
     advance st;
     ignore (expect_ident st);
@@ -648,7 +684,7 @@ let parse_toplevel st : Ast.decl list =
     (* global variable or function definition *)
     let base = parse_type st in
     let t, name = parse_declarator st base in
-    if cur st = Token.LPAREN then begin
+    if cur st == Token.LPAREN then begin
       let params, _variadic = parse_params st in
       if accept st SEMI then
         (* prototype of a function defined later (or never): treat a
@@ -687,7 +723,7 @@ let parse src : Ast.program =
   let toks = Array.of_list (Lexer.tokenize src) in
   let st = { toks; pos = 0; typedefs = Hashtbl.create 16 } in
   let rec go acc =
-    if cur st = Token.EOF then List.concat (List.rev acc)
+    if cur st == Token.EOF then List.concat (List.rev acc)
     else go (parse_toplevel st :: acc)
   in
   go []
@@ -696,5 +732,5 @@ let parse_expr_string src =
   let toks = Array.of_list (Lexer.tokenize src) in
   let st = { toks; pos = 0; typedefs = Hashtbl.create 16 } in
   let e = parse_expr st in
-  if cur st <> Token.EOF then error st "trailing tokens after expression";
+  if cur st != Token.EOF then error st "trailing tokens after expression";
   e
