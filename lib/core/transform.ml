@@ -155,7 +155,11 @@ let use_map (f : Ir.func) : Ir.instr list array =
     (fun (b : Ir.block) ->
       List.iter
         (fun (i : Ir.instr) ->
-          List.iter (fun r -> uses.(r) <- i :: uses.(r)) (Ir.used_regs i))
+          Ir.iter_used_operands
+            (function
+              | Ir.Oreg r -> uses.(r) <- i :: uses.(r)
+              | Ir.Oimm _ | Ir.Ofimm _ -> ())
+            i)
         b.instrs)
     f.fblocks;
   uses

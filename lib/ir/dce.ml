@@ -20,7 +20,7 @@ let cleanup (f : Ir.func) : int =
     in
     List.iter
       (fun (b : Ir.block) ->
-        List.iter (fun i -> List.iter mark_op (Ir.used_operands i)) b.instrs;
+        List.iter (Ir.iter_used_operands mark_op) b.instrs;
         match b.btermin with
         | Ir.Tbr (o, _, _) -> mark_op o
         | Ir.Tret (Some o) -> mark_op o

@@ -149,23 +149,29 @@ let defined_reg i =
   | Icall (r, _, _) -> r
   | Istore _ | Ifree _ | Imemset _ | Imemcpy _ -> None
 
-let operand_reg = function Oreg r -> Some r | Oimm _ | Ofimm _ -> None
-
-let used_operands i =
+(* [fn] over the operands [i] reads, in order, allocating nothing *)
+let iter_used_operands fn i =
   match i.idesc with
-  | Imov (_, a) | Iun (_, _, _, a) | Icast (_, _, _, a, _) | Ifree a -> [ a ]
-  | Ibin (_, _, _, a, b) | Iptradd (_, a, b, _) -> [ a; b ]
-  | Iload (_, a, _, _) -> [ a ]
-  | Istore (a, v, _, _) -> [ a; v ]
-  | Ifieldaddr (_, a, _, _) -> [ a ]
-  | Icall (_, c, args) -> (
-    match c with Cindirect o -> o :: args | Cdirect _ | Cbuiltin _ | Cextern _ -> args)
-  | Ialloc (_, k, n, _) -> (
-    match k with Arealloc old -> [ old; n ] | Amalloc | Acalloc -> [ n ])
-  | Imemset (a, b, c, _) | Imemcpy (a, b, c, _) -> [ a; b; c ]
-  | Iaddrglob _ | Iaddrlocal _ | Iaddrstr _ | Iaddrfunc _ -> []
+  | Imov (_, a) | Iun (_, _, _, a) | Icast (_, _, _, a, _) | Ifree a
+  | Iload (_, a, _, _) | Ifieldaddr (_, a, _, _) ->
+    fn a
+  | Ibin (_, _, _, a, b) | Iptradd (_, a, b, _) | Istore (a, b, _, _) ->
+    fn a;
+    fn b
+  | Icall (_, c, args) ->
+    (match c with
+    | Cindirect o -> fn o
+    | Cdirect _ | Cbuiltin _ | Cextern _ -> ());
+    List.iter fn args
+  | Ialloc (_, k, n, _) ->
+    (match k with Arealloc old -> fn old | Amalloc | Acalloc -> ());
+    fn n
+  | Imemset (a, b, c, _) | Imemcpy (a, b, c, _) ->
+    fn a;
+    fn b;
+    fn c
+  | Iaddrglob _ | Iaddrlocal _ | Iaddrstr _ | Iaddrfunc _ -> ()
 
-let used_regs i = List.filter_map operand_reg (used_operands i)
 
 (** {1 Printing} *)
 

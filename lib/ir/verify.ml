@@ -251,7 +251,11 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
               (match Ir.defined_reg i with
               | Some r when not (in_range r) -> fail site (Reg_out_of_range r)
               | Some _ | None -> ());
-              List.iter (check_reg site) (Ir.used_regs i);
+              Ir.iter_used_operands
+                (function
+                  | Ir.Oreg r -> check_reg site r
+                  | Ir.Oimm _ | Ir.Ofimm _ -> ())
+                i;
               match i.idesc with
               | Ir.Ifieldaddr (_, _, s, fi) -> (
                 match Structs.find_opt p.structs s with
