@@ -1,24 +1,3 @@
-module Item = struct
-  (* provenance of a pointer value with respect to record types *)
-  type t =
-    | Field_ptr of string * int  (* address of one specific field *)
-    | Obj_ptr of string          (* pointer to a whole object (array elt) *)
-    | Raw_ptr of string          (* cast/arithmetic-derived view into it *)
-
-  let compare = compare
-end
-
-module ItemSet = Set.Make (Item)
-
-(* abstract cells holding pointer values; registers are not cells but
-   slots of one array (see [analyze]) *)
-type cell =
-  | Clocal of string * string
-  | Cglobal of string
-  | Cmem_field of string * int  (* contents of a struct field *)
-  | Cmem_any of string          (* contents reached through collapsed views *)
-  | Cret of string              (* return value of a function *)
-
 type event = {
   ev_fn : string;
   ev_iid : int;
@@ -27,348 +6,415 @@ type event = {
 }
 
 type t = {
-  cells : (cell, ItemSet.t) Hashtbl.t;
-  mutable collapsed_set : (string, unit) Hashtbl.t;
-  mutable deref_items : ItemSet.t;  (* items appearing in address positions *)
-  raw_origin : (string, event) Hashtbl.t;
-      (* first site where a typed view of the struct degraded to raw *)
-  raw_deref : (string, event) Hashtbl.t;
-      (* first site where a raw view of the struct was dereferenced *)
-  collapse_why : (string, event list) Hashtbl.t;
+  why : (string, event list) Hashtbl.t;
+      (* the collapsed types, each with the chain its first collapse
+         recorded *)
+  exposed : (string, int list) Hashtbl.t;
+      (* fields whose address some dereferenced pointer holds, sorted *)
 }
 
-let get t c = Option.value ~default:ItemSet.empty (Hashtbl.find_opt t.cells c)
+(* Provenance of a pointer value with respect to record types. The items
+   are interned to dense ids once per analysis: per struct, a pointer to
+   a whole object ([Obj]), a cast/arithmetic-derived raw view ([Raw]),
+   and one [Field] per field whose address is taken. Each item addresses
+   one memory cell: its field's contents for a field pointer, and the
+   contents reached through any view of the struct otherwise. *)
+type kind = Field of int | Obj | Raw
 
-(* [Some (old ∪ items)] when that grows [old], marking the round changed *)
-let grow old items changed =
-  if ItemSet.subset items old then None
-  else begin
-    changed := true;
-    Some (ItemSet.union old items)
-  end
+type item = {
+  kind : kind;
+  st : int;    (* struct index *)
+  cell : int;  (* slot of the memory cell the item addresses *)
+}
 
-let add t c items changed =
-  Option.iter (Hashtbl.replace t.cells c) (grow (get t c) items changed)
+type sinfo = { ix : int; obj : int; raw : int }
 
-let add_reg regs r items changed =
-  Option.iter (fun nu -> regs.(r) <- nu) (grow regs.(r) items changed)
+(* The program compiled once to operations over slots. A slot is one set
+   of items: a register of some function, or a cell (a local, a global, a
+   function's return value, a struct field's contents, the contents
+   reached through collapsed views). Slot [-1] is an immediate operand,
+   whose set is empty. *)
+type op =
+  | Copy of { dst : int; src : int }  (* dst ⊇ src *)
+  | Add of { dst : int; item : int; src : int }  (* dst ⊇ {item} ∪ src *)
+  | Degrade of { dst : int; a : int; b : int; how : string; i : Ir.instr }
+      (* arithmetic turns any view of a ∪ b into a raw view *)
+  | Step of { dst : int; base : int; s : sinfo; i : Ir.instr }
+      (* stepping by whole objects of [s] keeps their object provenance
+         and degrades every other view *)
+  | Load of { dst : int; addr : int; i : Ir.instr }
+  | Store of { addr : int; v : int; i : Ir.instr }
+  | Call of { dst : int; ret : int; params : int array; args : int array }
+      (* a defined callee: argument [k] flows to cell [params.(k)] ([-1]
+         when the callee has no such parameter), its return cell to [dst] *)
+  | Escape of { args : int array; callee : Ir.callee; i : Ir.instr }
+  | Bulk of { a : int; b : int; what : string; i : Ir.instr }
+      (* memset (b = -1) or memcpy *)
 
-(* the first collapse of a type fixes its provenance chain, built only
-   then; later re-discoveries (the fixpoint revisits every instruction)
-   are no-ops *)
-let collapse t s why =
-  if not (Hashtbl.mem t.collapsed_set s) then begin
-    Hashtbl.replace t.collapse_why s (why ());
-    Hashtbl.replace t.collapsed_set s ()
-  end
+let w = Sys.int_size
 
-(* arithmetic / scalar indexing turns any view into a raw view *)
-let degrade items =
-  ItemSet.map
-    (fun it ->
-      match it with
-      | Item.Field_ptr (s, _) -> Item.Raw_ptr s
-      | Item.Obj_ptr s -> Item.Raw_ptr s
-      | Item.Raw_ptr s -> Item.Raw_ptr s)
-    items
-
-(* stepping a pointer by whole objects of [s] keeps object provenance *)
-let degrade_struct_step s items =
-  ItemSet.map
-    (fun it ->
-      match it with
-      | Item.Obj_ptr s' when String.equal s' s -> Item.Obj_ptr s'
-      | Item.Field_ptr (s', _) | Item.Obj_ptr s' | Item.Raw_ptr s' ->
-        Item.Raw_ptr s')
-    items
+(* index of the one set bit of [b] *)
+let bit_index b =
+  let n = ref 0 and b = ref b in
+  if !b land 0xFFFF_FFFF = 0 then (n := 32; b := !b lsr 32);
+  if !b land 0xFFFF = 0 then (n := !n + 16; b := !b lsr 16);
+  if !b land 0xFF = 0 then (n := !n + 8; b := !b lsr 8);
+  if !b land 0xF = 0 then (n := !n + 4; b := !b lsr 4);
+  if !b land 0x3 = 0 then (n := !n + 2; b := !b lsr 2);
+  if !b land 0x1 = 0 then incr n;
+  !n
 
 let analyze (prog : Ir.program) : t =
-  let t =
-    {
-      cells = Hashtbl.create 128;
-      collapsed_set = Hashtbl.create 8;
-      deref_items = ItemSet.empty;
-      raw_origin = Hashtbl.create 8;
-      raw_deref = Hashtbl.create 8;
-      collapse_why = Hashtbl.create 8;
-    }
+  (* every function's registers come first, register [r] of a function
+     at slot [roff + r] ([r < next_reg], which Verify checks); cell [c]
+     is at slot [nregs + c] *)
+  let nregs = List.fold_left (fun n (f : Ir.func) -> n + f.next_reg) 0 prog.funcs in
+  let ncells = ref 0 in
+  let new_cell () =
+    incr ncells;
+    nregs + !ncells - 1
   in
-  let event fn (i : Ir.instr) fmt =
-    Printf.ksprintf
-      (fun what -> { ev_fn = fn; ev_iid = i.iid; ev_loc = i.iloc; ev_what = what })
-      fmt
+  let items = ref [] and nitems = ref 0 in
+  let new_item kind st cell =
+    items := { kind; st; cell } :: !items;
+    incr nitems;
+    !nitems - 1
   in
-  let note_origin fn (i : Ir.instr) s how =
-    if not (Hashtbl.mem t.raw_origin s) then
-      Hashtbl.replace t.raw_origin s
-        (event fn i "pointer into struct '%s' degraded to a raw view by %s" s
-           how)
+  let structs = Hashtbl.create 16 and struct_names = ref [] in
+  let struct_of s =
+    match Hashtbl.find structs s with
+    | si -> si
+    | exception Not_found ->
+      let ix = Hashtbl.length structs in
+      let any = new_cell () in
+      let si = { ix; obj = new_item Obj ix any; raw = new_item Raw ix any } in
+      Hashtbl.replace structs s si;
+      struct_names := s :: !struct_names;
+      si
   in
-  (* typed views that [degrade] would turn raw *)
-  let note_degrade fn i how items =
-    ItemSet.iter
-      (fun it ->
-        match it with
-        | Item.Field_ptr (s, _) | Item.Obj_ptr s -> note_origin fn i s how
-        | Item.Raw_ptr _ -> ())
-      items
-  in
-  let changed = ref true in
-  (* memory cells addressed by a pointer with the given provenance *)
-  let mem_cells_of items =
-    ItemSet.fold
-      (fun it acc ->
-        match it with
-        | Item.Field_ptr (s, fi) -> Cmem_field (s, fi) :: acc
-        | Item.Obj_ptr s | Item.Raw_ptr s -> Cmem_any s :: acc)
-      items []
-  in
-  let note_deref fn (i : Ir.instr) items =
-    t.deref_items <- ItemSet.union t.deref_items items;
-    ItemSet.iter
-      (fun it ->
-        match it with
-        | Item.Raw_ptr s ->
-          if not (Hashtbl.mem t.raw_deref s) then
-            Hashtbl.replace t.raw_deref s
-              (event fn i "raw view of struct '%s' is dereferenced here" s)
-        | Item.Field_ptr _ | Item.Obj_ptr _ -> ())
-      items
+  let fields = Hashtbl.create 64 in
+  let field_item s fi =
+    let si = struct_of s in
+    match Hashtbl.find fields (si.ix, fi) with
+    | it -> it
+    | exception Not_found ->
+      let it = new_item (Field fi) si.ix (new_cell ()) in
+      Hashtbl.replace fields (si.ix, fi) it;
+      it
   in
   (* address-of a struct-typed variable yields an object pointer *)
-  let globals_ty = Hashtbl.create 16 in
-  List.iter (fun (n, ty, _) -> Hashtbl.replace globals_ty n ty) prog.globals;
   let rec obj_item (ty : Irty.t) =
     match ty with
-    | Irty.Struct s -> ItemSet.singleton (Item.Obj_ptr s)
+    | Irty.Struct s -> (struct_of s).obj
     | Irty.Array (u, _) -> obj_item u
-    | _ -> ItemSet.empty
+    | _ -> -1
   in
-  let param_cells = Hashtbl.create 16 in
+  let named = Hashtbl.create 64 in
+  let named_cell key =
+    match Hashtbl.find named key with
+    | c -> c
+    | exception Not_found ->
+      let c = new_cell () in
+      Hashtbl.replace named key c;
+      c
+  in
+  let local_cell fn l = named_cell (`Local (fn, l)) in
+  let ret_cell fn = named_cell (`Ret fn) in
+  let globals_ty = Hashtbl.create 16 in
+  List.iter (fun (n, ty, _) -> Hashtbl.replace globals_ty n ty) prog.globals;
+  let params = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) ->
-      List.iteri
-        (fun i (pname, _) ->
-          Hashtbl.replace param_cells (f.Ir.fname, i) (Clocal (f.fname, pname)))
-        f.Ir.fparams)
+      Hashtbl.replace params f.fname
+        (Array.of_list (List.map (fun (p, _) -> local_cell f.fname p) f.fparams)))
     prog.funcs;
-  (* per function, fixed across rounds: where its registers start in
-     [regs], its locals' types, and the loads and stores whose address
-     register was set by an address-of a local or global earlier in the
-     same block *)
-  let nregs = ref 0 in
+  (* compile each function once: its blocks' instructions and returns in
+     order, then the loads and stores whose address register was set by
+     an address-of a local or global earlier in the same block *)
+  let roff = ref 0 in
   let funcs =
     List.map
       (fun (f : Ir.func) ->
+        let fn = f.fname and base = !roff in
+        roff := base + f.next_reg;
+        let slot (o : Ir.operand) =
+          match o with Ir.Oreg r -> base + r | Ir.Oimm _ | Ir.Ofimm _ -> -1
+        in
         let locals_ty = Hashtbl.create 16 in
         List.iter (fun (n, ty) -> Hashtbl.replace locals_ty n ty) f.flocals;
-        let direct =
-          List.concat_map
-            (fun (b : Ir.block) ->
-              let addr_of = Hashtbl.create 8 in
-              List.filter_map
-                (fun (i : Ir.instr) ->
-                  match i.idesc with
-                  | Ir.Iaddrlocal (r, l) ->
-                    Hashtbl.replace addr_of r (Clocal (f.fname, l));
-                    None
-                  | Ir.Iaddrglob (r, g) ->
-                    Hashtbl.replace addr_of r (Cglobal g);
-                    None
-                  | Ir.Istore (Ir.Oreg ar, v, _, _) ->
-                    Option.map (fun c -> `Store (c, v)) (Hashtbl.find_opt addr_of ar)
-                  | Ir.Iload (r, Ir.Oreg ar, _, _) ->
-                    Option.map (fun c -> `Load (r, c)) (Hashtbl.find_opt addr_of ar)
-                  | _ -> None)
-                b.instrs)
-            f.fblocks
-        in
-        let roff = !nregs in
-        nregs := roff + f.next_reg;
-        (f, roff, locals_ty, direct))
-      prog.funcs
-  in
-  (* every function's register cells, register [r] of a function at its
-     [roff + r] ([r < next_reg], which Verify checks): one allocation,
-     where an array per function would give the major heap one more size
-     class (and its pool) for each length *)
-  let regs = Array.make !nregs ItemSet.empty in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun ((f : Ir.func), roff, locals_ty, direct) ->
-        let fn = f.fname in
-        let ops (o : Ir.operand) =
-          match o with
-          | Ir.Oreg r -> regs.(roff + r)
-          | Ir.Oimm _ | Ir.Ofimm _ -> ItemSet.empty
-        in
-        let set r items = add_reg regs (roff + r) items changed in
+        let ops = ref [] and direct = ref [] in
+        let emit op = ops := op :: !ops in
+        let copy dst src = if src >= 0 then emit (Copy { dst; src }) in
+        let add dst item = if item >= 0 then emit (Add { dst; item; src = -1 }) in
+        let addr_of = Hashtbl.create 8 in
         List.iter
           (fun (b : Ir.block) ->
+            Hashtbl.reset addr_of;
             List.iter
               (fun (i : Ir.instr) ->
+                (match i.idesc with
+                | Ir.Iaddrlocal (r, l) -> Hashtbl.replace addr_of r (local_cell fn l)
+                | Ir.Iaddrglob (r, g) -> Hashtbl.replace addr_of r (named_cell (`Global g))
+                | Ir.Istore (Ir.Oreg ar, v, _, _) when Hashtbl.mem addr_of ar ->
+                  if slot v >= 0 then
+                    direct := Copy { dst = Hashtbl.find addr_of ar; src = slot v } :: !direct
+                | Ir.Iload (r, Ir.Oreg ar, _, _) when Hashtbl.mem addr_of ar ->
+                  direct := Copy { dst = base + r; src = Hashtbl.find addr_of ar } :: !direct
+                | _ -> ());
                 match i.idesc with
-                | Ir.Imov (r, o) -> set r (ops o)
+                | Ir.Imov (r, o) -> copy (base + r) (slot o)
                 | Ir.Ibin (r, _, _, a, b2) ->
-                  (* pointer arithmetic through plain ops degrades *)
-                  let src = ItemSet.union (ops a) (ops b2) in
-                  note_degrade fn i "pointer arithmetic" src;
-                  set r (degrade src)
+                  emit (Degrade { dst = base + r; a = slot a; b = slot b2; how = "pointer arithmetic"; i })
                 | Ir.Iun (r, _, _, a) ->
-                  note_degrade fn i "pointer arithmetic" (ops a);
-                  set r (degrade (ops a))
+                  emit (Degrade { dst = base + r; a = slot a; b = -1; how = "pointer arithmetic"; i })
                 | Ir.Icast (r, _, to_, v, _) -> (
-                  let src = ops v in
                   match to_ with
                   | Irty.Ptr (Irty.Struct s) ->
-                    set r (ItemSet.add (Item.Obj_ptr s) src)
-                  | _ -> set r src)
-                | Ir.Iload (r, a, _, _) ->
-                  let addr = ops a in
-                  note_deref fn i addr;
-                  List.iter
-                    (fun mc -> set r (get t mc))
-                    (mem_cells_of addr)
-                | Ir.Istore (a, v, _, _) ->
-                  let addr = ops a in
-                  note_deref fn i addr;
-                  List.iter
-                    (fun mc -> add t mc (ops v) changed)
-                    (mem_cells_of addr)
+                    emit (Add { dst = base + r; item = (struct_of s).obj; src = slot v })
+                  | _ -> copy (base + r) (slot v))
+                | Ir.Iload (r, a, _, _) -> emit (Load { dst = base + r; addr = slot a; i })
+                | Ir.Istore (a, v, _, _) -> emit (Store { addr = slot a; v = slot v; i })
                 | Ir.Iaddrglob (r, g) -> (
                   match Hashtbl.find_opt globals_ty g with
-                  | Some ty -> set r (obj_item ty)
+                  | Some ty -> add (base + r) (obj_item ty)
                   | None -> ())
                 | Ir.Iaddrlocal (r, l) -> (
                   match Hashtbl.find_opt locals_ty l with
-                  | Some ty -> set r (obj_item ty)
+                  | Some ty -> add (base + r) (obj_item ty)
                   | None -> ())
-                | Ir.Iaddrstr _ | Ir.Iaddrfunc _ -> ()
-                | Ir.Ifieldaddr (r, _, s, fi) ->
-                  set r (ItemSet.singleton (Item.Field_ptr (s, fi)))
+                | Ir.Iaddrstr _ | Ir.Iaddrfunc _ | Ir.Ifree _ -> ()
+                | Ir.Ifieldaddr (r, _, s, fi) -> add (base + r) (field_item s fi)
                 | Ir.Iptradd (r, b2, _, elem) -> (
-                  let base = ops b2 in
                   match elem with
                   | Irty.Struct s ->
-                    ItemSet.iter
-                      (fun it ->
-                        match it with
-                        | Item.Obj_ptr s' when String.equal s' s -> ()
-                        | Item.Field_ptr (s', _) | Item.Obj_ptr s' ->
-                          note_origin fn i s'
-                            (Printf.sprintf "indexing in struct '%s' steps" s)
-                        | Item.Raw_ptr _ -> ())
-                      base;
-                    set r (ItemSet.add (Item.Obj_ptr s) (degrade_struct_step s base))
+                    emit (Step { dst = base + r; base = slot b2; s = struct_of s; i })
                   | _ ->
-                    note_degrade fn i "scalar indexing" base;
-                    set r (degrade base))
+                    emit (Degrade { dst = base + r; a = slot b2; b = -1; how = "scalar indexing"; i }))
                 | Ir.Ialloc (r, _, _, elem) -> (
                   match elem with
-                  | Irty.Struct s ->
-                    set r (ItemSet.singleton (Item.Obj_ptr s))
+                  | Irty.Struct s -> add (base + r) (struct_of s).obj
                   | _ -> ())
                 | Ir.Icall (dst, callee, args) -> (
+                  let args = Array.of_list (List.map slot args) in
                   match callee with
-                  | Ir.Cdirect callee_name
-                    when Ir.find_func prog callee_name <> None ->
-                    List.iteri
-                      (fun ai arg ->
-                        match
-                          Hashtbl.find_opt param_cells (callee_name, ai)
-                        with
-                        | Some pc -> add t pc (ops arg) changed
-                        | None -> ())
-                      args;
-                    (match dst with
-                    | Some r -> set r (get t (Cret callee_name))
-                    | None -> ())
-                  | Ir.Cdirect _ | Ir.Cbuiltin _ | Ir.Cextern _
-                  | Ir.Cindirect _ ->
-                    (* pointers escaping the analysed world collapse their
-                       types *)
-                    List.iter
-                      (fun arg ->
-                        ItemSet.iter
-                          (fun it ->
-                            match it with
-                            | Item.Field_ptr (s, _) | Item.Obj_ptr s
-                            | Item.Raw_ptr s ->
-                              collapse t s (fun () ->
-                                  [ event fn i
-                                      "pointer into struct '%s' escapes to \
-                                       call '%s'"
-                                      s
-                                      (Ir.string_of_callee callee) ]))
-                          (ops arg))
-                      args)
-                | Ir.Ifree _ -> ()
+                  | Ir.Cdirect n when Ir.find_func prog n <> None ->
+                    let ps = Hashtbl.find params n in
+                    emit
+                      (Call
+                         { dst = (match dst with Some r -> base + r | None -> -1);
+                           ret = ret_cell n;
+                           params =
+                             Array.mapi (fun k _ -> if k < Array.length ps then ps.(k) else -1) args;
+                           args })
+                  | Ir.Cdirect _ | Ir.Cbuiltin _ | Ir.Cextern _ | Ir.Cindirect _ ->
+                    emit (Escape { args; callee; i }))
                 | Ir.Imemset (d, _, _, _) ->
-                  ItemSet.iter
-                    (fun it ->
-                      match it with
-                      | Item.Field_ptr (s, _) | Item.Obj_ptr s
-                      | Item.Raw_ptr s ->
-                        collapse t s (fun () ->
-                            [ event fn i
-                                "pointer into struct '%s' is bulk-written by \
-                                 memset"
-                                s ]))
-                    (ops d)
+                  emit (Bulk { a = slot d; b = -1; what = "bulk-written by memset"; i })
                 | Ir.Imemcpy (d, s2, _, _) ->
-                  ItemSet.iter
-                    (fun it ->
-                      match it with
-                      | Item.Field_ptr (s, _) | Item.Obj_ptr s
-                      | Item.Raw_ptr s ->
-                        collapse t s (fun () ->
-                            [ event fn i
-                                "pointer into struct '%s' is bulk-copied by \
-                                 memcpy"
-                                s ]))
-                    (ItemSet.union (ops d) (ops s2)))
+                  emit (Bulk { a = slot d; b = slot s2; what = "bulk-copied by memcpy"; i }))
               b.instrs;
             match b.btermin with
-            | Ir.Tret (Some o) -> add t (Cret fn) (ops o) changed
+            | Ir.Tret (Some o) -> copy (ret_cell fn) (slot o)
             | Ir.Tret None | Ir.Tjmp _ | Ir.Tbr _ -> ())
           f.fblocks;
-        (* locals/globals written or read through an address-of *)
-        List.iter
-          (function
-            | `Store (c, v) -> add t c (ops v) changed
-            | `Load (r, c) -> set r (get t c))
-          direct)
-      funcs
+        (fn, Array.of_list (List.rev_append !ops (List.rev !direct))))
+      prog.funcs
+  in
+  let items = Array.of_list (List.rev !items) in
+  let struct_names = Array.of_list (List.rev !struct_names) in
+  let ns = Array.length struct_names in
+  let raw_of = Array.make ns 0 in
+  Hashtbl.iter (fun _ si -> raw_of.(si.ix) <- si.raw) structs;
+  (* the sets: [nw] words per slot of one flat array, and past the cells
+     one more slot for the items seen in address positions; one
+     allocation, where an array per slot would give the major heap one
+     more size class (and its pool) for each length *)
+  let nw = max 1 ((Array.length items + w - 1) / w) in
+  let deref = nregs + !ncells in
+  let sets = Array.make ((deref + 1) * nw) 0 in
+  let changed = ref true in
+  let is_empty s =
+    s < 0
+    ||
+    let k = ref 0 in
+    while !k < nw && sets.((s * nw) + !k) = 0 do
+      incr k
+    done;
+    !k = nw
+  in
+  (* dst ⊇ src, marking the round changed when dst grows *)
+  let grow dst src =
+    if src >= 0 then
+      for k = 0 to nw - 1 do
+        let d = sets.((dst * nw) + k) in
+        let u = d lor sets.((src * nw) + k) in
+        if u <> d then begin
+          sets.((dst * nw) + k) <- u;
+          changed := true
+        end
+      done
+  in
+  let add_item dst it =
+    let j = (dst * nw) + (it / w) and bit = 1 lsl (it mod w) in
+    if sets.(j) land bit = 0 then begin
+      sets.(j) <- sets.(j) lor bit;
+      changed := true
+    end
+  in
+  (* the items of a ∪ b into [buf], taken before any set grows; their
+     count *)
+  let buf = Array.make (Array.length items + 1) 0 in
+  let gather a b =
+    let n = ref 0 in
+    for k = 0 to nw - 1 do
+      let word = ref 0 in
+      if a >= 0 then word := sets.((a * nw) + k);
+      if b >= 0 then word := !word lor sets.((b * nw) + k);
+      while !word <> 0 do
+        let low = !word land - !word in
+        buf.(!n) <- (k * w) + bit_index low;
+        incr n;
+        word := !word lxor low
+      done
+    done;
+    !n
+  in
+  (* provenance chains: per struct, the first site where a typed view
+     degraded to raw, the first where a raw view was dereferenced, and
+     the chain its first collapse recorded. Event text is built only
+     when an event is recorded. *)
+  let raw_origin = Array.make ns None and raw_deref = Array.make ns None in
+  let why = Array.make ns None in
+  let event fn (i : Ir.instr) what =
+    { ev_fn = fn; ev_iid = i.iid; ev_loc = i.iloc; ev_what = what }
+  in
+  let origin fn i st how =
+    raw_origin.(st) <-
+      Some
+        (event fn i
+           (Printf.sprintf "pointer into struct '%s' degraded to a raw view by %s"
+              struct_names.(st) how))
+  in
+  (* the items at an address position; a raw view there is a raw
+     dereference *)
+  let note_deref fn i n =
+    for j = 0 to n - 1 do
+      add_item deref buf.(j);
+      let it = items.(buf.(j)) in
+      match it.kind with
+      | Raw when raw_deref.(it.st) = None ->
+        raw_deref.(it.st) <-
+          Some
+            (event fn i
+               (Printf.sprintf "raw view of struct '%s' is dereferenced here"
+                  struct_names.(it.st)))
+      | Raw | Field _ | Obj -> ()
+    done
+  in
+  (* pointers escaping the analysed world collapse their types *)
+  let escape fn i n what =
+    for j = 0 to n - 1 do
+      let st = items.(buf.(j)).st in
+      if why.(st) = None then
+        why.(st) <-
+          Some
+            [ event fn i
+                (Printf.sprintf "pointer into struct '%s' %s" struct_names.(st) (what ())) ]
+    done
+  in
+  let exec fn = function
+    | Copy { dst; src } -> grow dst src
+    | Add { dst; item; src } ->
+      add_item dst item;
+      grow dst src
+    | Degrade { dst; a; b; how; i } ->
+      if not (is_empty a && is_empty b) then
+        for j = 0 to gather a b - 1 do
+          let it = items.(buf.(j)) in
+          (match it.kind with
+          | (Field _ | Obj) when raw_origin.(it.st) = None -> origin fn i it.st how
+          | Field _ | Obj | Raw -> ());
+          add_item dst raw_of.(it.st)
+        done
+    | Step { dst; base; s; i } ->
+      add_item dst s.obj;
+      if not (is_empty base) then
+        for j = 0 to gather base (-1) - 1 do
+          let it = items.(buf.(j)) in
+          match it.kind with
+          | Obj when it.st = s.ix -> ()
+          | Field _ | Obj ->
+            if raw_origin.(it.st) = None then
+              origin fn i it.st
+                (Printf.sprintf "indexing in struct '%s' steps" struct_names.(s.ix));
+            add_item dst raw_of.(it.st)
+          | Raw -> add_item dst raw_of.(it.st)
+        done
+    | Load { dst; addr; i } ->
+      if not (is_empty addr) then begin
+        let n = gather addr (-1) in
+        note_deref fn i n;
+        for j = 0 to n - 1 do
+          grow dst items.(buf.(j)).cell
+        done
+      end
+    | Store { addr; v; i } ->
+      if not (is_empty addr) then begin
+        let n = gather addr (-1) in
+        note_deref fn i n;
+        for j = 0 to n - 1 do
+          grow items.(buf.(j)).cell v
+        done
+      end
+    | Call { dst; ret; params; args } ->
+      for k = 0 to Array.length params - 1 do
+        if params.(k) >= 0 then grow params.(k) args.(k)
+      done;
+      if dst >= 0 then grow dst ret
+    | Escape { args; callee; i } ->
+      for k = 0 to Array.length args - 1 do
+        if not (is_empty args.(k)) then
+          escape fn i (gather args.(k) (-1)) (fun () ->
+              Printf.sprintf "escapes to call '%s'" (Ir.string_of_callee callee))
+      done
+    | Bulk { a; b; what; i } ->
+      if not (is_empty a && is_empty b) then
+        escape fn i (gather a b) (fun () -> "is " ^ what)
+  in
+  (* round-robin rounds in program order until no set grows: the order
+     fixes which site each first event names *)
+  while !changed do
+    changed := false;
+    List.iter (fun (fn, ops) -> Array.iter (exec fn) ops) funcs
   done;
   (* final collapse detection: a raw view that is actually dereferenced
      collapses the type's field sets; the chain explains where the raw
      view came from and where it was dereferenced *)
-  ItemSet.iter
-    (fun it ->
-      match it with
-      | Item.Raw_ptr s ->
-        let chain =
-          Option.to_list (Hashtbl.find_opt t.raw_origin s)
-          @ Option.to_list (Hashtbl.find_opt t.raw_deref s)
-        in
-        collapse t s (fun () -> chain)
-      | Item.Field_ptr _ | Item.Obj_ptr _ -> ())
-    t.deref_items;
+  let exposed = Hashtbl.create 16 in
+  for j = gather deref (-1) - 1 downto 0 do
+    let it = items.(buf.(j)) in
+    let s = struct_names.(it.st) in
+    match it.kind with
+    | Raw ->
+      if why.(it.st) = None then
+        why.(it.st) <-
+          Some (Option.to_list raw_origin.(it.st) @ Option.to_list raw_deref.(it.st))
+    | Field fi ->
+      Hashtbl.replace exposed s
+        (fi :: Option.value ~default:[] (Hashtbl.find_opt exposed s))
+    | Obj -> ()
+  done;
+  Hashtbl.filter_map_inplace (fun _ fis -> Some (List.sort_uniq compare fis)) exposed;
+  let t = { why = Hashtbl.create 8; exposed } in
+  Array.iteri
+    (fun st chain -> Option.iter (Hashtbl.replace t.why struct_names.(st)) chain)
+    why;
   t
 
-let collapsed t s = Hashtbl.mem t.collapsed_set s
+let collapsed t s = Hashtbl.mem t.why s
 
-let why_collapsed t s =
-  Option.value ~default:[] (Hashtbl.find_opt t.collapse_why s)
+let why_collapsed t s = Option.value ~default:[] (Hashtbl.find_opt t.why s)
 
-let exposed_fields t s =
-  ItemSet.fold
-    (fun it acc ->
-      match it with
-      | Item.Field_ptr (s', fi) when String.equal s' s -> fi :: acc
-      | Item.Field_ptr _ | Item.Obj_ptr _ | Item.Raw_ptr _ -> acc)
-    t.deref_items []
-  |> List.sort_uniq compare
+let exposed_fields t s = Option.value ~default:[] (Hashtbl.find_opt t.exposed s)
 
 let refutable t s = not (collapsed t s)
