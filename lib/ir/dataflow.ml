@@ -11,7 +11,9 @@ module Make (L : LATTICE) = struct
 
   (* Round-robin sweeps in (reverse) rpo until no boundary fact moves.
      The roster programs have tens of blocks per function, so a priority
-     worklist would buy nothing over the cache-friendly sweep. *)
+     worklist would buy nothing over the cache-friendly sweep. A lattice
+     of interned ids held as bitsets (see Deadstore) makes [join] and
+     [equal] a few word operations. *)
 
   let forward (cfg : Cfg.t) ~(init : L.t) ~transfer : result =
     let n = Cfg.num_blocks cfg in

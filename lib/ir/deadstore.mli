@@ -27,7 +27,15 @@
       on any path at all.
 
     A reported store is therefore dead along {e every} path to program
-    exit, not merely unprofiled. *)
+    exit, not merely unprofiled.
+
+    Each (struct, field) pair is interned to a dense id once per call,
+    and every fact is a bitset of ids (one machine word while the
+    program declares at most 63 fields). Every transfer only adds
+    fields, so each block's gen set is computed once and the
+    per-function solve runs on {!Dataflow.Make} over that bitset
+    lattice. The may-read summaries are built callees first over
+    {!Callgraph.sccs_topological}, one per SCC. *)
 
 type store = {
   ds_struct : string;

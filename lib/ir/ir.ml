@@ -172,7 +172,6 @@ let iter_used_operands fn i =
     fn c
   | Iaddrglob _ | Iaddrlocal _ | Iaddrstr _ | Iaddrfunc _ -> ()
 
-
 (** {1 Printing} *)
 
 let string_of_binop = function

@@ -65,34 +65,33 @@ let is_type_start st =
   | BAR | CARET | TILDE | SHL | SHR | EOF ->
     false
 
-(* base type: scalar keyword, [struct tag], or typedef name; followed by
-   any number of [*] *)
-let rec parse_type st : Ast.ty =
+(* base type: scalar keyword, [struct tag], or typedef name *)
+let parse_base_type st : Ast.ty =
   skip_consts st;
-  let base =
-    match cur st with
-    | KW_VOID -> advance st; Ast.Tvoid
-    | KW_CHAR -> advance st; Ast.Tchar
-    | KW_SHORT -> advance st; Ast.Tshort
-    | KW_INT -> advance st; Ast.Tint
-    | KW_LONG ->
-      advance st;
-      (* accept [long long] and [long int] *)
-      ignore (accept st KW_LONG);
-      ignore (accept st KW_INT);
-      Ast.Tlong
-    | KW_FLOAT -> advance st; Ast.Tfloat
-    | KW_DOUBLE -> advance st; Ast.Tdouble
-    | KW_STRUCT ->
-      advance st;
-      let tag = expect_ident st in
-      Ast.Tstruct tag
-    | IDENT s when Hashtbl.mem st.typedefs s ->
-      advance st;
-      Hashtbl.find st.typedefs s
-    | t -> error st (Printf.sprintf "expected type, found '%s'" (Token.to_string t))
-  in
-  parse_pointers st base
+  match cur st with
+  | KW_VOID -> advance st; Ast.Tvoid
+  | KW_CHAR -> advance st; Ast.Tchar
+  | KW_SHORT -> advance st; Ast.Tshort
+  | KW_INT -> advance st; Ast.Tint
+  | KW_LONG ->
+    advance st;
+    (* accept [long long] and [long int] *)
+    ignore (accept st KW_LONG);
+    ignore (accept st KW_INT);
+    Ast.Tlong
+  | KW_FLOAT -> advance st; Ast.Tfloat
+  | KW_DOUBLE -> advance st; Ast.Tdouble
+  | KW_STRUCT ->
+    advance st;
+    let tag = expect_ident st in
+    Ast.Tstruct tag
+  | IDENT s when Hashtbl.mem st.typedefs s ->
+    advance st;
+    Hashtbl.find st.typedefs s
+  | t -> error st (Printf.sprintf "expected type, found '%s'" (Token.to_string t))
+
+(* a base type followed by any number of [*] *)
+let rec parse_type st : Ast.ty = parse_pointers st (parse_base_type st)
 
 and parse_pointers st base =
   if accept st STAR then parse_pointers st (Ast.Tptr base) else base
@@ -149,7 +148,7 @@ and parse_assign st =
     lhs
 
 and parse_cond st =
-  let c = parse_logor st in
+  let c = parse_binary 0 st in
   if accept st QUESTION then begin
     let l = cur_loc st in
     let a = parse_assign st in
@@ -159,78 +158,49 @@ and parse_cond st =
   end
   else c
 
-(* [op] maps a token to the operator of this precedence level *)
-and parse_binary_level st op next =
-  let lhs = ref (next st) in
-  let rec go () =
-    match op (cur st) with
-    | Some op ->
-      let l = cur_loc st in
-      advance st;
-      let rhs = next st in
-      lhs := Ast.mk l (Ast.Ebin (op, !lhs, rhs));
-      go ()
-    | None -> ()
-  in
-  go ();
-  !lhs
+(* binary operators by precedence level, loosest first: the operator
+   token [t] stands for at level [lvl], if any *)
+and binop_at lvl (t : Token.t) : Ast.binop option =
+  match (lvl, t) with
+  | 0, BARBAR -> Some Or
+  | 1, AMPAMP -> Some And
+  | 2, BAR -> Some Bor
+  | 3, CARET -> Some Bxor
+  | 4, AMP -> Some Band
+  | 5, EQ -> Some Eq
+  | 5, NE -> Some Ne
+  | 6, LT -> Some Lt
+  | 6, LE -> Some Le
+  | 6, GT -> Some Gt
+  | 6, GE -> Some Ge
+  | 7, SHL -> Some Shl
+  | 7, SHR -> Some Shr
+  | 8, PLUS -> Some Add
+  | 8, MINUS -> Some Sub
+  | 9, STAR -> Some Mul
+  | 9, SLASH -> Some Div
+  | 9, PERCENT -> Some Mod
+  | _ -> None
 
-and parse_logor st =
-  parse_binary_level st
-    (function Token.BARBAR -> Some Ast.Or | _ -> None)
-    parse_logand
-
-and parse_logand st =
-  parse_binary_level st
-    (function Token.AMPAMP -> Some Ast.And | _ -> None)
-    parse_bitor
-
-and parse_bitor st =
-  parse_binary_level st (function Token.BAR -> Some Ast.Bor | _ -> None) parse_bitxor
-
-and parse_bitxor st =
-  parse_binary_level st
-    (function Token.CARET -> Some Ast.Bxor | _ -> None)
-    parse_bitand
-
-and parse_bitand st =
-  parse_binary_level st
-    (function Token.AMP -> Some Ast.Band | _ -> None)
-    parse_equality
-
-and parse_equality st =
-  parse_binary_level st
-    (function Token.EQ -> Some Ast.Eq | Token.NE -> Some Ast.Ne | _ -> None)
-    parse_relational
-
-and parse_relational st =
-  parse_binary_level st
-    (function
-      | Token.LT -> Some Ast.Lt
-      | Token.LE -> Some Ast.Le
-      | Token.GT -> Some Ast.Gt
-      | Token.GE -> Some Ast.Ge
-      | _ -> None)
-    parse_shift
-
-and parse_shift st =
-  parse_binary_level st
-    (function Token.SHL -> Some Ast.Shl | Token.SHR -> Some Ast.Shr | _ -> None)
-    parse_additive
-
-and parse_additive st =
-  parse_binary_level st
-    (function Token.PLUS -> Some Ast.Add | Token.MINUS -> Some Ast.Sub | _ -> None)
-    parse_multiplicative
-
-and parse_multiplicative st =
-  parse_binary_level st
-    (function
-      | Token.STAR -> Some Ast.Mul
-      | Token.SLASH -> Some Ast.Div
-      | Token.PERCENT -> Some Ast.Mod
-      | _ -> None)
-    parse_unary
+(* a left-associative chain of level [lvl] operators; past the last
+   level, a unary expression *)
+and parse_binary lvl st =
+  if lvl > 9 then parse_unary st
+  else begin
+    let lhs = ref (parse_binary (lvl + 1) st) in
+    let rec go () =
+      match binop_at lvl (cur st) with
+      | Some op ->
+        let l = cur_loc st in
+        advance st;
+        let rhs = parse_binary (lvl + 1) st in
+        lhs := Ast.mk l (Ast.Ebin (op, !lhs, rhs));
+        go ()
+      | None -> ()
+    in
+    go ();
+    !lhs
+  end
 
 and parse_unary st =
   let l = cur_loc st in
@@ -480,31 +450,7 @@ let rec parse_stmt st : Ast.stmt list =
    Multiple declarators are packed into an [Sblock]. *)
 and parse_local_decl st : Ast.stmt =
   let l = cur_loc st in
-  let base_start = st.pos in
-  ignore base_start;
-  skip_consts st;
-  let base =
-    match cur st with
-    | KW_VOID -> advance st; Ast.Tvoid
-    | KW_CHAR -> advance st; Ast.Tchar
-    | KW_SHORT -> advance st; Ast.Tshort
-    | KW_INT -> advance st; Ast.Tint
-    | KW_LONG ->
-      advance st;
-      ignore (accept st KW_LONG);
-      ignore (accept st KW_INT);
-      Ast.Tlong
-    | KW_FLOAT -> advance st; Ast.Tfloat
-    | KW_DOUBLE -> advance st; Ast.Tdouble
-    | KW_STRUCT ->
-      advance st;
-      let tag = expect_ident st in
-      Ast.Tstruct tag
-    | IDENT s when Hashtbl.mem st.typedefs s ->
-      advance st;
-      Hashtbl.find st.typedefs s
-    | t -> error st (Printf.sprintf "expected type, found '%s'" (Token.to_string t))
-  in
+  let base = parse_base_type st in
   let rec declarators acc =
     let t, name = parse_declarator st base in
     let init = if accept st ASSIGN then Some (parse_assign st) else None in

@@ -47,9 +47,10 @@ type op =
   | Call of { dst : int; ret : int; params : int array; args : int array }
       (* a defined callee: argument [k] flows to cell [params.(k)] ([-1]
          when the callee has no such parameter), its return cell to [dst] *)
-  | Escape of { args : int array; callee : Ir.callee; i : Ir.instr }
-  | Bulk of { a : int; b : int; what : string; i : Ir.instr }
-      (* memset (b = -1) or memcpy *)
+  | Escape of { args : int array; how : escape; i : Ir.instr }
+      (* the types of every view in [args] collapse *)
+
+and escape = To_call of Ir.callee | Bulk of string
 
 let w = Sys.int_size
 
@@ -207,11 +208,15 @@ let analyze (prog : Ir.program) : t =
                              Array.mapi (fun k _ -> if k < Array.length ps then ps.(k) else -1) args;
                            args })
                   | Ir.Cdirect _ | Ir.Cbuiltin _ | Ir.Cextern _ | Ir.Cindirect _ ->
-                    emit (Escape { args; callee; i }))
+                    (* pointers escaping the analysed world collapse their
+                       types *)
+                    emit (Escape { args; how = To_call callee; i }))
                 | Ir.Imemset (d, _, _, _) ->
-                  emit (Bulk { a = slot d; b = -1; what = "bulk-written by memset"; i })
+                  emit (Escape { args = [| slot d |]; how = Bulk "is bulk-written by memset"; i })
                 | Ir.Imemcpy (d, s2, _, _) ->
-                  emit (Bulk { a = slot d; b = slot s2; what = "bulk-copied by memcpy"; i }))
+                  emit
+                    (Escape
+                       { args = [| slot d; slot s2 |]; how = Bulk "is bulk-copied by memcpy"; i }))
               b.instrs;
             match b.btermin with
             | Ir.Tret (Some o) -> copy (ret_cell fn) (slot o)
@@ -233,15 +238,6 @@ let analyze (prog : Ir.program) : t =
   let deref = nregs + !ncells in
   let sets = Array.make ((deref + 1) * nw) 0 in
   let changed = ref true in
-  let is_empty s =
-    s < 0
-    ||
-    let k = ref 0 in
-    while !k < nw && sets.((s * nw) + !k) = 0 do
-      incr k
-    done;
-    !k = nw
-  in
   (* dst ⊇ src, marking the round changed when dst grows *)
   let grow dst src =
     if src >= 0 then
@@ -262,7 +258,7 @@ let analyze (prog : Ir.program) : t =
     end
   in
   (* the items of a ∪ b into [buf], taken before any set grows; their
-     count *)
+     count. An operation whose input sets are empty stops here. *)
   let buf = Array.make (Array.length items + 1) 0 in
   let gather a b =
     let n = ref 0 in
@@ -311,75 +307,64 @@ let analyze (prog : Ir.program) : t =
       | Raw | Field _ | Obj -> ()
     done
   in
-  (* pointers escaping the analysed world collapse their types *)
-  let escape fn i n what =
-    for j = 0 to n - 1 do
-      let st = items.(buf.(j)).st in
-      if why.(st) = None then
-        why.(st) <-
-          Some
-            [ event fn i
-                (Printf.sprintf "pointer into struct '%s' %s" struct_names.(st) (what ())) ]
-    done
-  in
   let exec fn = function
     | Copy { dst; src } -> grow dst src
     | Add { dst; item; src } ->
       add_item dst item;
       grow dst src
     | Degrade { dst; a; b; how; i } ->
-      if not (is_empty a && is_empty b) then
-        for j = 0 to gather a b - 1 do
-          let it = items.(buf.(j)) in
-          (match it.kind with
-          | (Field _ | Obj) when raw_origin.(it.st) = None -> origin fn i it.st how
-          | Field _ | Obj | Raw -> ());
-          add_item dst raw_of.(it.st)
-        done
+      for j = 0 to gather a b - 1 do
+        let it = items.(buf.(j)) in
+        (match it.kind with
+        | (Field _ | Obj) when raw_origin.(it.st) = None -> origin fn i it.st how
+        | Field _ | Obj | Raw -> ());
+        add_item dst raw_of.(it.st)
+      done
     | Step { dst; base; s; i } ->
       add_item dst s.obj;
-      if not (is_empty base) then
-        for j = 0 to gather base (-1) - 1 do
-          let it = items.(buf.(j)) in
-          match it.kind with
-          | Obj when it.st = s.ix -> ()
-          | Field _ | Obj ->
-            if raw_origin.(it.st) = None then
-              origin fn i it.st
-                (Printf.sprintf "indexing in struct '%s' steps" struct_names.(s.ix));
-            add_item dst raw_of.(it.st)
-          | Raw -> add_item dst raw_of.(it.st)
-        done
+      for j = 0 to gather base (-1) - 1 do
+        let it = items.(buf.(j)) in
+        match it.kind with
+        | Obj when it.st = s.ix -> ()
+        | Field _ | Obj ->
+          if raw_origin.(it.st) = None then
+            origin fn i it.st
+              (Printf.sprintf "indexing in struct '%s' steps" struct_names.(s.ix));
+          add_item dst raw_of.(it.st)
+        | Raw -> add_item dst raw_of.(it.st)
+      done
     | Load { dst; addr; i } ->
-      if not (is_empty addr) then begin
-        let n = gather addr (-1) in
-        note_deref fn i n;
-        for j = 0 to n - 1 do
-          grow dst items.(buf.(j)).cell
-        done
-      end
+      let n = gather addr (-1) in
+      note_deref fn i n;
+      for j = 0 to n - 1 do
+        grow dst items.(buf.(j)).cell
+      done
     | Store { addr; v; i } ->
-      if not (is_empty addr) then begin
-        let n = gather addr (-1) in
-        note_deref fn i n;
-        for j = 0 to n - 1 do
-          grow items.(buf.(j)).cell v
-        done
-      end
+      let n = gather addr (-1) in
+      note_deref fn i n;
+      for j = 0 to n - 1 do
+        grow items.(buf.(j)).cell v
+      done
     | Call { dst; ret; params; args } ->
       for k = 0 to Array.length params - 1 do
         if params.(k) >= 0 then grow params.(k) args.(k)
       done;
       if dst >= 0 then grow dst ret
-    | Escape { args; callee; i } ->
+    | Escape { args; how; i } ->
       for k = 0 to Array.length args - 1 do
-        if not (is_empty args.(k)) then
-          escape fn i (gather args.(k) (-1)) (fun () ->
-              Printf.sprintf "escapes to call '%s'" (Ir.string_of_callee callee))
+        for j = 0 to gather args.(k) (-1) - 1 do
+          let st = items.(buf.(j)).st in
+          if why.(st) = None then
+            why.(st) <-
+              Some
+                [ event fn i
+                    (Printf.sprintf "pointer into struct '%s' %s" struct_names.(st)
+                       (match how with
+                       | To_call callee ->
+                         Printf.sprintf "escapes to call '%s'" (Ir.string_of_callee callee)
+                       | Bulk what -> what)) ]
+        done
       done
-    | Bulk { a; b; what; i } ->
-      if not (is_empty a && is_empty b) then
-        escape fn i (gather a b) (fun () -> "is " ^ what)
   in
   (* round-robin rounds in program order until no set grows: the order
      fixes which site each first event names *)

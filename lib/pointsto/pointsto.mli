@@ -17,7 +17,15 @@
     not collapsed is safe to transform under points-to reasoning; a
     collapsed type stays invalid even under the paper's relaxed counting,
     which is exactly the gap between the "Points-To" and "Relax" columns in
-    our extended Table 1. *)
+    our extended Table 1.
+
+    Provenance items (a field, object or raw view of each struct) and
+    cells are interned to dense ids once per call, and each instruction
+    is compiled once to an operation with its constants resolved. Every
+    set is [nw] words of one flat int array, one word while a program
+    has at most 63 items. The fixpoint visits the operations round-robin
+    in program order, skipping those whose input sets are empty; that
+    order fixes which site each first event names. *)
 
 type t
 
