@@ -198,7 +198,7 @@ let analyze (prog : Ir.program) : t =
                 | Ir.Icall (dst, callee, args) -> (
                   let args = Array.of_list (List.map slot args) in
                   match callee with
-                  | Ir.Cdirect n when Ir.find_func prog n <> None ->
+                  | Ir.Cdirect n when Hashtbl.mem params n ->
                     let ps = Hashtbl.find params n in
                     emit
                       (Call
