@@ -185,22 +185,17 @@ and binop_at lvl (t : Token.t) : Ast.binop option =
 (* a left-associative chain of level [lvl] operators; past the last
    level, a unary expression *)
 and parse_binary lvl st =
-  if lvl > 9 then parse_unary st
-  else begin
-    let lhs = ref (parse_binary (lvl + 1) st) in
-    let rec go () =
-      match binop_at lvl (cur st) with
-      | Some op ->
-        let l = cur_loc st in
-        advance st;
-        let rhs = parse_binary (lvl + 1) st in
-        lhs := Ast.mk l (Ast.Ebin (op, !lhs, rhs));
-        go ()
-      | None -> ()
-    in
-    go ();
-    !lhs
-  end
+  if lvl > 9 then parse_unary st else parse_binary_rest lvl st (parse_binary (lvl + 1) st)
+
+(* [lhs] followed by any level [lvl] operators and their operands *)
+and parse_binary_rest lvl st lhs =
+  match binop_at lvl (cur st) with
+  | Some op ->
+    let l = cur_loc st in
+    advance st;
+    let rhs = parse_binary (lvl + 1) st in
+    parse_binary_rest lvl st (Ast.mk l (Ast.Ebin (op, lhs, rhs)))
+  | None -> lhs
 
 and parse_unary st =
   let l = cur_loc st in
@@ -263,53 +258,46 @@ and parse_type_with_arrays st =
   in
   arrays t
 
-and parse_postfix st =
-  let e = ref (parse_primary st) in
-  let rec go () =
-    let l = cur_loc st in
-    match cur st with
-    | LPAREN ->
-      advance st;
-      let args = parse_args st in
-      expect st RPAREN;
-      e := Ast.mk l (Ast.Ecall (!e, args));
-      go ()
-    | LBRACKET ->
-      advance st;
-      let i = parse_expr st in
-      expect st RBRACKET;
-      e := Ast.mk l (Ast.Eindex (!e, i));
-      go ()
-    | DOT ->
-      advance st;
-      let f = expect_ident st in
-      e := Ast.mk l (Ast.Efield (!e, f));
-      go ()
-    | ARROW ->
-      advance st;
-      let f = expect_ident st in
-      e := Ast.mk l (Ast.Earrow (!e, f));
-      go ()
-    | PLUSPLUS ->
-      advance st;
-      e := Ast.mk l (Ast.Eincr (Ast.Postinc, !e));
-      go ()
-    | MINUSMINUS ->
-      advance st;
-      e := Ast.mk l (Ast.Eincr (Ast.Postdec, !e));
-      go ()
-    | INT_LIT _ | FLOAT_LIT _ | STR_LIT _ | IDENT _ | KW_VOID | KW_CHAR
-    | KW_SHORT | KW_INT | KW_LONG | KW_FLOAT | KW_DOUBLE | KW_STRUCT
-    | KW_TYPEDEF | KW_EXTERN | KW_IF | KW_ELSE | KW_WHILE | KW_DO | KW_FOR
-    | KW_RETURN | KW_BREAK | KW_CONTINUE | KW_SIZEOF | RPAREN | LBRACE
-    | RBRACE | RBRACKET | SEMI | COMMA | COLON | QUESTION | ELLIPSIS | PLUS
-    | MINUS | STAR | SLASH | PERCENT | ASSIGN | PLUSEQ | MINUSEQ | STAREQ
-    | SLASHEQ | EQ | NE | LT | LE | GT | GE | AMPAMP | BARBAR | BANG | AMP
-    | BAR | CARET | TILDE | SHL | SHR | EOF ->
-      ()
-  in
-  go ();
-  !e
+and parse_postfix st = parse_postfix_rest st (parse_primary st)
+
+(* [e] followed by any calls, subscripts, member accesses and postfix
+   increments *)
+and parse_postfix_rest st e =
+  let l = cur_loc st in
+  match cur st with
+  | LPAREN ->
+    advance st;
+    let args = parse_args st in
+    expect st RPAREN;
+    parse_postfix_rest st (Ast.mk l (Ast.Ecall (e, args)))
+  | LBRACKET ->
+    advance st;
+    let i = parse_expr st in
+    expect st RBRACKET;
+    parse_postfix_rest st (Ast.mk l (Ast.Eindex (e, i)))
+  | DOT ->
+    advance st;
+    let f = expect_ident st in
+    parse_postfix_rest st (Ast.mk l (Ast.Efield (e, f)))
+  | ARROW ->
+    advance st;
+    let f = expect_ident st in
+    parse_postfix_rest st (Ast.mk l (Ast.Earrow (e, f)))
+  | PLUSPLUS ->
+    advance st;
+    parse_postfix_rest st (Ast.mk l (Ast.Eincr (Ast.Postinc, e)))
+  | MINUSMINUS ->
+    advance st;
+    parse_postfix_rest st (Ast.mk l (Ast.Eincr (Ast.Postdec, e)))
+  | INT_LIT _ | FLOAT_LIT _ | STR_LIT _ | IDENT _ | KW_VOID | KW_CHAR
+  | KW_SHORT | KW_INT | KW_LONG | KW_FLOAT | KW_DOUBLE | KW_STRUCT
+  | KW_TYPEDEF | KW_EXTERN | KW_IF | KW_ELSE | KW_WHILE | KW_DO | KW_FOR
+  | KW_RETURN | KW_BREAK | KW_CONTINUE | KW_SIZEOF | RPAREN | LBRACE
+  | RBRACE | RBRACKET | SEMI | COMMA | COLON | QUESTION | ELLIPSIS | PLUS
+  | MINUS | STAR | SLASH | PERCENT | ASSIGN | PLUSEQ | MINUSEQ | STAREQ
+  | SLASHEQ | EQ | NE | LT | LE | GT | GE | AMPAMP | BARBAR | BANG | AMP
+  | BAR | CARET | TILDE | SHL | SHR | EOF ->
+    e
 
 and parse_args st =
   if cur st == Token.RPAREN then []
