@@ -32,10 +32,12 @@ let accept st (t : Token.t) =
     true)
   else false
 
-let skip_consts st =
-  while match cur st with IDENT "const" -> advance st; true | _ -> false do
-    ()
-  done
+let rec skip_consts st =
+  match cur st with
+  | IDENT "const" ->
+    advance st;
+    skip_consts st
+  | _ -> ()
 
 let expect_ident st =
   match cur st with
