@@ -83,15 +83,6 @@ let attrs_of t s =
   | Some i -> Some i.attrs
   | None -> None
 
-(* outermost struct mentioned by a type, seen through pointers *)
-let rec pointee_struct = function
-  | Irty.Ptr u -> pointee_struct u
-  | Irty.Struct s -> Some s
-  | Irty.Array (u, _) -> pointee_struct u
-  | Irty.Void | Irty.Char | Irty.Short | Irty.Int | Irty.Long | Irty.Float
-  | Irty.Double | Irty.Funptr ->
-    None
-
 let relaxable = function
   | CSTT | CSTF | ATKN -> true
   | LIBC | IND | SMAL | MSET | NEST | SIZEOF -> false
@@ -315,7 +306,7 @@ let analyze (prog : Ir.program) : t =
               | Ir.Icall (_, callee, args) ->
                 List.iter
                   (fun arg ->
-                    match pointee_struct (Option.value ~default:Irty.Void (ty_of arg)) with
+                    match Option.bind (ty_of arg) Irty.pointee_struct with
                     | None -> ()
                     | Some s -> (
                       let libc name =

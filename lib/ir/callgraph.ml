@@ -10,12 +10,14 @@ type t = {
   callers : (string, call_site list) Hashtbl.t; (* defined callee -> sites *)
   funcs : string list;                          (* definition order *)
   edges : (string, string list) Hashtbl.t;      (* caller -> defined callees *)
+  taken : (string, unit) Hashtbl.t;             (* [Iaddrfunc] operands *)
 }
 
 let build (p : Ir.program) : t =
   let sites = Hashtbl.create 16 in
   let callers = Hashtbl.create 16 in
   let edges = Hashtbl.create 16 in
+  let taken = Hashtbl.create 4 in
   let defined_set = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace defined_set f.Ir.fname ()) p.funcs;
   let funcs = List.map (fun f -> f.Ir.fname) p.funcs in
@@ -46,9 +48,10 @@ let build (p : Ir.program) : t =
                 | Ir.Cdirect _ | Ir.Cbuiltin _ | Ir.Cextern _
                 | Ir.Cindirect _ ->
                   ())
+              | Ir.Iaddrfunc (_, name) -> Hashtbl.replace taken name ()
               | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iload _
               | Ir.Istore _ | Ir.Iaddrglob _ | Ir.Iaddrlocal _
-              | Ir.Iaddrstr _ | Ir.Iaddrfunc _ | Ir.Ifieldaddr _
+              | Ir.Iaddrstr _ | Ir.Ifieldaddr _
               | Ir.Iptradd _ | Ir.Ialloc _ | Ir.Ifree _ | Ir.Imemset _
               | Ir.Imemcpy _ ->
                 ())
@@ -57,11 +60,12 @@ let build (p : Ir.program) : t =
       Hashtbl.replace sites f.fname (List.rev !my_sites);
       Hashtbl.replace edges f.fname (List.rev !my_edges))
     p.funcs;
-  { sites; callers; funcs; edges }
+  { sites; callers; funcs; edges; taken }
 
 let call_sites t f = Option.value ~default:[] (Hashtbl.find_opt t.sites f)
 let callers_of t f = Option.value ~default:[] (Hashtbl.find_opt t.callers f)
 let defined t = t.funcs
+let address_taken t f = Hashtbl.mem t.taken f
 
 (* Tarjan SCC; components complete callees-first and are consed onto the
    accumulator, so the final list comes out callers-first (topological). *)

@@ -3,9 +3,11 @@
     Used by the inter-procedural scaling (ISPBO) to propagate execution
     counts top-down ("the propagation happens top-down over the call-graph
     with the assumption that the main procedure is called once"; recursion
-    is handled by condensing strongly connected components) and by the
-    escape analysis to decide whether a type escapes the compilation
-    scope. *)
+    is handled by condensing strongly connected components), by the
+    dead-store analysis to build callee summaries bottom-up, and by the
+    shape analysis to decide whether an allocating function runs once.
+    {!build} also records which functions have their address taken, the
+    one place that fact is computed. *)
 
 type call_site = {
   cs_caller : string;
@@ -29,3 +31,7 @@ val sccs_topological : t -> string list list
     callees. Indirect and extern callees induce no edges. *)
 
 val defined : t -> string list
+
+val address_taken : t -> string -> bool
+(** Whether some function's body takes the named function's address
+    ([Iaddrfunc]): a possible target of any indirect call. *)

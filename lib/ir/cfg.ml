@@ -23,7 +23,7 @@ let build (f : Ir.func) : t =
       List.iter (fun s -> preds.(s) <- b.Ir.bid :: preds.(s)) ss)
     f.fblocks;
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-  (* postorder DFS from entry block (block 0 by construction) *)
+  (* postorder DFS from the entry block *)
   let visited = Array.make n false in
   let post = ref [] in
   let rec dfs b =
@@ -33,14 +33,13 @@ let build (f : Ir.func) : t =
       post := b :: !post
     end
   in
-  let entry = match f.fblocks with b :: _ -> b.Ir.bid | [] -> 0 in
-  dfs entry;
+  dfs (Ir.entry_block f);
   let rpo = Array.of_list !post in
   let rpo_index = Array.make n (-1) in
   Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   { func = f; blocks; succs; preds; rpo; rpo_index }
 
-let entry t = match t.func.Ir.fblocks with b :: _ -> b.Ir.bid | [] -> 0
+let entry t = Ir.entry_block t.func
 let num_blocks t = Array.length t.blocks
 let reachable t b = b >= 0 && b < Array.length t.rpo_index && t.rpo_index.(b) >= 0
 

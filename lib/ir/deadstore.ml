@@ -65,11 +65,6 @@ type sinfo = { base : int; count : int; all : Bits.t }
 
 let no_struct = { base = 0; count = 0; all = Bits.empty }
 
-let rec pointee = function
-  | Irty.Ptr u | Irty.Array (u, _) -> pointee u
-  | Irty.Struct s -> Some s
-  | _ -> None
-
 let analyze (prog : Ir.program) : store list =
   (* intern every declared (struct, field) pair once; a pair an access
      tag names without a declaration gets the next id when first met *)
@@ -153,8 +148,7 @@ let analyze (prog : Ir.program) : store list =
                       match arg with
                       | Ir.Oreg r -> (
                         match
-                          pointee
-                            (Option.value ~default:Irty.Void (Lazy.force regty).(r))
+                          Option.bind (Lazy.force regty).(r) Irty.pointee_struct
                         with
                         | Some s -> ext_structs := Bits.union !ext_structs (info s).all
                         | None -> ())

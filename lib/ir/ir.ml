@@ -133,6 +133,9 @@ let find_func p name = List.find_opt (fun f -> String.equal f.fname name) p.func
 
 let find_block f bid = List.find (fun b -> b.bid = bid) f.fblocks
 
+(* execution starts at the first block of the list *)
+let entry_block f = match f.fblocks with b :: _ -> b.bid | [] -> 0
+
 let block_succs b =
   match b.btermin with
   | Tjmp l -> [ l ]

@@ -39,6 +39,12 @@ let is_float_ty = function
   | Void | Char | Short | Int | Long | Ptr _ | Struct _ | Array _ | Funptr ->
     false
 
+(* the struct a type points into, seen through pointers and arrays *)
+let rec pointee_struct = function
+  | Ptr u | Array (u, _) -> pointee_struct u
+  | Struct s -> Some s
+  | Void | Char | Short | Int | Long | Float | Double | Funptr -> None
+
 let is_integer_ty = function
   | Char | Short | Int | Long -> true
   | Void | Float | Double | Ptr _ | Struct _ | Array _ | Funptr -> false

@@ -494,21 +494,7 @@ let self_links (d : Structs.decl) : (int * string) list =
    chains up to main (assumed to run once, as in the paper's top-down
    propagation); loops around any call site, multiple call sites,
    recursion, or an address-taken function all answer "maybe". *)
-let runs_once (prog : Ir.program) ~loops ~fn : string option =
-  let cg = Callgraph.build prog in
-  let addr_taken = Hashtbl.create 4 in
-  List.iter
-    (fun (f : Ir.func) ->
-      List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              match i.idesc with
-              | Ir.Iaddrfunc (_, n) -> Hashtbl.replace addr_taken n ()
-              | _ -> ())
-            b.instrs)
-        f.fblocks)
-    prog.funcs;
+let runs_once cg ~loops ~fn : string option =
   let in_loop caller bid =
     match loops caller with
     | None -> false
@@ -518,7 +504,7 @@ let runs_once (prog : Ir.program) ~loops ~fn : string option =
     if String.equal name "main" then None
     else if List.mem name seen then
       Some (Printf.sprintf "%s is on a recursive call cycle" name)
-    else if Hashtbl.mem addr_taken name then
+    else if Callgraph.address_taken cg name then
       Some (Printf.sprintf "the address of %s is taken" name)
     else
       match Callgraph.callers_of cg name with
@@ -534,7 +520,7 @@ let runs_once (prog : Ir.program) ~loops ~fn : string option =
   in
   walk fn []
 
-let analyze_type (prog : Ir.program) (d : Structs.decl)
+let analyze_type (prog : Ir.program) cg (d : Structs.decl)
     (loops : string -> Loop.forest option) : verdict =
   let typ = d.sname in
   let links = self_links d in
@@ -619,7 +605,7 @@ let analyze_type (prog : Ir.program) (d : Structs.decl)
                  execution would rebind the pool base"
                 typ }
       | Some _ | None -> ());
-      (match runs_once prog ~loops ~fn:ai.ai_fn.Ir.fname with
+      (match runs_once (Lazy.force cg) ~loops ~fn:ai.ai_fn.Ir.fname with
       | Some why ->
         add
           { sw_reason = REDOALLOC; sw_fn = Some ai.ai_fn.Ir.fname;
@@ -709,10 +695,11 @@ let analyze (prog : Ir.program) : t =
       Hashtbl.replace forests fname f;
       f
   in
+  let cg = lazy (Callgraph.build prog) in
   Structs.iter
     (fun d ->
       if self_links d <> [] then
-        Hashtbl.replace out d.sname (analyze_type prog d loops))
+        Hashtbl.replace out d.sname (analyze_type prog cg d loops))
     prog.structs;
   out
 

@@ -7,14 +7,17 @@ type env = {
   externs : (string, Ast.extern_decl) Hashtbl.t;
 }
 
-let builtin_names =
+let builtins =
+  let open Ast in
   [
-    "malloc"; "calloc"; "realloc"; "free"; "memset"; "memcpy"; "printf";
-    "putint"; "putfloat"; "sqrt"; "exp"; "log"; "fabs"; "pow"; "floor";
-    "rand"; "srand";
+    ("malloc", Tptr Tvoid); ("calloc", Tptr Tvoid); ("realloc", Tptr Tvoid);
+    ("free", Tvoid); ("memset", Tvoid); ("memcpy", Tvoid);
+    ("printf", Tint); ("putint", Tint); ("putfloat", Tvoid);
+    ("sqrt", Tdouble); ("exp", Tdouble); ("log", Tdouble); ("fabs", Tdouble);
+    ("pow", Tdouble); ("floor", Tdouble); ("rand", Tint); ("srand", Tvoid);
   ]
 
-let is_builtin n = List.mem n builtin_names
+let is_builtin n = List.mem_assoc n builtins
 
 let err loc fmt = Printf.ksprintf (fun s -> raise (Error (s, loc))) fmt
 
@@ -47,16 +50,6 @@ let rec scope_find sc name =
   match Hashtbl.find_opt sc.vars name with
   | Some t -> Some t
   | None -> ( match sc.parent with Some p -> scope_find p name | None -> None)
-
-let builtin_sig name =
-  (* return type, None = any args accepted *)
-  match name with
-  | "malloc" | "calloc" | "realloc" -> Some (Ast.Tptr Ast.Tvoid)
-  | "free" | "memset" | "memcpy" | "srand" -> Some Ast.Tvoid
-  | "printf" | "putint" | "rand" -> Some Ast.Tint
-  | "putfloat" -> Some Ast.Tvoid
-  | "sqrt" | "exp" | "log" | "fabs" | "pow" | "floor" -> Some Ast.Tdouble
-  | _ -> None
 
 let check (prog : Ast.program) : env =
   let env =
@@ -123,10 +116,10 @@ let check (prog : Ast.program) : env =
           | None -> (
             match Hashtbl.find_opt env.externs name with
             | Some ex -> Tfun (ex.exret, ex.exparams)
-            | None ->
-              if is_builtin name then
-                Tfun ((match builtin_sig name with Some t -> t | None -> Tint), [])
-              else err e.eloc "unknown identifier '%s'" name))))
+            | None -> (
+              match List.assoc_opt name builtins with
+              | Some ret -> Tfun (ret, [])
+              | None -> err e.eloc "unknown identifier '%s'" name)))))
     | Ebin (op, a, b) -> (
       let ta = decay (check_expr sc a) and tb = decay (check_expr sc b) in
       match op with
@@ -177,8 +170,9 @@ let check (prog : Ast.program) : env =
       List.iter (fun a -> ignore (check_expr sc a)) args;
       match callee.edesc with
       | Evar name when is_builtin name && not (Hashtbl.mem env.funcs name) ->
-        callee.ety <- Tfun ((match builtin_sig name with Some t -> t | None -> Tint), []);
-        (match builtin_sig name with Some t -> t | None -> Tint)
+        let ret = List.assoc name builtins in
+        callee.ety <- Tfun (ret, []);
+        ret
       | Evar name -> (
         match Hashtbl.find_opt env.funcs name with
         | Some f ->

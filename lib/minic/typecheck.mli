@@ -21,11 +21,17 @@ type env = {
   externs : (string, Ast.extern_decl) Hashtbl.t;
 }
 
+val builtins : (string * Ast.ty) list
+(** The functions the runtime provides, each with its return type:
+    allocation ([malloc], [calloc], [realloc], [free]), memory streaming
+    ([memset], [memcpy]), I/O ([printf], [putint], [putfloat]), math
+    ([sqrt], [exp], [log], [fabs], [pow], [floor]), and a deterministic
+    [rand] / [srand]. Any arguments are accepted. This is the one table:
+    the checker types builtin calls from it and {!Slo_ir}'s register
+    types read a call's result type from it. *)
+
 val is_builtin : string -> bool
-(** Functions the runtime provides: allocation ([malloc], [calloc],
-    [realloc], [free]), memory streaming ([memset], [memcpy]), I/O
-    ([printf], [putint], [putfloat]), math ([sqrt], [exp], [log], [fabs],
-    [pow], [floor]), and a deterministic [rand] / [srand]. *)
+(** Whether the name is in {!builtins}. *)
 
 val check : Ast.program -> env
 (** Check a program; raises {!Error} on the first type error. *)

@@ -7,28 +7,11 @@ type t = {
   prog : Ir.program;
 }
 
-let address_taken (prog : Ir.program) =
-  let taken = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Ir.func) ->
-      List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              match i.idesc with
-              | Ir.Iaddrfunc (_, name) -> Hashtbl.replace taken name ()
-              | _ -> ())
-            b.instrs)
-        f.fblocks)
-    prog.funcs;
-  taken
-
 let compute (prog : Ir.program) ~local (cg : Callgraph.t) : t =
   let locals = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) -> Hashtbl.replace locals f.Ir.fname (local f.Ir.fname))
     prog.funcs;
-  let taken = address_taken prog in
   let ng = Hashtbl.create 16 in
   let get_ng f = Option.value ~default:0.0 (Hashtbl.find_opt ng f) in
   (* process SCCs callers-first; all inflow into an SCC is known when we
@@ -85,7 +68,7 @@ let compute (prog : Ir.program) ~local (cg : Callgraph.t) : t =
   (* unreached but address-taken functions may run via indirect calls *)
   List.iter
     (fun (f : Ir.func) ->
-      if get_ng f.fname = 0.0 && Hashtbl.mem taken f.fname then
+      if get_ng f.fname = 0.0 && Callgraph.address_taken cg f.fname then
         Hashtbl.replace ng f.fname 1.0)
     prog.funcs;
   { ng; locals; prog }

@@ -486,7 +486,7 @@ let fuse_superblocks (func : Ir.func) (row : Edges.row option)
     let preds = Array.make n 0 in
     let bump d = if d >= 0 && d < n then preds.(d) <- preds.(d) + 1 in
     (* the entry gets an implicit edge so it is never fused away *)
-    bump (Prep.entry_block func);
+    bump (Ir.entry_block func);
     List.iter
       (fun (b : Ir.block) ->
         match b.Ir.btermin with
@@ -568,7 +568,7 @@ type pre = {
 let compile_signature t layout (p : pre) =
   let func = p.p_func and fc = p.p_fc in
   let mem = t.mem in
-  fc.fc_entry <- Prep.entry_block func;
+  fc.fc_entry <- Ir.entry_block func;
   (* register-bank specialization: every accessor is bank-resolved at
      compile time ([fl]), so each bank's array only needs to cover the
      registers actually assigned to it — not [next_reg] slots in both *)
@@ -1350,7 +1350,7 @@ let create ?edges ?ring ?(max_steps = Rt.default_max_steps)
     List.mapi
       (fun i f ->
         {
-          p_func = f; p_fc = fcodes.(i); p_fl = Prep.float_banks prog f;
+          p_func = f; p_fc = fcodes.(i); p_fl = Regty.float_regs prog f;
           p_locals = Hashtbl.create 16;
         })
       prog.funcs

@@ -68,8 +68,8 @@ let compile_func (prog : Ir.program) layout edges (f : Ir.func) : code =
   let clocals, cframe_size = Prep.locals_layout layout f in
   {
     cfunc = f; cblocks; cterms;
-    centry = Prep.entry_block f;
-    clocals; cframe_size; cfloat_reg = Prep.float_banks prog f;
+    centry = Ir.entry_block f;
+    clocals; cframe_size; cfloat_reg = Regty.float_regs prog f;
     cedges = Option.bind edges (fun e -> Edges.row e f.fname);
   }
 

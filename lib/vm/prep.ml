@@ -1,18 +1,13 @@
 (* Shared pre-compilation for the VM backends.
 
-   Everything both engines must agree on bit-for-bit lives here: the
-   register-bank inference, the frame layout of locals, the bit-field
+   Everything both engines must agree on bit-for-bit and the IR does not
+   already define lives here: the frame layout of locals, the bit-field
    classification of tagged accesses, and the memory image (global
    allocation order and string interning). Keeping these in one place is
    what makes the walk and compiled engines produce identical addresses
-   — and therefore identical cache-simulation counters. *)
-
-let builtin_returns_float = function
-  | "sqrt" | "exp" | "log" | "fabs" | "pow" | "floor" -> true
-  | _ -> false
-
-let entry_block (f : Ir.func) =
-  match f.fblocks with b :: _ -> b.bid | [] -> 0
+   — and therefore identical cache-simulation counters. The register
+   banks ({!Regty.float_regs}) and the entry block ({!Ir.entry_block})
+   come from the IR. *)
 
 (* frame layout: offsets for every local (params included), and the
    16-byte-rounded frame size *)
@@ -29,52 +24,6 @@ let locals_layout layout (f : Ir.func) :
       off := !off + max (Layout.sizeof layout ty) 1)
     f.flocals;
   (locals, (!off + 15) / 16 * 16)
-
-(* register bank inference: two passes over all instructions *)
-let float_banks (prog : Ir.program) (f : Ir.func) : bool array =
-  let fl = Array.make f.next_reg false in
-  let op_float = function
-    | Ir.Oreg r -> fl.(r)
-    | Ir.Ofimm _ -> true
-    | Ir.Oimm _ -> false
-  in
-  let scan () =
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            match i.idesc with
-            | Ir.Imov (r, o) -> if op_float o then fl.(r) <- true
-            | Ir.Ibin (r, op, ty, _, _) ->
-              if Irty.is_float_ty ty then (
-                match op with
-                | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne ->
-                  () (* comparisons yield ints *)
-                | _ -> fl.(r) <- true)
-            | Ir.Iun (r, u, ty, _) ->
-              if Irty.is_float_ty ty && u = Ir.Neg then fl.(r) <- true
-            | Ir.Icast (r, _, to_, _, _) ->
-              if Irty.is_float_ty to_ then fl.(r) <- true
-            | Ir.Iload (r, _, ty, _) -> if Irty.is_float_ty ty then fl.(r) <- true
-            | Ir.Icall (Some r, callee, _) -> (
-              match callee with
-              | Ir.Cdirect n -> (
-                match Ir.find_func prog n with
-                | Some g -> if Irty.is_float_ty g.fret then fl.(r) <- true
-                | None -> ())
-              | Ir.Cbuiltin n -> if builtin_returns_float n then fl.(r) <- true
-              | Ir.Cextern _ | Ir.Cindirect _ -> ())
-            | Ir.Iaddrglob _ | Ir.Iaddrlocal _ | Ir.Iaddrstr _
-            | Ir.Iaddrfunc _ | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Ialloc _
-            | Ir.Istore _ | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _
-            | Ir.Icall (None, _, _) ->
-              ())
-          b.instrs)
-      f.fblocks
-  in
-  scan ();
-  scan ();
-  fl
 
 (* classify a tagged access: [Some (unit_size, bit_off, width)] when the
    tag names a genuine bit-field (so the VM must mask), [None] when the
