@@ -11,10 +11,11 @@ build:
 test:
 	dune runtest
 
-# the QCheck pipeline fuzz suite and the cache simulator's
-# drain-equivalence properties, at 10x iterations
+# the QCheck pipeline fuzz suite, the lexer's totality property and the
+# cache simulator's drain-equivalence properties, at 10x iterations
 fuzz:
 	QCHECK_LONG=1 dune exec test/test_fuzz.exe
+	QCHECK_LONG=1 dune exec test/test_minic.exe
 	QCHECK_LONG=1 dune exec test/test_cachesim.exe
 	QCHECK_LONG=1 dune exec test/test_sampled.exe
 

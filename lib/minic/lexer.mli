@@ -7,7 +7,8 @@
 
 exception Error of string * Loc.t
 (** Raised on malformed input (unterminated comment or string, bad
-    character). *)
+    character, an integer literal that is not a valid Int64: [0x] with
+    no digits, or a decimal or hex value out of range). *)
 
 val tokenize : string -> (Token.t * Loc.t) list
 (** Lex the whole input. The result always ends with an [EOF] token. *)

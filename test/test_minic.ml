@@ -89,9 +89,11 @@ let lex_edges () =
   lexes "1e" "1@1:1 e@1:2 <eof>@1:3" "1e";
   lexes "1e+" "1@1:1 e@1:2 +@1:3 <eof>@1:4" "1e+";
   lexes "1.5e" "1.5@1:1 e@1:4 <eof>@1:5" "1.5e";
-  (* a hex prefix with no digits is handed to Int64.of_string as is *)
-  Alcotest.check_raises "0x" (Failure "Int64.of_string") (fun () ->
-      ignore (Lexer.tokenize "0x"));
+  (* integer literals that are not an Int64 are lexical errors *)
+  raises "0x" "bad integer literal '0x'" (loc 1 8) "return 0x;";
+  raises "decimal past Int64" "bad integer literal '99999999999999999999'"
+    (loc 2 3) "x\n  99999999999999999999";
+  lexes "Int64 max" "9223372036854775807@1:1 <eof>@1:20" "9223372036854775807";
   raises "char literal at end of input" "unterminated character literal"
     (loc 1 1) "'a";
   raises "quote at end of input" "unterminated character literal" (loc 1 1) "'";
@@ -368,6 +370,32 @@ let prop_expr_roundtrip =
       let s = Pretty.string_of_expr e in
       expr_equal e (Parser.parse_expr_string s))
 
+(* the lexer is total up to its own error: any byte string tokenizes or
+   raises [Lexer.Error]. Digit-heavy strings reach the literal paths
+   (long decimals, [0x] with no digits, exponents) that random bytes
+   rarely hit. *)
+let prop_lexer_total =
+  let gen =
+    let open QCheck.Gen in
+    let digitish =
+      frequency
+        [ (3, numeral); (1, oneofl [ 'x'; 'X'; 'e'; 'E'; '.'; '+'; '-'; ' '; 'f' ]) ]
+    in
+    oneof
+      [
+        string_size ~gen:char (int_bound 40);
+        string_size ~gen:numeral (int_range 1 30);
+        string_size ~gen:digitish (int_bound 40);
+      ]
+  in
+  QCheck.Test.make ~count:(Qcheck_long.iters 1000)
+    ~name:"tokenize raises only Lexer.Error"
+    (QCheck.make gen ~print:(Printf.sprintf "%S"))
+    (fun src ->
+      match Lexer.tokenize src with
+      | _ -> true
+      | exception Lexer.Error _ -> true)
+
 let () =
   Alcotest.run "minic"
     [
@@ -379,6 +407,7 @@ let () =
           Alcotest.test_case "positions" `Quick lex_positions;
           Alcotest.test_case "errors" `Quick lex_errors;
           Alcotest.test_case "edge cases" `Quick lex_edges;
+          QCheck_alcotest.to_alcotest prop_lexer_total;
         ] );
       ( "parser",
         [
