@@ -154,7 +154,8 @@ let resolve_scheme = function
    it is the search budget and shapes the answer; no id — serialized by
    the wire codec. Two requests share a cached reply exactly when these
    bytes are equal, so every field the codec carries is part of the
-   identity. Returns the key and the normal form, or the [bad_request]
+   identity. Returns the key, the normal form and the resolved scheme
+   (the default on [check], which runs none), or the [bad_request]
    reply for an unknown spelling or for a key over
    {!P.max_frame_bytes}: escaping can make the key several times longer
    than the frame it came in, and the key is held in memory and on disk
@@ -186,24 +187,19 @@ let identity req =
          "request too large: its normal form is %d bytes, over the %d-byte \
           frame limit"
          (String.length key) P.max_frame_bytes)
-  else Ok (key, normal)
+  else Ok (key, normal, scheme)
 
 (* display label for sources shipped over the wire; the client re-labels
    lines with the real path when it has one *)
 let wire_uri = "<input>"
 
-(* [req] is a normal form ({!identity}), whose canonical spelling
-   always resolves *)
-let compute t req =
-  (* the program, scheme and feedback a profile-guided request runs on *)
-  let profiled src scheme args =
-    let scheme =
-      match resolve_scheme scheme with
-      | Ok s -> s
-      | Error _ -> invalid_arg "Server.compute"
-    in
+(* [req] is a normal form and [scheme] its resolved scheme, both from
+   {!identity} *)
+let compute t ~scheme req =
+  (* the program and feedback a profile-guided request runs on *)
+  let profiled src args =
     let prog = compile t src in
-    (prog, scheme, D.feedback_for ~args prog ~scheme)
+    (prog, D.feedback_for ~args prog ~scheme)
   in
   match req with
   | P.Check { src; relax; _ } ->
@@ -217,12 +213,12 @@ let compute t req =
         c_invalidating = Slo_advice.Advice.invalidating_count diags;
         c_cached = false;
       }
-  | P.Tune { src; args; beam; deadline_ms = budget_ms; scheme } ->
+  | P.Tune { src; args; beam; deadline_ms = budget_ms; _ } ->
     (* jobs=1: a busy daemon gets its parallelism from concurrent tune
        requests occupying pool workers, not from one request
        oversubscribing the domains — and the search is deterministic at
        any jobs anyway *)
-    let prog, scheme, feedback = profiled src scheme args in
+    let prog, feedback = profiled src args in
     let cfg = Tune.default_config ~scheme ~feedback in
     let cfg =
       { cfg with
@@ -243,12 +239,12 @@ let compute t req =
         t_complete = r.t_complete;
         t_cached = false;
       }
-  | P.Advise { src; args; pool; scheme; _ } ->
-    let prog, scheme, feedback = profiled src scheme args in
+  | P.Advise { src; args; pool; _ } ->
+    let prog, feedback = profiled src args in
     let adv = D.advise ~pool prog ~scheme ~feedback in
     P.R_advise { a_report = Adv.report adv; a_cached = false }
-  | P.Bench { src; args; pool; scheme; _ } ->
-    let prog, scheme, feedback = profiled src scheme args in
+  | P.Bench { src; args; pool; _ } ->
+    let prog, feedback = profiled src args in
     let ev = D.evaluate ~args ~pool ~verify:true ~scheme ~feedback prog in
     P.R_bench
       {
@@ -310,9 +306,9 @@ let add_reply t key ~rk body =
    cached-marked bytes in the same locked section, so a request never
    finds neither; the bytes also go to disk when a disk cache is
    configured. Then it answers every waiter the deadline clock has not. *)
-let job t ~key req () =
+let job t ~key ~scheme req () =
   let reply, entry =
-    match D.guard (fun () -> compute t req) with
+    match D.guard (fun () -> compute t ~scheme req) with
     | Ok r -> (r, Some (serialize (mark_cached r)))
     | Error e ->
       (P.R_error { code = error_code e; message = D.render_error e }, None)
@@ -373,10 +369,10 @@ let probe_disk t ~key ~rk =
         locked t (fun () -> t.disk_misses <- t.disk_misses + 1);
         None))
 
-(* [req] is the normal form {!identity} returned with [key]. On a miss
-   [w] joins the computation's waiters, and a [deadline] (ms) is armed
-   on the clock. *)
-let serve_compute t ~key ~deadline req w =
+(* [req] is the normal form and [scheme] the resolved scheme {!identity}
+   returned with [key]. On a miss [w] joins the computation's waiters,
+   and a [deadline] (ms) is armed on the clock. *)
+let serve_compute t ~key ~scheme ~deadline req w =
   let mem =
     locked t (fun () ->
         match find_reply t key with
@@ -425,7 +421,7 @@ let serve_compute t ~key ~deadline req w =
               else begin
                 (* submit and park in one section: a job that finishes
                    first must find its waiter to answer *)
-                ignore (Pool.submit t.pool (job t ~key req));
+                ignore (Pool.submit t.pool (job t ~key ~scheme req));
                 let parked = park [] in
                 note_backlog t;
                 parked
@@ -615,7 +611,7 @@ let handle_frame t conn ~t0 ~fast payload =
       | P.Advise _ | P.Bench _ | P.Check _ | P.Tune _ -> (
         match identity req with
         | Error reply -> finish t conn ~t0 ~id ~rk (render t reply)
-        | Ok (key, normal) -> (
+        | Ok (key, normal, scheme) -> (
           (* the frame's id-independent bytes, when they differ from the
              normal form. Without a canonical prefix the bytes are only
              id-independent when there is no id at all. *)
@@ -642,7 +638,7 @@ let handle_frame t conn ~t0 ~fast payload =
             { w_done = Atomic.make false;
               w_finish = (fun ?entry reply -> finish ?entry (render t reply)) }
           in
-          match serve_compute t ~key ~deadline normal w with
+          match serve_compute t ~key ~scheme ~deadline normal w with
           | Hit body -> finish ~entry:body body
           | Now reply -> finish (render t reply)
           | Parked -> ()))))
