@@ -358,12 +358,18 @@ let prop_loops_dominated =
 let callgraph_basics () =
   let prog =
     lower
-      "int c() { return 1; }\n\
+      "typedef int (*fn)();\n\
+       int c() { return 1; }\n\
+       int d() { return 2; }\n\
        int b() { return c(); }\n\
        int a() { return b() + c(); }\n\
-       int main() { return a(); }"
+       int main() { fn f; f = d; return a() + f(); }"
   in
   let cg = Callgraph.build prog in
+  Alcotest.(check bool) "d's address is taken" true
+    (Callgraph.address_taken cg "d");
+  Alcotest.(check bool) "c is only called" false
+    (Callgraph.address_taken cg "c");
   Alcotest.(check int) "a has two sites" 2
     (List.length (Callgraph.call_sites cg "a"));
   Alcotest.(check int) "c has two callers" 2
