@@ -77,7 +77,14 @@ let float_semantics b () =
   Alcotest.(check string) "builtins" "5 2.718 1 8\n"
     (out_of b
        "int main() { printf(\"%g %.3f %g %g\\n\", sqrt(25.0), exp(1.0),\n\
-        fabs(-1.0), pow(2.0, 3.0)); return 0; }")
+        fabs(-1.0), pow(2.0, 3.0)); return 0; }");
+  (* a conditional whose arms mix double and int is a double, whichever
+     arm is lowered last *)
+  Alcotest.(check string) "mixed conditional" "2.5 1 1 2.5\n"
+    (out_of b
+       "int main() { int c; int i; double d; c = 1; i = 1; d = 2.5;\n\
+        printf(\"%g %g \", c ? d : i, c ? 1 : 2.5); c = 0;\n\
+        printf(\"%g %g\\n\", c ? 2.5 : 1, c ? i : d); return 0; }")
 
 (* the printf spec machinery: widths, flags, precision, every supported
    conversion, a trailing '%' and the literal escape *)
