@@ -78,6 +78,7 @@ let map_types (prog : Ir.program) (s : Irty.t -> Irty.t) =
   List.iter
     (fun (f : Ir.func) ->
       f.flocals <- List.map (fun (n, t) -> (n, s t)) f.flocals;
+      Array.iteri (fun r t -> f.regtys.(r) <- s t) f.regtys;
       List.iter
         (fun (b : Ir.block) ->
           List.iter
@@ -527,14 +528,15 @@ let link_allocations prog (f : Ir.func) ~typ ~hot ~cold ~link =
       let loc = alloc_i.iloc in
       let mk = mk_instr prog loc in
       alloc_i.idesc <- Ir.Ialloc (r, kind, count, Irty.Struct hot);
-      let rc = Ir.fresh_reg f in
+      Ir.set_reg_ty f r (Irty.Ptr (Irty.Struct hot));
+      let rc = Ir.fresh_reg f (Irty.Ptr (Irty.Struct cold)) in
       let cold_kind =
         match kind with
         | Ir.Arealloc _ -> Ir.Amalloc (* realloc'd types are filtered out *)
         | Ir.Amalloc | Ir.Acalloc -> kind
       in
       let alloc_c = mk (Ir.Ialloc (rc, cold_kind, count, Irty.Struct cold)) in
-      let iv = Ir.fresh_reg f in
+      let iv = Ir.fresh_reg f Irty.Long in
       let init_iv = mk (Ir.Imov (iv, Ir.Oimm 0L)) in
       let header = Ir.fresh_block f loc in
       let body = Ir.fresh_block f loc in
@@ -543,12 +545,14 @@ let link_allocations prog (f : Ir.func) ~typ ~hot ~cold ~link =
       after.btermin <- b.btermin;
       b.instrs <- pre @ [ alloc_i; alloc_c; init_iv ];
       b.btermin <- Ir.Tjmp header.bid;
-      let cond = Ir.fresh_reg f in
+      let cond = Ir.fresh_reg f Irty.Int in
       header.instrs <-
         [ mk (Ir.Ibin (cond, Ir.Lt, Irty.Long, Ir.Oreg iv, count)) ];
       header.btermin <- Ir.Tbr (Ir.Oreg cond, body.bid, after.bid);
-      let hp = Ir.fresh_reg f and fa = Ir.fresh_reg f in
-      let cp = Ir.fresh_reg f and iv2 = Ir.fresh_reg f in
+      let hp = Ir.fresh_reg f (Irty.Ptr (Irty.Struct hot)) in
+      let fa = Ir.fresh_reg f (Irty.Ptr (Irty.Ptr (Irty.Struct cold))) in
+      let cp = Ir.fresh_reg f (Irty.Ptr (Irty.Struct cold)) in
+      let iv2 = Ir.fresh_reg f Irty.Long in
       body.instrs <-
         [
           mk (Ir.Iptradd (hp, Ir.Oreg r, Ir.Oreg iv, Irty.Struct hot));
@@ -611,7 +615,8 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
     match path with
     | Direct -> ([], base)
     | Link (hot, link) ->
-      let t1 = Ir.fresh_reg f and t2 = Ir.fresh_reg f in
+      let t1 = Ir.fresh_reg f (Irty.Ptr (Irty.Ptr (Irty.Struct piece))) in
+      let t2 = Ir.fresh_reg f (Irty.Ptr (Irty.Struct piece)) in
       ( [ mk (Ir.Ifieldaddr (t1, base, hot, link));
           mk (Ir.Iload (t2, Ir.Oreg t1, Irty.Ptr (Irty.Struct piece),
                         Some { Ir.astruct = hot; afield = link })) ],
@@ -625,7 +630,8 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
           | Some (g, idx) -> (piece_global g name, idx)
           | None -> assert false (* peel_feasible guaranteed this *))
       in
-      let ga = Ir.fresh_reg f and pr = Ir.fresh_reg f in
+      let ga = Ir.fresh_reg f (Irty.Ptr (Irty.Ptr (Irty.Struct piece))) in
+      let pr = Ir.fresh_reg f (Irty.Ptr (Irty.Struct piece)) in
       let load =
         [ mk (Ir.Iaddrglob (ga, g));
           mk (Ir.Iload (pr, Ir.Oreg ga, Irty.Ptr (Irty.Struct piece), None)) ]
@@ -633,7 +639,7 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
       match idx with
       | None -> (load, Ir.Oreg pr)
       | Some idx ->
-        let ep = Ir.fresh_reg f in
+        let ep = Ir.fresh_reg f (Irty.Ptr (Irty.Struct piece)) in
         (load @ [ mk (Ir.Iptradd (ep, Ir.Oreg pr, idx, Irty.Struct piece)) ],
          Ir.Oreg ep))
   in
@@ -643,15 +649,15 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
   let fan_out mk g alloc v =
     List.concat_map
       (fun (piece, path) ->
-        let ga = Ir.fresh_reg f in
+        let ptr = Irty.Ptr (Irty.Struct piece) in
+        let ga = Ir.fresh_reg f (Irty.Ptr ptr) in
         let pre, v =
           match alloc with
           | Some (kind, count) ->
-            let r = Ir.fresh_reg f in
+            let r = Ir.fresh_reg f ptr in
             ([ mk (Ir.Ialloc (r, kind, count, Irty.Struct piece)) ], Ir.Oreg r)
           | None -> ([], v)
         in
-        let ptr = Irty.Ptr (Irty.Struct piece) in
         pre
         @ [ mk (Ir.Iaddrglob (ga, anchor_global g path));
             mk (Ir.Istore (Ir.Oreg ga, v, ptr, None)) ])
@@ -715,6 +721,7 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
               invalid_arg "Transform.pool: realloc'd allocation site"
             | Ir.Amalloc | Ir.Acalloc -> kind
           in
+          Ir.set_reg_ty f r Irty.Long;
           Replace
             (fan_out mk "" (Some (kind, count)) (Ir.Oimm 0L)
             @ [ mk (Ir.Imov (r, Ir.Oimm 0L)) ])
@@ -723,14 +730,16 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
         when String.equal s' s && l.pointer = Index ->
         (* index arithmetic: dst = base + idx (elements, not bytes) *)
         let add = Ir.Ibin (r, Ir.Add, Irty.Long, base, idx) in
+        Ir.set_reg_ty f r Irty.Long;
         Replace [ mk_instr prog i.iloc add ]
       | Ir.Iaddrglob (r, g) when List.mem g anchors ->
         (* what still names an anchor (a null compare) takes the first
            piece's companion; a fresh instruction, so that [defs] keeps
            tracing through the old one *)
+        let piece, path = List.hd l.pieces in
+        Ir.set_reg_ty f r (Irty.Ptr (Irty.Ptr (Irty.Struct piece)));
         Replace
-          [ mk_instr prog i.iloc
-              (Ir.Iaddrglob (r, anchor_global g (snd (List.hd l.pieces)))) ]
+          [ mk_instr prog i.iloc (Ir.Iaddrglob (r, anchor_global g path)) ]
       | Ir.Imov _ | Ir.Ibin _ | Ir.Iun _ | Ir.Icast _ | Ir.Iaddrglob _
       | Ir.Iaddrlocal _ | Ir.Iaddrstr _ | Ir.Iaddrfunc _
       | Ir.Ifieldaddr _ | Ir.Iptradd _ | Ir.Icall _ | Ir.Ialloc _

@@ -94,6 +94,9 @@ type func = {
   mutable fblocks : block list;  (** entry block first *)
   floc : Loc.t;
   mutable next_reg : int;
+  mutable regtys : Irty.t array;
+      (** the type of each register, [regtys.(r)] for [r < next_reg]; set
+          by {!fresh_reg}, with spare room past [next_reg] *)
   mutable next_block : int;
 }
 
@@ -112,10 +115,33 @@ type program = {
 
 (** {1 Builders and accessors} *)
 
-let fresh_reg f =
+(* a new register of type [ty]: the value it holds, as the checker or
+   the transformation that made it typed it. The table doubles as it
+   fills (OCaml 5.1 has no [Dynarray]). *)
+let fresh_reg f ty =
   let r = f.next_reg in
+  if r >= Array.length f.regtys then begin
+    let grown = Array.make (max 16 (2 * r)) Irty.Void in
+    Array.blit f.regtys 0 grown 0 r;
+    f.regtys <- grown
+  end;
+  f.regtys.(r) <- ty;
   f.next_reg <- r + 1;
   r
+
+let reg_ty f r = f.regtys.(r)
+
+(* retype a register whose definition was rewritten in place *)
+let set_reg_ty f r ty = f.regtys.(r) <- ty
+
+(* the type a definition gives its register: comparisons and [!] give
+   [int], every other operation the type it computes in *)
+let binop_ty op ty =
+  match op with
+  | Lt | Le | Gt | Ge | Eq | Ne -> Irty.Int
+  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Shl | Shr -> ty
+
+let unop_ty u ty = match u with Lnot -> Irty.Int | Neg | Bnot -> ty
 
 let fresh_block f loc =
   let bid = f.next_block in

@@ -18,6 +18,7 @@ let copy_func (f : Ir.func) : Ir.func =
     fblocks = List.map copy_block f.fblocks;
     floc = f.floc;
     next_reg = f.next_reg;
+    regtys = Array.sub f.regtys 0 f.next_reg;
     next_block = f.next_block;
   }
 

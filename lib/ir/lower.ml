@@ -18,6 +18,7 @@ type ctx = {
   mutable terminated : bool;
   mutable scopes : (string * string) list list;  (* source name -> slot *)
   mutable slot_counter : int;
+  slot_tys : (string, Irty.t) Hashtbl.t;  (* slot -> declared type *)
   mutable breaks : int list;
   mutable continues : int list;
   alloc_regs : (Ir.reg, unit) Hashtbl.t;  (* regs holding fresh alloc results *)
@@ -68,6 +69,7 @@ let declare_local ctx name ty =
     else name
   in
   ctx.func.Ir.flocals <- ctx.func.Ir.flocals @ [ (slot, ty) ];
+  Hashtbl.replace ctx.slot_tys slot ty;
   (match ctx.scopes with
   | top :: rest -> ctx.scopes <- ((name, slot) :: top) :: rest
   | [] -> assert false);
@@ -89,6 +91,12 @@ let find_local ctx name =
 
 let ir_ty (t : Ast.ty) : Irty.t = Irty.of_ast t
 let decay_ast (t : Ast.ty) = match t with Ast.Tarray (u, _) -> Ast.Tptr u | t -> t
+
+(* the type of a variable's address. Not from the expression's type: the
+   checker retypes a called function pointer to the function itself. *)
+let place_addr_ty ctx = function
+  | `Local slot -> Irty.Ptr (Hashtbl.find ctx.slot_tys slot)
+  | `Global g -> Irty.Ptr (ir_ty (Hashtbl.find ctx.env.Typecheck.globals g))
 
 let ety e = e.Ast.ety
 let decayed_ety e = decay_ast (ety e)
@@ -122,7 +130,7 @@ let convert ctx loc (v : Ir.operand) (from_ : Ast.ty) (to_ : Ast.ty) : Ir.operan
   in
   if not needs_cast then v
   else begin
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func ti in
     let from_alloc =
       match v with Ir.Oreg vr -> Hashtbl.mem ctx.alloc_regs vr | Ir.Oimm _ | Ir.Ofimm _ -> false
     in
@@ -157,7 +165,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
   | Ast.Eint n -> Ir.Oimm n
   | Ast.Efloat f -> Ir.Ofimm f
   | Ast.Estr s ->
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr Irty.Char) in
     emit ctx loc (Ir.Iaddrstr (r, s));
     Ir.Oreg r
   | Ast.Evar name -> (
@@ -168,7 +176,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
         load_location ctx loc (`Global name) (ety e) None
       else begin
         (* function designator *)
-        let r = Ir.fresh_reg ctx.func in
+        let r = Ir.fresh_reg ctx.func Irty.Funptr in
         emit ctx loc (Ir.Iaddrfunc (r, name));
         Ir.Oreg r
       end)
@@ -176,7 +184,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
   | Ast.Ebin (op, a, b) -> lower_binop ctx loc op a b
   | Ast.Eun (op, a) ->
     let v = rval ctx a in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (ir_ty (ety e)) in
     let u =
       match op with Ast.Neg -> Ir.Neg | Ast.Lnot -> Ir.Lnot | Ast.Bnot -> Ir.Bnot
     in
@@ -198,7 +206,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
     (match lty with
     | Ast.Tarray _ | Ast.Tstruct _ -> addr (* decay / aggregate base *)
     | _ ->
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (ir_ty lty) in
       emit ctx loc (Ir.Iload (r, addr, ir_ty lty, acc));
       Ir.Oreg r)
   | Ast.Eaddr a -> (
@@ -206,7 +214,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
     | Ast.Evar name
       when find_local ctx name = None
            && not (Hashtbl.mem ctx.env.globals name) ->
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func Irty.Funptr in
       emit ctx loc (Ir.Iaddrfunc (r, name));
       Ir.Oreg r
     | _ ->
@@ -218,7 +226,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
     let fi = ir_ty from_ and ti = ir_ty t in
     if Irty.equal fi ti then v
     else begin
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func ti in
       let from_alloc =
         match v with
         | Ir.Oreg vr -> Hashtbl.mem ctx.alloc_regs vr
@@ -236,7 +244,7 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
     let then_b = new_block ctx loc in
     let else_b = new_block ctx loc in
     let join = new_block ctx loc in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (ir_ty (ety e)) in
     terminate ctx (Ir.Tbr (cv, then_b.bid, else_b.bid));
     switch_to ctx then_b;
     let av = rval ctx a in
@@ -260,24 +268,24 @@ and record_sizeof_use ctx loc (t : Ast.ty) =
   | None -> ()
 
 and load_location ctx loc place (t : Ast.ty) acc : Ir.operand =
-  let r = Ir.fresh_reg ctx.func in
+  let r = Ir.fresh_reg ctx.func (place_addr_ty ctx place) in
   (match place with
   | `Local slot -> emit ctx loc (Ir.Iaddrlocal (r, slot))
   | `Global g -> emit ctx loc (Ir.Iaddrglob (r, g)));
   match t with
   | Ast.Tarray _ | Ast.Tstruct _ -> Ir.Oreg r (* decay to address *)
   | _ ->
-    let v = Ir.fresh_reg ctx.func in
+    let v = Ir.fresh_reg ctx.func (ir_ty t) in
     emit ctx loc (Ir.Iload (v, Ir.Oreg r, ir_ty t, acc));
     Ir.Oreg v
 
 and short_circuit ctx loc op a b =
-  let r = Ir.fresh_reg ctx.func in
+  let r = Ir.fresh_reg ctx.func Irty.Int in
   let av = rval ctx a in
   let rhs_b = new_block ctx loc in
   let done_b = new_block ctx loc in
   (* normalise lhs to 0/1 into r, then evaluate rhs only if needed *)
-  let norm = Ir.fresh_reg ctx.func in
+  let norm = Ir.fresh_reg ctx.func Irty.Int in
   emit ctx loc (Ir.Ibin (norm, Ir.Ne, Irty.Long, av, Ir.Oimm 0L));
   emit ctx loc (Ir.Imov (r, Ir.Oreg norm));
   (match op with
@@ -286,7 +294,7 @@ and short_circuit ctx loc op a b =
   | _ -> assert false);
   switch_to ctx rhs_b;
   let bv = rval ctx b in
-  let norm2 = Ir.fresh_reg ctx.func in
+  let norm2 = Ir.fresh_reg ctx.func Irty.Int in
   emit ctx loc (Ir.Ibin (norm2, Ir.Ne, Irty.Long, bv, Ir.Oimm 0L));
   emit ctx loc (Ir.Imov (r, Ir.Oreg norm2));
   terminate ctx (Ir.Tjmp done_b.bid);
@@ -301,26 +309,26 @@ and lower_binop ctx loc op a b =
     let idx = rval ctx b in
     let idx =
       if op = Ast.Sub then begin
-        let n = Ir.fresh_reg ctx.func in
+        let n = Ir.fresh_reg ctx.func Irty.Long in
         emit ctx loc (Ir.Iun (n, Ir.Neg, Irty.Long, idx));
         Ir.Oreg n
       end
       else idx
     in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
     emit ctx loc (Ir.Iptradd (r, base, idx, ir_ty elem));
     Ir.Oreg r
   | Ast.Add, ti, Ast.Tptr elem when Ast.is_integer ti ->
     let idx = rval ctx a in
     let base = rval ctx b in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
     emit ctx loc (Ir.Iptradd (r, base, idx, ir_ty elem));
     Ir.Oreg r
   | Ast.Sub, Ast.Tptr elem, Ast.Tptr _ ->
     let x = rval ctx a and y = rval ctx b in
-    let d = Ir.fresh_reg ctx.func in
+    let d = Ir.fresh_reg ctx.func Irty.Long in
     emit ctx loc (Ir.Ibin (d, Ir.Sub, Irty.Long, x, y));
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func Irty.Long in
     emit ctx loc
       (Ir.Ibin (r, Ir.Div, Irty.Long, Ir.Oreg d,
                 Ir.Oimm (Int64.of_int (sizeof_ast ctx elem))));
@@ -337,16 +345,18 @@ and lower_binop ctx loc op a b =
     (* promote integer operands when the operation is floating *)
     let x = if Irty.is_float_ty t then convert ctx loc x ta Ast.Tdouble else x in
     let y = if Irty.is_float_ty t then convert ctx loc y tb Ast.Tdouble else y in
-    let r = Ir.fresh_reg ctx.func in
-    emit ctx loc (Ir.Ibin (r, binop_of_ast op, t, x, y));
+    let op = binop_of_ast op in
+    let r = Ir.fresh_reg ctx.func (Ir.binop_ty op t) in
+    emit ctx loc (Ir.Ibin (r, op, t, x, y));
     Ir.Oreg r
 
 and lower_incr ctx loc kind a =
   let addr, lty, acc = lval ctx a in
-  let old = Ir.fresh_reg ctx.func in
-  emit ctx loc (Ir.Iload (old, addr, ir_ty (decay_ast lty), acc));
+  let lt = ir_ty (decay_ast lty) in
+  let old = Ir.fresh_reg ctx.func lt in
+  emit ctx loc (Ir.Iload (old, addr, lt, acc));
   let one = 1L in
-  let nv = Ir.fresh_reg ctx.func in
+  let nv = Ir.fresh_reg ctx.func lt in
   (match decay_ast lty with
   | Ast.Tptr elem ->
     let delta =
@@ -425,7 +435,7 @@ and lower_call ctx loc (e : Ast.expr) callee args =
 and finish_call ctx loc e kind argvs =
   let want_result = not (Ast.ty_equal e.ety Ast.Tvoid) in
   if want_result then begin
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (ir_ty e.ety) in
     emit ctx loc (Ir.Icall (Some r, kind, argvs));
     Ir.Oreg r
   end
@@ -449,7 +459,7 @@ and lower_alloc ctx loc kind args =
     let count_v =
       match count with None -> Ir.Oimm 1L | Some n -> rval ctx n
     in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
     emit ctx loc (Ir.Ialloc (r, kind, count_v, ir_ty elem));
     Hashtbl.replace ctx.alloc_regs r ();
     Ir.Oreg r
@@ -461,16 +471,16 @@ and lower_calloc ctx loc args =
     match match_alloc_size size with
     | Some (None, t) ->
       let count_v = rval ctx n in
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty t)) in
       emit ctx loc (Ir.Ialloc (r, Ir.Acalloc, count_v, ir_ty t));
       Hashtbl.replace ctx.alloc_regs r ();
       Ir.Oreg r
     | Some _ | None ->
       (* byte-typed fallback: calloc(n, k) *)
       let nv = rval ctx n and sv = rval ctx size in
-      let total = Ir.fresh_reg ctx.func in
+      let total = Ir.fresh_reg ctx.func Irty.Long in
       emit ctx loc (Ir.Ibin (total, Ir.Mul, Irty.Long, nv, sv));
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr Irty.Char) in
       emit ctx loc (Ir.Ialloc (r, Ir.Acalloc, Ir.Oreg total, Irty.Char));
       Hashtbl.replace ctx.alloc_regs r ();
       Ir.Oreg r)
@@ -486,7 +496,7 @@ and lower_realloc ctx loc args =
       | None -> (Some size, Ast.Tchar)
     in
     let count_v = match count with None -> Ir.Oimm 1L | Some n -> rval ctx n in
-    let r = Ir.fresh_reg ctx.func in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
     emit ctx loc (Ir.Ialloc (r, Ir.Arealloc pv, count_v, ir_ty elem));
     Hashtbl.replace ctx.alloc_regs r ();
     Ir.Oreg r
@@ -499,12 +509,12 @@ and lval ctx (e : Ast.expr) : Ir.operand * Ast.ty * Ir.access option =
   | Ast.Evar name -> (
     match find_local ctx name with
     | Some slot ->
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (place_addr_ty ctx (`Local slot)) in
       emit ctx loc (Ir.Iaddrlocal (r, slot));
       (Ir.Oreg r, ety e, None)
     | None ->
       if Hashtbl.mem ctx.env.globals name then begin
-        let r = Ir.fresh_reg ctx.func in
+        let r = Ir.fresh_reg ctx.func (place_addr_ty ctx (`Global name)) in
         emit ctx loc (Ir.Iaddrglob (r, name));
         (Ir.Oreg r, ety e, None)
       end
@@ -518,7 +528,7 @@ and lval ctx (e : Ast.expr) : Ir.operand * Ast.ty * Ir.access option =
     | Ast.Tptr elem ->
       let bv = rval ctx b in
       let iv = rval ctx i in
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
       emit ctx loc (Ir.Iptradd (r, bv, iv, ir_ty elem));
       (Ir.Oreg r, elem, None)
     | _ -> unsupported loc "subscript of non-pointer")
@@ -527,7 +537,7 @@ and lval ctx (e : Ast.expr) : Ir.operand * Ast.ty * Ir.access option =
     match decay_ast bty with
     | Ast.Tstruct s ->
       let idx = Typecheck.field_index ctx.env s fname in
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty (ety e))) in
       emit ctx loc (Ir.Ifieldaddr (r, baddr, s, idx));
       (Ir.Oreg r, ety e, Some { Ir.astruct = s; afield = idx })
     | _ -> unsupported loc "field access on non-struct")
@@ -536,7 +546,7 @@ and lval ctx (e : Ast.expr) : Ir.operand * Ast.ty * Ir.access option =
     match decayed_ety b with
     | Ast.Tptr (Ast.Tstruct s) ->
       let idx = Typecheck.field_index ctx.env s fname in
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty (ety e))) in
       emit ctx loc (Ir.Ifieldaddr (r, bv, s, idx));
       (Ir.Oreg r, ety e, Some { Ir.astruct = s; afield = idx })
     | _ -> unsupported loc "'->' on non-struct-pointer")
@@ -568,7 +578,7 @@ and lower_stmt ctx (s : Ast.stmt) =
     | Some e ->
       let v = rval ctx e in
       let v = convert ctx loc v (ety e) t in
-      let r = Ir.fresh_reg ctx.func in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty t)) in
       emit ctx loc (Ir.Iaddrlocal (r, slot));
       emit ctx loc (Ir.Istore (Ir.Oreg r, v, ir_ty (decay_ast t), None)))
   | Ast.Sif (c, then_s, else_s) ->
@@ -688,6 +698,7 @@ let lower_func env prog layout (fd : Ast.func_decl) : Ir.func =
       fblocks = [];
       floc = fd.funloc;
       next_reg = 0;
+      regtys = [||];
       next_block = 0;
     }
   in
@@ -703,7 +714,8 @@ let lower_func env prog layout (fd : Ast.func_decl) : Ir.func =
     {
       env; prog; layout; func; fret_ast = fd.funret; cur = entry;
       cur_rev = []; terminated = false;
-      scopes = [ [] ]; slot_counter = 0; breaks = []; continues = [];
+      scopes = [ [] ]; slot_counter = 0; slot_tys = Hashtbl.create 16;
+      breaks = []; continues = [];
       alloc_regs = Hashtbl.create 16;
     }
   in

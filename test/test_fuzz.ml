@@ -469,7 +469,7 @@ let oracle_catches_duplicated_load () =
                       | Ir.Iload (_, a, ty, Some acc) when !field = None ->
                         let d = Structs.find tr.Ir.structs acc.astruct in
                         field := Some d.fields.(acc.afield).Structs.name;
-                        let dup = Ir.Iload (Ir.fresh_reg f, a, ty, Some acc) in
+                        let dup = Ir.Iload (Ir.fresh_reg f ty, a, ty, Some acc) in
                         [ i; { i with iid = Ir.fresh_iid tr; idesc = dup } ]
                       | _ -> [ i ])
                     b.instrs)

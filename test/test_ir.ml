@@ -305,7 +305,8 @@ let loops_irreducible () =
   let f =
     {
       Ir.fname = "irr"; fret = Irty.Int; fparams = []; flocals = [];
-      fblocks = []; floc = Loc.dummy; next_reg = 1; next_block = 0;
+      fblocks = []; floc = Loc.dummy; next_reg = 1; regtys = [| Irty.Int |];
+      next_block = 0;
     }
   in
   let mk term =
@@ -409,7 +410,8 @@ let dce_removes_orphans () =
   in
   let main = find_func prog "main" in
   (* add an orphan chain by hand *)
-  let r1 = Ir.fresh_reg main and r2 = Ir.fresh_reg main in
+  let r1 = Ir.fresh_reg main (Irty.Ptr Irty.Int) in
+  let r2 = Ir.fresh_reg main Irty.Int in
   let entry = List.hd main.fblocks in
   entry.instrs <-
     entry.instrs

@@ -139,7 +139,7 @@ let undefined_register () =
   (* a register that exists (is below [next_reg]) but no instruction of
      the function ever defines — the shape a mis-rewritten access chain
      leaves behind when a transform drops a fieldaddr *)
-  let r = Ir.fresh_reg f in
+  let r = Ir.fresh_reg f (Irty.Ptr Irty.Long) in
   let i =
     first_in_main prog (fun i ->
         match i.Ir.idesc with Ir.Iload _ -> true | _ -> false)
@@ -208,7 +208,7 @@ let duplicate_block () =
 let report_text_instr () =
   let prog = compiled () in
   let f = main_func prog in
-  let r = Ir.fresh_reg f in
+  let r = Ir.fresh_reg f (Irty.Ptr Irty.Long) in
   let i =
     first_in_main prog (fun i ->
         match i.Ir.idesc with Ir.Iload _ -> true | _ -> false)
@@ -223,7 +223,7 @@ let report_text_instr () =
 let report_text_term () =
   let prog = compiled () in
   let f = main_func prog in
-  let r = Ir.fresh_reg f in
+  let r = Ir.fresh_reg f Irty.Int in
   let b =
     List.find
       (fun (b : Ir.block) ->

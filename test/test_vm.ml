@@ -436,9 +436,11 @@ let stores_then_fault k =
   in
   let main = Option.get (Ir.find_func prog "main") in
   let instr idesc = { Ir.iid = Ir.fresh_iid prog; iloc = main.floc; idesc } in
-  let base = Ir.fresh_reg main and fmt = Ir.fresh_reg main in
+  let base = Ir.fresh_reg main (Irty.Ptr (Irty.Struct "s")) in
+  let fmt = Ir.fresh_reg main (Irty.Ptr Irty.Char) in
   let store j =
-    let r = Ir.fresh_reg main and j = Int64.of_int j in
+    let r = Ir.fresh_reg main (Irty.Ptr (Irty.Struct "s"))
+    and j = Int64.of_int j in
     [ instr (Ir.Iptradd (r, Ir.Oreg base, Ir.Oimm j, Irty.Struct "s"));
       instr
         (Ir.Istore
