@@ -166,11 +166,10 @@ let analyze (prog : Ir.program) : t =
           | Irty.Funptr ->
             ())
         f.flocals;
-      let regty = Regty.infer prog f in
       let ty_of = function
-        | Ir.Oreg r -> regty.(r)
-        | Ir.Oimm _ -> Some Irty.Long
-        | Ir.Ofimm _ -> Some Irty.Double
+        | Ir.Oreg r -> Ir.reg_ty f r
+        | Ir.Oimm _ -> Irty.Long
+        | Ir.Ofimm _ -> Irty.Double
       in
       (* alloc results (tracked through casts by [from_alloc]) *)
       let alloc_elem : (Ir.reg, Irty.t) Hashtbl.t = Hashtbl.create 16 in
@@ -287,9 +286,10 @@ let analyze (prog : Ir.program) : t =
               | Ir.Ifieldaddr (r, _, s, fi) ->
                 Hashtbl.replace fieldaddr_of r (s, fi, i.iid, i.iloc)
               | Ir.Ifree o -> (
-                match Regty.struct_ptr (ty_of o) with
-                | Some s -> Option.iter (fun a -> a.freed <- true) (attrs_of t s)
-                | None -> ())
+                match ty_of o with
+                | Irty.Ptr (Irty.Struct s) ->
+                  Option.iter (fun a -> a.freed <- true) (attrs_of t s)
+                | _ -> ())
               | Ir.Imemset (_, _, _, tag) | Ir.Imemcpy (_, _, _, tag) ->
                 let prim =
                   match i.idesc with Ir.Imemset _ -> "memset" | _ -> "memcpy"
@@ -306,7 +306,7 @@ let analyze (prog : Ir.program) : t =
               | Ir.Icall (_, callee, args) ->
                 List.iter
                   (fun arg ->
-                    match Option.bind (ty_of arg) Irty.pointee_struct with
+                    match Irty.pointee_struct (ty_of arg) with
                     | None -> ()
                     | Some s -> (
                       let libc name =

@@ -580,20 +580,6 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
   let frees =
     match l.pointer with Index -> [] | Kept | Renamed _ -> l.pieces
   in
-  (* register types only tell which frees release the old struct *)
-  let regty =
-    if
-      frees <> []
-      && List.exists
-           (fun (b : Ir.block) ->
-             List.exists
-               (fun (i : Ir.instr) ->
-                 match i.idesc with Ir.Ifree _ -> true | _ -> false)
-               b.instrs)
-           f.fblocks
-    then Regty.infer prog f
-    else [||]
-  in
   let dead_addr = Hashtbl.create 8 in
   let retag (acc : Ir.access option) =
     match acc with
@@ -671,8 +657,13 @@ let rewrite_func prog (l : layout) (f : Ir.func) =
       | Some _ | None -> None)
     | Ir.Oreg _ | Ir.Oimm _ | Ir.Ofimm _ -> None
   in
+  (* a free releases the old struct when its operand is typed
+     [struct s *] *)
   let points_to_typ = function
-    | Ir.Oreg r when frees <> [] -> Regty.struct_ptr regty.(r) = Some s
+    | Ir.Oreg r when frees <> [] -> (
+      match Ir.reg_ty f r with
+      | Irty.Ptr (Irty.Struct x) -> String.equal x s
+      | _ -> false)
     | Ir.Oreg _ | Ir.Oimm _ | Ir.Ofimm _ -> false
   in
   rewrite_instrs f (fun i ->

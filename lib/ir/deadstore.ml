@@ -121,7 +121,6 @@ let analyze (prog : Ir.program) : store list =
     (fun k (f : Ir.func) ->
       (* the field whose address a register holds, or -1 *)
       let fieldaddr = Array.make f.next_reg (-1) in
-      let regty = lazy (Regty.infer prog f) in
       let escape (o : Ir.operand) =
         match o with
         | Ir.Oreg r when fieldaddr.(r) >= 0 ->
@@ -147,9 +146,7 @@ let analyze (prog : Ir.program) : store list =
                     (fun (arg : Ir.operand) ->
                       match arg with
                       | Ir.Oreg r -> (
-                        match
-                          Option.bind (Lazy.force regty).(r) Irty.pointee_struct
-                        with
+                        match Irty.pointee_struct (Ir.reg_ty f r) with
                         | Some s -> ext_structs := Bits.union !ext_structs (info s).all
                         | None -> ())
                       | Ir.Oimm _ | Ir.Ofimm _ -> ())

@@ -20,6 +20,10 @@
       instruction of the function (the IR is not SSA, but a use of a
       register that {e no} instruction defines means a rewrite dropped a
       definition and kept a user);
+    - a definition that names a type agrees with its register's recorded
+      type ({!Ir.reg_ty}), so a rewrite that retypes an instruction but
+      not its register is caught here, not as a wrong register bank at
+      run time;
     - names resolve: globals, locals, address-taken and directly called
       functions; direct calls pass the declared number of arguments;
       every parameter has a stack slot in [flocals];
@@ -52,6 +56,8 @@ type kind =
   | Bad_branch_target of int  (** terminator targets a missing block *)
   | Reg_out_of_range of int  (** register outside [0, next_reg) *)
   | Undefined_register of int  (** used but defined by no instruction *)
+  | Reg_type_mismatch of int * Irty.t * Irty.t
+      (** register, its recorded type, the type its definition gives it *)
   | Arity_mismatch of string * int * int  (** callee, declared, passed *)
   | Param_without_slot of string  (** parameter missing from [flocals] *)
   | Duplicate_iid of int  (** instruction id used twice program-wide *)
@@ -81,6 +87,9 @@ let string_of_kind = function
     Printf.sprintf "register %%r%d outside [0, next_reg)" r
   | Undefined_register r ->
     Printf.sprintf "register %%r%d is used but never defined" r
+  | Reg_type_mismatch (r, recorded, defined) ->
+    Printf.sprintf "register %%r%d is typed %s but defined as %s" r
+      (Irty.to_string recorded) (Irty.to_string defined)
   | Arity_mismatch (f, want, got) ->
     Printf.sprintf "call to '%s' passes %d arguments, declared with %d" f got
       want
@@ -176,6 +185,25 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
     | Some _ | None -> ()
   in
 
+  (* the type a definition gives its register, where the instruction
+     names one *)
+  let defined_ty (i : Ir.instr) =
+    match i.idesc with
+    | Ir.Ibin (r, op, ty, _, _) -> Some (r, Ir.binop_ty op ty)
+    | Ir.Iun (r, u, ty, _) -> Some (r, Ir.unop_ty u ty)
+    | Ir.Icast (r, _, ty, _, _) | Ir.Iload (r, _, ty, _) -> Some (r, ty)
+    | Ir.Iptradd (r, _, _, elem) | Ir.Ialloc (r, _, _, elem) ->
+      Some (r, Irty.Ptr elem)
+    | Ir.Icall (Some r, Ir.Cdirect n, _) ->
+      Option.map
+        (fun (g : Ir.func) -> (r, g.fret))
+        (Hashtbl.find_opt func_names n)
+    | Ir.Imov _ | Ir.Istore _ | Ir.Iaddrglob _ | Ir.Iaddrlocal _
+    | Ir.Iaddrstr _ | Ir.Iaddrfunc _ | Ir.Ifieldaddr _ | Ir.Icall _
+    | Ir.Ifree _ | Ir.Imemset _ | Ir.Imemcpy _ ->
+      None
+  in
+
   let seen_iids = Hashtbl.create 256 in
 
   List.iter
@@ -250,6 +278,12 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
                 fail site Missing_loc;
               (match Ir.defined_reg i with
               | Some r when not (in_range r) -> fail site (Reg_out_of_range r)
+              | Some _ | None -> ());
+              (match defined_ty i with
+              | Some (r, ty) when in_range r ->
+                let recorded = Ir.reg_ty f r in
+                if not (Irty.equal ty recorded) then
+                  fail site (Reg_type_mismatch (r, recorded, ty))
               | Some _ | None -> ());
               Ir.iter_used_operands
                 (function

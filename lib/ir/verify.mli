@@ -15,6 +15,9 @@
       targets an existing block, no empty functions;
     - every register is in range and, if used, defined by some instruction
       of the function;
+    - a definition that names a type (arithmetic, cast, load, pointer
+      arithmetic, allocation, direct call) agrees with the type recorded
+      for its register;
     - globals, locals and functions referenced by name exist; direct calls
       pass the declared number of arguments; parameters have stack slots;
     - instruction ids are unique program-wide. *)
@@ -41,6 +44,8 @@ type kind =
   | Bad_branch_target of int
   | Reg_out_of_range of int
   | Undefined_register of int
+  | Reg_type_mismatch of int * Irty.t * Irty.t
+      (** register, its recorded type, the type its definition gives it *)
   | Arity_mismatch of string * int * int  (** callee, declared, passed *)
   | Param_without_slot of string
   | Duplicate_iid of int

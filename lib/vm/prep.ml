@@ -6,8 +6,9 @@
    allocation order and string interning). Keeping these in one place is
    what makes the walk and compiled engines produce identical addresses
    — and therefore identical cache-simulation counters. The register
-   banks ({!Regty.float_regs}) and the entry block ({!Ir.entry_block})
-   come from the IR. *)
+   banks (a register typed [float] or [double] by {!Ir.reg_ty} is in the
+   float bank) and the entry block ({!Ir.entry_block}) come from the
+   IR. *)
 
 (* frame layout: offsets for every local (params included), and the
    16-byte-rounded frame size *)

@@ -74,63 +74,6 @@ let backends_agree (e : Suite.entry) () =
              :: List.map Slo_suite.Oracle.string_of_backend_mismatch ms)))
     [ ("original", prog); ("ISPBO-transformed", ispbo_transformed prog) ]
 
-(* the register-type table Lower and Transform fill agrees with
-   [Regty.infer]'s reconstruction on every register it types, in every
-   function of the program and of its SPBO- and ISPBO-transformed copies
-   with pooling on. An indirect call's result is exempt: Regty types it
-   [long], the table its declared return type. Two more registers of the
-   roster differ, both in the same bank: a [?:] of two [int] constants
-   is [int] (Regty: the moved constants' [long]), and an extern's result
-   is its declared [double] (Regty: [long]). *)
-let known_departures = function
-  | "cactusADM" -> [ "init_grid %r40: regty long, table int" ]
-  | "calculix" -> [ "main %r92: regty long, table double" ]
-  | _ -> []
-
-let regtys_match_regty (e : Suite.entry) () =
-  let prog = D.compile e.source in
-  let planned scheme =
-    let leg, aff = D.analyze prog ~scheme ~feedback:None in
-    D.transform_with_plans prog
-      (H.plans (H.decide ~pool:true prog leg aff ~scheme))
-  in
-  let mismatches = ref [] in
-  List.iter
-    (fun (label, (p : Ir.program)) ->
-      List.iter
-        (fun (f : Ir.func) ->
-          let indirect = Array.make f.next_reg false in
-          List.iter
-            (fun (b : Ir.block) ->
-              List.iter
-                (fun (i : Ir.instr) ->
-                  match i.idesc with
-                  | Ir.Icall (Some r, Ir.Cindirect _, _) -> indirect.(r) <- true
-                  | _ -> ())
-                b.instrs)
-            f.fblocks;
-          Array.iteri
-            (fun r t ->
-              match t with
-              | Some t
-                when (not indirect.(r)) && not (Irty.equal t (Ir.reg_ty f r)) ->
-                mismatches :=
-                  Printf.sprintf "%s %s %%r%d: regty %s, table %s" label
-                    f.fname r (Irty.to_string t)
-                    (Irty.to_string (Ir.reg_ty f r))
-                  :: !mismatches
-              | Some _ | None -> ())
-            (Regty.infer p f))
-        p.funcs)
-    [ ("original", prog); ("SPBO", planned W.SPBO); ("ISPBO", planned W.ISPBO) ];
-  let labels = [ "original"; "SPBO"; "ISPBO" ] in
-  Alcotest.(check (list string))
-    "mismatches"
-    (List.concat_map
-       (fun l -> List.map (fun d -> l ^ " " ^ d) (known_departures e.name))
-       labels)
-    (List.rev !mismatches)
-
 let expected_transforms () =
   (* the paper's headline transformations happen *)
   let check_plan name expected =
@@ -221,7 +164,6 @@ let () =
       ("legality shape", per_entry legality_shape);
       ("transform preserves output", per_entry transform_preserves);
       ("backends agree", per_entry backends_agree);
-      ("register types", per_entry regtys_match_regty);
       ( "paper expectations",
         [
           Alcotest.test_case "art and peel2 peel" `Quick expected_transforms;

@@ -237,6 +237,47 @@ let report_text_term () =
     "main.B1: br %r68, B2, B4: register %r68 is used but never defined"
     (Verify.report (Verify.program prog))
 
+(* a definition whose type disagrees with its register's recorded type
+   is reported at the instruction: [report] is the expected text *)
+let expect_mistyped prog report =
+  expect_kind "Reg_type_mismatch"
+    (function Verify.Reg_type_mismatch _ -> true | _ -> false)
+    prog;
+  Alcotest.(check string) "report" report (Verify.report (Verify.program prog))
+
+(* a double multiplication into a register recorded as long *)
+let mistyped_binop () =
+  let prog = compiled () in
+  let i =
+    first_in_main prog (fun i ->
+        match i.Ir.idesc with
+        | Ir.Ibin (_, _, Irty.Double, _, _) -> true
+        | _ -> false)
+  in
+  (match i.Ir.idesc with
+  | Ir.Ibin (r, _, _, _, _) -> Ir.set_reg_ty (main_func prog) r Irty.Long
+  | _ -> assert false);
+  expect_mistyped prog
+    "main.B2: %r27 = mul.double %r26, 0.5: register %r27 is typed long but \
+     defined as double"
+
+(* split's allocation retyped to the hot part, its register not *)
+let mistyped_alloc () =
+  let prog = compiled () in
+  let d = Structs.find prog.Ir.structs "s" in
+  Structs.define prog.Ir.structs "s__hot" (Array.to_list d.Structs.fields);
+  let i =
+    first_in_main prog (fun i ->
+        match i.Ir.idesc with Ir.Ialloc _ -> true | _ -> false)
+  in
+  (match i.Ir.idesc with
+  | Ir.Ialloc (r, k, n, _) ->
+    i.Ir.idesc <- Ir.Ialloc (r, k, n, Irty.Struct "s__hot")
+  | _ -> assert false);
+  expect_mistyped prog
+    "main.B0: %r0 = malloc 8 x struct s__hot: register %r0 is typed struct s* \
+     but defined as struct s__hot*"
+
 (* ------------------------------------------------------------------ *)
 (* Positive: silent on the whole roster, before and after transforming *)
 (* ------------------------------------------------------------------ *)
@@ -283,6 +324,10 @@ let () =
             report_text_instr;
           Alcotest.test_case "report text names the terminator" `Quick
             report_text_term;
+          Alcotest.test_case "double binop into a long register" `Quick
+            mistyped_binop;
+          Alcotest.test_case "alloc retyped without its register" `Quick
+            mistyped_alloc;
         ] );
       ("suite programs verify clean", suite_tests);
     ]

@@ -84,7 +84,21 @@ let float_semantics b () =
     (out_of b
        "int main() { int c; int i; double d; c = 1; i = 1; d = 2.5;\n\
         printf(\"%g %g \", c ? d : i, c ? 1 : 2.5); c = 0;\n\
-        printf(\"%g %g\\n\", c ? 2.5 : 1, c ? i : d); return 0; }")
+        printf(\"%g %g\\n\", c ? 2.5 : 1, c ? i : d); return 0; }");
+  (* a call through a function pointer returns in the bank of the
+     pointer's declared return type: a double through a local and a
+     global pointer, a float through another, a long in the integer
+     bank *)
+  Alcotest.(check string) "indirect call" "1.5 2.5 0.75 42\n"
+    (out_of b
+       "typedef double (*dfn)(double); typedef float (*ffn)(float);\n\
+        typedef long (*lfn)(long); dfn g;\n\
+        double half(double x) { return x / 2.0; }\n\
+        float quarter(float x) { return x / 4.0; }\n\
+        long twice(long x) { return x * 2; }\n\
+        int main() { dfn f; ffn q; lfn l; f = half; g = half; q = quarter;\n\
+        l = twice; printf(\"%g %g %g %ld\\n\", f(3.0), g(5.0), q(3.0), l(21));\n\
+        return 0; }")
 
 (* the printf spec machinery: widths, flags, precision, every supported
    conversion, a trailing '%' and the literal escape *)
