@@ -147,8 +147,8 @@ let seed_digests =
      "5e4124d080a8b18b9bb1efaa3d0c3ef5");
     ("gobmk", "780e4295373868c4a114820042b72e70",
      "35412f707b2a683bef9b19889f272d3c");
-    ("povray", "df30160cd2d9952e8068c12b4aab8ec9",
-     "ff4419d21edf98b482a53d3479a10ade");
+    ("povray", "eefff609d3cd1def1aceddce95346f9d",
+     "935587da7989ab14281abbd2a46eba59");
     ("calculix", "70a1ecd75cf10dad1f955e07b3b421b2",
      "5935f4a9e6e1c497e5fbbdbde5eb5f7f");
     ("h264avc", "c2871da41eb3a5285936c52e2d97cc36",
