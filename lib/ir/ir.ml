@@ -134,14 +134,12 @@ let reg_ty f r = f.regtys.(r)
 (* retype a register whose definition was rewritten in place *)
 let set_reg_ty f r ty = f.regtys.(r) <- ty
 
-(* the type a definition gives its register: comparisons and [!] give
+(* the type a binary operation gives its register: a comparison gives
    [int], every other operation the type it computes in *)
 let binop_ty op ty =
   match op with
   | Lt | Le | Gt | Ge | Eq | Ne -> Irty.Int
   | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Shl | Shr -> ty
-
-let unop_ty u ty = match u with Lnot -> Irty.Int | Neg | Bnot -> ty
 
 let fresh_block f loc =
   let bid = f.next_block in

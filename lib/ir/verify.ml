@@ -190,7 +190,8 @@ let program ?(require_locs = false) (p : Ir.program) : error list =
   let defined_ty (i : Ir.instr) =
     match i.idesc with
     | Ir.Ibin (r, op, ty, _, _) -> Some (r, Ir.binop_ty op ty)
-    | Ir.Iun (r, u, ty, _) -> Some (r, Ir.unop_ty u ty)
+    | Ir.Iun (r, u, ty, _) ->
+      Some (r, match u with Ir.Lnot -> Irty.Int | Ir.Neg | Ir.Bnot -> ty)
     | Ir.Icast (r, _, ty, _, _) | Ir.Iload (r, _, ty, _) -> Some (r, ty)
     | Ir.Iptradd (r, _, _, elem) | Ir.Ialloc (r, _, _, elem) ->
       Some (r, Irty.Ptr elem)
