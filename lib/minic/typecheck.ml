@@ -248,7 +248,11 @@ let check (prog : Ast.program) : env =
       ignore (check_expr sc c);
       let ta = decay (check_expr sc a) in
       let tb = decay (check_expr sc b) in
-      if Ast.is_arith ta && Ast.is_arith tb then usual_arith ta tb else ta
+      (* a pointer against an integer (a null constant) is the pointer,
+         in either arm *)
+      if Ast.is_arith ta && Ast.is_arith tb then usual_arith ta tb
+      else if Ast.is_integer ta && Ast.is_pointer tb then tb
+      else ta
   and check_lvalue (e : Ast.expr) =
     match e.edesc with
     | Evar _ | Ederef _ | Eindex _ | Efield _ | Earrow _ -> ()

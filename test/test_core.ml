@@ -116,7 +116,25 @@ let legality_libc_ind () =
   Alcotest.(check bool) "LIBC" true (has_reason leg "s" L.LIBC);
   Alcotest.(check bool) "IND" true (has_reason leg "q" L.IND);
   Alcotest.(check bool) "LIBC not relaxable" false
-    (L.is_legal ~relax:true leg "s")
+    (L.is_legal ~relax:true leg "s");
+  (* a struct pointer reaches the library through a [?:] with a null
+     arm, whichever arm it is in *)
+  let leg =
+    analyze
+      "struct s { long a; };\n\
+       struct t { long b; };\n\
+       extern long lib_s(struct s*, long);\n\
+       extern long lib_t(struct t*, long);\n\
+       int main() { struct s *p; struct t *q; long c; c = 1;\n\
+       p = (struct s*)malloc(2 * sizeof(struct s));\n\
+       q = (struct t*)malloc(2 * sizeof(struct t));\n\
+       lib_s(c ? 0 : p, 1); lib_t(c ? q : 0, 1);\n\
+       return (int)(p->a + q->b); }"
+  in
+  Alcotest.(check bool) "LIBC through ?: (null first)" true
+    (has_reason leg "s" L.LIBC);
+  Alcotest.(check bool) "LIBC through ?: (null last)" true
+    (has_reason leg "t" L.LIBC)
 
 let legality_smal_mset_nest () =
   let leg =
