@@ -206,8 +206,9 @@ let rec rval ctx (e : Ast.expr) : Ir.operand =
     (match lty with
     | Ast.Tarray _ | Ast.Tstruct _ -> addr (* decay / aggregate base *)
     | _ ->
-      let r = Ir.fresh_reg ctx.func (ir_ty lty) in
-      emit ctx loc (Ir.Iload (r, addr, ir_ty lty, acc));
+      let t = ir_ty lty in
+      let r = Ir.fresh_reg ctx.func t in
+      emit ctx loc (Ir.Iload (r, addr, t, acc));
       Ir.Oreg r)
   | Ast.Eaddr a -> (
     match a.edesc with
@@ -275,8 +276,9 @@ and load_location ctx loc place (t : Ast.ty) acc : Ir.operand =
   match t with
   | Ast.Tarray _ | Ast.Tstruct _ -> Ir.Oreg r (* decay to address *)
   | _ ->
-    let v = Ir.fresh_reg ctx.func (ir_ty t) in
-    emit ctx loc (Ir.Iload (v, Ir.Oreg r, ir_ty t, acc));
+    let t = ir_ty t in
+    let v = Ir.fresh_reg ctx.func t in
+    emit ctx loc (Ir.Iload (v, Ir.Oreg r, t, acc));
     Ir.Oreg v
 
 and short_circuit ctx loc op a b =
@@ -315,14 +317,16 @@ and lower_binop ctx loc op a b =
       end
       else idx
     in
-    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
-    emit ctx loc (Ir.Iptradd (r, base, idx, ir_ty elem));
+    let elem = ir_ty elem in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr elem) in
+    emit ctx loc (Ir.Iptradd (r, base, idx, elem));
     Ir.Oreg r
   | Ast.Add, ti, Ast.Tptr elem when Ast.is_integer ti ->
     let idx = rval ctx a in
     let base = rval ctx b in
-    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
-    emit ctx loc (Ir.Iptradd (r, base, idx, ir_ty elem));
+    let elem = ir_ty elem in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr elem) in
+    emit ctx loc (Ir.Iptradd (r, base, idx, elem));
     Ir.Oreg r
   | Ast.Sub, Ast.Tptr elem, Ast.Tptr _ ->
     let x = rval ctx a and y = rval ctx b in
@@ -459,8 +463,9 @@ and lower_alloc ctx loc kind args =
     let count_v =
       match count with None -> Ir.Oimm 1L | Some n -> rval ctx n
     in
-    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
-    emit ctx loc (Ir.Ialloc (r, kind, count_v, ir_ty elem));
+    let elem = ir_ty elem in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr elem) in
+    emit ctx loc (Ir.Ialloc (r, kind, count_v, elem));
     Hashtbl.replace ctx.alloc_regs r ();
     Ir.Oreg r
   | _ -> unsupported loc "malloc takes one argument"
@@ -471,8 +476,9 @@ and lower_calloc ctx loc args =
     match match_alloc_size size with
     | Some (None, t) ->
       let count_v = rval ctx n in
-      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty t)) in
-      emit ctx loc (Ir.Ialloc (r, Ir.Acalloc, count_v, ir_ty t));
+      let t = ir_ty t in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr t) in
+      emit ctx loc (Ir.Ialloc (r, Ir.Acalloc, count_v, t));
       Hashtbl.replace ctx.alloc_regs r ();
       Ir.Oreg r
     | Some _ | None ->
@@ -496,8 +502,9 @@ and lower_realloc ctx loc args =
       | None -> (Some size, Ast.Tchar)
     in
     let count_v = match count with None -> Ir.Oimm 1L | Some n -> rval ctx n in
-    let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
-    emit ctx loc (Ir.Ialloc (r, Ir.Arealloc pv, count_v, ir_ty elem));
+    let elem = ir_ty elem in
+    let r = Ir.fresh_reg ctx.func (Irty.Ptr elem) in
+    emit ctx loc (Ir.Ialloc (r, Ir.Arealloc pv, count_v, elem));
     Hashtbl.replace ctx.alloc_regs r ();
     Ir.Oreg r
   | _ -> unsupported loc "realloc takes two arguments"
@@ -528,8 +535,9 @@ and lval ctx (e : Ast.expr) : Ir.operand * Ast.ty * Ir.access option =
     | Ast.Tptr elem ->
       let bv = rval ctx b in
       let iv = rval ctx i in
-      let r = Ir.fresh_reg ctx.func (Irty.Ptr (ir_ty elem)) in
-      emit ctx loc (Ir.Iptradd (r, bv, iv, ir_ty elem));
+      let et = ir_ty elem in
+      let r = Ir.fresh_reg ctx.func (Irty.Ptr et) in
+      emit ctx loc (Ir.Iptradd (r, bv, iv, et));
       (Ir.Oreg r, elem, None)
     | _ -> unsupported loc "subscript of non-pointer")
   | Ast.Efield (b, fname) -> (

@@ -1350,9 +1350,7 @@ let create ?edges ?ring ?(max_steps = Rt.default_max_steps)
     List.mapi
       (fun i f ->
         {
-          p_func = f; p_fc = fcodes.(i);
-          p_fl =
-            Array.init f.next_reg (fun r -> Irty.is_float_ty (Ir.reg_ty f r));
+          p_func = f; p_fc = fcodes.(i); p_fl = Prep.float_regs f;
           p_locals = Hashtbl.create 16;
         })
       prog.funcs

@@ -69,9 +69,7 @@ let compile_func (prog : Ir.program) layout edges (f : Ir.func) : code =
   {
     cfunc = f; cblocks; cterms;
     centry = Ir.entry_block f;
-    clocals; cframe_size;
-    cfloat_reg =
-      Array.init f.next_reg (fun r -> Irty.is_float_ty (Ir.reg_ty f r));
+    clocals; cframe_size; cfloat_reg = Prep.float_regs f;
     cedges = Option.bind edges (fun e -> Edges.row e f.fname);
   }
 

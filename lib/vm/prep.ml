@@ -6,9 +6,13 @@
    allocation order and string interning). Keeping these in one place is
    what makes the walk and compiled engines produce identical addresses
    — and therefore identical cache-simulation counters. The register
-   banks (a register typed [float] or [double] by {!Ir.reg_ty} is in the
-   float bank) and the entry block ({!Ir.entry_block}) come from the
-   IR. *)
+   banks follow the IR's register types ({!float_regs}), and the entry
+   block is {!Ir.entry_block}. *)
+
+(* the float bank: the registers the IR types [float] or [double]; every
+   other register is in the integer bank *)
+let float_regs (f : Ir.func) =
+  Array.init f.next_reg (fun r -> Irty.is_float_ty (Ir.reg_ty f r))
 
 (* frame layout: offsets for every local (params included), and the
    16-byte-rounded frame size *)
